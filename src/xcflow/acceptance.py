@@ -2,8 +2,15 @@
 
 Each criterion exercises one advertised capability end to end (integrate,
 then measure) and states exactly what it checked and what it observed.  The
-test suite and the `flow verify` subcommand both run these; keeping them
-here makes the two entry points report identical numbers.
+test suite and the `flow verify` subcommand both run these through
+`run_suite`; keeping them here makes the two entry points report identical
+numbers.
+
+A criterion takes the run memo of the suite it belongs to: a dict from
+(geometry, flow, init, t_max) to the verification report of that run, so a
+run shared by several criteria of one suite is integrated once.  Each
+`run_suite` call starts an empty memo, so its report dicts hold only the
+runs of that call and nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -25,9 +32,9 @@ from .geometry import (
     cross_from_sectional,
     sectional_curvatures,
 )
-from .integrator import IntegratorOptions, TerminationKind, Trajectory, integrate
+from .integrator import IntegratorOptions, TerminationKind, integrate
 
-__all__ = ["CriterionResult", "ALL_CRITERIA", "run_criterion", "run_all", "criteria_for_geometry"]
+__all__ = ["CriterionResult", "ALL_CRITERIA", "run_suite", "run_all", "criteria_for_geometry"]
 
 _ORACLE_SEED = 20260814
 _ORACLE_DRAWS = 10_000
@@ -56,24 +63,13 @@ class CriterionResult:
         return f"[{verdict}] criterion {self.number:2d} {self.name}: " + "; ".join(self.details)
 
 
-_TRAJ_CACHE: dict[tuple, Trajectory] = {}
-_REPORT_CACHE: dict[tuple, VerificationReport] = {}
-
-
-def _traj(geometry: Geometry, flow: FlowSpec, init: tuple[float, float, float], t_max: float) -> Trajectory:
+def _report(
+    runs: dict, geometry: Geometry, flow: FlowSpec, init: tuple[float, float, float], t_max: float
+) -> VerificationReport:
     key = (geometry, flow, init, t_max)
-    if key not in _TRAJ_CACHE:
-        _TRAJ_CACHE[key] = integrate(
-            geometry, flow, MetricDiag(*init), IntegratorOptions(t_max=t_max)
-        )
-    return _TRAJ_CACHE[key]
-
-
-def _report(geometry: Geometry, flow: FlowSpec, init: tuple[float, float, float], t_max: float) -> VerificationReport:
-    key = (geometry, flow, init, t_max)
-    if key not in _REPORT_CACHE:
-        _REPORT_CACHE[key] = verify(_traj(geometry, flow, init, t_max))
-    return _REPORT_CACHE[key]
+    if key not in runs:
+        runs[key] = verify(integrate(geometry, flow, MetricDiag(*init), IntegratorOptions(t_max=t_max)))
+    return runs[key]
 
 
 def _check(report: VerificationReport, name: str):
@@ -110,22 +106,22 @@ def _fmt_law(l) -> str:
     return s
 
 
-def criterion_heisenberg_closed_form() -> CriterionResult:
-    rep = _report(Geometry.HEISENBERG, XCF_MINUS, (1.0, 1.0, 1.0), 100.0)
+def criterion_heisenberg_closed_form(runs: dict) -> CriterionResult:
+    rep = _report(runs, Geometry.HEISENBERG, XCF_MINUS, (1.0, 1.0, 1.0), 100.0)
     c = _check(rep, "closed form")
     return CriterionResult(1, "nil closed form", c.passed, (_fmt_check(c),))
 
 
-def criterion_heisenberg_invariants() -> CriterionResult:
-    rep = _report(Geometry.HEISENBERG, XCF_MINUS, (1.0, 1.0, 1.0), 100.0)
+def criterion_heisenberg_invariants(runs: dict) -> CriterionResult:
+    rep = _report(runs, Geometry.HEISENBERG, XCF_MINUS, (1.0, 1.0, 1.0), 100.0)
     wanted = ("A^3*B", "A^3*C", "B/C")
     rows = [c for c in rep.conserved if c.name in wanted]
     ok = len(rows) == 3 and all(c.passed for c in rows)
     return CriterionResult(2, "nil first integrals", ok, tuple(_fmt_check(c) for c in rows))
 
 
-def criterion_sol_symmetric() -> CriterionResult:
-    rep = _report(Geometry.SOL, XCF_MINUS, (1.0, 8.0, 1.0), 10.0)
+def criterion_sol_symmetric(runs: dict) -> CriterionResult:
+    rep = _report(runs, Geometry.SOL, XCF_MINUS, (1.0, 8.0, 1.0), 10.0)
     singular = rep.termination["kind"] == TerminationKind.SINGULAR_TIME.value
     t0 = _check(rep, "singular time = B0^2/64")
     lock = _check(rep, "A=C locked")
@@ -140,20 +136,20 @@ def criterion_sol_symmetric() -> CriterionResult:
     return CriterionResult(3, "sol symmetric collapse", ok, details)
 
 
-def criterion_sol_generic() -> CriterionResult:
-    rep = _report(Geometry.SOL, XCF_MINUS, (2.0, 4.0, 1.0), 10.0)
+def criterion_sol_generic(runs: dict) -> CriterionResult:
+    rep = _report(runs, Geometry.SOL, XCF_MINUS, (2.0, 4.0, 1.0), 10.0)
     laws = [_law(rep, v) for v in ("B", "A", "C", "A-C")]
-    rep2 = _report(Geometry.SOL, XCF_MINUS, (5.0, 4.0, 1.0), 10.0)
+    rep2 = _report(runs, Geometry.SOL, XCF_MINUS, (5.0, 4.0, 1.0), 10.0)
     sign = _check(rep2, "A-3C changes sign before the singular time")
     ok = all(l.passed for l in laws) and sign.passed
     details = tuple(_fmt_law(l) for l in laws) + (_fmt_check(sign),)
     return CriterionResult(4, "sol generic blow-up laws", ok, details)
 
 
-def criterion_su2() -> CriterionResult:
-    round_rep = _report(Geometry.SU2, XCF_MINUS, (2.0, 2.0, 2.0), 10.0)
+def criterion_su2(runs: dict) -> CriterionResult:
+    round_rep = _report(runs, Geometry.SU2, XCF_MINUS, (2.0, 2.0, 2.0), 10.0)
     closed = _check(round_rep, "closed form (t <= 0.99 T0)")
-    gen = _report(Geometry.SU2, XCF_MINUS, (3.0, 2.0, 1.0), 10.0)
+    gen = _report(runs, Geometry.SU2, XCF_MINUS, (3.0, 2.0, 1.0), 10.0)
     singular = gen.termination["kind"] == TerminationKind.SINGULAR_TIME.value
     ratio = _check(gen, "A/C -> 1")
     a_law = _law(gen, "A")
@@ -167,8 +163,8 @@ def criterion_su2() -> CriterionResult:
     return CriterionResult(5, "su2 collapse", ok, details)
 
 
-def criterion_sl2r_symmetric() -> CriterionResult:
-    rep = _report(Geometry.SL2R, XCF_MINUS, (1.0, 1.0, 1.0), 1.0e6)
+def criterion_sl2r_symmetric(runs: dict) -> CriterionResult:
+    rep = _report(runs, Geometry.SL2R, XCF_MINUS, (1.0, 1.0, 1.0), 1.0e6)
     lock = _check(rep, "B=C locked")
     b_law = _law(rep, "B")
     rel = _check(rep, "B coefficient = (24 Ainf)^(1/3)")
@@ -179,8 +175,8 @@ def criterion_sl2r_symmetric() -> CriterionResult:
     return CriterionResult(6, "sl2r symmetric pancake", ok, details)
 
 
-def criterion_sl2r_generic() -> CriterionResult:
-    rep = _report(Geometry.SL2R, XCF_MINUS, (1.0, 2.0, 1.0), 10.0)
+def criterion_sl2r_generic(runs: dict) -> CriterionResult:
+    rep = _report(runs, Geometry.SL2R, XCF_MINUS, (1.0, 2.0, 1.0), 10.0)
     region = _check(rep, "F1<0 and F2<0 entered and retained")
     laws = [_law(rep, v) for v in ("C", "A", "B")]
     ratio = _check(rep, "A/B -> 1")
@@ -189,10 +185,10 @@ def criterion_sl2r_generic() -> CriterionResult:
     return CriterionResult(7, "sl2r generic blow-up laws", ok, details)
 
 
-def criterion_e2() -> CriterionResult:
-    flat = _report(Geometry.E2, XCF_MINUS, (3.0, 3.0, 1.0), 10.0)
+def criterion_e2(runs: dict) -> CriterionResult:
+    flat = _report(runs, Geometry.E2, XCF_MINUS, (3.0, 3.0, 1.0), 10.0)
     stat = _check(flat, "exactly stationary")
-    rep = _report(Geometry.E2, XCF_MINUS, (2.0, 1.0, 1.0), 1.0e8)
+    rep = _report(runs, Geometry.E2, XCF_MINUS, (2.0, 1.0, 1.0), 1.0e8)
     gap_law = _law(rep, "A-B")
     c_law = _law(rep, "C")
     prod = _monotone(rep, "(A-B)^2*C")
@@ -210,11 +206,11 @@ def criterion_e2() -> CriterionResult:
     return CriterionResult(8, "e2 cigar laws", ok, details)
 
 
-def criterion_nxcf_volume() -> CriterionResult:
+def criterion_nxcf_volume(runs: dict) -> CriterionResult:
     details = []
     ok = True
     for geom, init in _NXCF_SEEDS.items():
-        rep = _report(geom, NXCF, init, 2.0)
+        rep = _report(runs, geom, NXCF, init, 2.0)
         vol = next((c for c in rep.conserved if c.name == "A*B*C"), None)
         if vol is None:
             ok = False
@@ -225,11 +221,18 @@ def criterion_nxcf_volume() -> CriterionResult:
     return CriterionResult(9, "normalized flow preserves volume", ok, tuple(details))
 
 
+def _max_entry_gap(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest entry of |got - want| relative to the largest |want| (absolute if want is 0)."""
+    gap = float(np.max(np.abs(got - want)))
+    scale = float(np.max(np.abs(want)))
+    return gap / scale if scale != 0.0 else gap
+
+
 def _random_metrics(rng: np.random.Generator, n: int) -> np.ndarray:
     return 10.0 ** rng.uniform(-2.0, 2.0, size=(n, 3))
 
 
-def criterion_oracle_equivalence() -> CriterionResult:
+def criterion_oracle_equivalence(runs: dict) -> CriterionResult:
     rng = np.random.default_rng(_ORACLE_SEED)
     worst = 0.0
     worst_geom = ""
@@ -239,11 +242,7 @@ def criterion_oracle_equivalence() -> CriterionResult:
             m = MetricDiag(*row)
             direct = np.array(cross_curvature_diag(geom, m))
             via_k = np.array(cross_from_sectional(m, sectional_curvatures(geom, m)))
-            scale = float(np.max(np.abs(direct)))
-            if scale == 0.0:
-                err = float(np.max(np.abs(direct - via_k)))
-            else:
-                err = float(np.max(np.abs(direct - via_k)) / scale)
+            err = _max_entry_gap(via_k, direct)
             if err > worst:
                 worst, worst_geom = err, geom.value
     ok = worst <= _ORACLE_TOL
@@ -256,7 +255,7 @@ def criterion_oracle_equivalence() -> CriterionResult:
     )
 
 
-def criterion_scaling_law() -> CriterionResult:
+def criterion_scaling_law(runs: dict) -> CriterionResult:
     rng = np.random.default_rng(_ORACLE_SEED + 1)
     worst = 0.0
     worst_geom = ""
@@ -268,12 +267,7 @@ def criterion_scaling_law() -> CriterionResult:
             for spec in (XCF_MINUS, NXCF):
                 base = np.array(flow_rhs(geom, m, spec))
                 scaled = np.array(flow_rhs(geom, m.scaled(lam), spec))
-                expected = base / lam
-                scale = float(np.max(np.abs(expected)))
-                if scale == 0.0:
-                    err = float(np.max(np.abs(scaled - expected)))
-                else:
-                    err = float(np.max(np.abs(scaled - expected)) / scale)
+                err = _max_entry_gap(scaled, base / lam)
                 if err > worst:
                     worst, worst_geom = err, geom.value
     ok = worst <= _ORACLE_TOL
@@ -319,18 +313,20 @@ def criteria_for_geometry(geometry: Geometry) -> tuple:
     )
 
 
-def cached_report_dicts() -> dict[str, dict]:
-    """JSON-ready dump of every verification report produced so far."""
-    out = {}
-    for (geom, flow, init, t_max), rep in _REPORT_CACHE.items():
-        label = f"{geom.value} {flow.name} init=({init[0]:g},{init[1]:g},{init[2]:g}) t_max={t_max:g}"
-        out[label] = rep.to_dict()
-    return out
+def run_suite(criteria) -> tuple[list[CriterionResult], dict[str, dict]]:
+    """Run criteria in order on one fresh run memo.
 
-
-def run_criterion(fn) -> CriterionResult:
-    return fn()
+    Returns the results and the JSON-ready verification report of every run
+    the criteria made, labelled by geometry, flow, initial data and horizon.
+    """
+    runs: dict = {}
+    results = [fn(runs) for fn in criteria]
+    reports = {
+        f"{geom.value} {flow.name} init=({init[0]:g},{init[1]:g},{init[2]:g}) t_max={t_max:g}": rep.to_dict()
+        for (geom, flow, init, t_max), rep in runs.items()
+    }
+    return results, reports
 
 
 def run_all() -> list[CriterionResult]:
-    return [fn() for fn in ALL_CRITERIA]
+    return run_suite(ALL_CRITERIA)[0]

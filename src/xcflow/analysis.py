@@ -25,7 +25,7 @@ pollute them.  All windows must contain at least 32 samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import sqrt
 
 import numpy as np
@@ -52,6 +52,7 @@ __all__ = [
     "LawResult",
     "VerificationReport",
     "series_values",
+    "sl2r_trapping_entry",
     "estimate_blowup_time",
     "estimate_blowup_time_from_series",
     "fit_power_law",
@@ -173,8 +174,36 @@ def _linefit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return slope, intercept, r2
 
 
-def _blowup_default_window(t_end: float, t0: float) -> tuple[float, float]:
-    return (_BLOWUP_WINDOW_DEPTH * t0, 10.0 * _BLOWUP_WINDOW_DEPTH * t0)
+def _fit_window(
+    times: np.ndarray,
+    regime: str,
+    t0: float | None = None,
+    window: tuple[float, float] | None = None,
+    min_samples: int = _MIN_WINDOW_SAMPLES,
+) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+    """Abscissa, sample mask and bounds of a fit window.
+
+    The abscissa is T0 - t for blow-up laws and t for late-time laws; the
+    default windows are T0 - t in [1e-4, 1e-3] * T0 and [t_max/10, t_max].
+    A window holding fewer than `min_samples` samples is rejected.
+    """
+    if regime == REGIME_BLOWUP:
+        if t0 is None:
+            raise ValueError("blow-up regime requires the singular time t0")
+        x = t0 - times
+        lo, hi = window if window is not None else (_BLOWUP_WINDOW_DEPTH * t0, 10.0 * _BLOWUP_WINDOW_DEPTH * t0)
+        mask = (x >= lo) & (x <= hi) & (x > 0.0)
+    elif regime == REGIME_INFINITY:
+        x = times
+        t_max = float(times[-1])
+        lo, hi = window if window is not None else (t_max / 10.0, t_max)
+        mask = (x >= lo) & (x <= hi)
+    else:
+        raise ValueError(f"unknown regime {regime!r}")
+    n = int(mask.sum())
+    if n < min_samples:
+        raise ValueError(f"insufficient samples in fit window [{lo:g}, {hi:g}]: {n} < {min_samples}")
+    return x, mask, (float(lo), float(hi))
 
 
 def _power_fit_core(
@@ -185,36 +214,14 @@ def _power_fit_core(
     window: tuple[float, float] | None,
     reached: bool,
 ) -> PowerLawFit:
-    if regime == REGIME_BLOWUP:
-        if t0 is None:
-            raise ValueError("blow-up regime requires the singular time t0")
-        if window is None:
-            window = _blowup_default_window(float(times[-1]), t0)
-        u = t0 - times
-        lo, hi = window
-        mask = (u >= lo) & (u <= hi) & (u > 0.0)
-        x_all = u
-    elif regime == REGIME_INFINITY:
-        if not reached:
-            raise ValueError("late-time regime requires a run that reached its horizon")
-        t_max = float(times[-1])
-        if window is None:
-            window = (t_max / 10.0, t_max)
-        lo, hi = window
-        mask = (times >= lo) & (times <= hi)
-        x_all = times
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-    if int(mask.sum()) < _MIN_WINDOW_SAMPLES:
-        raise ValueError(
-            f"insufficient samples in fit window [{lo:g}, {hi:g}]: "
-            f"{int(mask.sum())} < {_MIN_WINDOW_SAMPLES}"
-        )
+    if regime == REGIME_INFINITY and not reached:
+        raise ValueError("late-time regime requires a run that reached its horizon")
+    x, mask, window = _fit_window(times, regime, t0, window)
     v = values[mask]
     if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
         raise ValueError("fit window contains non-positive or non-finite values")
-    slope, intercept, r2 = _linefit(np.log(x_all[mask]), np.log(v))
-    return PowerLawFit(slope, float(np.exp(intercept)), r2, (float(lo), float(hi)), int(mask.sum()))
+    slope, intercept, r2 = _linefit(np.log(x[mask]), np.log(v))
+    return PowerLawFit(slope, float(np.exp(intercept)), r2, window, int(mask.sum()))
 
 
 def fit_power_law(
@@ -241,16 +248,7 @@ def _limit_fit_core(
     exponent: float,
     window: tuple[float, float] | None,
 ) -> LimitPowerFit:
-    t_max = float(times[-1])
-    if window is None:
-        window = (t_max / 10.0, t_max)
-    lo, hi = window
-    mask = (times >= lo) & (times <= hi)
-    if int(mask.sum()) < _MIN_WINDOW_SAMPLES:
-        raise ValueError(
-            f"insufficient samples in fit window [{lo:g}, {hi:g}]: "
-            f"{int(mask.sum())} < {_MIN_WINDOW_SAMPLES}"
-        )
+    _, mask, window = _fit_window(times, REGIME_INFINITY, window=window)
     t = times[mask]
     v = values[mask]
     d = np.diff(v)
@@ -259,7 +257,7 @@ def _limit_fit_core(
         raise ValueError("series is not monotone on the fit window")
     X = np.column_stack([np.ones_like(t), t**exponent])
     (limit, coeff), *_ = np.linalg.lstsq(X, v, rcond=None)
-    return LimitPowerFit(float(limit), float(coeff), float(exponent), (float(lo), float(hi)), int(mask.sum()))
+    return LimitPowerFit(float(limit), float(coeff), float(exponent), window, int(mask.sum()))
 
 
 def estimate_limit_plus_power(
@@ -346,6 +344,21 @@ def estimate_blowup_time(trajectory: Trajectory) -> float:
     return estimate_blowup_time_from_series(trajectory.times, series)
 
 
+def sl2r_trapping_entry(states: np.ndarray) -> tuple[int | None, bool]:
+    """Where SL(2,R) states enter the trapping region F1 < 0 and F2 < 0.
+
+    `states` are (A, B, C) rows in canonical order.  Returns the first row
+    inside the region (None if no row is) and whether every later row stays
+    inside.
+    """
+    f1, f2, _ = _sl2r_f(states[:, 0], states[:, 1], states[:, 2])
+    inside = (f1 < 0.0) & (f2 < 0.0)
+    if not np.any(inside):
+        return None, False
+    i0 = int(np.argmax(inside))
+    return i0, bool(np.all(inside[i0:]))
+
+
 # ---------------------------------------------------------------------------
 # Verification report.
 
@@ -360,14 +373,7 @@ class CheckResult:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "passed": self.passed,
-            "observed": self.observed,
-            "threshold": self.threshold,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -386,20 +392,7 @@ class LawResult:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "variable": self.variable,
-            "regime": self.regime,
-            "expected_exponent": self.expected_exponent,
-            "exponent_tolerance": self.exponent_tolerance,
-            "fitted_exponent": self.fitted_exponent,
-            "expected_coefficient": self.expected_coefficient,
-            "coefficient_tolerance": self.coefficient_tolerance,
-            "fitted_coefficient": self.fitted_coefficient,
-            "fitted_limit": self.fitted_limit,
-            "r2": self.r2,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -427,18 +420,11 @@ class VerificationReport:
         )
 
     def to_dict(self) -> dict:
+        d = asdict(self)
         return {
-            "geometry": self.geometry,
-            "flow": self.flow,
-            "branch": self.branch,
-            "relabeled": self.relabeled,
-            "termination": self.termination,
-            "blowup_time": self.blowup_time,
+            **d,
             "passed": self.passed,
-            "conserved": [c.to_dict() for c in self.conserved],
-            "monotone": [c.to_dict() for c in self.monotone],
-            "laws": [l.to_dict() for l in self.laws],
-            "checks": [c.to_dict() for c in self.checks],
+            **{key: list(d[key]) for key in ("conserved", "monotone", "laws", "checks")},
         }
 
     def summary_lines(self) -> list[str]:
@@ -491,12 +477,6 @@ def _monotone_violation(values: np.ndarray, direction: str) -> float:
     wrong = np.maximum(0.0, d) if direction == DECREASING else np.maximum(0.0, -d)
     scale = float(np.max(np.abs(values)))
     return float(np.max(wrong, initial=0.0) / (scale if scale > 0.0 else 1.0))
-
-
-def _window_mask_blowup(times: np.ndarray, t0: float) -> np.ndarray:
-    lo, hi = _blowup_default_window(float(times[-1]), t0)
-    u = t0 - times
-    return (u >= lo) & (u <= hi) & (u > 0.0)
 
 
 def verify(trajectory: Trajectory) -> VerificationReport:
@@ -658,19 +638,29 @@ def _branch_checks(
 ) -> list[CheckResult]:
     out: list[CheckResult] = []
 
+    def gate(name: str, value: float, tol: float, detail: str = "") -> None:
+        out.append(CheckResult(name, "check", value <= tol, value, tol, detail))
+
+    def closed_form(name: str, rows: np.ndarray, exact: np.ndarray) -> None:
+        gate(name, float(np.max(np.abs(rows - exact) / exact)), CLOSED_FORM_TOL)
+
+    def singular_time(name: str, t0e: float) -> None:
+        if blowup_time is None:
+            out.append(CheckResult(name, "check", False, detail="no estimate"))
+        else:
+            gate(name, abs(blowup_time - t0e) / t0e, BLOWUP_TIME_TOL)
+
     def ratio_check(name: str) -> None:
         if blowup_time is None:
             out.append(CheckResult(name, "check", False, detail="no singular-time estimate"))
             return
-        mask = _window_mask_blowup(t, blowup_time)
-        if int(mask.sum()) < _MIN_WINDOW_SAMPLES:
+        try:
+            _, mask, _ = _fit_window(t, REGIME_BLOWUP, blowup_time)
+        except ValueError:
             out.append(CheckResult(name, "check", False, detail="window too thin"))
             return
         dev = float(np.mean(np.abs(series_values(Sc, name[:3])[mask] - 1.0)))
-        out.append(
-            CheckResult(name, "check", dev <= RATIO_LIMIT_TOL, dev, RATIO_LIMIT_TOL,
-                        detail=f"mean |{name[:3]}-1| on the final window")
-        )
+        gate(name, dev, RATIO_LIMIT_TOL, f"mean |{name[:3]}-1| on the final window")
 
     if geom is Geometry.HEISENBERG:
         r0 = -2.0 * m0.A / (m0.B * m0.C)
@@ -678,8 +668,7 @@ def _branch_checks(
         exact = np.column_stack(
             [m0.A * w ** (-1.0 / 14.0), m0.B * w ** (3.0 / 14.0), m0.C * w ** (3.0 / 14.0)]
         )
-        dev = float(np.max(np.abs(S - exact) / exact))
-        out.append(CheckResult("closed form", "check", dev <= CLOSED_FORM_TOL, dev, CLOSED_FORM_TOL))
+        closed_form("closed form", S, exact)
 
     elif geom is Geometry.SOL:
         if branch == "symmetric":
@@ -687,16 +676,9 @@ def _branch_checks(
             mask = t <= 0.99 * t0e
             b = np.sqrt(m0.B * m0.B - 64.0 * t[mask])
             a = m0.A * m0.B / b
-            exact = np.column_stack([a, b, a])
-            dev = float(np.max(np.abs(S[mask] - exact) / exact))
-            out.append(CheckResult("closed form (t <= 0.99 T0)", "check", dev <= CLOSED_FORM_TOL, dev, CLOSED_FORM_TOL))
-            lock = float(np.max(np.abs(S[:, 0] - S[:, 2]) / S[:, 0]))
-            out.append(CheckResult("A=C locked", "check", lock <= SYMMETRY_LOCK_TOL, lock, SYMMETRY_LOCK_TOL))
-            if blowup_time is not None:
-                err = abs(blowup_time - t0e) / t0e
-                out.append(CheckResult("singular time = B0^2/64", "check", err <= BLOWUP_TIME_TOL, err, BLOWUP_TIME_TOL))
-            else:
-                out.append(CheckResult("singular time = B0^2/64", "check", False, detail="no estimate"))
+            closed_form("closed form (t <= 0.99 T0)", S[mask], np.column_stack([a, b, a]))
+            gate("A=C locked", float(np.max(np.abs(S[:, 0] - S[:, 2]) / S[:, 0])), SYMMETRY_LOCK_TOL)
+            singular_time("singular time = B0^2/64", t0e)
         else:
             a0, c0 = Sc[0, 0], Sc[0, 2]
             if a0 >= 3.0 * c0:
@@ -714,92 +696,59 @@ def _branch_checks(
             t0e = m0.A * m0.A / 4.0
             mask = t <= 0.99 * t0e
             s = np.sqrt(m0.A * m0.A - 4.0 * t[mask])
-            exact = np.column_stack([s, s, s])
-            dev = float(np.max(np.abs(S[mask] - exact) / exact))
-            out.append(CheckResult("closed form (t <= 0.99 T0)", "check", dev <= CLOSED_FORM_TOL, dev, CLOSED_FORM_TOL))
+            closed_form("closed form (t <= 0.99 T0)", S[mask], np.column_stack([s, s, s]))
             gaps = np.max(S, axis=1) - np.min(S, axis=1)
-            lock = float(np.max(gaps / np.max(S, axis=1)))
-            out.append(CheckResult("A=B=C locked", "check", lock <= SYMMETRY_LOCK_TOL, lock, SYMMETRY_LOCK_TOL))
-            if blowup_time is not None:
-                err = abs(blowup_time - t0e) / t0e
-                out.append(CheckResult("singular time = s0^2/4", "check", err <= BLOWUP_TIME_TOL, err, BLOWUP_TIME_TOL))
-            else:
-                out.append(CheckResult("singular time = s0^2/4", "check", False, detail="no estimate"))
+            gate("A=B=C locked", float(np.max(gaps / np.max(S, axis=1))), SYMMETRY_LOCK_TOL)
+            singular_time("singular time = s0^2/4", t0e)
         else:
             ratio_check("A/C -> 1")
 
     elif geom is Geometry.SL2R:
         if branch == "symmetric":
-            lock = float(np.max(np.abs(S[:, 1] - S[:, 2]) / S[:, 1]))
-            out.append(CheckResult("B=C locked", "check", lock <= SYMMETRY_LOCK_TOL, lock, SYMMETRY_LOCK_TOL))
+            gate("B=C locked", float(np.max(np.abs(S[:, 1] - S[:, 2]) / S[:, 1])), SYMMETRY_LOCK_TOL)
             lhs = S[:, 0] ** 9 * S[:, 1] ** 3
             rhs = lhs[0] + np.concatenate(
                 [[0.0], np.cumsum(0.5 * np.diff(t) * (24.0 * S[:-1, 0] ** 10 + 24.0 * S[1:, 0] ** 10))]
             )
             qerr = abs(float(lhs[-1] - rhs[-1])) / abs(float(lhs[-1]))
-            out.append(
-                CheckResult(
-                    "d/dt(A^9 B^3) = 24 A^10 (trapezoid)", "check", qerr <= QUADRATURE_TOL, qerr, QUADRATURE_TOL
-                )
-            )
+            gate("d/dt(A^9 B^3) = 24 A^10 (trapezoid)", qerr, QUADRATURE_TOL)
             bfit = law_fits.get("B")
             afit = limit_fits.get("A")
             if bfit is not None and afit is not None and afit.limit > 0.0:
                 a_inf = afit.limit
                 target = (24.0 * a_inf) ** (1.0 / 3.0)
-                err = abs(bfit.coefficient - target) / target
-                out.append(
-                    CheckResult(
-                        "B coefficient = (24 Ainf)^(1/3)", "check", err <= SL2R_COEFF_RELATION_TOL,
-                        err, SL2R_COEFF_RELATION_TOL,
-                        detail=f"fit {bfit.coefficient:.6g} vs {target:.6g} (Ainf={a_inf:.6g})",
-                    )
+                gate(
+                    "B coefficient = (24 Ainf)^(1/3)", abs(bfit.coefficient - target) / target,
+                    SL2R_COEFF_RELATION_TOL, f"fit {bfit.coefficient:.6g} vs {target:.6g} (Ainf={a_inf:.6g})",
                 )
                 rate = 1.0 / (8.0 * 3.0 ** (1.0 / 3.0))
                 got = afit.coefficient / a_inf ** (5.0 / 3.0)
-                rerr = abs(got - rate) / rate
-                out.append(
-                    CheckResult(
-                        "A tail rate = Ainf^(5/3)/(8*3^(1/3))", "check", rerr <= SL2R_TAIL_RATE_TOL,
-                        rerr, SL2R_TAIL_RATE_TOL,
-                        detail=f"fit rate {got:.6g} vs {rate:.6g}",
-                    )
+                gate(
+                    "A tail rate = Ainf^(5/3)/(8*3^(1/3))", abs(got - rate) / rate,
+                    SL2R_TAIL_RATE_TOL, f"fit rate {got:.6g} vs {rate:.6g}",
                 )
             else:
                 out.append(CheckResult("B coefficient = (24 Ainf)^(1/3)", "check", False, detail="missing fits"))
         else:
-            f1, f2, _ = _sl2r_f(Sc[:, 0], Sc[:, 1], Sc[:, 2])
-            inside = (f1 < 0.0) & (f2 < 0.0)
-            if np.any(inside):
-                i0 = int(np.argmax(inside))
-                retained = bool(np.all(inside[i0:]))
-                out.append(
-                    CheckResult(
-                        "F1<0 and F2<0 entered and retained", "check", retained,
-                        detail=f"entered at t={float(t[i0]):.6g}",
-                    )
+            i0, retained = sl2r_trapping_entry(Sc)
+            out.append(
+                CheckResult(
+                    "F1<0 and F2<0 entered and retained", "check", retained,
+                    detail="never entered" if i0 is None else f"entered at t={float(t[i0]):.6g}",
                 )
-            else:
-                out.append(CheckResult("F1<0 and F2<0 entered and retained", "check", False, detail="never entered"))
+            )
             ratio_check("A/B -> 1")
 
     elif geom is Geometry.E2:
         if branch == "flat":
-            dev = float(np.max(np.abs(S - S[0])))
-            out.append(CheckResult("exactly stationary", "check", dev == 0.0, dev, 0.0))
+            gate("exactly stationary", float(np.max(np.abs(S - S[0]))), 0.0)
         else:
             prod = (Sc[:, 0] - Sc[:, 1]) ** 2 * Sc[:, 2]
             if reached:
-                t_max = float(t[-1])
-                mask = (t >= t_max / 10.0) & (t <= t_max)
+                _, mask, _ = _fit_window(t, REGIME_INFINITY, min_samples=0)
                 v = prod[mask]
                 change = abs(float(v[-1] - v[0])) / abs(float(v[-1]))
-                out.append(
-                    CheckResult(
-                        "(A-B)^2*C settles over the last decade", "check", change <= PRODUCT_TAIL_TOL,
-                        change, PRODUCT_TAIL_TOL,
-                    )
-                )
+                gate("(A-B)^2*C settles over the last decade", change, PRODUCT_TAIL_TOL)
                 afit = law_fits.get("A-B")
                 cfit = law_fits.get("C")
                 sfit = limit_fits.get("A+B")
@@ -807,13 +756,9 @@ def _branch_checks(
                     e1 = sfit.limit / 2.0
                     e2 = afit.coefficient / 2.0
                     target = (8.0 * e2 / e1) * sqrt(6.0)
-                    err = abs(cfit.coefficient - target) / target
-                    out.append(
-                        CheckResult(
-                            "C coefficient = (8 E2/E1) sqrt(6)", "check", err <= E2_COEFF_RELATION_TOL,
-                            err, E2_COEFF_RELATION_TOL,
-                            detail=f"fit {cfit.coefficient:.6g} vs {target:.6g} (E1={e1:.6g}, E2={e2:.6g})",
-                        )
+                    gate(
+                        "C coefficient = (8 E2/E1) sqrt(6)", abs(cfit.coefficient - target) / target,
+                        E2_COEFF_RELATION_TOL, f"fit {cfit.coefficient:.6g} vs {target:.6g} (E1={e1:.6g}, E2={e2:.6g})",
                     )
                 else:
                     out.append(CheckResult("C coefficient = (8 E2/E1) sqrt(6)", "check", False, detail="missing fits"))

@@ -23,16 +23,17 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
+from math import isfinite
 from typing import Sequence
 
 import numpy as np
 
 from . import acceptance
-from .analysis import estimate_blowup_time, verify
+from .analysis import estimate_blowup_time, sl2r_trapping_entry, verify
 from .analytic import classify_branch, canonical_permutation
-from .flows import FlowSpec
-from .geometry import Geometry, MetricDiag, _sl2r_f, cross_curvature_diag, sectional_curvatures
+from .flows import FLOWS, FlowSpec
+from .geometry import Geometry, MetricDiag, cross_curvature_diag, sectional_curvatures
 from .integrator import IntegratorOptions, TerminationKind, Trajectory, integrate
 
 __all__ = [
@@ -60,7 +61,6 @@ SCAN_HEADER = "index,A0,B0,C0,termination,t_stop,blowup_time,branch,flag"
 ENV_CONFIG = "XFLOW_CONFIG"
 
 _GEOMETRY_NAMES = tuple(g.value for g in Geometry)
-_FLOW_NAMES = ("xcf-", "xcf+", "nxcf", "nxcf+")
 
 
 class ConfigError(ValueError):
@@ -110,26 +110,14 @@ class RunConfig:
         cfg = replace(self, **clean)
         if cfg.geometry not in _GEOMETRY_NAMES:
             raise ConfigError(f"unknown geometry {cfg.geometry!r}; expected one of {', '.join(_GEOMETRY_NAMES)}")
-        if cfg.flow not in _FLOW_NAMES:
-            raise ConfigError(f"unknown flow {cfg.flow!r}; expected one of {', '.join(_FLOW_NAMES)}")
+        if cfg.flow not in FLOWS:
+            raise ConfigError(f"unknown flow {cfg.flow!r}; expected one of {', '.join(FLOWS)}")
         if cfg.format not in ("csv", "json"):
             raise ConfigError(f"unknown format {cfg.format!r}; expected csv or json")
         return cfg
 
     def to_dict(self) -> dict:
-        return {
-            "geometry": self.geometry,
-            "flow": self.flow,
-            "init": list(self.init),
-            "t_max": self.t_max,
-            "rtol": self.rtol,
-            "atol": self.atol,
-            "samples": self.samples,
-            "max_steps": self.max_steps,
-            "output": self.output,
-            "format": self.format,
-            "analysis": self.analysis,
-        }
+        return asdict(self)
 
 
 def _parse_init(value) -> tuple[float, float, float]:
@@ -294,17 +282,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = _effective_run_config(args)
     geometry = Geometry.from_name(cfg.geometry)
     spec = FlowSpec.from_name(cfg.flow)
-    try:
-        m0 = MetricDiag(*cfg.init)
-        options = IntegratorOptions(
-            t_max=cfg.t_max,
-            rtol=cfg.rtol,
-            atol=cfg.atol,
-            samples=cfg.samples,
-            max_steps=cfg.max_steps,
-        )
-    except ValueError as e:
-        raise ConfigError(str(e))
+    m0 = MetricDiag(*cfg.init)
+    options = IntegratorOptions(
+        t_max=cfg.t_max,
+        rtol=cfg.rtol,
+        atol=cfg.atol,
+        samples=cfg.samples,
+        max_steps=cfg.max_steps,
+    )
     trajectory = integrate(geometry, spec, m0, options)
     if cfg.format == "csv":
         _write_output(cfg.output, trajectory_csv_text(trajectory, cfg))
@@ -329,12 +314,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if suite == "all":
         criteria = acceptance.ALL_CRITERIA
     else:
-        try:
-            geometry = Geometry.from_name(suite)
-        except ValueError as e:
-            raise ConfigError(str(e))
-        criteria = acceptance.criteria_for_geometry(geometry)
-    results = [fn() for fn in criteria]
+        criteria = acceptance.criteria_for_geometry(Geometry.from_name(suite))
+    results, reports = acceptance.run_suite(criteria)
     for result in results:
         print(result.line())
     doc = {
@@ -344,7 +325,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             {"number": r.number, "name": r.name, "passed": r.passed, "details": list(r.details)}
             for r in results
         ],
-        "reports": acceptance.cached_report_dicts(),
+        "reports": reports,
     }
     if args.output != "-":
         _write_output(args.output, json.dumps(doc, indent=2) + "\n")
@@ -385,11 +366,8 @@ def _scan_flag(geometry: Geometry, trajectory: Trajectory, branch: str) -> str:
     if geometry is Geometry.SL2R:
         if branch == "symmetric":
             return "symmetric"
-        f1, f2, _ = _sl2r_f(Sc[:, 0], Sc[:, 1], Sc[:, 2])
-        inside = (f1 < 0.0) & (f2 < 0.0)
-        if np.any(inside) and bool(np.all(inside[int(np.argmax(inside)) :])):
-            return "entered-region"
-        return "no-region"
+        _, retained = sl2r_trapping_entry(Sc)
+        return "entered-region" if retained else "no-region"
     if geometry is Geometry.SOL:
         if branch == "symmetric":
             return "symmetric"
@@ -431,11 +409,11 @@ def _scan_point(payload: tuple) -> dict:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    try:
-        geometry = Geometry.from_name(args.geometry)
-        spec = FlowSpec.from_name(args.flow)
-    except ValueError as e:
-        raise ConfigError(str(e))
+    geometry = Geometry.from_name(args.geometry)
+    spec = FlowSpec.from_name(args.flow)
+    volume = args.normalize_volume
+    if volume is not None and not (isfinite(volume) and volume > 0.0):
+        raise ConfigError(f"--normalize-volume must be finite and positive, got {volume!r}")
     axis_a = _parse_axis(args.grid_A)
     axis_b = _parse_axis(args.grid_B)
     axis_c = _parse_axis(args.grid_C)
@@ -446,7 +424,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise ConfigError("--workers must be at least 1")
     payloads = [
         (geometry.value, spec.name, float(a), float(b), float(c),
-         args.t_max, args.rtol, args.atol, args.samples, args.normalize_volume)
+         args.t_max, args.rtol, args.atol, args.samples, volume)
         for a in axis_a
         for b in axis_b
         for c in axis_c
@@ -492,14 +470,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="integrate one initial datum and write the trajectory")
     run.add_argument("--geometry", choices=_GEOMETRY_NAMES, default=None)
-    run.add_argument("--flow", choices=_FLOW_NAMES, default=None)
+    run.add_argument("--flow", choices=FLOWS, default=None)
     run.add_argument("--init", default=None, metavar="A,B,C", help="initial diagonal metric")
     run.add_argument("--t-max", type=float, default=None)
     run.add_argument("--rtol", type=float, default=None)
     run.add_argument("--atol", type=float, default=None)
     run.add_argument("--samples", type=int, default=None)
     run.add_argument("--max-steps", type=int, default=None,
-                     help="accepted-step budget before giving up")
+                     help="step-attempt budget (accepted plus rejected steps) before giving up")
     run.add_argument("--output", default=None, metavar="PATH", help="output file, - for stdout")
     run.add_argument("--format", choices=("csv", "json"), default=None)
     run.add_argument("--config", default=None, metavar="PATH",
@@ -515,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan = sub.add_parser("scan", help="classify a grid of initial data")
     scan.add_argument("--geometry", choices=_GEOMETRY_NAMES, required=True)
-    scan.add_argument("--flow", choices=_FLOW_NAMES, default="xcf-")
+    scan.add_argument("--flow", choices=FLOWS, default="xcf-")
     scan.add_argument("--grid-A", required=True, metavar="SPEC",
                       help="VALUE or MIN:MAX:COUNT[:log]")
     scan.add_argument("--grid-B", required=True, metavar="SPEC")
@@ -538,10 +516,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as e:
+    except ValueError as e:  # ConfigError and invalid values found further down
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -28,6 +28,7 @@ from .geometry import _CROSS, CrossDiag, Geometry, MetricDiag
 __all__ = [
     "FlowDirection",
     "FlowSpec",
+    "FLOWS",
     "RhsTriple",
     "XCF_MINUS",
     "XCF_PLUS",
@@ -44,14 +45,6 @@ class FlowDirection(Enum):
     POSITIVE = "positive"
 
 
-_FLOW_NAMES = {
-    ("negative", False): "xcf-",
-    ("positive", False): "xcf+",
-    ("negative", True): "nxcf",
-    ("positive", True): "nxcf+",
-}
-
-
 @dataclass(frozen=True)
 class FlowSpec:
     """Which flow to run: time direction and whether to normalize volume."""
@@ -61,23 +54,24 @@ class FlowSpec:
 
     @property
     def name(self) -> str:
-        return _FLOW_NAMES[(self.direction.value, self.normalized)]
+        return next(name for name, spec in FLOWS.items() if spec == self)
 
     @classmethod
     def from_name(cls, name: str) -> "FlowSpec":
-        table = {v: k for k, v in _FLOW_NAMES.items()}
         key = name.strip().lower()
-        if key not in table:
-            valid = ", ".join(sorted(table))
+        if key not in FLOWS:
+            valid = ", ".join(sorted(FLOWS))
             raise ValueError(f"unknown flow {name!r}; expected one of: {valid}")
-        direction, normalized = table[key]
-        return cls(FlowDirection(direction), normalized)
+        return FLOWS[key]
 
 
 XCF_MINUS = FlowSpec(FlowDirection.NEGATIVE, False)
 XCF_PLUS = FlowSpec(FlowDirection.POSITIVE, False)
 NXCF = FlowSpec(FlowDirection.NEGATIVE, True)
 NXCF_PLUS = FlowSpec(FlowDirection.POSITIVE, True)
+
+# Every flow by its command-line name, in the order the CLI lists them.
+FLOWS: dict[str, FlowSpec] = {"xcf-": XCF_MINUS, "xcf+": XCF_PLUS, "nxcf": NXCF, "nxcf+": NXCF_PLUS}
 
 
 class RhsTriple(NamedTuple):

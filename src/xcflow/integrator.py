@@ -33,7 +33,7 @@ rather than to a tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from math import isfinite, sqrt
 
@@ -114,13 +114,10 @@ class Termination:
 
     def to_dict(self) -> dict:
         return {
+            **asdict(self),
             "kind": self.kind.value,
-            "t_stop": self.t_stop,
             "vanishing": list(self.vanishing),
             "exploding": list(self.exploding),
-            "trigger": self.trigger,
-            "n_accepted": self.n_accepted,
-            "n_rejected": self.n_rejected,
         }
 
 
@@ -158,15 +155,11 @@ class _StepTable:
     y0: np.ndarray  # (m, 3) states at step starts
     q: np.ndarray  # (m, 3, 4) interpolant coefficients
 
-    def eval(self, t: float) -> np.ndarray:
-        if len(self.t0) == 0:
-            return self.y0[0] if len(self.y0) else None
-        idx = int(np.searchsorted(self.t0, t, side="right")) - 1
-        idx = min(max(idx, 0), len(self.t0) - 1)
-        theta = (t - self.t0[idx]) / self.h[idx]
-        theta = min(max(theta, 0.0), 1.0)
-        powers = np.array([theta, theta * theta, theta**3, theta**4])
-        return self.y0[idx] + self.h[idx] * (self.q[idx] @ powers)
+    def eval(self, t: np.ndarray) -> np.ndarray:
+        """Interpolated states (n, 3) at the times t (n,) in [0, t_end], each in its own step."""
+        idx = np.searchsorted(self.t0, t, side="right") - 1  # t0[0] = 0, so idx >= 0
+        theta = np.minimum((t - self.t0[idx]) / self.h[idx], 1.0)
+        return _interpolate(self.y0[idx], self.h[idx, None], self.q[idx], theta)
 
 
 @dataclass(frozen=True)
@@ -188,7 +181,7 @@ class Trajectory:
     states: np.ndarray
     termination: Termination
     t_switch: float | None
-    _table: _StepTable
+    _table: _StepTable | None  # None when no step was accepted
 
     @property
     def t_end(self) -> float:
@@ -245,9 +238,15 @@ def _attempt_step(rhs, y, f, h, rtol, atol):
     return y_new, K[6], err, K
 
 
-def _dense(y0, h, Q, theta):
-    powers = np.array([theta, theta * theta, theta**3, theta**4])
-    return y0 + h * (Q @ powers)
+def _interpolate(y0, h, q, theta):
+    """Dense output y0 + h * q @ (theta, theta^2, theta^3, theta^4) of one step or a stack.
+
+    `np.float_power` evaluates libm's pow on each element, so a stack of
+    thetas gives the same bits as one theta at a time; numpy's vectorised
+    `**` may use a SIMD pow that differs from it in the last bit.
+    """
+    powers = np.array([theta, theta * theta, np.float_power(theta, 3), np.float_power(theta, 4)]).T
+    return y0 + h * (q @ powers[..., None])[..., 0]
 
 
 def _crossed(y, floor, ceil):
@@ -259,11 +258,11 @@ def _locate_crossing(t0, h, y0, Q, floor, ceil):
     lo, hi = 0.0, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if _crossed(_dense(y0, h, Q, mid), floor, ceil):
+        if _crossed(_interpolate(y0, h, Q, mid), floor, ceil):
             hi = mid
         else:
             lo = mid
-    y_stop = _dense(y0, h, Q, hi)
+    y_stop = _interpolate(y0, h, Q, hi)
     return t0 + hi * h, y_stop
 
 
@@ -330,14 +329,10 @@ def integrate(
     growth_locked = False
     t_switch: float | None = None
     n_acc = n_rej = 0
-    termination: Termination | None = None
 
-    while termination is None:
+    while True:
         if n_acc + n_rej >= opts.max_steps:
-            termination = Termination(
-                TerminationKind.STEP_BUDGET_EXHAUSTED, t, trigger="max_steps",
-                n_accepted=n_acc, n_rejected=n_rej,
-            )
+            kind, t_stop, trigger = TerminationKind.STEP_BUDGET_EXHAUSTED, t, "max_steps"
             break
 
         remaining = opts.t_max - t
@@ -345,101 +340,75 @@ def integrate(
         h_try = remaining if landing else h
 
         out = _attempt_step(rhs, y, f, h_try, opts.rtol, opts.atol)
-        if out is None:
-            # positivity or finiteness failure inside the step: retry at h/2
+        if out is None or out[2] > 1.0:
             n_rej += 1
-            h = 0.5 * h_try
+            if out is None:
+                # positivity or finiteness failure inside the step: retry at h/2
+                h = 0.5 * h_try
+            else:
+                h = h_try * max(_MIN_FACTOR, _SAFETY * max(out[2] / _ERR_TARGET, 1e-300) ** (-_EXPO))
             growth_locked = True
-            if h < _STEP_FLOOR * (1.0 + t):
-                van, exp_ = _diagnose(y, y0)
-                termination = Termination(
-                    TerminationKind.SINGULAR_TIME, t, van, exp_,
-                    trigger="step_underflow", n_accepted=n_acc, n_rejected=n_rej,
-                )
-            continue
+            h_resolved = h
+        else:
+            # accepted: record the step with its interpolant
+            y_new, f_new, err, K = out
+            Q = K.T @ _RK_P
+            rows_t.append(t)
+            rows_h.append(h_try)
+            rows_y.append(y.copy())
+            rows_q.append(Q)
+            n_acc += 1
 
-        y_new, f_new, err, K = out
-        if err > 1.0:
-            n_rej += 1
-            h = h_try * max(_MIN_FACTOR, _SAFETY * max(err / _ERR_TARGET, 1e-300) ** (-_EXPO))
-            growth_locked = True
-            if h < _STEP_FLOOR * (1.0 + t):
-                van, exp_ = _diagnose(y, y0)
-                termination = Termination(
-                    TerminationKind.SINGULAR_TIME, t, van, exp_,
-                    trigger="step_underflow", n_accepted=n_acc, n_rejected=n_rej,
-                )
-            continue
+            carry = h_try + comp
+            t_prev = t
+            t = t_prev + carry
+            comp = carry - (t - t_prev)
+            if landing:
+                t, comp = opts.t_max, 0.0
+            y = y_new
+            f = f_new
 
-        # accepted: record the step with its interpolant
-        Q = K.T @ _RK_P
-        rows_t.append(t)
-        rows_h.append(h_try)
-        rows_y.append(y.copy())
-        rows_q.append(Q)
-        n_acc += 1
+            if t_switch is None and bool(np.any(y < band_lo) | np.any(y > band_hi)):
+                t_switch = t
 
-        carry = h_try + comp
-        t_prev = t
-        t = t_prev + carry
-        comp = carry - (t - t_prev)
-        if landing:
-            t, comp = opts.t_max, 0.0
-        y = y_new
-        f = f_new
+            if _crossed(y, floor, ceil):
+                t_stop, y_stop = _locate_crossing(t_prev, h_try, rows_y[-1], Q, floor, ceil)
+                parts = []
+                if np.any(y_stop <= floor * (1.0 + 1e-9)):
+                    parts.append("floor")
+                if np.any(y_stop >= ceil * (1.0 - 1e-9)):
+                    parts.append("ceiling")
+                kind, trigger = TerminationKind.SINGULAR_TIME, "+".join(parts) or "floor"
+                break
 
-        if t_switch is None and bool(np.any(y < band_lo) | np.any(y > band_hi)):
-            t_switch = t
+            if landing or t >= opts.t_max:
+                kind, t_stop, trigger = TerminationKind.REACHED_T_MAX, opts.t_max, "t_max"
+                break
 
-        if _crossed(y, floor, ceil):
-            t_stop, y_stop = _locate_crossing(t_prev, h_try, rows_y[-1], Q, floor, ceil)
-            van, exp_ = _diagnose(y_stop, y0)
-            parts = []
-            if np.any(y_stop <= floor * (1.0 + 1e-9)):
-                parts.append("floor")
-            if np.any(y_stop >= ceil * (1.0 - 1e-9)):
-                parts.append("ceiling")
-            termination = Termination(
-                TerminationKind.SINGULAR_TIME, t_stop, van, exp_,
-                trigger="+".join(parts) or "floor", n_accepted=n_acc, n_rejected=n_rej,
-            )
+            factor = _SAFETY * max(err / _ERR_TARGET, 1e-300) ** (-_EXPO) * facold**_BETA
+            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            if growth_locked:
+                factor = min(1.0, factor)
+                growth_locked = False
+            h = h_try * factor
+            facold = max(err / _ERR_TARGET, 1e-4)
+            h_resolved = h_try
+
+        # the retry step after a rejection, or the step just accepted, is below
+        # the floor: the solver can no longer resolve the approach
+        if h_resolved < _STEP_FLOOR * (1.0 + t):
+            kind, t_stop, trigger, y_stop = TerminationKind.SINGULAR_TIME, t, "step_underflow", y
             break
 
-        if landing or t >= opts.t_max:
-            termination = Termination(
-                TerminationKind.REACHED_T_MAX, opts.t_max, trigger="t_max",
-                n_accepted=n_acc, n_rejected=n_rej,
-            )
-            break
+    van, exp_ = _diagnose(y_stop, y0) if kind is TerminationKind.SINGULAR_TIME else ((), ())
+    termination = Termination(kind, t_stop, van, exp_, trigger, n_accepted=n_acc, n_rejected=n_rej)
 
-        if h_try < _STEP_FLOOR * (1.0 + t):
-            van, exp_ = _diagnose(y, y0)
-            termination = Termination(
-                TerminationKind.SINGULAR_TIME, t, van, exp_,
-                trigger="step_underflow", n_accepted=n_acc, n_rejected=n_rej,
-            )
-            break
-
-        factor = _SAFETY * max(err / _ERR_TARGET, 1e-300) ** (-_EXPO) * facold**_BETA
-        factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        if growth_locked:
-            factor = min(1.0, factor)
-            growth_locked = False
-        h = h_try * factor
-        facold = max(err / _ERR_TARGET, 1e-4)
-
+    times = _sample_times(kind, t_stop, opts.samples)
     if rows_t:
-        table = _StepTable(
-            np.array(rows_t), np.array(rows_h), np.array(rows_y), np.array(rows_q)
-        )
-    else:
-        table = _StepTable(np.zeros(0), np.zeros(0), y0[None, :], np.zeros((0, 3, 4)))
-
-    times = _sample_times(termination.kind, termination.t_stop, opts.samples)
-    if rows_t:
-        states = np.vstack([table.eval(ti) for ti in times])
-    else:
-        times = np.array([0.0])
+        table = _StepTable(np.array(rows_t), np.array(rows_h), np.array(rows_y), np.array(rows_q))
+        states = table.eval(times)
+    else:  # stopped before the first accepted step, so t_stop = 0 and times = [0]
+        table = None
         states = y0[None, :].copy()
     for arr in (times, states):
         arr.setflags(write=False)
@@ -466,4 +435,4 @@ def sample_at(trajectory: Trajectory, t: float) -> MetricDiag:
         )
     if t == 0.0:
         return trajectory.m0
-    return MetricDiag.from_array(trajectory._table.eval(t))
+    return MetricDiag.from_array(trajectory._table.eval(np.array([t]))[0])

@@ -1,7 +1,7 @@
 """Acceptance gate: every headline quantitative claim, one pass/fail line each.
 
-Each criterion re-runs the relevant flow (results are cached across criteria)
-and checks closed forms, conserved quantities, fitted exponents/coefficients,
+Each criterion runs the relevant flows (a run shared by criteria of one suite
+is integrated once per suite) and checks closed forms, conserved quantities, fitted exponents/coefficients,
 and structural facts at their stated tolerances.  `pytest -v -s` shows one
 line per criterion.
 """
@@ -19,7 +19,7 @@ from xcflow import acceptance
     ids=[fn.__name__.removeprefix("criterion_") for fn in acceptance.ALL_CRITERIA],
 )
 def test_criterion(criterion):
-    result = acceptance.run_criterion(criterion)
+    [result], _ = acceptance.run_suite([criterion])
     print(result.line())
     assert result.passed, result.line()
 

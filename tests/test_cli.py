@@ -238,10 +238,21 @@ def test_verify_heisenberg_passes(capsys, tmp_path):
     assert doc["criteria"] and doc["reports"]
 
 
+def test_verify_output_holds_only_this_invocations_runs(capsys, tmp_path):
+    first, second = tmp_path / "su2.json", tmp_path / "e2.json"
+    assert run_cli(capsys, "verify", "su2", "--output", str(first))[0] == EXIT_OK
+    assert run_cli(capsys, "verify", "e2", "--output", str(second))[0] == EXIT_OK
+    assert any(label.startswith("su2 xcf-") for label in json.loads(first.read_text())["reports"])
+    labels = list(json.loads(second.read_text())["reports"])
+    assert any(label.startswith("e2 xcf-") for label in labels)
+    assert not any(label.startswith("su2 xcf-") for label in labels)
+    assert all(label.startswith("e2 xcf-") or " nxcf " in label for label in labels)
+
+
 def test_verify_failure_lists_criteria_and_exits_one(capsys, monkeypatch):
     from xcflow import acceptance
 
-    def fake_criterion():
+    def fake_criterion(runs):
         return acceptance.CriterionResult(99, "synthetic failure", False, ("boom",))
 
     monkeypatch.setattr(acceptance, "criteria_for_geometry", lambda geom: [fake_criterion])
@@ -303,6 +314,22 @@ def test_scan_sl2r_fixed_volume_generic_rows_singular(capsys):
     # fixed volume: A0*B0*C0 == 1 for every row
     for r in rows:
         assert float(r[1]) * float(r[2]) * float(r[3]) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("volume", ["-1", "0", "nan", "inf"])
+def test_scan_rejects_non_positive_or_non_finite_volume(capsys, monkeypatch, volume):
+    from xcflow import cli
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before the volume was checked")
+
+    monkeypatch.setattr(cli, "integrate", no_integration)
+    code, out, err = run_cli(
+        capsys, "scan", "--geometry", "sol", "--grid-A", "1", "--grid-B", "4", "--grid-C", "1",
+        f"--normalize-volume={volume}",
+    )
+    assert code == EXIT_USAGE
+    assert out == "" and "--normalize-volume must be finite and positive" in err
 
 
 def test_scan_is_deterministic_across_worker_counts(capsys):

@@ -145,11 +145,24 @@ def test_sample_at_matches_closed_forms(sol_symmetric_run, heisenberg_short_run)
     assert got == pytest.approx(want, rel=1e-8)
 
 
-def test_sample_at_agrees_with_emitted_grid(heisenberg_short_run):
-    for i in (1, len(heisenberg_short_run.times) // 2, -2):
-        t = float(heisenberg_short_run.times[i])
-        got = sample_at(heisenberg_short_run, t).as_array()
-        assert got == pytest.approx(heisenberg_short_run.states[i], rel=1e-12)
+def test_sample_at_agrees_with_emitted_grid(heisenberg_short_run, sol_generic_run):
+    # sample_at and the emitted grid share one evaluator, so every row matches bitwise
+    for traj in (heisenberg_short_run, sol_generic_run):
+        got = np.array([sample_at(traj, float(t)).as_array() for t in traj.times])
+        assert np.array_equal(got, traj.states)
+
+
+def test_dense_grid_matches_per_row_interpolant(heisenberg_short_run, sol_generic_run):
+    # reference: the quartic interpolant evaluated one row at a time in Python floats
+    for traj in (heisenberg_short_run, sol_generic_run):
+        table = traj._table
+        want = []
+        for t in traj.times:
+            i = int(np.searchsorted(table.t0, t, side="right")) - 1
+            theta = min(float((t - table.t0[i]) / table.h[i]), 1.0)
+            powers = np.array([theta, theta * theta, theta**3, theta**4])
+            want.append(table.y0[i] + table.h[i] * (table.q[i] @ powers))
+        assert np.array_equal(np.array(want), traj.states)
 
 
 # ---------------------------------------------------------------------------
