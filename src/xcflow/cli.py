@@ -417,6 +417,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
     axis_a = _parse_axis(args.grid_A)
     axis_b = _parse_axis(args.grid_B)
     axis_c = _parse_axis(args.grid_C)
+    for text, axis in ((args.grid_A, axis_a), (args.grid_B, axis_b), (args.grid_C, axis_c)):
+        bad = axis[~(np.isfinite(axis) & (axis > 0.0))]
+        if bad.size:
+            raise ConfigError(f"grid axis {text!r} holds {float(bad[0])!r}; values must be finite and positive")
     total = len(axis_a) * len(axis_b) * len(axis_c)
     if total > 1_000_000:
         raise ConfigError(f"grid has {total} points; the limit is 1000000")

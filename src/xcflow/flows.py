@@ -19,9 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import Callable, NamedTuple, Sequence
 
 from .geometry import _CROSS, CrossDiag, Geometry, MetricDiag
 
@@ -87,40 +85,53 @@ def mean_cross(m: MetricDiag, h: CrossDiag) -> float:
     return h.h11 / m.A + h.h22 / m.B + h.h33 / m.C
 
 
-def rhs_function(geometry: Geometry, spec: FlowSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """Compiled right-hand side y -> dy/dt on raw coefficient arrays.
+_NAN3 = (float("nan"),) * 3
 
-    This is the hot path used by the integrator.  The arithmetic mirrors the
-    symmetric grouping of the geometry kernels, so exactly symmetric states
-    produce exactly symmetric velocities.
+
+def rhs_function(
+    geometry: Geometry, spec: FlowSpec
+) -> Callable[[Sequence[float]], tuple[float, float, float]]:
+    """Compiled right-hand side y -> dy/dt on a coefficient triple.
+
+    This is the hot path used by the integrator.  `y` is any sequence of three
+    coefficients (a float tuple or an ndarray row); the velocity comes back as
+    a float tuple.  The arithmetic mirrors the symmetric grouping of the
+    geometry kernels, so exactly symmetric states produce exactly symmetric
+    velocities.  A kernel that divides by an underflowed (ABC)^2 raises
+    ZeroDivisionError on Python floats where numpy gives inf; the closure
+    returns a NaN triple then, so a non-finite velocity reads as non-finite
+    on both.
     """
     kernel = _CROSS[geometry]
     sign = 1.0 if spec.direction is FlowDirection.NEGATIVE else -1.0
     if spec.normalized:
 
-        def rhs(y: np.ndarray) -> np.ndarray:
+        def rhs(y: Sequence[float]) -> tuple[float, float, float]:
             A, B, C = y
-            h1, h2, h3 = kernel(A, B, C)
+            try:
+                h1, h2, h3 = kernel(A, B, C)
+            except ZeroDivisionError:
+                return _NAN3
             q = (2.0 / 3.0) * (h1 / A + h2 / B + h3 / C)
-            return np.array(
-                (
-                    sign * (-2.0 * h1 + q * A),
-                    sign * (-2.0 * h2 + q * B),
-                    sign * (-2.0 * h3 + q * C),
-                )
+            return (
+                sign * (-2.0 * h1 + q * A),
+                sign * (-2.0 * h2 + q * B),
+                sign * (-2.0 * h3 + q * C),
             )
 
     else:
 
-        def rhs(y: np.ndarray) -> np.ndarray:
+        def rhs(y: Sequence[float]) -> tuple[float, float, float]:
             A, B, C = y
-            h1, h2, h3 = kernel(A, B, C)
-            return np.array((sign * (-2.0 * h1), sign * (-2.0 * h2), sign * (-2.0 * h3)))
+            try:
+                h1, h2, h3 = kernel(A, B, C)
+            except ZeroDivisionError:
+                return _NAN3
+            return (sign * (-2.0 * h1), sign * (-2.0 * h2), sign * (-2.0 * h3))
 
     return rhs
 
 
 def flow_rhs(geometry: Geometry, m: MetricDiag, spec: FlowSpec) -> RhsTriple:
     """Velocity of the chosen flow at the metric m."""
-    d = rhs_function(geometry, spec)(m.as_array())
-    return RhsTriple(float(d[0]), float(d[1]), float(d[2]))
+    return RhsTriple(*rhs_function(geometry, spec)(m.as_tuple()))

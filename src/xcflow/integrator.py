@@ -5,9 +5,12 @@ coefficients) with a proportional-integral step controller and the standard
 quartic dense-output interpolant.  On top of the generic solver sit the
 pieces this problem actually needs:
 
-* positivity guard: a trial step that produces a non-positive or non-finite
-  coefficient anywhere in its stages is rejected and retried at half the
-  step, before any error control or event logic runs;
+* positivity guard: a trial step is rejected and retried at half the step,
+  before any error control or event logic runs, when a stage state has a
+  component outside 0 < v < inf or a stage velocity one outside
+  -inf < k < inf (both tests are false for NaN).  A right-hand side whose
+  kernel divides by an underflowed (ABC)^2 returns NaN, so it reads as
+  non-finite too; at the initial metric that is a ValueError;
 * singularity events: integration stops when a coefficient crosses the
   floor `floor_factor * min(A0,B0,C0)` or the ceiling
   `ceil_factor * max(A0,B0,C0)` (the crossing time is located by bisection
@@ -19,6 +22,14 @@ pieces this problem actually needs:
   in log-distance to the singular time.  The time at which any coefficient
   first left the band [1e-2, 1e2] relative to its initial value is recorded
   as `t_switch` for diagnostics.
+
+The step runs on Python floats: state and velocity are float tuples and the
+tableau is unrolled component by component into module-level scalars, so
+the step path makes no numpy call and no BLAS product.  The velocities of
+the seven stages of every accepted step are kept in flat arrays, and the
+interpolant coefficients of the whole step table are built once, after the
+last step, as a sum over the stages in a fixed order with elementwise
+products: every step and every component runs the same operations.
 
 Step times are accumulated with compensated summation, which keeps
 (t_stop - t) accurate to one ulp of t near blow-up; without it the late-time
@@ -33,6 +44,7 @@ rather than to a tolerance.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import asdict, dataclass
 from enum import Enum
 from math import isfinite, sqrt
@@ -51,19 +63,17 @@ __all__ = [
     "sample_at",
 ]
 
-# Dormand-Prince 5(4) tableau, FSAL form, with the quartic interpolant
-# coefficients.  E is the difference between the 5th and 4th order weights.
-_RK_A = (
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-)
-_RK_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_RK_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
+# Dormand-Prince 5(4) tableau, FSAL form: stage coefficients _Aij, 5th order
+# weights _Bi (_B2 = 0, and the 7th stage is f at the new state), error
+# weights _Ei = 5th minus 4th order weights (_E2 = 0), and the quartic
+# interpolant coefficients _RK_P, one row per stage.
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
 _RK_P = np.array(
     [
         [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
@@ -75,6 +85,7 @@ _RK_P = np.array(
         [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
     ]
 )
+_INF = float("inf")
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -191,23 +202,40 @@ class Trajectory:
         return MetricDiag.from_array(self.states[i])
 
 
+def _finite(k) -> bool:
+    """Every component of the triple k lies in (-inf, inf); false for NaN."""
+    k0, k1, k2 = k
+    return -_INF < k0 < _INF and -_INF < k1 < _INF and -_INF < k2 < _INF
+
+
+def _positive(y) -> bool:
+    """Every component of the triple y lies in (0, inf); false for NaN."""
+    y0, y1, y2 = y
+    return 0.0 < y0 < _INF and 0.0 < y1 < _INF and 0.0 < y2 < _INF
+
+
+def _rms(r0: float, r1: float, r2: float) -> float:
+    """Root mean square of three floats, summed in numpy's order for a 3-vector."""
+    return sqrt(((r0 * r0 + r1 * r1) + r2 * r2) / 3.0)
+
+
 def _initial_step(rhs, y0, f0, rtol, atol, t_max):
     """Starting step size from the local scale of y and its derivatives."""
-    scale = atol + rtol * np.abs(y0)
-    d0 = sqrt(float(np.mean((y0 / scale) ** 2)))
-    d1 = sqrt(float(np.mean((f0 / scale) ** 2)))
+    s0, s1, s2 = (atol + rtol * abs(v) for v in y0)
+    d0 = _rms(y0[0] / s0, y0[1] / s1, y0[2] / s2)
+    d1 = _rms(f0[0] / s0, f0[1] / s1, f0[2] / s2)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, t_max)
-    y1 = y0 + h0 * f0
+    y1 = tuple(v + h0 * k for v, k in zip(y0, f0))
     for _ in range(40):
-        if np.all(np.isfinite(y1)) and np.all(y1 > 0.0):
+        if _positive(y1):
             break
         h0 *= 0.1
-        y1 = y0 + h0 * f0
+        y1 = tuple(v + h0 * k for v, k in zip(y0, f0))
     f1 = rhs(y1)
-    if not np.all(np.isfinite(f1)):
+    if not _finite(f1):
         return min(1e-6, t_max)
-    d2 = sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    d2 = _rms((f1[0] - f0[0]) / s0, (f1[1] - f0[1]) / s1, (f1[2] - f0[2]) / s2) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -216,26 +244,96 @@ def _initial_step(rhs, y0, f0, rtol, atol, t_max):
 
 
 def _attempt_step(rhs, y, f, h, rtol, atol):
-    """One trial step.  Returns None if a stage leaves the positive cone."""
-    K = np.empty((7, 3))
-    K[0] = f
-    for s in range(1, 6):
-        ys = y + h * (_RK_A[s - 1] @ K[:s])
-        if not (np.all(np.isfinite(ys)) and np.all(ys > 0.0)):
-            return None
-        K[s] = rhs(ys)
-        if not np.all(np.isfinite(K[s])):
-            return None
-    y_new = y + h * (_RK_B @ K[:6])
-    if not (np.all(np.isfinite(y_new)) and np.all(y_new > 0.0)):
+    """One trial step from the state y with velocity f, both float triples.
+
+    Returns None if a stage state leaves the positive cone or a stage velocity
+    is not finite.  Otherwise returns (y_new, f_new, err, stages), `stages`
+    being the seven stage velocities flattened into one 21-tuple, stage by
+    stage.  `kSC` is component C of the velocity at stage S.
+    """
+    y0, y1, y2 = y
+    k10, k11, k12 = f
+    s = (y0 + h * (_A21 * k10), y1 + h * (_A21 * k11), y2 + h * (_A21 * k12))
+    if not _positive(s):
         return None
-    K[6] = rhs(y_new)
-    if not np.all(np.isfinite(K[6])):
+    k2 = k20, k21, k22 = rhs(s)
+    if not _finite(k2):
         return None
-    e = h * (_RK_E @ K)
-    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-    err = sqrt(float(np.mean((e / scale) ** 2)))
-    return y_new, K[6], err, K
+    s = (
+        y0 + h * (_A31 * k10 + _A32 * k20),
+        y1 + h * (_A31 * k11 + _A32 * k21),
+        y2 + h * (_A31 * k12 + _A32 * k22),
+    )
+    if not _positive(s):
+        return None
+    k3 = k30, k31, k32 = rhs(s)
+    if not _finite(k3):
+        return None
+    s = (
+        y0 + h * (_A41 * k10 + _A42 * k20 + _A43 * k30),
+        y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31),
+        y2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32),
+    )
+    if not _positive(s):
+        return None
+    k4 = k40, k41, k42 = rhs(s)
+    if not _finite(k4):
+        return None
+    s = (
+        y0 + h * (_A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40),
+        y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41),
+        y2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42),
+    )
+    if not _positive(s):
+        return None
+    k5 = k50, k51, k52 = rhs(s)
+    if not _finite(k5):
+        return None
+    s = (
+        y0 + h * (_A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40 + _A65 * k50),
+        y1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51),
+        y2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42 + _A65 * k52),
+    )
+    if not _positive(s):
+        return None
+    k6 = k60, k61, k62 = rhs(s)
+    if not _finite(k6):
+        return None
+    y_new = z0, z1, z2 = (
+        y0 + h * (_B1 * k10 + _B3 * k30 + _B4 * k40 + _B5 * k50 + _B6 * k60),
+        y1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61),
+        y2 + h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62),
+    )
+    if not _positive(y_new):
+        return None
+    k7 = k70, k71, k72 = rhs(y_new)
+    if not _finite(k7):
+        return None
+    err = _rms(
+        h * (_E1 * k10 + _E3 * k30 + _E4 * k40 + _E5 * k50 + _E6 * k60 + _E7 * k70)
+        / (atol + rtol * max(y0, z0)),
+        h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * k71)
+        / (atol + rtol * max(y1, z1)),
+        h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62 + _E7 * k72)
+        / (atol + rtol * max(y2, z2)),
+    )
+    return y_new, k7, err, (*f, *k2, *k3, *k4, *k5, *k6, *k7)
+
+
+def _step_table(rows_t, rows_h, rows_y, rows_k) -> _StepTable:
+    """Table of the accepted steps with the interpolant coefficients of each.
+
+    q = K^T P is summed stage by stage with elementwise products, the same
+    operations for every step and every component, so exactly equal stage
+    velocities give exactly equal coefficients.
+    """
+    K = np.frombuffer(rows_k).reshape(-1, 7, 3, 1)
+    q = K[:, 0] * _RK_P[0]
+    for s in range(1, 7):
+        q = q + K[:, s] * _RK_P[s]
+    return _StepTable(
+        np.frombuffer(rows_t), np.frombuffer(rows_h), np.frombuffer(rows_y).reshape(-1, 3), q
+    )
 
 
 def _interpolate(y0, h, q, theta):
@@ -250,7 +348,7 @@ def _interpolate(y0, h, q, theta):
 
 
 def _crossed(y, floor, ceil):
-    return bool(np.any(y <= floor) or np.any(y >= ceil))
+    return min(y) <= floor or max(y) >= ceil
 
 
 def _locate_crossing(t0, h, y0, Q, floor, ceil):
@@ -267,7 +365,7 @@ def _locate_crossing(t0, h, y0, Q, floor, ceil):
 
 
 def _diagnose(y_stop, y_init):
-    ratios = y_stop / y_init
+    ratios = [a / b for a, b in zip(y_stop, y_init)]
     vanishing = tuple(_LABELS[i] for i in range(3) if ratios[i] <= _VANISH_RATIO)
     exploding = tuple(_LABELS[i] for i in range(3) if ratios[i] >= _EXPLODE_RATIO)
     return vanishing, exploding
@@ -311,18 +409,18 @@ def integrate(
     """Run the flow from m0 until t_max, a singular time, or the step budget."""
     opts = options if options is not None else IntegratorOptions()
     rhs = rhs_function(geometry, spec)
-    y0 = m0.as_array()
-    floor = opts.floor_factor * float(y0.min())
-    ceil = opts.ceil_factor * float(y0.max())
-    band_lo = _BAND_LO * y0
-    band_hi = _BAND_HI * y0
+    y = y0 = m0.as_tuple()
+    floor = opts.floor_factor * min(y0)
+    ceil = opts.ceil_factor * max(y0)
+    lo0, lo1, lo2 = (_BAND_LO * v for v in y0)
+    hi0, hi1, hi2 = (_BAND_HI * v for v in y0)
 
-    rows_t, rows_h, rows_y, rows_q = [], [], [], []
+    # accepted steps, flat: start time, size, start state (3), stage velocities (7 x 3)
+    rows_t, rows_h, rows_y, rows_k = array("d"), array("d"), array("d"), array("d")
     t = 0.0
     comp = 0.0  # compensated-summation carry for t
-    y = y0.copy()
     f = rhs(y)
-    if not np.all(np.isfinite(f)):
+    if not _finite(f):
         raise ValueError("flow right-hand side is not finite at the initial metric")
     h = _initial_step(rhs, y, f, opts.rtol, opts.atol, opts.t_max)
     facold = 1e-4
@@ -350,13 +448,12 @@ def integrate(
             growth_locked = True
             h_resolved = h
         else:
-            # accepted: record the step with its interpolant
-            y_new, f_new, err, K = out
-            Q = K.T @ _RK_P
+            # accepted: record the step; its interpolant is built after the loop
+            y_new, f_new, err, stages = out
             rows_t.append(t)
             rows_h.append(h_try)
-            rows_y.append(y.copy())
-            rows_q.append(Q)
+            rows_y.extend(y)
+            rows_k.extend(stages)
             n_acc += 1
 
             carry = h_try + comp
@@ -368,17 +465,14 @@ def integrate(
             y = y_new
             f = f_new
 
-            if t_switch is None and bool(np.any(y < band_lo) | np.any(y > band_hi)):
+            if t_switch is None and not (
+                lo0 <= y[0] <= hi0 and lo1 <= y[1] <= hi1 and lo2 <= y[2] <= hi2
+            ):
                 t_switch = t
 
             if _crossed(y, floor, ceil):
-                t_stop, y_stop = _locate_crossing(t_prev, h_try, rows_y[-1], Q, floor, ceil)
-                parts = []
-                if np.any(y_stop <= floor * (1.0 + 1e-9)):
-                    parts.append("floor")
-                if np.any(y_stop >= ceil * (1.0 - 1e-9)):
-                    parts.append("ceiling")
-                kind, trigger = TerminationKind.SINGULAR_TIME, "+".join(parts) or "floor"
+                # located on the last step's interpolant once the table is built
+                kind, t_stop, trigger = TerminationKind.SINGULAR_TIME, None, None
                 break
 
             if landing or t >= opts.t_max:
@@ -400,16 +494,26 @@ def integrate(
             kind, t_stop, trigger, y_stop = TerminationKind.SINGULAR_TIME, t, "step_underflow", y
             break
 
+    table = _step_table(rows_t, rows_h, rows_y, rows_k) if rows_t else None
+    if t_stop is None:
+        t_stop, y_stop = _locate_crossing(
+            rows_t[-1], rows_h[-1], table.y0[-1], table.q[-1], floor, ceil
+        )
+        parts = []
+        if min(y_stop) <= floor * (1.0 + 1e-9):
+            parts.append("floor")
+        if max(y_stop) >= ceil * (1.0 - 1e-9):
+            parts.append("ceiling")
+        trigger = "+".join(parts) or "floor"
+
     van, exp_ = _diagnose(y_stop, y0) if kind is TerminationKind.SINGULAR_TIME else ((), ())
     termination = Termination(kind, t_stop, van, exp_, trigger, n_accepted=n_acc, n_rejected=n_rej)
 
     times = _sample_times(kind, t_stop, opts.samples)
-    if rows_t:
-        table = _StepTable(np.array(rows_t), np.array(rows_h), np.array(rows_y), np.array(rows_q))
+    if table is not None:
         states = table.eval(times)
     else:  # stopped before the first accepted step, so t_stop = 0 and times = [0]
-        table = None
-        states = y0[None, :].copy()
+        states = np.array([y0])
     for arr in (times, states):
         arr.setflags(write=False)
 

@@ -332,6 +332,45 @@ def test_scan_rejects_non_positive_or_non_finite_volume(capsys, monkeypatch, vol
     assert out == "" and "--normalize-volume must be finite and positive" in err
 
 
+@pytest.mark.parametrize(
+    "axis, spec",
+    [
+        ("--grid-A", "2:-1:4"),
+        ("--grid-B", "0"),
+        ("--grid-C", "-1"),
+        ("--grid-A", "nan"),
+        ("--grid-B", "inf"),
+        ("--grid-C", "1:nan:3"),
+    ],
+)
+def test_scan_checks_every_axis_value_before_integrating(capsys, monkeypatch, tmp_path, axis, spec):
+    from xcflow import cli
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before every grid value was checked")
+
+    monkeypatch.setattr(cli, "integrate", no_integration)
+    grid = {"--grid-A": "2", "--grid-B": "4", "--grid-C": "1", axis: spec}
+    target = tmp_path / "scan.csv"
+    code, out, err = run_cli(
+        capsys, "scan", "--geometry", "sol", *(f"{k}={v}" for k, v in grid.items()),
+        "--output", str(target),
+    )
+    assert code == EXIT_USAGE
+    assert out == "" and "must be finite and positive" in err and spec in err
+    assert not target.exists()
+
+
+def test_scan_non_finite_velocity_at_initial_metric_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "scan", "--geometry", "sol", "--grid-A", "1e-100", "--grid-B", "2e-100",
+        "--grid-C", "3e-100",
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: flow right-hand side is not finite at the initial metric\n"
+
+
 def test_scan_is_deterministic_across_worker_counts(capsys):
     argv = [
         "scan", "--geometry", "su2", "--grid-A", "1:3:3", "--grid-B", "2", "--grid-C", "1",

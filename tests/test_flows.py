@@ -148,6 +148,27 @@ def test_rhs_function_matches_flow_rhs():
             assert np.array_equal(fn(m.as_array()), np.array(flow_rhs(geom, m, spec)))
 
 
+def test_rhs_function_gives_same_bits_for_ndarray_row_and_tuple():
+    rows = 10.0 ** np.random.default_rng(7).uniform(-3.0, 3.0, size=(50, 3))
+    for geom in ALL_GEOMETRIES:
+        for spec in (XCF_MINUS, XCF_PLUS, NXCF, NXCF_PLUS):
+            fn = rhs_function(geom, spec)
+            for row in rows:
+                from_row = np.array(fn(row))
+                from_tuple = fn(tuple(row.tolist()))
+                assert type(from_tuple) is tuple and all(type(v) is float for v in from_tuple)
+                assert from_row.tobytes() == np.array(from_tuple).tobytes()
+
+
+@pytest.mark.parametrize("geom", [g for g in ALL_GEOMETRIES if g is not Geometry.TRIVIAL])
+@pytest.mark.parametrize("spec", [XCF_MINUS, NXCF])
+def test_underflowed_kernel_denominator_reads_as_non_finite(geom, spec):
+    # (ABC)^2 underflows to 0.0: Python floats raise ZeroDivisionError there,
+    # and the right-hand side must report a non-finite velocity instead
+    d = flow_rhs(geom, MetricDiag(1e-100, 1e-100, 1e-100), spec)
+    assert not np.all(np.isfinite(d))
+
+
 # ---------------------------------------------------------------------------
 # First integrals of the unnormalized negative flow on the Heisenberg group:
 # the velocity annihilates d(A^3 B), d(A^3 C) and d(B/C) identically.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import sqrt
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,13 @@ from xcflow import (
     XCF_MINUS,
     heisenberg_exact,
     integrate,
+    integrator,
+    rhs_function,
     sample_at,
     series_values,
     sol_symmetric_exact,
 )
+from xcflow.integrator import _attempt_step
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +116,13 @@ def test_termination_to_dict_round_trips_enums(sol_symmetric_run):
     }
 
 
+@pytest.mark.parametrize("geom", [Geometry.SOL, Geometry.SU2, Geometry.HEISENBERG])
+def test_non_finite_velocity_at_initial_metric_raises(geom):
+    # (ABC)^2 underflows to 0.0, so the kernels divide by zero
+    with pytest.raises(ValueError, match="not finite at the initial metric"):
+        integrate(geom, XCF_MINUS, MetricDiag(2e-100, 4e-100, 1e-100))
+
+
 # ---------------------------------------------------------------------------
 # Sampled-output contract
 
@@ -163,6 +175,164 @@ def test_dense_grid_matches_per_row_interpolant(heisenberg_short_run, sol_generi
             powers = np.array([theta, theta * theta, theta**3, theta**4])
             want.append(table.y0[i] + table.h[i] * (table.q[i] @ powers))
         assert np.array_equal(np.array(want), traj.states)
+
+
+# ---------------------------------------------------------------------------
+# The single step: stage guards and the matrix-form reference
+
+# Dormand-Prince 5(4) in matrix form on numpy 3-vectors, the step as it was
+# written before the elementwise float form: the reference for _attempt_step.
+_REF_A = (
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+)
+_REF_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_REF_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+
+
+def _reference_step(rhs, y, f, h, rtol, atol):
+    K = np.empty((7, 3))
+    K[0] = f
+    for s in range(1, 6):
+        ys = y + h * (_REF_A[s - 1] @ K[:s])
+        if not (np.all(np.isfinite(ys)) and np.all(ys > 0.0)):
+            return None
+        K[s] = rhs(ys)
+        if not np.all(np.isfinite(K[s])):
+            return None
+    y_new = y + h * (_REF_B @ K[:6])
+    if not (np.all(np.isfinite(y_new)) and np.all(y_new > 0.0)):
+        return None
+    K[6] = rhs(y_new)
+    if not np.all(np.isfinite(K[6])):
+        return None
+    e = h * (_REF_E @ K)
+    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+    err = sqrt(float(np.mean((e / scale) ** 2)))
+    return y_new, K[6], err, K
+
+
+def _scripted_rhs(bad_call, bad_value):
+    """Velocity (1, 1, 1), except (bad_value, 1, 1) on call number bad_call; counts calls."""
+    calls = []
+
+    def rhs(y):
+        calls.append(tuple(y))
+        return (bad_value, 1.0, 1.0) if len(calls) == bad_call else (1.0, 1.0, 1.0)
+
+    return rhs, calls
+
+
+# The coefficient of stage velocity k_(n+1) in the state of stage n+2 (y_new for n = 5).
+_NEXT_COEF = {
+    1: integrator._A32, 2: integrator._A43, 3: integrator._A54, 4: integrator._A65, 5: integrator._B6,
+}
+
+
+@pytest.mark.parametrize("bad_call", sorted(_NEXT_COEF))
+def test_attempt_step_rejects_stage_outside_positive_cone(bad_call):
+    # a huge velocity of the sign that drives the next stage state negative
+    value = -1e6 if _NEXT_COEF[bad_call] > 0.0 else 1e6
+    rhs, calls = _scripted_rhs(bad_call, value)
+    assert _attempt_step(rhs, (1.0, 1.0, 1.0), (1.0, 1.0, 1.0), 0.1, 1e-10, 1e-13) is None
+    assert len(calls) == bad_call  # the negative state was never evaluated
+    assert all(min(y) > 0.0 for y in calls)
+
+
+def test_attempt_step_rejects_negative_first_stage():
+    rhs, calls = _scripted_rhs(0, 0.0)
+    assert _attempt_step(rhs, (1.0, 1.0, 1.0), (-1e6, 1.0, 1.0), 0.1, 1e-10, 1e-13) is None
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad_value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("bad_call", range(1, 7))
+def test_attempt_step_rejects_non_finite_stage_velocity(bad_call, bad_value):
+    rhs, calls = _scripted_rhs(bad_call, bad_value)
+    assert _attempt_step(rhs, (1.0, 1.0, 1.0), (1.0, 1.0, 1.0), 1e-3, 1e-10, 1e-13) is None
+    assert len(calls) == bad_call
+
+
+def test_attempt_step_matches_matrix_form_reference(
+    sol_symmetric_run, sol_generic_run, sl2r_generic_run, su2_round_run, su2_generic_run
+):
+    # The float form sums the tableau left to right; BLAS may fuse and reorder
+    # the same products, so results differ in the last bits.  y_new is a sum of
+    # like-signed terms here and is compared relatively.  err is a difference of
+    # nearly cancelling terms (the E weights sum to 0), so its gap is measured
+    # against the rms of the term magnitudes instead of err itself.
+    rtol, atol = 1e-10, 1e-13
+    for traj in (sol_symmetric_run, sol_generic_run, sl2r_generic_run, su2_round_run, su2_generic_run):
+        rhs = rhs_function(traj.geometry, traj.spec)
+        table = traj._table
+        for i in np.unique(np.linspace(0, len(table.h) - 1, 200).round().astype(int)):
+            y, h = tuple(table.y0[i].tolist()), float(table.h[i])
+            f = rhs(y)
+            got = _attempt_step(rhs, y, f, h, rtol, atol)
+            want = _reference_step(lambda v: np.array(rhs(v)), np.array(y), np.array(f), h, rtol, atol)
+            y_new, K = want[0], want[3]
+            assert np.max(np.abs(np.array(got[0]) - y_new) / y_new) <= 1e-14
+            assert np.max(np.abs(np.array(got[1]) - K[6]) / np.abs(K[6])) <= 1e-14
+            scale = atol + rtol * np.maximum(np.abs(y), y_new)
+            magnitude = sqrt(float(np.mean((abs(h) * (np.abs(_REF_E) @ np.abs(K)) / scale) ** 2)))
+            assert abs(got[2] - want[2]) <= 1e-14 * magnitude
+
+
+# ---------------------------------------------------------------------------
+# The interface the benchmark's tracer wraps: integrator.rhs_function, looked
+# up at call time, whose closure also accepts an ndarray row
+
+
+@pytest.mark.parametrize(
+    "geom, init, t_max",
+    [
+        (Geometry.SOL, (2, 4, 1), 10.0),
+        (Geometry.SU2, (3, 2, 1), 10.0),
+        (Geometry.SL2R, (1, 2, 1), 10.0),
+        (Geometry.HEISENBERG, (1, 1, 1), 100.0),
+    ],
+)
+def test_wrapped_rhs_function_changes_no_bit_and_counts_the_fsal_budget(monkeypatch, geom, init, t_max):
+    opts = IntegratorOptions(t_max=t_max)
+    plain = integrate(geom, XCF_MINUS, MetricDiag(*init), opts)
+
+    calls = []
+    real_rhs_function = integrator.rhs_function
+
+    def counting_rhs_function(geometry, spec):
+        fn = real_rhs_function(geometry, spec)
+
+        def rhs(y):
+            calls.append(1)
+            return fn(y)
+
+        return rhs
+
+    outcomes = []
+    real_attempt_step = integrator._attempt_step
+
+    def recording_attempt_step(*args):
+        out = real_attempt_step(*args)
+        outcomes.append(out is not None)
+        return out
+
+    monkeypatch.setattr(integrator, "rhs_function", counting_rhs_function)
+    monkeypatch.setattr(integrator, "_attempt_step", recording_attempt_step)
+    wrapped = integrate(geom, XCF_MINUS, MetricDiag(*init), opts)
+
+    assert wrapped.times.tobytes() == plain.times.tobytes()
+    assert wrapped.states.tobytes() == plain.states.tobytes()
+    assert wrapped.termination == plain.termination
+    assert wrapped.t_switch == plain.t_switch
+    term = wrapped.termination
+    assert len(outcomes) == term.n_accepted + term.n_rejected
+    # every attempt of these runs passes its stage guards: FSAL costs one
+    # evaluation at t=0, one in the initial step heuristic and six per attempt
+    assert all(outcomes)
+    assert len(calls) == 2 + 6 * len(outcomes)
 
 
 # ---------------------------------------------------------------------------
