@@ -93,21 +93,22 @@ _EXPONENT_TOL_DEFAULT = 0.02
 
 
 def _build_series_map():
+    # Only the names the catalogs in `analytic` and the ratio checks in
+    # `verify` ask for: the coefficients, their pairwise differences and
+    # ratios, and the few combinations the catalogs state.
     m = {}
     idx = {"A": 0, "B": 1, "C": 2}
     for x, i in idx.items():
         m[x] = lambda S, i=i: S[:, i]
-    for x, i in idx.items():
         for y, j in idx.items():
-            if i == j:
-                continue
-            k = 3 - i - j
-            z = "ABC"[k]
-            m[f"{x}-{y}"] = lambda S, i=i, j=j: S[:, i] - S[:, j]
-            m[f"{x}+{y}"] = lambda S, i=i, j=j: S[:, i] + S[:, j]
-            m[f"{x}/{y}"] = lambda S, i=i, j=j: S[:, i] / S[:, j]
-            m[f"{x}-3{y}"] = lambda S, i=i, j=j: S[:, i] - 3.0 * S[:, j]
-            m[f"({x}-{y})^2*{z}"] = lambda S, i=i, j=j, k=k: (S[:, i] - S[:, j]) ** 2 * S[:, k]
+            if i != j:
+                m[f"{x}-{y}"] = lambda S, i=i, j=j: S[:, i] - S[:, j]
+                m[f"{x}/{y}"] = lambda S, i=i, j=j: S[:, i] / S[:, j]
+    m["A+B"] = lambda S: S[:, 0] + S[:, 1]
+    m["A-3C"] = lambda S: S[:, 0] - 3.0 * S[:, 2]
+    m["C-3A"] = lambda S: S[:, 2] - 3.0 * S[:, 0]
+    m["(A-B)^2*C"] = lambda S: (S[:, 0] - S[:, 1]) ** 2 * S[:, 2]
+    m["(B-A)^2*C"] = lambda S: (S[:, 1] - S[:, 0]) ** 2 * S[:, 2]
     m["4/A+1/B"] = lambda S: 4.0 / S[:, 0] + 1.0 / S[:, 1]
     m["A^3*B"] = lambda S: S[:, 0] ** 3 * S[:, 1]
     m["A^3*C"] = lambda S: S[:, 0] ** 3 * S[:, 2]

@@ -2,15 +2,19 @@
 
 `run` integrates a single initial datum and writes the trajectory as CSV
 (columns t,A,B,C,k23,k31,k12,h11,h22,h33 at 17 significant digits) or as a
-JSON document {meta, samples, termination, analysis}.  `verify` executes
-the quantitative acceptance criteria for one geometry or all of them and
-writes a JSON report.  `scan` integrates a grid of initial data and writes
-one classification row per grid point, ordered by grid index no matter how
-the work was scheduled.
+JSON document {meta, samples, termination, analysis}.  Both are built from
+one table of sample columns, with each curvature kernel evaluated once on
+whole state columns.  `verify` executes the quantitative acceptance
+criteria for one geometry or all of them and writes a JSON report.  `scan`
+integrates a grid of initial data and writes one classification row per
+grid point, ordered by grid index no matter how the work was scheduled.
+Every CSV text, trajectory or scan, goes through one writer.
 
 Configuration precedence for `run`: built-in defaults, then the JSON config
-file (--config, or the path in $XFLOW_CONFIG), then explicit flags.  The
-effective configuration is echoed in the output metadata.
+file (--config, or the path in $XFLOW_CONFIG), then explicit flags.  Config
+keys and flags are the `RunConfig` field names; each value is converted to
+the type of its field's default.  The effective configuration is echoed in
+the output metadata.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 the
 integrator gave up after exhausting its step budget.
@@ -24,7 +28,9 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import product
 from math import isfinite
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -88,25 +94,16 @@ class RunConfig:
         return cls().merged(data)
 
     def merged(self, overrides: dict) -> "RunConfig":
-        known = {f.name for f in fields(self)}
+        """A copy with overrides applied (None means unset), each converted to its field's type."""
+        convert = {f.name: type(f.default) for f in fields(self)}
+        convert["init"] = _parse_init
         clean: dict = {}
         for raw_key, value in overrides.items():
             key = str(raw_key).replace("-", "_")
-            if key not in known:
+            if key not in convert:
                 raise ConfigError(f"unknown config key {raw_key!r}")
-            if value is None:
-                continue
-            if key == "init":
-                value = _parse_init(value)
-            elif key in ("t_max", "rtol", "atol"):
-                value = float(value)
-            elif key in ("samples", "max_steps"):
-                value = int(value)
-            elif key == "analysis":
-                value = bool(value)
-            else:
-                value = str(value)
-            clean[key] = value
+            if value is not None:
+                clean[key] = convert[key](value)
         cfg = replace(self, **clean)
         if cfg.geometry not in _GEOMETRY_NAMES:
             raise ConfigError(f"unknown geometry {cfg.geometry!r}; expected one of {', '.join(_GEOMETRY_NAMES)}")
@@ -146,22 +143,38 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _row_values(geometry: Geometry, t: float, state: np.ndarray) -> list[float]:
-    m = MetricDiag(*state)
-    k = sectional_curvatures(geometry, m)
-    h = cross_curvature_diag(geometry, m)
-    return [t, m.A, m.B, m.C, k.k23, k.k31, k.k12, h.h11, h.h22, h.h33]
+def _csv_text(comment: str | None, header: str, rows) -> str:
+    """CSV text: the comment line if any, the header, then one line per row of string cells."""
+    lines = [header] if comment is None else [comment, header]
+    lines.extend(",".join(row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _sample_columns(trajectory: Trajectory) -> dict[str, np.ndarray]:
+    """The CSV_HEADER columns of a trajectory, one curvature kernel call per column set.
+
+    The kernels use only elementwise + - * /, so evaluating them on the state
+    columns gives the same bits as evaluating them one row at a time.
+    """
+    S = trajectory.states
+    m = SimpleNamespace(A=S[:, 0], B=S[:, 1], C=S[:, 2])
+    with np.errstate(all="ignore"):  # float arithmetic, as row by row: inf and nan without warnings
+        k = sectional_curvatures(trajectory.geometry, m)
+        h = cross_curvature_diag(trajectory.geometry, m)
+    n = len(trajectory.times)
+    values = (trajectory.times, m.A, m.B, m.C, *k, *h)  # TRIVIAL's kernels return scalar zeros
+    return {name: np.broadcast_to(v, (n,)) for name, v in zip(CSV_HEADER.split(","), values)}
+
+
+def _float_rows(columns):
+    """Rows of 17-digit cells from equal-length float array columns."""
+    return (map(_g17, row) for row in zip(*(c.tolist() for c in columns)))
 
 
 def trajectory_csv_text(trajectory: Trajectory, config: RunConfig | None = None) -> str:
     """CSV for a trajectory, one sample per row, 17 significant digits."""
-    lines = []
-    if config is not None:
-        lines.append(f"# config: {_config_json(config)}")
-    lines.append(CSV_HEADER)
-    for t, state in zip(trajectory.times, trajectory.states):
-        lines.append(",".join(_g17(v) for v in _row_values(trajectory.geometry, float(t), state)))
-    return "\n".join(lines) + "\n"
+    comment = None if config is None else f"# config: {_config_json(config)}"
+    return _csv_text(comment, CSV_HEADER, _float_rows(_sample_columns(trajectory).values()))
 
 
 @dataclass(frozen=True)
@@ -196,32 +209,19 @@ def parse_trajectory_csv(text: str) -> ParsedCsv:
 
 def emit_parsed_csv(parsed: ParsedCsv) -> str:
     """Re-emit a parsed CSV; inverse of `parse_trajectory_csv` byte for byte."""
-    lines = []
-    if parsed.comment is not None:
-        lines.append(parsed.comment)
-    names = list(parsed.columns)
-    lines.append(",".join(names))
-    n = len(next(iter(parsed.columns.values()))) if parsed.columns else 0
-    for i in range(n):
-        lines.append(",".join(_g17(parsed.columns[name][i]) for name in names))
-    return "\n".join(lines) + "\n"
+    return _csv_text(parsed.comment, ",".join(parsed.columns), _float_rows(parsed.columns.values()))
 
 
 def trajectory_json_document(trajectory: Trajectory, config: RunConfig) -> dict:
     """JSON document {meta, samples, termination, analysis} for a run."""
-    names = CSV_HEADER.split(",")
-    rows = [
-        _row_values(trajectory.geometry, float(t), state)
-        for t, state in zip(trajectory.times, trajectory.states)
-    ]
-    samples = {name: [row[i] for row in rows] for i, name in enumerate(names)}
+    samples = {name: col.tolist() for name, col in _sample_columns(trajectory).items()}
     meta = {
         "geometry": trajectory.geometry.value,
         "flow": trajectory.spec.name,
         "init": list(trajectory.m0.as_tuple()),
         "config": config.to_dict(),
         "t_switch": trajectory.t_switch,
-        "n_samples": len(rows),
+        "n_samples": len(trajectory.times),
     }
     analysis = verify(trajectory).to_dict() if config.analysis else None
     return {
@@ -262,20 +262,10 @@ def _load_config_file(explicit_path: str | None) -> dict:
 
 def _effective_run_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig().merged(_load_config_file(args.config))
-    flag_overrides = {
-        "geometry": args.geometry,
-        "flow": args.flow,
-        "init": args.init,
-        "t_max": args.t_max,
-        "rtol": args.rtol,
-        "atol": args.atol,
-        "samples": args.samples,
-        "max_steps": args.max_steps,
-        "output": args.output,
-        "format": args.format,
-        "analysis": False if args.no_analysis else None,
-    }
-    return cfg.merged(flag_overrides)
+    # every field has a flag of the same name, except `analysis` (--no-analysis)
+    flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    flags["analysis"] = False if args.no_analysis else None
+    return cfg.merged(flags)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -283,13 +273,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     geometry = Geometry.from_name(cfg.geometry)
     spec = FlowSpec.from_name(cfg.flow)
     m0 = MetricDiag(*cfg.init)
-    options = IntegratorOptions(
-        t_max=cfg.t_max,
-        rtol=cfg.rtol,
-        atol=cfg.atol,
-        samples=cfg.samples,
-        max_steps=cfg.max_steps,
-    )
+    options = IntegratorOptions(t_max=cfg.t_max, rtol=cfg.rtol, atol=cfg.atol, samples=cfg.samples,
+                                max_steps=cfg.max_steps)
     trajectory = integrate(geometry, spec, m0, options)
     if cfg.format == "csv":
         _write_output(cfg.output, trajectory_csv_text(trajectory, cfg))
@@ -379,33 +364,23 @@ def _scan_flag(geometry: Geometry, trajectory: Trajectory, branch: str) -> str:
     return ""
 
 
-def _scan_point(payload: tuple) -> dict:
-    geom_name, flow_name, a, b, c, t_max, rtol, atol, samples, volume = payload
-    geometry = Geometry.from_name(geom_name)
-    spec = FlowSpec.from_name(flow_name)
+def _scan_point(payload: tuple) -> list[str]:
+    """The SCAN_HEADER cells after `index` for one grid point."""
+    geometry, spec, a, b, c, options, volume = payload
     m0 = MetricDiag(a, b, c)
     if volume is not None:
         m0 = m0.scaled((volume / (a * b * c)) ** (1.0 / 3.0))
-    options = IntegratorOptions(t_max=t_max, rtol=rtol, atol=atol, samples=samples)
     trajectory = integrate(geometry, spec, m0, options)
     term = trajectory.termination
-    blowup = None
+    blowup = ""
     if term.kind is TerminationKind.SINGULAR_TIME:
         try:
-            blowup = estimate_blowup_time(trajectory)
+            blowup = _g17(estimate_blowup_time(trajectory))
         except ValueError:
-            blowup = None
+            pass
     branch = classify_branch(geometry, m0)
-    return {
-        "A0": m0.A,
-        "B0": m0.B,
-        "C0": m0.C,
-        "termination": term.kind.value,
-        "t_stop": term.t_stop,
-        "blowup_time": blowup,
-        "branch": branch,
-        "flag": _scan_flag(geometry, trajectory, branch),
-    }
+    return [_g17(m0.A), _g17(m0.B), _g17(m0.C), term.kind.value, _g17(term.t_stop), blowup, branch,
+            _scan_flag(geometry, trajectory, branch)]
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -414,50 +389,28 @@ def cmd_scan(args: argparse.Namespace) -> int:
     volume = args.normalize_volume
     if volume is not None and not (isfinite(volume) and volume > 0.0):
         raise ConfigError(f"--normalize-volume must be finite and positive, got {volume!r}")
-    axis_a = _parse_axis(args.grid_A)
-    axis_b = _parse_axis(args.grid_B)
-    axis_c = _parse_axis(args.grid_C)
-    for text, axis in ((args.grid_A, axis_a), (args.grid_B, axis_b), (args.grid_C, axis_c)):
+    texts = (args.grid_A, args.grid_B, args.grid_C)
+    axes = [_parse_axis(text) for text in texts]
+    for text, axis in zip(texts, axes):
         bad = axis[~(np.isfinite(axis) & (axis > 0.0))]
         if bad.size:
             raise ConfigError(f"grid axis {text!r} holds {float(bad[0])!r}; values must be finite and positive")
-    total = len(axis_a) * len(axis_b) * len(axis_c)
+    total = len(axes[0]) * len(axes[1]) * len(axes[2])
     if total > 1_000_000:
         raise ConfigError(f"grid has {total} points; the limit is 1000000")
     if args.workers < 1:
         raise ConfigError("--workers must be at least 1")
-    payloads = [
-        (geometry.value, spec.name, float(a), float(b), float(c),
-         args.t_max, args.rtol, args.atol, args.samples, volume)
-        for a in axis_a
-        for b in axis_b
-        for c in axis_c
-    ]
+    # built once here, so that a bad option is reported before any worker starts
+    options = IntegratorOptions(t_max=args.t_max, rtol=args.rtol, atol=args.atol, samples=args.samples)
+    grid = product(*(axis.tolist() for axis in axes))  # A outermost, C innermost
+    payloads = [(geometry, spec, a, b, c, options, volume) for a, b, c in grid]
     if args.workers == 1:
         rows = [_scan_point(p) for p in payloads]
     else:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             chunk = max(1, len(payloads) // (4 * args.workers))
             rows = list(pool.map(_scan_point, payloads, chunksize=chunk))
-    lines = [SCAN_HEADER]
-    for index, row in enumerate(rows):
-        blowup = "" if row["blowup_time"] is None else _g17(row["blowup_time"])
-        lines.append(
-            ",".join(
-                [
-                    str(index),
-                    _g17(row["A0"]),
-                    _g17(row["B0"]),
-                    _g17(row["C0"]),
-                    row["termination"],
-                    _g17(row["t_stop"]),
-                    blowup,
-                    row["branch"],
-                    row["flag"],
-                ]
-            )
-        )
-    _write_output(args.output, "\n".join(lines) + "\n")
+    _write_output(args.output, _csv_text(None, SCAN_HEADER, ([str(i), *row] for i, row in enumerate(rows))))
     return EXIT_OK
 
 

@@ -36,6 +36,12 @@ arranged so that metrics with exactly equal components take bit-identical
 code paths for every symmetric pair (Sol under A=C, SL(2,R) under B=C, SU(2)
 under any coincidence, E(2) under A=B).  The flow integrator relies on this
 to keep symmetric reductions exactly symmetric rather than approximately so.
+
+The kernels use only elementwise + - * /, so `sectional_curvatures`,
+`scalar_curvature`, `cross_curvature_diag` and `cross_from_sectional` also
+accept any object whose A, B, C are equal-length float arrays (columns of
+states), and give, entry by entry, the same bits as one metric at a time.
+TRIVIAL returns scalar zeros in that case.
 """
 
 from __future__ import annotations
@@ -304,6 +310,7 @@ def sectional_curvatures(geometry: Geometry, m: MetricDiag) -> CurvTriple:
     Evaluates the factored closed forms for each geometry, for example
     Heisenberg gives (-3A, A, A)/(BC) and SU(2) gives
     (B-C)^2/(ABC) - 3A/(BC) + 2/B + 2/C and its circular permutations.
+    `m` may also hold float array columns (see the module docstring).
     """
     return CurvTriple(*_SECTIONAL[geometry](m.A, m.B, m.C))
 
@@ -315,7 +322,10 @@ def scalar_curvature(geometry: Geometry, m: MetricDiag) -> float:
 
 
 def cross_curvature_diag(geometry: Geometry, m: MetricDiag) -> CrossDiag:
-    """Diagonal cross curvature entries via the factored polynomial kernels."""
+    """Diagonal cross curvature entries via the factored polynomial kernels.
+
+    `m` may also hold float array columns (see the module docstring).
+    """
     return CrossDiag(*_CROSS[geometry](m.A, m.B, m.C))
 
 

@@ -19,9 +19,11 @@ pieces this problem actually needs:
 * dense sampling: the returned trajectory carries `samples` interpolated
   rows; runs that end at a singular time are sampled geometrically in
   (t_stop - t) so every decade of the approach is resolved at equal density
-  in log-distance to the singular time.  The time at which any coefficient
-  first left the band [1e-2, 1e2] relative to its initial value is recorded
-  as `t_switch` for diagnostics.
+  in log-distance to the singular time; the termination kind, not
+  `t_switch`, picks the sampling mode.  For diagnostics, `t_switch` records
+  the end time of the first accepted step whose end state lies outside
+  [1e-2, 1e2] times the initial state (per component); it is step-granular,
+  not the crossing time itself.
 
 The step runs on Python floats: state and velocity are float tuples and the
 tableau is unrolled component by component into module-level scalars, so
@@ -98,7 +100,7 @@ _EXPO = 0.2 - 0.75 * _BETA
 # the closed forms near the tolerance itself instead of orders above it.
 _ERR_TARGET = 0.05
 _STEP_FLOOR = 1e-14  # accepted step below _STEP_FLOOR*(1+t) stops the run
-_BAND_LO = 1e-2  # leaving [_BAND_LO, _BAND_HI]*initial switches sampling mode
+_BAND_LO = 1e-2  # t_switch: end of the first step ending outside [_BAND_LO, _BAND_HI]*initial
 _BAND_HI = 1e2
 _VANISH_RATIO = 1e-4  # diagnostic classification at the stop event
 _EXPLODE_RATIO = 1e4
@@ -179,9 +181,11 @@ class Trajectory:
 
     `times` starts at 0 and increases strictly to the final valid time;
     `states` holds the positive coefficient triples row by row.  `t_switch`
-    is the first time any coefficient left the band [1e-2, 1e2] relative to
-    its initial value (None if none did).  Arbitrary times inside the valid
-    range can be interpolated with `sample_at`.
+    is the end time of the first accepted step whose end state has a
+    component outside [1e-2, 1e2] times its initial value (None if no step
+    ended outside); the band may have been left earlier inside that step.
+    Arbitrary times inside the valid range can be interpolated with
+    `sample_at`.
     """
 
     geometry: Geometry
@@ -197,9 +201,6 @@ class Trajectory:
     @property
     def t_end(self) -> float:
         return float(self.times[-1])
-
-    def metric_at(self, i: int) -> MetricDiag:
-        return MetricDiag.from_array(self.states[i])
 
 
 def _finite(k) -> bool:

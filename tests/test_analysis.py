@@ -263,3 +263,27 @@ def test_report_serialization(sol_symmetric_run):
     lines = report.summary_lines()
     assert lines and all(isinstance(s, str) for s in lines)
     assert "passed=True" in lines[0]
+
+
+def test_every_catalog_series_name_resolves():
+    """Every name the catalogs or the ratio checks of `verify` can ask for is a known series."""
+    from itertools import product
+
+    from xcflow.analysis import _SERIES
+    from xcflow.analytic import conserved_quantities, expected_asymptotics, monotone_quantities
+    from xcflow.flows import FLOWS
+
+    # coefficients from {1, 2, 3}: all six orderings of distinct values and every tie pattern
+    inits = [MetricDiag(*c) for c in product((1.0, 2.0, 3.0), repeat=3)]
+    names = {"A/C", "A/B"}  # `verify` ratio checks: "A/C -> 1" (Sol), "A/B -> 1" (SU(2))
+    for geometry, spec, m0 in product(Geometry, FLOWS.values(), inits):
+        names.update(name for name, _ in conserved_quantities(geometry, spec, m0))
+        names.update(name for name, _ in monotone_quantities(geometry, m0))
+        try:
+            names.update(law.variable for law in expected_asymptotics(geometry, spec, m0))
+        except ValueError:  # the asymptotic catalog covers the unnormalized negative flow only
+            pass
+    S = np.array([[2.0, 3.0, 5.0], [3.0, 5.0, 7.0]])
+    for name in sorted(names):
+        assert series_values(S, name).shape == (2,), name
+    assert names == set(_SERIES)  # and the table holds no name nobody asks for

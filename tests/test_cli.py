@@ -402,3 +402,76 @@ def test_scan_rejects_bad_axis(capsys):
         "--grid-C", "1",
     )
     assert code == EXIT_USAGE and "positive endpoints" in err
+
+
+@pytest.mark.parametrize("option", [("--samples", "1"), ("--rtol", "0"), ("--t-max", "inf")])
+def test_scan_rejects_bad_integrator_options_before_starting_workers(capsys, monkeypatch, tmp_path, option):
+    from xcflow import cli
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("started work before the integrator options were checked")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", not_called)
+    monkeypatch.setattr(cli, "integrate", not_called)
+    target = tmp_path / "scan.csv"
+    code, out, err = run_cli(
+        capsys, "scan", "--geometry", "sol", "--grid-A", "1:2:2", "--grid-B", "4", "--grid-C", "1",
+        "--workers", "2", *option, "--output", str(target),
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
+# ---------------------------------------------------------------------------
+# Sample columns against the row-by-row evaluation
+
+
+def _row_values_reference(geometry, t, state):
+    """One output row as the CSV and JSON writers built it before they worked on columns."""
+    from xcflow import cross_curvature_diag, sectional_curvatures
+
+    m = MetricDiag(*state)
+    k = sectional_curvatures(geometry, m)
+    h = cross_curvature_diag(geometry, m)
+    return [t, m.A, m.B, m.C, k.k23, k.k31, k.k12, h.h11, h.h22, h.h33]
+
+
+def _assert_same_bits(got, expected):
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))  # signed zeros count
+
+
+@pytest.mark.parametrize(
+    "geometry, init",
+    [
+        (Geometry.HEISENBERG, (1.0, 2.0, 3.0)),
+        (Geometry.SOL, (2.0, 4.0, 1.0)),
+        (Geometry.SOL, (1.0, 8.0, 1.0)),
+        (Geometry.SU2, (3.0, 2.0, 1.0)),
+        (Geometry.SU2, (2.0, 2.0, 2.0)),
+        (Geometry.SL2R, (1.0, 2.0, 1.0)),
+        (Geometry.SL2R, (1.0, 1.0, 1.0)),
+        (Geometry.E2, (2.0, 1.0, 1.0)),
+        (Geometry.E2, (2.0, 2.0, 5.0)),
+        (Geometry.TRIVIAL, (1.0, 2.0, 3.0)),
+    ],
+    ids=lambda v: v.value if isinstance(v, Geometry) else ",".join(f"{x:g}" for x in v),
+)
+@pytest.mark.parametrize("flow", ["xcf-", "nxcf"])
+def test_sample_columns_match_row_by_row_evaluation(geometry, init, flow):
+    from xcflow.flows import FLOWS
+
+    traj = integrate(geometry, FLOWS[flow], MetricDiag(*init), IntegratorOptions(t_max=10.0, samples=200))
+    rows = [
+        _row_values_reference(traj.geometry, float(t), state) for t, state in zip(traj.times, traj.states)
+    ]
+    expected = dict(zip(CSV_HEADER.split(","), zip(*rows)))
+    csv_columns = parse_trajectory_csv(trajectory_csv_text(traj)).columns
+    samples = trajectory_json_document(traj, RunConfig(analysis=False))["samples"]
+    assert list(csv_columns) == list(samples) == list(expected)
+    for name, column in expected.items():
+        _assert_same_bits(csv_columns[name], column)
+        _assert_same_bits(samples[name], column)
