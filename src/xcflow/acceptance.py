@@ -11,11 +11,20 @@ A criterion takes the run memo of the suite it belongs to: a dict from
 run shared by several criteria of one suite is integrated once.  Each
 `run_suite` call starts an empty memo, so its report dicts hold only the
 runs of that call and nothing is kept between calls.
+
+Criteria 10 and 11 integrate nothing.  They draw random metrics and evaluate
+the curvature kernels and `flow_rhs` on whole columns of draws, one call per
+geometry (and per flow kind), then take a gap per draw with
+`_max_entry_gap`.  The kernels use only elementwise + - * /, so each draw's
+gap has the same bits as evaluating that draw alone.  A NaN gap fails the
+criterion and names its geometry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isnan
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -221,30 +230,75 @@ def criterion_nxcf_volume(runs: dict) -> CriterionResult:
     return CriterionResult(9, "normalized flow preserves volume", ok, tuple(details))
 
 
-def _max_entry_gap(got: np.ndarray, want: np.ndarray) -> float:
-    """Largest entry of |got - want| relative to the largest |want| (absolute if want is 0)."""
-    gap = float(np.max(np.abs(got - want)))
-    scale = float(np.max(np.abs(want)))
-    return gap / scale if scale != 0.0 else gap
+def _max_entry_gap(got, want) -> np.ndarray:
+    """Per row, the largest |got - want| entry over the largest |want| entry.
+
+    `got` and `want` are triples of equal-length columns (scalar entries, such
+    as TRIVIAL's zeros, broadcast).  Where every entry of `want` is 0 the gap
+    is absolute.  Each row gets the same bits as the triple of that row alone,
+    and a NaN entry in a row makes that row's gap NaN.
+    """
+    cols = np.array(np.broadcast_arrays(*got, *want))
+    gap = np.abs(cols[:3] - cols[3:]).max(axis=0)
+    scale = np.abs(cols[3:]).max(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(scale != 0.0, gap / scale, gap)
 
 
-def _random_metrics(rng: np.random.Generator, n: int) -> np.ndarray:
-    return 10.0 ** rng.uniform(-2.0, 2.0, size=(n, 3))
+def _random_metrics(rng: np.random.Generator, n: int) -> SimpleNamespace:
+    """n random metrics as the A, B, C columns the kernels and `flow_rhs` accept."""
+    draws = 10.0 ** rng.uniform(-2.0, 2.0, size=(n, 3))
+    return SimpleNamespace(A=draws[:, 0], B=draws[:, 1], C=draws[:, 2])
+
+
+def _oracle_gaps() -> dict[Geometry, np.ndarray]:
+    """Per geometry, the gap of the sectional route to the factored kernels, one per draw."""
+    rng = np.random.default_rng(_ORACLE_SEED)
+    gaps = {}
+    for geom in Geometry:
+        m = _random_metrics(rng, _ORACLE_DRAWS)
+        direct = cross_curvature_diag(geom, m)
+        via_k = cross_from_sectional(m, sectional_curvatures(geom, m))
+        gaps[geom] = _max_entry_gap(via_k, direct)
+    return gaps
+
+
+def _scaling_gaps() -> dict[Geometry, np.ndarray]:
+    """Per geometry, the gap of the velocity at lam*g to the velocity at g over lam.
+
+    Row 0 holds the XCF_MINUS gaps and row 1 the NXCF gaps, one per draw.
+    """
+    rng = np.random.default_rng(_ORACLE_SEED + 1)
+    gaps = {}
+    for geom in Geometry:
+        m = _random_metrics(rng, _SCALING_DRAWS)
+        lams = 10.0 ** rng.uniform(-3.0, 3.0, size=_SCALING_DRAWS)
+        m_scaled = SimpleNamespace(A=lams * m.A, B=lams * m.B, C=lams * m.C)
+        rows = []
+        for spec in (XCF_MINUS, NXCF):
+            base = flow_rhs(geom, m, spec)
+            scaled = flow_rhs(geom, m_scaled, spec)
+            rows.append(_max_entry_gap(scaled, [v / lams for v in base]))
+        gaps[geom] = np.array(rows)
+    return gaps
+
+
+def _worst_gap(gaps: dict[Geometry, np.ndarray]) -> tuple[float, str]:
+    """The largest gap and its geometry; a geometry replaces the worst only if strictly larger.
+
+    A NaN gap counts as larger than any number, so it fails the tolerance and
+    names the first geometry that produced one.
+    """
+    worst, worst_geom = 0.0, ""
+    for geom, g in gaps.items():
+        err = float(np.max(g))  # NaN if any draw's gap is NaN
+        if err > worst or (isnan(err) and not isnan(worst)):
+            worst, worst_geom = err, geom.value
+    return worst, worst_geom
 
 
 def criterion_oracle_equivalence(runs: dict) -> CriterionResult:
-    rng = np.random.default_rng(_ORACLE_SEED)
-    worst = 0.0
-    worst_geom = ""
-    for geom in Geometry:
-        draws = _random_metrics(rng, _ORACLE_DRAWS)
-        for row in draws:
-            m = MetricDiag(*row)
-            direct = np.array(cross_curvature_diag(geom, m))
-            via_k = np.array(cross_from_sectional(m, sectional_curvatures(geom, m)))
-            err = _max_entry_gap(via_k, direct)
-            if err > worst:
-                worst, worst_geom = err, geom.value
+    worst, worst_geom = _worst_gap(_oracle_gaps())
     ok = worst <= _ORACLE_TOL
     return CriterionResult(
         10,
@@ -256,20 +310,7 @@ def criterion_oracle_equivalence(runs: dict) -> CriterionResult:
 
 
 def criterion_scaling_law(runs: dict) -> CriterionResult:
-    rng = np.random.default_rng(_ORACLE_SEED + 1)
-    worst = 0.0
-    worst_geom = ""
-    for geom in Geometry:
-        draws = _random_metrics(rng, _SCALING_DRAWS)
-        lams = 10.0 ** rng.uniform(-3.0, 3.0, size=_SCALING_DRAWS)
-        for row, lam in zip(draws, lams):
-            m = MetricDiag(*row)
-            for spec in (XCF_MINUS, NXCF):
-                base = np.array(flow_rhs(geom, m, spec))
-                scaled = np.array(flow_rhs(geom, m.scaled(lam), spec))
-                err = _max_entry_gap(scaled, base / lam)
-                if err > worst:
-                    worst, worst_geom = err, geom.value
+    worst, worst_geom = _worst_gap(_scaling_gaps())
     ok = worst <= _ORACLE_TOL
     return CriterionResult(
         11,

@@ -101,6 +101,12 @@ def rhs_function(
     ZeroDivisionError on Python floats where numpy gives inf; the closure
     returns a NaN triple then, so a non-finite velocity reads as non-finite
     on both.
+
+    `y` may also be three equal-length float array columns.  The closure uses
+    only elementwise + - * /, so each entry of the velocity columns has the
+    same bits as that row alone (TRIVIAL's unnormalized velocity stays scalar
+    zeros).  Columns never raise: numpy gives inf or nan, with a warning
+    unless `np.errstate` silences it.
     """
     kernel = _CROSS[geometry]
     sign = 1.0 if spec.direction is FlowDirection.NEGATIVE else -1.0
@@ -133,5 +139,10 @@ def rhs_function(
 
 
 def flow_rhs(geometry: Geometry, m: MetricDiag, spec: FlowSpec) -> RhsTriple:
-    """Velocity of the chosen flow at the metric m."""
-    return RhsTriple(*rhs_function(geometry, spec)(m.as_tuple()))
+    """Velocity of the chosen flow at the metric m.
+
+    `m` may also hold float array columns in A, B, C (any object with those
+    attributes, as for the curvature kernels); the velocity then comes back as
+    columns, entry by entry the same bits as one metric at a time.
+    """
+    return RhsTriple(*rhs_function(geometry, spec)((m.A, m.B, m.C)))

@@ -8,9 +8,20 @@ line per criterion.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from xcflow import acceptance
+from xcflow.acceptance import CriterionResult
+from xcflow.flows import NXCF, XCF_MINUS, RhsTriple, flow_rhs
+from xcflow.geometry import (
+    CrossDiag,
+    Geometry,
+    MetricDiag,
+    cross_curvature_diag,
+    cross_from_sectional,
+    sectional_curvatures,
+)
 
 
 @pytest.mark.parametrize(
@@ -31,3 +42,181 @@ def test_full_suite_is_green():
     for line in (r.line() for r in results):
         print(line)
     assert all(r.passed for r in results)
+
+
+# ---------------------------------------------------------------------------
+# Criteria 10 and 11 evaluate the kernels on columns of draws.  The reference
+# below is the per-draw loop they replaced, one MetricDiag per draw; it must
+# give every draw's gap with the same bits and the same result lines.
+
+
+def _row_gap(got: np.ndarray, want: np.ndarray) -> float:
+    gap = float(np.max(np.abs(got - want)))
+    scale = float(np.max(np.abs(want)))
+    return gap / scale if scale != 0.0 else gap
+
+
+def _reference_oracle() -> tuple[CriterionResult, dict]:
+    rng = np.random.default_rng(acceptance._ORACLE_SEED)
+    n, tol = acceptance._ORACLE_DRAWS, acceptance._ORACLE_TOL
+    worst, worst_geom, gaps = 0.0, "", {}
+    for geom in Geometry:
+        draws = 10.0 ** rng.uniform(-2.0, 2.0, size=(n, 3))
+        row_gaps = []
+        for row in draws:
+            m = MetricDiag(*row)
+            direct = np.array(cross_curvature_diag(geom, m))
+            via_k = np.array(cross_from_sectional(m, sectional_curvatures(geom, m)))
+            err = _row_gap(via_k, direct)
+            row_gaps.append(err)
+            if err > worst:
+                worst, worst_geom = err, geom.value
+        gaps[geom] = np.array(row_gaps)
+    result = CriterionResult(
+        10,
+        "product form matches principal-curvature oracle",
+        worst <= tol,
+        (f"worst max-entry-relative gap {worst:.3e} ({worst_geom or 'all zero'}) over "
+         f"{n} draws per geometry (tol {tol:.0e})",),
+    )
+    return result, gaps
+
+
+def _reference_scaling() -> tuple[CriterionResult, dict]:
+    rng = np.random.default_rng(acceptance._ORACLE_SEED + 1)
+    n, tol = acceptance._SCALING_DRAWS, acceptance._ORACLE_TOL
+    worst, worst_geom, gaps = 0.0, "", {}
+    for geom in Geometry:
+        draws = 10.0 ** rng.uniform(-2.0, 2.0, size=(n, 3))
+        lams = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+        row_gaps = np.empty((2, n))
+        for i, (row, lam) in enumerate(zip(draws, lams)):
+            m = MetricDiag(*row)
+            for k, spec in enumerate((XCF_MINUS, NXCF)):
+                base = np.array(flow_rhs(geom, m, spec))
+                scaled = np.array(flow_rhs(geom, m.scaled(lam), spec))
+                err = _row_gap(scaled, base / lam)
+                row_gaps[k, i] = err
+                if err > worst:
+                    worst, worst_geom = err, geom.value
+        gaps[geom] = row_gaps
+    result = CriterionResult(
+        11,
+        "velocity field scales inversely with the metric",
+        worst <= tol,
+        (f"worst relative gap {worst:.3e} ({worst_geom or 'all zero'}) over "
+         f"{n} (metric, scale) pairs per geometry and both flow kinds (tol {tol:.0e})",),
+    )
+    return result, gaps
+
+
+_COLUMN_CASES = [
+    (acceptance.criterion_oracle_equivalence, acceptance._oracle_gaps, _reference_oracle),
+    (acceptance.criterion_scaling_law, acceptance._scaling_gaps, _reference_scaling),
+]
+
+
+@pytest.mark.parametrize("draws", [300, None], ids=["300-draws", "full-size"])
+@pytest.mark.parametrize("criterion, column_gaps, reference", _COLUMN_CASES, ids=["10", "11"])
+def test_column_criteria_match_per_draw_reference(monkeypatch, draws, criterion, column_gaps, reference):
+    if draws is not None:
+        monkeypatch.setattr(acceptance, "_ORACLE_DRAWS", draws)
+        monkeypatch.setattr(acceptance, "_SCALING_DRAWS", draws)
+    want_result, want_gaps = reference()
+    got_gaps = column_gaps()
+    assert list(got_gaps) == list(Geometry)
+    for geom in Geometry:
+        got, want = got_gaps[geom], want_gaps[geom]
+        assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), geom
+    assert criterion({}) == want_result
+
+
+# Planted defects: one entry of one draw is wrong by a relative 1e-9 (a
+# thousand times the tolerance), or one draw's value is NaN.  The criterion
+# must fail and name the geometry; the gap must land on that draw alone, so
+# an axis or broadcasting slip cannot make the column comparison vacuous.
+
+_DRAW = 617  # below both draw counts
+
+
+def _plant(columns, draw: int, value=None) -> tuple:
+    """Copies of a triple of columns with the draw's largest entry changed.
+
+    That entry is multiplied by 1 + 1e-9, or replaced by `value` if given.
+    """
+    cols = [np.array(c, dtype=float) for c in columns]
+    j = int(np.argmax([abs(c[draw]) for c in cols]))
+    cols[j][draw] = cols[j][draw] * (1.0 + 1e-9) if value is None else value
+    return tuple(cols)
+
+
+# A relative perturbation of TRIVIAL's zeros is no defect, so only NaN is
+# planted there.
+_PLANTS = [(g, None) for g in Geometry if g is not Geometry.TRIVIAL] + [(g, np.nan) for g in Geometry]
+_PLANT_IDS = [f"{g.value}-{'nan' if v is not None else 'perturbed'}" for g, v in _PLANTS]
+
+
+def _assert_fails_naming(result: CriterionResult, geom: Geometry, value) -> None:
+    assert not result.passed, result.line()
+    assert f"({geom.value})" in result.line()
+    assert ("gap nan " in result.line()) == (value is not None)
+
+
+@pytest.mark.parametrize("geom, value", _PLANTS, ids=_PLANT_IDS)
+def test_oracle_criterion_fails_on_a_planted_defect(monkeypatch, geom, value):
+    real = acceptance.cross_curvature_diag
+
+    def planted(g, m):
+        h = real(g, m)
+        if g is not geom:
+            return h
+        return CrossDiag(*_plant(np.broadcast_arrays(*h, m.A)[:3], _DRAW, value))
+
+    monkeypatch.setattr(acceptance, "cross_curvature_diag", planted)
+    gaps = acceptance._oracle_gaps()
+    assert np.flatnonzero(~(gaps[geom] <= acceptance._ORACLE_TOL)).tolist() == [_DRAW]
+    _assert_fails_naming(acceptance.criterion_oracle_equivalence({}), geom, value)
+
+
+@pytest.mark.parametrize("geom, value", _PLANTS, ids=_PLANT_IDS)
+def test_scaling_criterion_fails_on_a_planted_defect(monkeypatch, geom, value):
+    # A perturbation goes into the first call for the geometry only (the
+    # unscaled XCF_MINUS velocity): the same relative change in the scaled
+    # velocity would cancel.  NaN goes into every call for the geometry.
+    real = acceptance.flow_rhs
+    calls = []
+
+    def planted(g, m, spec):
+        v = real(g, m, spec)
+        if g is not geom:
+            return v
+        calls.append(spec)
+        if value is None and len(calls) > 1:
+            return v
+        return RhsTriple(*_plant(np.broadcast_arrays(*v, m.A)[:3], _DRAW, value))
+
+    monkeypatch.setattr(acceptance, "flow_rhs", planted)
+    gaps = acceptance._scaling_gaps()
+    bad = np.argwhere(~(gaps[geom] <= acceptance._ORACLE_TOL)).tolist()
+    assert calls[0] is XCF_MINUS
+    assert bad == ([[0, _DRAW]] if value is None else [[0, _DRAW], [1, _DRAW]])
+    calls.clear()
+    _assert_fails_naming(acceptance.criterion_scaling_law({}), geom, value)
+
+
+def test_first_nan_gap_keeps_its_geometry(monkeypatch):
+    # NaN in the first geometry and a perturbation a thousand times the
+    # tolerance in a later one: the NaN is the worst gap and stays named.
+    real = acceptance.cross_curvature_diag
+
+    def planted(g, m):
+        h = real(g, m)
+        if g is Geometry.HEISENBERG:
+            return CrossDiag(*_plant(h, _DRAW, np.nan))
+        if g is Geometry.SL2R:
+            return CrossDiag(*_plant(h, _DRAW))
+        return h
+
+    monkeypatch.setattr(acceptance, "cross_curvature_diag", planted)
+    _assert_fails_naming(acceptance.criterion_oracle_equivalence({}), Geometry.HEISENBERG, np.nan)

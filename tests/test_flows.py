@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -158,6 +160,22 @@ def test_rhs_function_gives_same_bits_for_ndarray_row_and_tuple():
                 from_tuple = fn(tuple(row.tolist()))
                 assert type(from_tuple) is tuple and all(type(v) is float for v in from_tuple)
                 assert from_row.tobytes() == np.array(from_tuple).tobytes()
+
+
+# Rows on which a symmetric reduction is locked: A=C on Sol, B=C on SL(2,R),
+# A=B on E(2) and round SU(2); every geometry sees all of them.
+_SYMMETRIC_ROWS = [(0.3, 5.0, 0.3), (2.0, 0.7, 0.7), (4.0, 4.0, 0.1), (1.5, 1.5, 1.5)]
+
+
+@pytest.mark.parametrize("geom", ALL_GEOMETRIES, ids=[g.value for g in ALL_GEOMETRIES])
+@pytest.mark.parametrize("spec", [XCF_MINUS, XCF_PLUS, NXCF, NXCF_PLUS], ids=lambda s: s.name)
+def test_flow_rhs_on_columns_matches_per_row_bitwise(geom, spec):
+    rows = np.vstack([10.0 ** np.random.default_rng(11).uniform(-3.0, 3.0, size=(200, 3)), _SYMMETRIC_ROWS])
+    got = flow_rhs(geom, SimpleNamespace(A=rows[:, 0], B=rows[:, 1], C=rows[:, 2]), spec)
+    got = np.array(np.broadcast_arrays(*got, rows[:, 0])[:3])  # TRIVIAL gives scalar zeros
+    want = np.array([flow_rhs(geom, MetricDiag(*row), spec) for row in rows]).T
+    assert got.shape == want.shape == (3, len(rows))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("geom", [g for g in ALL_GEOMETRIES if g is not Geometry.TRIVIAL])
