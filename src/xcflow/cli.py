@@ -8,7 +8,8 @@ whole state columns.  `verify` executes the quantitative acceptance
 criteria for one geometry or all of them and writes a JSON report.  `scan`
 integrates a grid of initial data and writes one classification row per
 grid point, ordered by grid index no matter how the work was scheduled.
-Every CSV text, trajectory or scan, goes through one writer.
+Every CSV text, trajectory or scan, goes through one writer, and every JSON
+text through another, which gives the bytes of `json.dumps(doc, indent=2)`.
 
 Configuration precedence for `run`: built-in defaults, then the JSON config
 file (--config, or the path in $XFLOW_CONFIG), then explicit flags.  Config
@@ -139,15 +140,63 @@ def _config_json(cfg: RunConfig) -> str:
 # Trajectory serialization.
 
 
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
+def _csv_text(comment: str | None, header: str, lines) -> str:
+    """CSV text: the comment line if any, the header, then the already joined data lines."""
+    head = [header] if comment is None else [comment, header]
+    return "\n".join([*head, *lines]) + "\n"
 
 
-def _csv_text(comment: str | None, header: str, rows) -> str:
-    """CSV text: the comment line if any, the header, then one line per row of string cells."""
-    lines = [header] if comment is None else [comment, header]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _json_layout(obj, nl: str, pieces: list, leaves: list) -> None:
+    """Lay out `json.dumps(obj, indent=2)` nested at indentation `nl` (a newline and spaces).
+
+    Appends text to `pieces`, and None in the place of each leaf (a dict key,
+    a plain scalar, an empty list or dict), whose value goes to `leaves` for
+    one C encoder call over the whole document.  A non-empty list of plain
+    scalars, such as a sample column, is encoded in one C call of its own,
+    with the line break and indentation as its item separator: that is the
+    text `indent=2` writes for it, without the per-item pure-Python encoder.
+    """
+    inner = nl + "  "
+    if type(obj) in _JSON_SCALARS or (type(obj) in (list, tuple, dict) and not obj):
+        pieces.append(None)
+        leaves.append(obj)
+    elif isinstance(obj, (list, tuple)) and obj and set(map(type, obj)) <= _JSON_SCALARS:
+        pieces.append("[" + inner + json.dumps(obj, separators=("," + inner, ": "))[1:-1] + nl + "]")
+    elif isinstance(obj, dict) and obj and all(type(key) is str for key in obj):
+        sep = "{" + inner
+        for key, value in obj.items():
+            pieces.extend((sep, None, ": "))
+            leaves.append(key)
+            _json_layout(value, inner, pieces, leaves)
+            sep = "," + inner
+        pieces.append(nl + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        sep = "[" + inner
+        for value in obj:
+            pieces.append(sep)
+            _json_layout(value, inner, pieces, leaves)
+            sep = "," + inner
+        pieces.append(nl + "]")
+    else:  # non-string keys, scalar subclasses, and the errors `dumps` raises
+        pieces.append(json.dumps(obj, indent=2).replace("\n", nl))
+
+
+def _json_text(doc) -> str:
+    """`json.dumps(doc, indent=2)` byte for byte.
+
+    The leaf texts come from one C encoder call, split at the raw newlines
+    that separate them: JSON text holds a newline only as the escape `\\n`.
+    Re-indenting a nested `dumps` text by its newlines is exact for the same
+    reason.
+    """
+    pieces: list = []
+    leaves: list = []
+    _json_layout(doc, "\n", pieces, leaves)
+    texts = iter(json.dumps(leaves, separators=("\n", ": "))[1:-1].split("\n"))
+    return "".join([next(texts) if piece is None else piece for piece in pieces])
 
 
 def _sample_columns(trajectory: Trajectory) -> dict[str, np.ndarray]:
@@ -166,15 +215,20 @@ def _sample_columns(trajectory: Trajectory) -> dict[str, np.ndarray]:
     return {name: np.broadcast_to(v, (n,)) for name, v in zip(CSV_HEADER.split(","), values)}
 
 
-def _float_rows(columns):
-    """Rows of 17-digit cells from equal-length float array columns."""
-    return (map(_g17, row) for row in zip(*(c.tolist() for c in columns)))
+def _float_lines(columns) -> list[str]:
+    """CSV lines of 17-significant-digit cells from equal-length float array columns.
+
+    One `%` format per row; `%.17g` and `format(x, ".17g")` give the same text.
+    """
+    columns = list(columns)
+    row_format = ",".join(["%.17g"] * len(columns))
+    return list(map(row_format.__mod__, zip(*(c.tolist() for c in columns))))
 
 
 def trajectory_csv_text(trajectory: Trajectory, config: RunConfig | None = None) -> str:
     """CSV for a trajectory, one sample per row, 17 significant digits."""
     comment = None if config is None else f"# config: {_config_json(config)}"
-    return _csv_text(comment, CSV_HEADER, _float_rows(_sample_columns(trajectory).values()))
+    return _csv_text(comment, CSV_HEADER, _float_lines(_sample_columns(trajectory).values()))
 
 
 @dataclass(frozen=True)
@@ -194,22 +248,18 @@ def parse_trajectory_csv(text: str) -> ParsedCsv:
     if i >= len(lines) or lines[i] != CSV_HEADER:
         raise ConfigError(f"missing or unexpected header; expected {CSV_HEADER!r}")
     names = lines[i].split(",")
-    data = [[] for _ in names]
-    for line in lines[i + 1 :]:
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != len(names):
-            raise ConfigError(f"row has {len(parts)} fields, expected {len(names)}")
-        for slot, part in zip(data, parts):
-            slot.append(float(part))
-    columns = {name: np.array(vals) for name, vals in zip(names, data)}
+    rows = [line.split(",") for line in lines[i + 1 :] if line]
+    if set(map(len, rows)) - {len(names)}:
+        bad = next(len(row) for row in rows if len(row) != len(names))
+        raise ConfigError(f"row has {bad} fields, expected {len(names)}")
+    data = zip(*rows) if rows else [()] * len(names)
+    columns = {name: np.array(list(map(float, cells))) for name, cells in zip(names, data)}
     return ParsedCsv(comment, columns)
 
 
 def emit_parsed_csv(parsed: ParsedCsv) -> str:
     """Re-emit a parsed CSV; inverse of `parse_trajectory_csv` byte for byte."""
-    return _csv_text(parsed.comment, ",".join(parsed.columns), _float_rows(parsed.columns.values()))
+    return _csv_text(parsed.comment, ",".join(parsed.columns), _float_lines(parsed.columns.values()))
 
 
 def trajectory_json_document(trajectory: Trajectory, config: RunConfig) -> dict:
@@ -280,7 +330,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         _write_output(cfg.output, trajectory_csv_text(trajectory, cfg))
     else:
         doc = trajectory_json_document(trajectory, cfg)
-        _write_output(cfg.output, json.dumps(doc, indent=2) + "\n")
+        _write_output(cfg.output, _json_text(doc) + "\n")
     term = trajectory.termination
     note = f"terminated: {term.kind.value} at t={term.t_stop:.12g}"
     if term.kind is TerminationKind.SINGULAR_TIME:
@@ -313,7 +363,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "reports": reports,
     }
     if args.output != "-":
-        _write_output(args.output, json.dumps(doc, indent=2) + "\n")
+        _write_output(args.output, _json_text(doc) + "\n")
     failing = [r for r in results if not r.passed]
     if failing:
         print("failing criteria: " + ", ".join(f"{r.number} ({r.name})" for r in failing), file=sys.stderr)
@@ -375,12 +425,12 @@ def _scan_point(payload: tuple) -> list[str]:
     blowup = ""
     if term.kind is TerminationKind.SINGULAR_TIME:
         try:
-            blowup = _g17(estimate_blowup_time(trajectory))
+            blowup = "%.17g" % estimate_blowup_time(trajectory)
         except ValueError:
             pass
     branch = classify_branch(geometry, m0)
-    return [_g17(m0.A), _g17(m0.B), _g17(m0.C), term.kind.value, _g17(term.t_stop), blowup, branch,
-            _scan_flag(geometry, trajectory, branch)]
+    return ["%.17g" % m0.A, "%.17g" % m0.B, "%.17g" % m0.C, term.kind.value, "%.17g" % term.t_stop, blowup,
+            branch, _scan_flag(geometry, trajectory, branch)]
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -401,7 +451,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ConfigError("--workers must be at least 1")
     # built once here, so that a bad option is reported before any worker starts
-    options = IntegratorOptions(t_max=args.t_max, rtol=args.rtol, atol=args.atol, samples=args.samples)
+    options = IntegratorOptions(t_max=args.t_max, rtol=args.rtol, atol=args.atol, samples=args.samples,
+                                max_steps=args.max_steps)
     grid = product(*(axis.tolist() for axis in axes))  # A outermost, C innermost
     payloads = [(geometry, spec, a, b, c, options, volume) for a, b, c in grid]
     if args.workers == 1:
@@ -410,7 +461,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             chunk = max(1, len(payloads) // (4 * args.workers))
             rows = list(pool.map(_scan_point, payloads, chunksize=chunk))
-    _write_output(args.output, _csv_text(None, SCAN_HEADER, ([str(i), *row] for i, row in enumerate(rows))))
+    lines = (",".join([str(i), *row]) for i, row in enumerate(rows))
+    _write_output(args.output, _csv_text(None, SCAN_HEADER, lines))
     return EXIT_OK
 
 
@@ -459,6 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--rtol", type=float, default=1e-10)
     scan.add_argument("--atol", type=float, default=1e-13)
     scan.add_argument("--samples", type=int, default=512)
+    scan.add_argument("--max-steps", type=int, default=RunConfig.max_steps,
+                      help="step-attempt budget of each grid point, counted as for run")
     scan.add_argument("--normalize-volume", type=float, default=None, metavar="V",
                       help="rescale each initial datum so that A*B*C = V")
     scan.add_argument("--workers", type=int, default=1)

@@ -475,3 +475,44 @@ def test_sample_columns_match_row_by_row_evaluation(geometry, init, flow):
     for name, column in expected.items():
         _assert_same_bits(csv_columns[name], column)
         _assert_same_bits(samples[name], column)
+
+
+# ---------------------------------------------------------------------------
+# scan step budget
+
+
+def test_scan_point_that_spends_its_budget_gets_a_budget_row(capsys):
+    # Sol (1,4,1) and (2,4,1) reach their singular time in 730 and 745 step
+    # attempts, (3,4,1) needs 769: a budget of 760 stops only the last point.
+    argv = ["scan", "--geometry", "sol", "--grid-A", "1:3:3", "--grid-B", "4", "--grid-C", "1",
+            "--samples", "128", "--max-steps", "760"]
+    code, serial, err = run_cli(capsys, *argv)
+    assert code == EXIT_OK and err == ""
+    rows = [line.split(",") for line in serial.splitlines()[1:]]
+    assert [row[4] for row in rows] == ["singular_time", "singular_time", "step_budget_exhausted"]
+    assert rows[0][6] != "" and rows[1][6] != "" and rows[2][6] == ""
+    code, parallel, _ = run_cli(capsys, *argv, "--workers", "2")
+    assert code == EXIT_OK
+    assert parallel == serial
+    code, unbudgeted, _ = run_cli(capsys, *argv[:-2])
+    assert unbudgeted.splitlines()[:3] == serial.splitlines()[:3]
+    last = unbudgeted.splitlines()[3].split(",")
+    assert last[4] == "singular_time" and float(rows[2][5]) < float(last[5])
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_scan_rejects_a_budget_below_one_before_starting_work(capsys, monkeypatch, budget):
+    from xcflow import cli
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("started work before the step budget was checked")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", not_called)
+    monkeypatch.setattr(cli, "integrate", not_called)
+    code, out, err = run_cli(
+        capsys, "scan", "--geometry", "sol", "--grid-A", "1:2:2", "--grid-B", "4", "--grid-C", "1",
+        "--workers", "2", "--max-steps", budget,
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: max_steps must be at least 1\n"

@@ -35,3 +35,25 @@ def test_criteria_are_bound_under_their_own_names():
     # the traced run wraps each of ALL_CRITERIA under acceptance.<__name__>
     for fn in acceptance.ALL_CRITERIA:
         assert getattr(acceptance, fn.__name__) is fn
+
+
+def test_run_json_writes_through_cli_json_dumps(capsys, monkeypatch):
+    # the traced run times JSON writing by swapping `cli.json` for a proxy module
+    import json
+
+    argv = ["run", "--geometry", "sol", "--init", "2,4,1", "--samples", "64", "--format", "json"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    calls = []
+
+    def counting_dumps(*args, **kwargs):
+        calls.append(args[0])
+        return json.dumps(*args, **kwargs)
+
+    proxy = types.ModuleType("json")
+    proxy.__dict__.update(json.__dict__)
+    proxy.dumps = counting_dumps
+    monkeypatch.setattr(cli, "json", proxy)
+    assert cli.main(argv) == 0
+    assert len(calls) >= 1
+    assert capsys.readouterr().out == plain
