@@ -104,6 +104,8 @@ class RunConfig:
             if key not in convert:
                 raise ConfigError(f"unknown config key {raw_key!r}")
             if value is not None:
+                if convert[key] is bool and not isinstance(value, bool):
+                    raise ConfigError(f"{raw_key} must be true or false, got {value!r}")
                 clean[key] = convert[key](value)
         cfg = replace(self, **clean)
         if cfg.geometry not in _GEOMETRY_NAMES:
@@ -270,7 +272,6 @@ def trajectory_json_document(trajectory: Trajectory, config: RunConfig) -> dict:
         "flow": trajectory.spec.name,
         "init": list(trajectory.m0.as_tuple()),
         "config": config.to_dict(),
-        "t_switch": trajectory.t_switch,
         "n_samples": len(trajectory.times),
     }
     analysis = verify(trajectory).to_dict() if config.analysis else None

@@ -6,24 +6,21 @@ quartic dense-output interpolant.  On top of the generic solver sit the
 pieces this problem actually needs:
 
 * positivity guard: a trial step is rejected and retried at half the step,
-  before any error control or event logic runs, when a stage state has a
-  component outside 0 < v < inf or a stage velocity one outside
-  -inf < k < inf (both tests are false for NaN).  A right-hand side whose
-  kernel divides by an underflowed (ABC)^2 returns NaN, so it reads as
-  non-finite too; at the initial metric that is a ValueError;
-* singularity events: integration stops when a coefficient crosses the
-  floor `floor_factor * min(A0,B0,C0)` or the ceiling
-  `ceil_factor * max(A0,B0,C0)` (the crossing time is located by bisection
-  on the dense interpolant), or when the accepted step falls below
-  1e-14 * (1 + t) and the solver can no longer resolve the approach;
+  before any error control runs, when a stage state has a component outside
+  0 < v < inf or a stage velocity one outside -inf < k < inf (both tests are
+  false for NaN).  A right-hand side whose kernel divides by an underflowed
+  (ABC)^2 returns NaN, so it reads as non-finite too; at the initial metric
+  that is a ValueError;
+* one stop rule for singularities, the step floor: the run stops at a
+  singular time when the accepted step, or the retry step after a
+  rejection, falls below 1e-14 * (1 + t).  The approach is then resolved to
+  the precision of t, and t_stop is the end of the last accepted step.
+  Every run ends on exactly one trigger: `t_max`, `step_underflow` or
+  `max_steps`;
 * dense sampling: the returned trajectory carries `samples` interpolated
   rows; runs that end at a singular time are sampled geometrically in
   (t_stop - t) so every decade of the approach is resolved at equal density
-  in log-distance to the singular time; the termination kind, not
-  `t_switch`, picks the sampling mode.  For diagnostics, `t_switch` records
-  the end time of the first accepted step whose end state lies outside
-  [1e-2, 1e2] times the initial state (per component); it is step-granular,
-  not the crossing time itself.
+  in log-distance to the singular time.
 
 The step runs on Python floats: state and velocity are float tuples and the
 tableau is unrolled component by component into module-level scalars, so
@@ -100,9 +97,7 @@ _EXPO = 0.2 - 0.75 * _BETA
 # the closed forms near the tolerance itself instead of orders above it.
 _ERR_TARGET = 0.05
 _STEP_FLOOR = 1e-14  # accepted step below _STEP_FLOOR*(1+t) stops the run
-_BAND_LO = 1e-2  # t_switch: end of the first step ending outside [_BAND_LO, _BAND_HI]*initial
-_BAND_HI = 1e2
-_VANISH_RATIO = 1e-4  # diagnostic classification at the stop event
+_VANISH_RATIO = 1e-4  # diagnostic classification of the last accepted state
 _EXPLODE_RATIO = 1e4
 _LABELS = ("A", "B", "C")
 
@@ -136,25 +131,21 @@ class Termination:
 
 @dataclass(frozen=True)
 class IntegratorOptions:
-    """Tolerances, horizon and event thresholds for `integrate`."""
+    """Tolerances, horizon, step budget and sample count for `integrate`."""
 
     t_max: float = 10.0
     rtol: float = 1e-10
     atol: float = 1e-13
     max_steps: int = 10_000_000
-    floor_factor: float = 1e-10
-    ceil_factor: float = 1e10
     samples: int = 2048
 
     def __post_init__(self) -> None:
         if not (isfinite(self.t_max) and self.t_max > 0.0):
             raise ValueError("t_max must be finite and positive")
-        if self.rtol <= 0.0 or self.atol <= 0.0:
-            raise ValueError("rtol and atol must be positive")
+        if not (isfinite(self.rtol) and self.rtol > 0.0 and isfinite(self.atol) and self.atol > 0.0):
+            raise ValueError("rtol and atol must be finite and positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-        if not (0.0 < self.floor_factor < 1.0 < self.ceil_factor):
-            raise ValueError("need 0 < floor_factor < 1 < ceil_factor")
         if self.samples < 2:
             raise ValueError("samples must be at least 2")
 
@@ -169,10 +160,18 @@ class _StepTable:
     q: np.ndarray  # (m, 3, 4) interpolant coefficients
 
     def eval(self, t: np.ndarray) -> np.ndarray:
-        """Interpolated states (n, 3) at the times t (n,) in [0, t_end], each in its own step."""
+        """Interpolated states (n, 3) at the times t (n,) in [0, t_end], each in its own step.
+
+        Dense output is y0 + h * q @ (theta, theta^2, theta^3, theta^4).
+        `np.float_power` evaluates libm's pow on each element, so a time gives
+        the same bits in any stack of times (`sample_at` evaluates a stack of
+        one); numpy's vectorised `**` may use a SIMD pow that differs from it
+        in the last bit.
+        """
         idx = np.searchsorted(self.t0, t, side="right") - 1  # t0[0] = 0, so idx >= 0
         theta = np.minimum((t - self.t0[idx]) / self.h[idx], 1.0)
-        return _interpolate(self.y0[idx], self.h[idx, None], self.q[idx], theta)
+        powers = np.array([theta, theta * theta, np.float_power(theta, 3), np.float_power(theta, 4)]).T
+        return self.y0[idx] + self.h[idx, None] * (self.q[idx] @ powers[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -180,12 +179,9 @@ class Trajectory:
     """Dense-sampled solution of one flow run.
 
     `times` starts at 0 and increases strictly to the final valid time;
-    `states` holds the positive coefficient triples row by row.  `t_switch`
-    is the end time of the first accepted step whose end state has a
-    component outside [1e-2, 1e2] times its initial value (None if no step
-    ended outside); the band may have been left earlier inside that step.
-    Arbitrary times inside the valid range can be interpolated with
-    `sample_at`.
+    `states` holds the positive coefficient triples row by row;
+    `termination` says why and where the run stopped.  Arbitrary times
+    inside the valid range can be interpolated with `sample_at`.
     """
 
     geometry: Geometry
@@ -195,7 +191,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     termination: Termination
-    t_switch: float | None
     _table: _StepTable | None  # None when no step was accepted
 
     @property
@@ -337,34 +332,6 @@ def _step_table(rows_t, rows_h, rows_y, rows_k) -> _StepTable:
     )
 
 
-def _interpolate(y0, h, q, theta):
-    """Dense output y0 + h * q @ (theta, theta^2, theta^3, theta^4) of one step or a stack.
-
-    `np.float_power` evaluates libm's pow on each element, so a stack of
-    thetas gives the same bits as one theta at a time; numpy's vectorised
-    `**` may use a SIMD pow that differs from it in the last bit.
-    """
-    powers = np.array([theta, theta * theta, np.float_power(theta, 3), np.float_power(theta, 4)]).T
-    return y0 + h * (q @ powers[..., None])[..., 0]
-
-
-def _crossed(y, floor, ceil):
-    return min(y) <= floor or max(y) >= ceil
-
-
-def _locate_crossing(t0, h, y0, Q, floor, ceil):
-    """First interpolated time in (t0, t0+h] where a bound is crossed."""
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _crossed(_interpolate(y0, h, Q, mid), floor, ceil):
-            hi = mid
-        else:
-            lo = mid
-    y_stop = _interpolate(y0, h, Q, hi)
-    return t0 + hi * h, y_stop
-
-
 def _diagnose(y_stop, y_init):
     ratios = [a / b for a, b in zip(y_stop, y_init)]
     vanishing = tuple(_LABELS[i] for i in range(3) if ratios[i] <= _VANISH_RATIO)
@@ -411,10 +378,6 @@ def integrate(
     opts = options if options is not None else IntegratorOptions()
     rhs = rhs_function(geometry, spec)
     y = y0 = m0.as_tuple()
-    floor = opts.floor_factor * min(y0)
-    ceil = opts.ceil_factor * max(y0)
-    lo0, lo1, lo2 = (_BAND_LO * v for v in y0)
-    hi0, hi1, hi2 = (_BAND_HI * v for v in y0)
 
     # accepted steps, flat: start time, size, start state (3), stage velocities (7 x 3)
     rows_t, rows_h, rows_y, rows_k = array("d"), array("d"), array("d"), array("d")
@@ -426,7 +389,6 @@ def integrate(
     h = _initial_step(rhs, y, f, opts.rtol, opts.atol, opts.t_max)
     facold = 1e-4
     growth_locked = False
-    t_switch: float | None = None
     n_acc = n_rej = 0
 
     while True:
@@ -466,16 +428,6 @@ def integrate(
             y = y_new
             f = f_new
 
-            if t_switch is None and not (
-                lo0 <= y[0] <= hi0 and lo1 <= y[1] <= hi1 and lo2 <= y[2] <= hi2
-            ):
-                t_switch = t
-
-            if _crossed(y, floor, ceil):
-                # located on the last step's interpolant once the table is built
-                kind, t_stop, trigger = TerminationKind.SINGULAR_TIME, None, None
-                break
-
             if landing or t >= opts.t_max:
                 kind, t_stop, trigger = TerminationKind.REACHED_T_MAX, opts.t_max, "t_max"
                 break
@@ -492,22 +444,11 @@ def integrate(
         # the retry step after a rejection, or the step just accepted, is below
         # the floor: the solver can no longer resolve the approach
         if h_resolved < _STEP_FLOOR * (1.0 + t):
-            kind, t_stop, trigger, y_stop = TerminationKind.SINGULAR_TIME, t, "step_underflow", y
+            kind, t_stop, trigger = TerminationKind.SINGULAR_TIME, t, "step_underflow"
             break
 
     table = _step_table(rows_t, rows_h, rows_y, rows_k) if rows_t else None
-    if t_stop is None:
-        t_stop, y_stop = _locate_crossing(
-            rows_t[-1], rows_h[-1], table.y0[-1], table.q[-1], floor, ceil
-        )
-        parts = []
-        if min(y_stop) <= floor * (1.0 + 1e-9):
-            parts.append("floor")
-        if max(y_stop) >= ceil * (1.0 - 1e-9):
-            parts.append("ceiling")
-        trigger = "+".join(parts) or "floor"
-
-    van, exp_ = _diagnose(y_stop, y0) if kind is TerminationKind.SINGULAR_TIME else ((), ())
+    van, exp_ = _diagnose(y, y0) if kind is TerminationKind.SINGULAR_TIME else ((), ())
     termination = Termination(kind, t_stop, van, exp_, trigger, n_accepted=n_acc, n_rejected=n_rej)
 
     times = _sample_times(kind, t_stop, opts.samples)
@@ -526,7 +467,6 @@ def integrate(
         times=times,
         states=states,
         termination=termination,
-        t_switch=t_switch,
         _table=table,
     )
 

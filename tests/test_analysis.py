@@ -11,6 +11,9 @@ from xcflow import (
     Geometry,
     IntegratorOptions,
     MetricDiag,
+    Termination,
+    TerminationKind,
+    Trajectory,
     XCF_MINUS,
     estimate_blowup_time,
     estimate_blowup_time_from_series,
@@ -165,16 +168,28 @@ def test_blowup_time_on_trajectories(sol_symmetric_run, su2_round_run, heisenber
 
 
 def test_blowup_time_uses_exploding_component_when_nothing_collapses():
-    # stop early enough that only the ceiling event fires: A, C explode first
-    traj = integrate(
-        Geometry.SOL,
-        XCF_MINUS,
-        MetricDiag(1, 8, 1),
-        IntegratorOptions(t_max=10.0, ceil_factor=1e7, floor_factor=1e-14),
+    # A = C = 1/sqrt(1 - t) explode and B is constant, so no coefficient falls
+    # below half its start and the estimate must come from 1/A, squared 1 - t
+    t_stop = 1.0 - 1e-6
+    pre = np.linspace(0.0, t_stop, 128, endpoint=False)
+    post = t_stop - np.geomspace(0.5 * t_stop, 1e-12 * t_stop, 384)
+    times = np.unique(np.concatenate([pre, post, [t_stop]]))
+    a = 1.0 / np.sqrt(1.0 - times)
+    states = np.column_stack([a, np.full_like(times, 8.0), a])
+    traj = Trajectory(
+        geometry=Geometry.SOL,
+        spec=XCF_MINUS,
+        m0=MetricDiag(1, 8, 1),
+        options=IntegratorOptions(),
+        times=times,
+        states=states,
+        termination=Termination(
+            TerminationKind.SINGULAR_TIME, t_stop, (), ("A", "C"), "step_underflow"
+        ),
+        _table=None,
     )
-    assert traj.termination.exploding == ("A", "C")
-    assert traj.termination.vanishing == ("B",)
-    assert estimate_blowup_time(traj) == pytest.approx(1.0, abs=1e-5)
+    assert min(states[-1] / states[0]) >= 0.5
+    assert estimate_blowup_time(traj) == pytest.approx(1.0, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------

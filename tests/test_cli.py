@@ -222,6 +222,19 @@ def test_config_file_errors(capsys, tmp_path):
     unknown.write_text(json.dumps({"tmax": 3}))
     code, _, err = run_cli(capsys, "run", "--config", str(unknown))
     assert code == EXIT_USAGE and "unknown config key" in err
+    # a bool field takes only JSON true/false: the string "false" is not false
+    quoted = tmp_path / "quoted.json"
+    quoted.write_text(json.dumps({"analysis": "false", "format": "json"}))
+    code, out, err = run_cli(capsys, "run", "--config", str(quoted))
+    assert code == EXIT_USAGE and "true or false" in err and out == ""
+
+
+def test_run_rejects_nan_tolerance(capsys):
+    # NaN passed `rtol <= 0` unnoticed and gave a false singular time on Heisenberg
+    code, out, err = run_cli(capsys, "run", "--geometry", "heisenberg", "--init", "1,1,1", "--rtol", "nan")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +417,9 @@ def test_scan_rejects_bad_axis(capsys):
     assert code == EXIT_USAGE and "positive endpoints" in err
 
 
-@pytest.mark.parametrize("option", [("--samples", "1"), ("--rtol", "0"), ("--t-max", "inf")])
+@pytest.mark.parametrize(
+    "option", [("--samples", "1"), ("--rtol", "0"), ("--t-max", "inf"), ("--rtol", "nan")]
+)
 def test_scan_rejects_bad_integrator_options_before_starting_workers(capsys, monkeypatch, tmp_path, option):
     from xcflow import cli
 

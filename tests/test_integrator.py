@@ -1,4 +1,4 @@
-"""Integrator: closed-form accuracy, events, determinism, exact symmetry."""
+"""Integrator: closed-form accuracy, stop rule, determinism, exact symmetry."""
 
 from __future__ import annotations
 
@@ -45,8 +45,12 @@ def heisenberg_short_run():
         {"atol": -1e-13},
         {"samples": 1},
         {"max_steps": 0},
-        {"floor_factor": 2.0},
-        {"ceil_factor": 0.5},
+        {"rtol": float("nan")},
+        {"rtol": float("inf")},
+        {"rtol": float("-inf")},
+        {"atol": float("nan")},
+        {"atol": float("inf")},
+        {"atol": float("-inf")},
     ],
 )
 def test_options_validation(kwargs):
@@ -64,7 +68,6 @@ def test_sol_symmetric_terminates_singular(sol_symmetric_run):
     assert term.t_stop == pytest.approx(1.0, abs=1e-5)
     assert term.vanishing == ("B",)
     assert term.exploding == ("A", "C")
-    assert sol_symmetric_run.t_switch is not None
 
 
 def test_heisenberg_reaches_horizon(heisenberg_short_run):
@@ -74,8 +77,6 @@ def test_heisenberg_reaches_horizon(heisenberg_short_run):
     # (1 + 7*4*10) = 281; A(10) = 281^(-1/14) ~ 0.668533
     a_final = heisenberg_short_run.states[-1, 0]
     assert a_final == pytest.approx(281.0 ** (-1.0 / 14.0), rel=1e-8)
-    # all coefficients stay within [1e-2, 1e2] of their start, so no switch
-    assert heisenberg_short_run.t_switch is None
 
 
 def test_su2_round_collapses_everything(su2_round_run):
@@ -94,9 +95,33 @@ def test_step_budget_termination():
         IntegratorOptions(t_max=1e6, max_steps=25),
     )
     assert traj.termination.kind is TerminationKind.STEP_BUDGET_EXHAUSTED
+    assert traj.termination.trigger == "max_steps"
+    assert traj.termination.t_stop == traj.times[-1]
     assert traj.termination.n_accepted <= 25
     assert 0.0 < traj.t_end < 1e6
     assert len(traj.times) == len(traj.states)
+
+
+_SINGULAR_FIXTURES = (
+    "sol_symmetric_run", "sol_generic_run", "su2_round_run", "su2_generic_run", "sl2r_generic_run",
+)
+_IMMORTAL_FIXTURES = (
+    "heisenberg_unit_run", "sl2r_symmetric_run", "e2_generic_run", "nxcf_heisenberg_run",
+)
+
+
+@pytest.mark.parametrize("name", _SINGULAR_FIXTURES + _IMMORTAL_FIXTURES)
+def test_stop_vocabulary(request, name):
+    # the step floor is the only singular-time rule; every run ends on one of three triggers
+    traj = request.getfixturevalue(name)
+    term = traj.termination
+    if name in _SINGULAR_FIXTURES:
+        assert term.kind is TerminationKind.SINGULAR_TIME
+        assert term.trigger == "step_underflow"
+    else:
+        assert term.kind is TerminationKind.REACHED_T_MAX
+        assert term.trigger == "t_max"
+    assert term.t_stop == traj.times[-1]
 
 
 def test_trivial_geometry_is_constant():
@@ -326,7 +351,6 @@ def test_wrapped_rhs_function_changes_no_bit_and_counts_the_fsal_budget(monkeypa
     assert wrapped.times.tobytes() == plain.times.tobytes()
     assert wrapped.states.tobytes() == plain.states.tobytes()
     assert wrapped.termination == plain.termination
-    assert wrapped.t_switch == plain.t_switch
     term = wrapped.termination
     assert len(outcomes) == term.n_accepted + term.n_rejected
     # every attempt of these runs passes its stage guards: FSAL costs one
