@@ -104,9 +104,15 @@ class RunConfig:
             if key not in convert:
                 raise ConfigError(f"unknown config key {raw_key!r}")
             if value is not None:
-                if convert[key] is bool and not isinstance(value, bool):
-                    raise ConfigError(f"{raw_key} must be true or false, got {value!r}")
-                clean[key] = convert[key](value)
+                kind = convert[key]
+                if isinstance(value, bool) != (kind is bool):  # JSON true/false are Python ints
+                    raise ConfigError(f"{raw_key} must {'' if kind is bool else 'not '}be true or false, got {value!r}")
+                if kind is int and isinstance(value, float) and not value.is_integer():  # int() truncates
+                    raise ConfigError(f"{raw_key} must be a whole number, got {value!r}")
+                try:
+                    clean[key] = kind(value)
+                except TypeError:  # a list or object for a number, or a number for init
+                    raise ConfigError(f"{raw_key} has the wrong type, got {value!r}") from None
         cfg = replace(self, **clean)
         if cfg.geometry not in _GEOMETRY_NAMES:
             raise ConfigError(f"unknown geometry {cfg.geometry!r}; expected one of {', '.join(_GEOMETRY_NAMES)}")
@@ -121,14 +127,11 @@ class RunConfig:
 
 
 def _parse_init(value) -> tuple[float, float, float]:
-    if isinstance(value, str):
-        parts = value.split(",")
-    else:
-        parts = list(value)
+    parts = value.split(",") if isinstance(value, str) else list(value)
     if len(parts) != 3:
         raise ConfigError(f"initial data must be three comma-separated values, got {value!r}")
     try:
-        a, b, c = (float(p) for p in parts)
+        a, b, c = (float(p) for p in parts if not isinstance(p, bool))  # a JSON true is no number
     except (TypeError, ValueError):
         raise ConfigError(f"initial data must be numeric, got {value!r}") from None
     return (a, b, c)

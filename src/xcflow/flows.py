@@ -97,10 +97,11 @@ def rhs_function(
     coefficients (a float tuple or an ndarray row); the velocity comes back as
     a float tuple.  The arithmetic mirrors the symmetric grouping of the
     geometry kernels, so exactly symmetric states produce exactly symmetric
-    velocities.  A kernel that divides by an underflowed (ABC)^2 raises
-    ZeroDivisionError on Python floats where numpy gives inf; the closure
-    returns a NaN triple then, so a non-finite velocity reads as non-finite
-    on both.
+    velocities.  The unnormalized flows return c * h, c = -2 * sign, which has
+    the bits of sign * (-2 * h) (powers of two; inf, NaN and -0.0 included).
+    A kernel that divides by an underflowed (ABC)^2 raises ZeroDivisionError
+    on Python floats where numpy gives inf; the closure returns a NaN triple
+    then, so a non-finite velocity reads as non-finite on both.
 
     `y` may also be three equal-length float array columns.  The closure uses
     only elementwise + - * /, so each entry of the velocity columns has the
@@ -126,6 +127,7 @@ def rhs_function(
             )
 
     else:
+        c = -2.0 * sign
 
         def rhs(y: Sequence[float]) -> tuple[float, float, float]:
             A, B, C = y
@@ -133,7 +135,7 @@ def rhs_function(
                 h1, h2, h3 = kernel(A, B, C)
             except ZeroDivisionError:
                 return _NAN3
-            return (sign * (-2.0 * h1), sign * (-2.0 * h2), sign * (-2.0 * h3))
+            return (c * h1, c * h2, c * h3)
 
     return rhs
 

@@ -167,10 +167,11 @@ class CrossDiag(NamedTuple):
 
 
 def _sl2r_f(A: float, B: float, C: float) -> tuple[float, float, float]:
-    aa = A * A
-    f1 = B * B + C * C - 3.0 * aa - 2.0 * (B * C) - 2.0 * A * (B + C)
-    f2 = aa + C * C - 3.0 * (B * B) + 2.0 * (B * C) + 2.0 * A * (C - B)
-    f3 = aa + B * B - 3.0 * (C * C) + 2.0 * (B * C) + 2.0 * A * (B - C)
+    aa, bb, cc = A * A, B * B, C * C
+    a2, bc2 = 2.0 * A, 2.0 * (B * C)
+    f1 = bb + cc - 3.0 * aa - bc2 - a2 * (B + C)
+    f2 = aa + cc - 3.0 * bb + bc2 + a2 * (C - B)
+    f3 = aa + bb - 3.0 * cc + bc2 + a2 * (B - C)
     return f1, f2, f3
 
 
@@ -255,17 +256,19 @@ _SECTIONAL = {
 def _cross_heisenberg(A, B, C):
     bc = B * C
     a2 = A * A
-    return (A * a2 / (bc * bc), -3.0 * a2 / (B * (C * C)), -3.0 * a2 / ((B * B) * C))
+    m = -3.0 * a2
+    return (A * a2 / (bc * bc), m / (B * (C * C)), m / ((B * B) * C))
 
 
 def _cross_sol(A, B, C):
     v = A * B * C
     den = v * v
     p = A + C
-    p3 = p * (p * p)
-    h11 = -(A * p3) * (3.0 * C - A) / den
-    h22 = B * ((3.0 * A - C) * (3.0 * C - A)) * (p * p) / den
-    h33 = -(C * p3) * (3.0 * A - C) / den
+    pp, u, w = p * p, 3.0 * C - A, 3.0 * A - C
+    p3 = p * pp
+    h11 = -(A * p3) * u / den
+    h22 = B * (w * u) * pp / den
+    h33 = -(C * p3) * w / den
     return (h11, h22, h33)
 
 

@@ -24,11 +24,15 @@ pieces this problem actually needs:
 
 The step runs on Python floats: state and velocity are float tuples and the
 tableau is unrolled component by component into module-level scalars, so
-the step path makes no numpy call and no BLAS product.  The velocities of
-the seven stages of every accepted step are kept in flat arrays, and the
-interpolant coefficients of the whole step table are built once, after the
-last step, as a sum over the stages in a fixed order with elementwise
-products: every step and every component runs the same operations.
+the step path makes no numpy call and no BLAS product.  Each stage state is
+built in three locals and guarded by the chained comparisons of `_positive`
+and `_finite` written out on them, and the error norm is `_rms` written
+inline, so an attempt calls nothing but the right-hand side, once per stage.
+The velocities of the seven stages of every accepted step are kept in flat
+arrays, and the interpolant coefficients of the whole step table are built
+once, after the last step, as a sum over the stages in a fixed order with
+elementwise products: every step and every component runs the same
+operations.
 
 Step times are accumulated with compensated summation, which keeps
 (t_stop - t) accurate to one ulp of t near blow-up; without it the late-time
@@ -245,75 +249,70 @@ def _attempt_step(rhs, y, f, h, rtol, atol):
     Returns None if a stage state leaves the positive cone or a stage velocity
     is not finite.  Otherwise returns (y_new, f_new, err, stages), `stages`
     being the seven stage velocities flattened into one 21-tuple, stage by
-    stage.  `kSC` is component C of the velocity at stage S.
+    stage.  `kSC` is component C of the velocity at stage S, and `sC` of the
+    stage state; the guards are `_positive` and `_finite` written out.
     """
     y0, y1, y2 = y
     k10, k11, k12 = f
-    s = (y0 + h * (_A21 * k10), y1 + h * (_A21 * k11), y2 + h * (_A21 * k12))
-    if not _positive(s):
+    s0 = y0 + h * (_A21 * k10)
+    s1 = y1 + h * (_A21 * k11)
+    s2 = y2 + h * (_A21 * k12)
+    if not (0.0 < s0 < _INF and 0.0 < s1 < _INF and 0.0 < s2 < _INF):
         return None
-    k2 = k20, k21, k22 = rhs(s)
-    if not _finite(k2):
+    k20, k21, k22 = rhs((s0, s1, s2))
+    if not (-_INF < k20 < _INF and -_INF < k21 < _INF and -_INF < k22 < _INF):
         return None
-    s = (
-        y0 + h * (_A31 * k10 + _A32 * k20),
-        y1 + h * (_A31 * k11 + _A32 * k21),
-        y2 + h * (_A31 * k12 + _A32 * k22),
-    )
-    if not _positive(s):
+    s0 = y0 + h * (_A31 * k10 + _A32 * k20)
+    s1 = y1 + h * (_A31 * k11 + _A32 * k21)
+    s2 = y2 + h * (_A31 * k12 + _A32 * k22)
+    if not (0.0 < s0 < _INF and 0.0 < s1 < _INF and 0.0 < s2 < _INF):
         return None
-    k3 = k30, k31, k32 = rhs(s)
-    if not _finite(k3):
+    k30, k31, k32 = rhs((s0, s1, s2))
+    if not (-_INF < k30 < _INF and -_INF < k31 < _INF and -_INF < k32 < _INF):
         return None
-    s = (
-        y0 + h * (_A41 * k10 + _A42 * k20 + _A43 * k30),
-        y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31),
-        y2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32),
-    )
-    if not _positive(s):
+    s0 = y0 + h * (_A41 * k10 + _A42 * k20 + _A43 * k30)
+    s1 = y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31)
+    s2 = y2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32)
+    if not (0.0 < s0 < _INF and 0.0 < s1 < _INF and 0.0 < s2 < _INF):
         return None
-    k4 = k40, k41, k42 = rhs(s)
-    if not _finite(k4):
+    k40, k41, k42 = rhs((s0, s1, s2))
+    if not (-_INF < k40 < _INF and -_INF < k41 < _INF and -_INF < k42 < _INF):
         return None
-    s = (
-        y0 + h * (_A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40),
-        y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41),
-        y2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42),
-    )
-    if not _positive(s):
+    s0 = y0 + h * (_A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40)
+    s1 = y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41)
+    s2 = y2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42)
+    if not (0.0 < s0 < _INF and 0.0 < s1 < _INF and 0.0 < s2 < _INF):
         return None
-    k5 = k50, k51, k52 = rhs(s)
-    if not _finite(k5):
+    k50, k51, k52 = rhs((s0, s1, s2))
+    if not (-_INF < k50 < _INF and -_INF < k51 < _INF and -_INF < k52 < _INF):
         return None
-    s = (
-        y0 + h * (_A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40 + _A65 * k50),
-        y1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51),
-        y2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42 + _A65 * k52),
-    )
-    if not _positive(s):
+    s0 = y0 + h * (_A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40 + _A65 * k50)
+    s1 = y1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51)
+    s2 = y2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42 + _A65 * k52)
+    if not (0.0 < s0 < _INF and 0.0 < s1 < _INF and 0.0 < s2 < _INF):
         return None
-    k6 = k60, k61, k62 = rhs(s)
-    if not _finite(k6):
+    k60, k61, k62 = rhs((s0, s1, s2))
+    if not (-_INF < k60 < _INF and -_INF < k61 < _INF and -_INF < k62 < _INF):
         return None
-    y_new = z0, z1, z2 = (
-        y0 + h * (_B1 * k10 + _B3 * k30 + _B4 * k40 + _B5 * k50 + _B6 * k60),
-        y1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61),
-        y2 + h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62),
-    )
-    if not _positive(y_new):
+    z0 = y0 + h * (_B1 * k10 + _B3 * k30 + _B4 * k40 + _B5 * k50 + _B6 * k60)
+    z1 = y1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61)
+    z2 = y2 + h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62)
+    if not (0.0 < z0 < _INF and 0.0 < z1 < _INF and 0.0 < z2 < _INF):
         return None
-    k7 = k70, k71, k72 = rhs(y_new)
-    if not _finite(k7):
+    y_new = (z0, z1, z2)
+    k70, k71, k72 = f_new = rhs(y_new)
+    if not (-_INF < k70 < _INF and -_INF < k71 < _INF and -_INF < k72 < _INF):
         return None
-    err = _rms(
-        h * (_E1 * k10 + _E3 * k30 + _E4 * k40 + _E5 * k50 + _E6 * k60 + _E7 * k70)
-        / (atol + rtol * max(y0, z0)),
-        h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * k71)
-        / (atol + rtol * max(y1, z1)),
-        h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62 + _E7 * k72)
-        / (atol + rtol * max(y2, z2)),
-    )
-    return y_new, k7, err, (*f, *k2, *k3, *k4, *k5, *k6, *k7)
+    # y and y_new are positive and finite here, so each conditional is max(); err is _rms inline
+    r0 = h * (_E1 * k10 + _E3 * k30 + _E4 * k40 + _E5 * k50 + _E6 * k60 + _E7 * k70)
+    r0 = r0 / (atol + rtol * (y0 if y0 >= z0 else z0))
+    r1 = h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * k71)
+    r1 = r1 / (atol + rtol * (y1 if y1 >= z1 else z1))
+    r2 = h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62 + _E7 * k72)
+    r2 = r2 / (atol + rtol * (y2 if y2 >= z2 else z2))
+    err = sqrt(((r0 * r0 + r1 * r1) + r2 * r2) / 3.0)
+    k = (k10, k11, k12, k20, k21, k22, k30, k31, k32, k40, k41, k42, k50, k51, k52, k60, k61, k62, k70, k71, k72)
+    return y_new, f_new, err, k
 
 
 def _step_table(rows_t, rows_h, rows_y, rows_k) -> _StepTable:
@@ -376,6 +375,7 @@ def integrate(
 ) -> Trajectory:
     """Run the flow from m0 until t_max, a singular time, or the step budget."""
     opts = options if options is not None else IntegratorOptions()
+    t_max, rtol, atol, max_steps = opts.t_max, opts.rtol, opts.atol, opts.max_steps
     rhs = rhs_function(geometry, spec)
     y = y0 = m0.as_tuple()
 
@@ -386,21 +386,21 @@ def integrate(
     f = rhs(y)
     if not _finite(f):
         raise ValueError("flow right-hand side is not finite at the initial metric")
-    h = _initial_step(rhs, y, f, opts.rtol, opts.atol, opts.t_max)
+    h = _initial_step(rhs, y, f, rtol, atol, t_max)
     facold = 1e-4
     growth_locked = False
     n_acc = n_rej = 0
 
     while True:
-        if n_acc + n_rej >= opts.max_steps:
+        if n_acc + n_rej >= max_steps:
             kind, t_stop, trigger = TerminationKind.STEP_BUDGET_EXHAUSTED, t, "max_steps"
             break
 
-        remaining = opts.t_max - t
+        remaining = t_max - t
         landing = h >= remaining
         h_try = remaining if landing else h
 
-        out = _attempt_step(rhs, y, f, h_try, opts.rtol, opts.atol)
+        out = _attempt_step(rhs, y, f, h_try, rtol, atol)
         if out is None or out[2] > 1.0:
             n_rej += 1
             if out is None:
@@ -424,12 +424,12 @@ def integrate(
             t = t_prev + carry
             comp = carry - (t - t_prev)
             if landing:
-                t, comp = opts.t_max, 0.0
+                t, comp = t_max, 0.0
             y = y_new
             f = f_new
 
-            if landing or t >= opts.t_max:
-                kind, t_stop, trigger = TerminationKind.REACHED_T_MAX, opts.t_max, "t_max"
+            if landing or t >= t_max:
+                kind, t_stop, trigger = TerminationKind.REACHED_T_MAX, t_max, "t_max"
                 break
 
             factor = _SAFETY * max(err / _ERR_TARGET, 1e-300) ** (-_EXPO) * facold**_BETA

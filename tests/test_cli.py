@@ -61,6 +61,26 @@ def test_run_config_merge_and_validation():
         RunConfig.from_dict({"format": "yaml"})
     with pytest.raises(ConfigError, match="three comma-separated"):
         RunConfig.from_dict({"init": "1,2"})
+    # numbers keep their value or are refused: no truncation, no bool as a number, no list
+    assert RunConfig.from_dict({"max_steps": 25.0, "samples": 16.0}).max_steps == 25
+    for bad, match in _BAD_CONFIG_VALUES:
+        with pytest.raises(ConfigError, match=match):
+            RunConfig.from_dict(bad)
+
+
+# Config values that int()/float() silently turned into other numbers, and
+# values of the wrong JSON type, which raised a TypeError traceback.
+_BAD_CONFIG_VALUES = (
+    ({"max_steps": 25.9}, "whole number"),
+    ({"max_steps": True}, "not be true or false"),
+    ({"samples": 2.9}, "whole number"),
+    ({"t_max": True}, "not be true or false"),
+    ({"rtol": False}, "not be true or false"),
+    ({"samples": float("inf")}, "whole number"),
+    ({"init": [True, 2, 3]}, "numeric"),
+    ({"init": 5}, "wrong type"),
+    ({"samples": [1]}, "wrong type"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +247,14 @@ def test_config_file_errors(capsys, tmp_path):
     quoted.write_text(json.dumps({"analysis": "false", "format": "json"}))
     code, out, err = run_cli(capsys, "run", "--config", str(quoted))
     assert code == EXIT_USAGE and "true or false" in err and out == ""
+    # int() truncated 25.9 to a budget of 25 and read true as 1, float() read true as 1.0,
+    # and a list for a number or a number for init ended in a TypeError traceback
+    bad_value = tmp_path / "bad_value.json"
+    for bad, match in _BAD_CONFIG_VALUES:
+        bad_value.write_text(json.dumps({"geometry": "sl2r", "t_max": 1e6, "format": "json", **bad}))
+        code, out, err = run_cli(capsys, "run", "--config", str(bad_value))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and re.search(match, err)
 
 
 def test_run_rejects_nan_tolerance(capsys):

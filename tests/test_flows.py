@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,6 +26,8 @@ from xcflow import (
     mean_cross,
     rhs_function,
 )
+from xcflow import flows
+from xcflow.geometry import _CROSS
 
 ALL_GEOMETRIES = tuple(Geometry)
 
@@ -160,6 +164,43 @@ def test_rhs_function_gives_same_bits_for_ndarray_row_and_tuple():
                 from_tuple = fn(tuple(row.tolist()))
                 assert type(from_tuple) is tuple and all(type(v) is float for v in from_tuple)
                 assert from_row.tobytes() == np.array(from_tuple).tobytes()
+
+
+# The unnormalized closures return c * h with c = -2 * sign, folded from
+# sign * (-2 * h).  Both factors are powers of two, so each product is exact
+# and the two spellings agree bitwise, including overflow, subnormals, signed
+# zeros, infinities and NaN.
+
+_EDGE_H = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan)
+
+
+def _same_double(a: float, b: float) -> bool:
+    return struct.pack("d", a) == struct.pack("d", b) or (math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_folded_flow_factor_has_the_bits_of_the_unfolded_product(sign):
+    c = -2.0 * sign
+    for h in _EDGE_H:
+        assert _same_double(c * h, sign * (-2.0 * h))
+
+
+@pytest.mark.parametrize("spec", [XCF_MINUS, XCF_PLUS], ids=lambda s: s.name)
+def test_unnormalized_closure_is_the_unfolded_product_bitwise(monkeypatch, spec):
+    sign = 1.0 if spec is XCF_MINUS else -1.0
+    # planted kernel outputs at the edges, through the closure itself
+    for h in _EDGE_H:
+        monkeypatch.setitem(flows._CROSS, Geometry.SOL, lambda A, B, C, h=h: (h, -h, 2.0 * h))
+        got = rhs_function(Geometry.SOL, spec)((1.0, 2.0, 3.0))
+        assert all(_same_double(g, sign * (-2.0 * v)) for g, v in zip(got, (h, -h, 2.0 * h)))
+    monkeypatch.undo()
+    # and the real kernels on random rows
+    rows = 10.0 ** np.random.default_rng(12).uniform(-3.0, 3.0, size=(300, 3))
+    for geom in ALL_GEOMETRIES:
+        fn = rhs_function(geom, spec)
+        for row in rows.tolist():
+            want = [sign * (-2.0 * v) for v in _CROSS[geom](*row)]
+            assert all(_same_double(g, w) for g, w in zip(fn(row), want))
 
 
 # Rows on which a symmetric reduction is locked: A=C on Sol, B=C on SL(2,R),

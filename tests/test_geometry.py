@@ -21,7 +21,7 @@ from xcflow import (
     sectional_curvatures,
     structure_signs,
 )
-from xcflow.geometry import _sl2r_f, _su2_xyz
+from xcflow.geometry import _cross_heisenberg, _cross_sol, _sl2r_f, _su2_xyz
 
 ALL_GEOMETRIES = tuple(Geometry)
 
@@ -227,3 +227,87 @@ def test_su2_y_and_z_below_minus_c_squared_when_ordered(x, y, z):
     _, yy, zz = _su2_xyz(a, b, c)
     assert yy <= -(c * c) + 1e-12 * max(a * a, 1.0)
     assert zz <= -(c * c) + 1e-12 * max(a * a, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Kernels with shared subexpressions computed once, against their earlier
+# spelling: the same expression trees, so the same bits, on floats and columns
+
+
+def _sl2r_f_reference(A, B, C):
+    aa = A * A
+    f1 = B * B + C * C - 3.0 * aa - 2.0 * (B * C) - 2.0 * A * (B + C)
+    f2 = aa + C * C - 3.0 * (B * B) + 2.0 * (B * C) + 2.0 * A * (C - B)
+    f3 = aa + B * B - 3.0 * (C * C) + 2.0 * (B * C) + 2.0 * A * (B - C)
+    return f1, f2, f3
+
+
+def _cross_heisenberg_reference(A, B, C):
+    bc = B * C
+    a2 = A * A
+    return (A * a2 / (bc * bc), -3.0 * a2 / (B * (C * C)), -3.0 * a2 / ((B * B) * C))
+
+
+def _cross_sol_reference(A, B, C):
+    v = A * B * C
+    den = v * v
+    p = A + C
+    p3 = p * (p * p)
+    h11 = -(A * p3) * (3.0 * C - A) / den
+    h22 = B * ((3.0 * A - C) * (3.0 * C - A)) * (p * p) / den
+    h33 = -(C * p3) * (3.0 * A - C) / den
+    return (h11, h22, h33)
+
+
+_KERNEL_REFERENCES = {
+    "sl2r_f": (_sl2r_f, _sl2r_f_reference),
+    "cross_heisenberg": (_cross_heisenberg, _cross_heisenberg_reference),
+    "cross_sol": (_cross_sol, _cross_sol_reference),
+}
+
+
+def _int_bits(values):
+    """Each output as int64 bit patterns: NaN payloads and -0.0 count."""
+    return [np.asarray(v, dtype=float).view(np.int64).tolist() for v in values]
+
+
+def _binary_spread(rng, shape, lo, hi):
+    return rng.uniform(1.0, 2.0, shape) * np.exp2(rng.integers(lo, hi + 1, shape).astype(float))
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_REFERENCES))
+def test_kernel_is_bitwise_its_reference_on_floats(name):
+    kernel, reference = _KERNEL_REFERENCES[name]
+    rng = np.random.default_rng(8)
+    for A, B, C in _binary_spread(rng, (3000, 3), -150, 150).tolist():
+        # the triple itself and its exactly symmetric variants
+        for args in ((A, B, C), (A, B, B), (A, B, A), (A, A, C), (A, A, A)):
+            got = kernel(*args)
+            assert all(type(v) is float for v in got)
+            assert _int_bits(got) == _int_bits(reference(*args))
+        if name == "sl2r_f":  # B == C runs F2 and F3 through equal partial sums
+            _, f2, f3 = kernel(A, B, B)
+            assert _int_bits([f2]) == _int_bits([f3])
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_REFERENCES))
+def test_kernel_is_bitwise_its_reference_on_columns(name):
+    # exponents out to +-600, so that squares and (ABC)^2 overflow and underflow
+    kernel, reference = _KERNEL_REFERENCES[name]
+    rng = np.random.default_rng(9)
+    A, B, C = _binary_spread(rng, (3, 4000), -600, 600)
+    C[:1000] = B[:1000]
+    A[1000:2000] = C[1000:2000]
+    with np.errstate(all="ignore"):
+        got, want = kernel(A, B, C), reference(A, B, C)
+    assert _int_bits(got) == _int_bits(want)
+    assert not np.all(np.isfinite(got))  # the overflow and underflow cases are there
+
+
+@pytest.mark.parametrize("name", ["cross_heisenberg", "cross_sol"])
+@pytest.mark.parametrize("triple", [(2e-100, 4e-100, 1e-100), (1e-120, 1e-150, 2e-100), (1.0, 1e-170, 1e-170)])
+def test_kernel_and_reference_both_raise_where_the_denominator_underflows(name, triple):
+    kernel, reference = _KERNEL_REFERENCES[name]
+    for fn in (kernel, reference):
+        with pytest.raises(ZeroDivisionError):
+            fn(*triple)

@@ -14,6 +14,7 @@ from xcflow import (
     NXCF,
     TerminationKind,
     XCF_MINUS,
+    XCF_PLUS,
     heisenberg_exact,
     integrate,
     integrator,
@@ -22,7 +23,12 @@ from xcflow import (
     series_values,
     sol_symmetric_exact,
 )
-from xcflow.integrator import _attempt_step
+from xcflow.flows import FLOWS
+from xcflow.integrator import (
+    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
+    _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7,
+    _attempt_step, _finite, _positive, _rms,
+)
 
 
 @pytest.fixture(scope="module")
@@ -240,13 +246,16 @@ def _reference_step(rhs, y, f, h, rtol, atol):
     return y_new, K[6], err, K
 
 
-def _scripted_rhs(bad_call, bad_value):
-    """Velocity (1, 1, 1), except (bad_value, 1, 1) on call number bad_call; counts calls."""
+def _scripted_rhs(bad_call, bad_value, component=0):
+    """Velocity (1, 1, 1), with bad_value in one component on call number bad_call; counts calls."""
     calls = []
 
     def rhs(y):
         calls.append(tuple(y))
-        return (bad_value, 1.0, 1.0) if len(calls) == bad_call else (1.0, 1.0, 1.0)
+        k = [1.0, 1.0, 1.0]
+        if len(calls) == bad_call:
+            k[component] = bad_value
+        return tuple(k)
 
     return rhs, calls
 
@@ -306,23 +315,154 @@ def test_attempt_step_matches_matrix_form_reference(
             assert abs(got[2] - want[2]) <= 1e-14 * magnitude
 
 
+# The step as written before its guards and error norm were inlined: stage
+# states as tuples checked by _positive/_finite, max() and _rms.  The inline
+# form must give exactly its bits, or None where it gives None.
+
+
+def _helper_form_step(rhs, y, f, h, rtol, atol):
+    y0, y1, y2 = y
+    k10, k11, k12 = f
+    s = (y0 + h * (_A21 * k10), y1 + h * (_A21 * k11), y2 + h * (_A21 * k12))
+    if not _positive(s):
+        return None
+    k2 = k20, k21, k22 = rhs(s)
+    if not _finite(k2):
+        return None
+    s = (
+        y0 + h * (_A31 * k10 + _A32 * k20),
+        y1 + h * (_A31 * k11 + _A32 * k21),
+        y2 + h * (_A31 * k12 + _A32 * k22),
+    )
+    if not _positive(s):
+        return None
+    k3 = k30, k31, k32 = rhs(s)
+    if not _finite(k3):
+        return None
+    s = (
+        y0 + h * (_A41 * k10 + _A42 * k20 + _A43 * k30),
+        y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31),
+        y2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32),
+    )
+    if not _positive(s):
+        return None
+    k4 = k40, k41, k42 = rhs(s)
+    if not _finite(k4):
+        return None
+    s = (
+        y0 + h * (_A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40),
+        y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41),
+        y2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42),
+    )
+    if not _positive(s):
+        return None
+    k5 = k50, k51, k52 = rhs(s)
+    if not _finite(k5):
+        return None
+    s = (
+        y0 + h * (_A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40 + _A65 * k50),
+        y1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51),
+        y2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42 + _A65 * k52),
+    )
+    if not _positive(s):
+        return None
+    k6 = k60, k61, k62 = rhs(s)
+    if not _finite(k6):
+        return None
+    y_new = z0, z1, z2 = (
+        y0 + h * (_B1 * k10 + _B3 * k30 + _B4 * k40 + _B5 * k50 + _B6 * k60),
+        y1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61),
+        y2 + h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62),
+    )
+    if not _positive(y_new):
+        return None
+    k7 = k70, k71, k72 = rhs(y_new)
+    if not _finite(k7):
+        return None
+    err = _rms(
+        h * (_E1 * k10 + _E3 * k30 + _E4 * k40 + _E5 * k50 + _E6 * k60 + _E7 * k70)
+        / (atol + rtol * max(y0, z0)),
+        h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * k71)
+        / (atol + rtol * max(y1, z1)),
+        h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62 + _E7 * k72)
+        / (atol + rtol * max(y2, z2)),
+    )
+    return y_new, k7, err, (*f, *k2, *k3, *k4, *k5, *k6, *k7)
+
+
+def _step_bits(out):
+    """The result of a step attempt as bytes (None stays None); tells -0.0 from 0.0."""
+    if out is None:
+        return None
+    y_new, f_new, err, stages = out
+    assert len(y_new) == len(f_new) == 3 and len(stages) == 21
+    return np.array([*y_new, *f_new, err, *stages], dtype=float).tobytes()
+
+
+_FIXTURES = _SINGULAR_FIXTURES + _IMMORTAL_FIXTURES
+
+
+@pytest.mark.parametrize("flow", list(FLOWS))
+@pytest.mark.parametrize("geom", list(Geometry))
+def test_attempt_step_is_bitwise_the_helper_form(request, geom, flow):
+    # states and step sizes of accepted steps of every canonical run, stepped
+    # under this geometry and flow at h, 8h and 1e3h, so that attempts end
+    # accepted, rejected on error, and rejected by a stage guard (None)
+    rtol, atol = 1e-10, 1e-13
+    rhs = rhs_function(geom, FLOWS[flow])
+    outcomes = {"none": 0, "rejected": 0, "accepted": 0}
+    for name in _FIXTURES:
+        table = request.getfixturevalue(name)._table
+        for i in np.unique(np.linspace(0, len(table.h) - 1, 12).round().astype(int)):
+            y, h = tuple(table.y0[i].tolist()), float(table.h[i])
+            f = rhs(y)
+            for step in (h, 8.0 * h, 1e3 * h):
+                got = _attempt_step(rhs, y, f, step, rtol, atol)
+                assert _step_bits(got) == _step_bits(_helper_form_step(rhs, y, f, step, rtol, atol))
+                kind = "none" if got is None else "rejected" if got[2] > 1.0 else "accepted"
+                outcomes[kind] += 1
+    # TRIVIAL's velocity is zero, so its every attempt passes with err = 0
+    assert outcomes["accepted"] > 0
+    if geom is not Geometry.TRIVIAL:
+        assert outcomes["none"] > 0 and outcomes["rejected"] > 0
+
+
+@pytest.mark.parametrize("component", range(3))
+@pytest.mark.parametrize("bad_value", [float("inf"), float("-inf"), float("nan"), -1e6, 1e6])
+@pytest.mark.parametrize("bad_call", range(0, 7))
+def test_attempt_step_rejections_match_the_helper_form(bad_call, bad_value, component):
+    # every stage guard on every component: a non-finite velocity, or one
+    # that drives the next stage state out of the positive cone
+    y = (1.0, 1.0, 1.0)
+    for f in (y, tuple(bad_value if i == component else 1.0 for i in range(3))):
+        for h in (1e-3, 0.1):
+            rhs, calls = _scripted_rhs(bad_call, bad_value, component)
+            ref_rhs, ref_calls = _scripted_rhs(bad_call, bad_value, component)
+            got = _attempt_step(rhs, y, f, h, 1e-10, 1e-13)
+            assert _step_bits(got) == _step_bits(_helper_form_step(ref_rhs, y, f, h, 1e-10, 1e-13))
+            assert calls == ref_calls
+
+
 # ---------------------------------------------------------------------------
 # The interface the benchmark's tracer wraps: integrator.rhs_function, looked
 # up at call time, whose closure also accepts an ndarray row
 
 
 @pytest.mark.parametrize(
-    "geom, init, t_max",
+    "geom, init, t_max, spec",
     [
-        (Geometry.SOL, (2, 4, 1), 10.0),
-        (Geometry.SU2, (3, 2, 1), 10.0),
-        (Geometry.SL2R, (1, 2, 1), 10.0),
-        (Geometry.HEISENBERG, (1, 1, 1), 100.0),
+        (Geometry.SOL, (2, 4, 1), 10.0, XCF_MINUS),
+        (Geometry.SU2, (3, 2, 1), 10.0, XCF_MINUS),
+        (Geometry.SL2R, (1, 2, 1), 10.0, XCF_MINUS),
+        (Geometry.HEISENBERG, (1, 1, 1), 100.0, XCF_MINUS),
+        # the normalized closure and the unnormalized one with the positive sign
+        (Geometry.E2, (2, 1, 1), 10.0, NXCF),
+        (Geometry.SU2, (3, 2, 1), 10.0, XCF_PLUS),
     ],
 )
-def test_wrapped_rhs_function_changes_no_bit_and_counts_the_fsal_budget(monkeypatch, geom, init, t_max):
+def test_wrapped_rhs_function_changes_no_bit_and_counts_the_fsal_budget(monkeypatch, geom, init, t_max, spec):
     opts = IntegratorOptions(t_max=t_max)
-    plain = integrate(geom, XCF_MINUS, MetricDiag(*init), opts)
+    plain = integrate(geom, spec, MetricDiag(*init), opts)
 
     calls = []
     real_rhs_function = integrator.rhs_function
@@ -346,7 +486,7 @@ def test_wrapped_rhs_function_changes_no_bit_and_counts_the_fsal_budget(monkeypa
 
     monkeypatch.setattr(integrator, "rhs_function", counting_rhs_function)
     monkeypatch.setattr(integrator, "_attempt_step", recording_attempt_step)
-    wrapped = integrate(geom, XCF_MINUS, MetricDiag(*init), opts)
+    wrapped = integrate(geom, spec, MetricDiag(*init), opts)
 
     assert wrapped.times.tobytes() == plain.times.tobytes()
     assert wrapped.states.tobytes() == plain.states.tobytes()
