@@ -21,7 +21,7 @@ from xcflow import (
     MetricDiag,
     XCF_MINUS,
     conserved_quantities,
-    heisenberg_exact,
+    exact_solution,
     integrate,
     sample_at,
 )
@@ -36,16 +36,16 @@ print(f"accepted steps: {traj.termination.n_accepted}, "
 
 # -- compare against the closed form ----------------------------------------
 
-exact = np.array([heisenberg_exact(m0, t).as_tuple() for t in traj.times])
+exact = exact_solution(Geometry.HEISENBERG, m0, traj.times)
 rel = np.abs(traj.states / exact - 1.0)
 print(f"\nworst relative error vs closed form over {len(traj.times)} samples: "
       f"{rel.max():.3e}")
 
 for t in (1.0, 10.0, 100.0):
     m = sample_at(traj, t)
-    e = heisenberg_exact(m0, t)
-    print(f"  t={t:6.1f}  A={m.A:.12f} (exact {e.A:.12f})  "
-          f"B={m.B:.12f} (exact {e.B:.12f})")
+    e_a, e_b, _ = exact_solution(Geometry.HEISENBERG, m0, t)
+    print(f"  t={t:6.1f}  A={m.A:.12f} (exact {e_a:.12f})  "
+          f"B={m.B:.12f} (exact {e_b:.12f})")
 
 # -- first integrals ---------------------------------------------------------
 

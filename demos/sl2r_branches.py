@@ -29,7 +29,7 @@ from xcflow import (
     fit_power_law,
     integrate,
 )
-from xcflow.geometry import _sl2r_f
+from xcflow.analytic import sl2r_trapping_entry
 
 # -- symmetric branch ----------------------------------------------------------
 
@@ -55,12 +55,10 @@ traj = integrate(Geometry.SL2R, XCF_MINUS, MetricDiag(1.0, 2.0, 1.0),
                  IntegratorOptions(t_max=10.0))
 t0 = estimate_blowup_time(traj)
 A, B, C = traj.states.T   # B is the larger of the pair here; no relabeling needed
-f1, f2, _ = _sl2r_f(A, B, C)
-inside = (f1 < 0.0) & (f2 < 0.0)
-entered = int(np.argmax(inside))
+entered, retained = sl2r_trapping_entry(traj.states)
 print(f"\ngeneric (1, 2, 1): singular time estimate {t0:.9f}")
 print(f"  trapping region F1<0, F2<0 entered at t = {traj.times[entered]:.4f} "
-      f"and never left: {bool(np.all(inside[entered:]))}")
+      f"and never left: {retained}")
 
 for name, expected in (("C", "8 * u^+0.5"), ("A", "u^-0.5"), ("B", "u^-0.5")):
     fit = fit_power_law(traj, name, regime=REGIME_BLOWUP, t0=t0)

@@ -25,9 +25,10 @@ from xcflow import (
     REGIME_BLOWUP,
     XCF_MINUS,
     estimate_blowup_time,
+    exact_solution,
     fit_power_law,
     integrate,
-    sol_symmetric_exact,
+    singular_time,
 )
 
 # -- symmetric branch: compare with the exact solution -----------------------
@@ -37,10 +38,10 @@ traj = integrate(Geometry.SOL, XCF_MINUS, m0, IntegratorOptions(t_max=10.0))
 t0 = estimate_blowup_time(traj)
 print(f"symmetric (1, 8, 1): terminated {traj.termination.kind.value} "
       f"at t = {traj.t_end:.15f}")
-print(f"  estimated singular time {t0:.15f}  (exact B0^2/64 = {8.0**2/64})")
+print(f"  estimated singular time {t0:.15f}  (exact B0^2/64 = {singular_time(Geometry.SOL, m0)})")
 
 keep = traj.times <= 0.99  # the closed form is compared away from the edge
-exact = np.array([sol_symmetric_exact(1.0, 8.0, t).as_tuple() for t in traj.times[keep]])
+exact = exact_solution(Geometry.SOL, m0, traj.times[keep])
 rel = np.abs(traj.states[keep] / exact - 1.0).max()
 print(f"  worst relative error vs closed form for t <= 0.99: {rel:.3e}")
 

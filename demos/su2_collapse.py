@@ -19,20 +19,20 @@ from xcflow import (
     REGIME_BLOWUP,
     XCF_MINUS,
     estimate_blowup_time,
+    exact_solution,
     fit_power_law,
     integrate,
-    su2_round_exact,
 )
 
 # -- round branch: exact collapse ---------------------------------------------
 
-traj = integrate(Geometry.SU2, XCF_MINUS, MetricDiag(2.0, 2.0, 2.0),
-                 IntegratorOptions(t_max=10.0))
+m0 = MetricDiag(2.0, 2.0, 2.0)
+traj = integrate(Geometry.SU2, XCF_MINUS, m0, IntegratorOptions(t_max=10.0))
 t0 = estimate_blowup_time(traj)
 print(f"round (2, 2, 2): singular time estimate {t0:.12f}  (exact s0^2/4 = 1)")
 
 keep = traj.times <= 0.99 * t0
-exact = np.array([su2_round_exact(2.0, t).as_tuple() for t in traj.times[keep]])
+exact = exact_solution(Geometry.SU2, m0, traj.times[keep])
 rel = np.abs(traj.states[keep] / exact - 1.0).max()
 print(f"  worst relative error vs sqrt(s0^2 - 4t) for t <= 0.99 T0: {rel:.3e}")
 

@@ -39,11 +39,10 @@ from .analytic import (
     canonical_permutation,
     classify_branch,
     conserved_quantities,
+    exact_solution,
     expected_asymptotics,
-    heisenberg_exact,
     monotone_quantities,
-    sol_symmetric_exact,
-    su2_round_exact,
+    singular_time,
 )
 from .flows import (
     NXCF,
@@ -103,9 +102,8 @@ __all__ = [
     "Trajectory",
     "integrate",
     "sample_at",
-    "heisenberg_exact",
-    "sol_symmetric_exact",
-    "su2_round_exact",
+    "exact_solution",
+    "singular_time",
     "conserved_quantities",
     "monotone_quantities",
     "expected_asymptotics",

@@ -38,11 +38,14 @@ from .analytic import (
     canonical_permutation,
     classify_branch,
     conserved_quantities,
+    exact_solution,
     expected_asymptotics,
     monotone_quantities,
+    singular_time,
+    sl2r_trapping_entry,
 )
 from .flows import FlowDirection, FlowSpec
-from .geometry import Geometry, _sl2r_f
+from .geometry import Geometry
 from .integrator import TerminationKind, Trajectory
 
 __all__ = [
@@ -52,7 +55,6 @@ __all__ = [
     "LawResult",
     "VerificationReport",
     "series_values",
-    "sl2r_trapping_entry",
     "estimate_blowup_time",
     "estimate_blowup_time_from_series",
     "fit_power_law",
@@ -345,21 +347,6 @@ def estimate_blowup_time(trajectory: Trajectory) -> float:
     return estimate_blowup_time_from_series(trajectory.times, series)
 
 
-def sl2r_trapping_entry(states: np.ndarray) -> tuple[int | None, bool]:
-    """Where SL(2,R) states enter the trapping region F1 < 0 and F2 < 0.
-
-    `states` are (A, B, C) rows in canonical order.  Returns the first row
-    inside the region (None if no row is) and whether every later row stays
-    inside.
-    """
-    f1, f2, _ = _sl2r_f(states[:, 0], states[:, 1], states[:, 2])
-    inside = (f1 < 0.0) & (f2 < 0.0)
-    if not np.any(inside):
-        return None, False
-    i0 = int(np.argmax(inside))
-    return i0, bool(np.all(inside[i0:]))
-
-
 # ---------------------------------------------------------------------------
 # Verification report.
 
@@ -532,9 +519,7 @@ def verify(trajectory: Trajectory) -> VerificationReport:
 
     if negative_flow:
         catalog = expected_asymptotics(geom, spec, m0)
-        expect_singular = geom in (Geometry.SOL, Geometry.SU2) or (
-            geom is Geometry.SL2R and branch == "generic"
-        )
+        expect_singular = any(law.regime == REGIME_BLOWUP for law in catalog)
         checks.append(
             CheckResult(
                 "termination matches branch",
@@ -642,10 +627,7 @@ def _branch_checks(
     def gate(name: str, value: float, tol: float, detail: str = "") -> None:
         out.append(CheckResult(name, "check", value <= tol, value, tol, detail))
 
-    def closed_form(name: str, rows: np.ndarray, exact: np.ndarray) -> None:
-        gate(name, float(np.max(np.abs(rows - exact) / exact)), CLOSED_FORM_TOL)
-
-    def singular_time(name: str, t0e: float) -> None:
+    def singular_time_check(name: str, t0e: float) -> None:
         if blowup_time is None:
             out.append(CheckResult(name, "check", False, detail="no estimate"))
         else:
@@ -663,44 +645,32 @@ def _branch_checks(
         dev = float(np.mean(np.abs(series_values(Sc, name[:3])[mask] - 1.0)))
         gate(name, dev, RATIO_LIMIT_TOL, f"mean |{name[:3]}-1| on the final window")
 
-    if geom is Geometry.HEISENBERG:
-        r0 = -2.0 * m0.A / (m0.B * m0.C)
-        w = 1.0 + 7.0 * r0 * r0 * t
-        exact = np.column_stack(
-            [m0.A * w ** (-1.0 / 14.0), m0.B * w ** (3.0 / 14.0), m0.C * w ** (3.0 / 14.0)]
-        )
-        closed_form("closed form", S, exact)
+    t0e = singular_time(geom, m0)
+    keep = slice(None) if t0e is None else t <= 0.99 * t0e
+    exact = exact_solution(geom, m0, t[keep])
+    if exact is not None:
+        name = "closed form" if t0e is None else "closed form (t <= 0.99 T0)"
+        gate(name, float(np.max(np.abs(S[keep] - exact) / exact)), CLOSED_FORM_TOL)
 
-    elif geom is Geometry.SOL:
+    if geom is Geometry.SOL:
         if branch == "symmetric":
-            t0e = m0.B * m0.B / 64.0
-            mask = t <= 0.99 * t0e
-            b = np.sqrt(m0.B * m0.B - 64.0 * t[mask])
-            a = m0.A * m0.B / b
-            closed_form("closed form (t <= 0.99 T0)", S[mask], np.column_stack([a, b, a]))
             gate("A=C locked", float(np.max(np.abs(S[:, 0] - S[:, 2]) / S[:, 0])), SYMMETRY_LOCK_TOL)
-            singular_time("singular time = B0^2/64", t0e)
-        else:
-            a0, c0 = Sc[0, 0], Sc[0, 2]
-            if a0 >= 3.0 * c0:
-                gap = Sc[:, 0] - 3.0 * Sc[:, 2]
-                crossed = bool(np.any(gap < 0.0))
-                out.append(
-                    CheckResult(
-                        "A-3C changes sign before the singular time", "check", crossed and singular,
-                        detail=f"min(A-3C)={float(gap.min()):.3g}",
-                    )
+            singular_time_check("singular time = B0^2/64", t0e)
+        elif Sc[0, 0] >= 3.0 * Sc[0, 2]:
+            gap = series_values(Sc, "A-3C")
+            crossed = bool(np.any(gap < 0.0))
+            out.append(
+                CheckResult(
+                    "A-3C changes sign before the singular time", "check", crossed and singular,
+                    detail=f"min(A-3C)={float(gap.min()):.3g}",
                 )
+            )
 
     elif geom is Geometry.SU2:
         if branch == "round":
-            t0e = m0.A * m0.A / 4.0
-            mask = t <= 0.99 * t0e
-            s = np.sqrt(m0.A * m0.A - 4.0 * t[mask])
-            closed_form("closed form (t <= 0.99 T0)", S[mask], np.column_stack([s, s, s]))
             gaps = np.max(S, axis=1) - np.min(S, axis=1)
             gate("A=B=C locked", float(np.max(gaps / np.max(S, axis=1))), SYMMETRY_LOCK_TOL)
-            singular_time("singular time = s0^2/4", t0e)
+            singular_time_check("singular time = s0^2/4", t0e)
         else:
             ratio_check("A/C -> 1")
 
@@ -744,7 +714,7 @@ def _branch_checks(
         if branch == "flat":
             gate("exactly stationary", float(np.max(np.abs(S - S[0]))), 0.0)
         else:
-            prod = (Sc[:, 0] - Sc[:, 1]) ** 2 * Sc[:, 2]
+            prod = series_values(Sc, "(A-B)^2*C")
             if reached:
                 _, mask, _ = _fit_window(t, REGIME_INFINITY, min_samples=0)
                 v = prod[mask]

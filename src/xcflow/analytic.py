@@ -1,12 +1,14 @@
 """Closed-form solutions, conserved quantities and expected asymptotics.
 
 Everything in this module is exact structure of the negative flow that the
-numerical trajectories can be checked against:
+numerical trajectories can be checked against, each fact stated once:
 
-* explicit solutions on the Heisenberg group and on the symmetric reductions
-  of Sol (A = C) and SU(2) (A = B = C);
+* `exact_solution`, the explicit solution on time columns, on the Heisenberg
+  group and on the symmetric reductions of Sol (A = C) and SU(2)
+  (A = B = C), and `singular_time`, the exact T0 of the latter two;
 * quantities that stay constant along a flow;
-* quantities that are monotone for initial data in a given branch;
+* quantities that are monotone for initial data in a given branch, and the
+  SL(2,R) trapping region F1 < 0, F2 < 0 (`sl2r_trapping_entry`);
 * the catalog of asymptotic power laws, per geometry and branch, with
   exponents as exact rationals and coefficients either pinned to a known
   value or left to be fitted from data.
@@ -23,16 +25,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+
+import numpy as np
 
 from .flows import FlowDirection, FlowSpec
 from .geometry import Geometry, MetricDiag, _sl2r_f
 
 __all__ = [
     "AsymptoticLaw",
-    "heisenberg_exact",
-    "sol_symmetric_exact",
-    "su2_round_exact",
+    "exact_solution",
+    "singular_time",
+    "sl2r_trapping_entry",
     "conserved_quantities",
     "monotone_quantities",
     "expected_asymptotics",
@@ -67,59 +70,58 @@ class AsymptoticLaw:
     description: str = ""
 
 
-def heisenberg_exact(m0: MetricDiag, t: float) -> MetricDiag:
-    """Exact negative-flow solution on the Heisenberg group.
+def singular_time(geometry: Geometry, m0: MetricDiag) -> float | None:
+    """Exact singular time T0 of the negative flow from m0, where a closed form gives it.
 
-    With R0 = -2 A0/(B0 C0) the scalar curvature at t = 0,
-
-        A = A0 (1 + 7 R0^2 t)^(-1/14),
-        B = B0 (1 + 7 R0^2 t)^(3/14),
-        C = C0 (1 + 7 R0^2 t)^(3/14),
-
-    which exists for all t >= 0.
+    T0 = B0^2/64 on the symmetric branch of Sol and T0 = s0^2/4 on the round
+    branch of SU(2); None on every other branch.
     """
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    r0 = -2.0 * m0.A / (m0.B * m0.C)
-    w = 1.0 + 7.0 * r0 * r0 * t
-    return MetricDiag(
-        m0.A * w ** (-1.0 / 14.0), m0.B * w ** (3.0 / 14.0), m0.C * w ** (3.0 / 14.0)
-    )
+    branch = classify_branch(geometry, m0)
+    if geometry is Geometry.SOL and branch == "symmetric":
+        return m0.B * m0.B / 64.0
+    if geometry is Geometry.SU2 and branch == "round":
+        return m0.A * m0.A / 4.0
+    return None
 
 
-def sol_symmetric_exact(a0: float, b0: float, t: float) -> MetricDiag:
-    """Exact negative-flow solution on Sol with A0 = C0 = a0.
+def exact_solution(geometry: Geometry, m0: MetricDiag, t) -> np.ndarray | None:
+    """Exact negative-flow states from m0 at the times t, where a closed form exists.
 
-    B = sqrt(B0^2 - 64 t) and A = C = A0 B0 / B, valid for
-    0 <= t < T0 = B0^2/64; the singular time itself is rejected.
+    Returns an (n, 3) array of (A, B, C) rows for a time array of length n,
+    a (3,) array for a single time, and None on a branch without a closed
+    form.  With R0 = -2 A0/(B0 C0) the scalar curvature at t = 0:
+
+    * Heisenberg, for all t >= 0: w = 1 + 7 R0^2 t,
+      A = A0 w^(-1/14), B = B0 w^(3/14), C = C0 w^(3/14);
+    * Sol with A0 = C0: B = sqrt(B0^2 - 64 t), A = C = A0 B0 / B;
+    * SU(2) with A0 = B0 = C0 = s0: the round metric s = sqrt(s0^2 - 4 t).
+
+    Times must satisfy 0 <= t < T0 (`singular_time`); the singular time
+    itself is rejected.
     """
-    if a0 <= 0.0 or b0 <= 0.0:
-        raise ValueError("initial coefficients must be positive")
-    t0 = b0 * b0 / 64.0
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    if t >= t0:
-        raise ValueError(f"t={t!r} is at or beyond the singular time {t0!r}")
-    b = sqrt(b0 * b0 - 64.0 * t)
-    a = a0 * b0 / b
-    return MetricDiag(a, b, a)
-
-
-def su2_round_exact(s0: float, t: float) -> MetricDiag:
-    """Exact negative-flow solution on SU(2) with A0 = B0 = C0 = s0.
-
-    The round metric shrinks as s = sqrt(s0^2 - 4 t), collapsing at
-    T0 = s0^2/4; the singular time itself is rejected.
-    """
-    if s0 <= 0.0:
-        raise ValueError("initial coefficient must be positive")
-    t0 = s0 * s0 / 4.0
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    if t >= t0:
-        raise ValueError(f"t={t!r} is at or beyond the singular time {t0!r}")
-    s = sqrt(s0 * s0 - 4.0 * t)
-    return MetricDiag(s, s, s)
+    times = np.asarray(t, dtype=float)
+    t0 = singular_time(geometry, m0)
+    if t0 is None and geometry is not Geometry.HEISENBERG:  # Heisenberg's closed form is global
+        return None
+    if not np.all(times >= 0.0):
+        raise ValueError(f"t must be nonnegative, got {float(np.min(times))!r}")
+    if t0 is not None and np.any(times >= t0):
+        raise ValueError(f"t={float(np.max(times))!r} is at or beyond the singular time {t0!r}")
+    ts = np.atleast_1d(times)
+    if geometry is Geometry.HEISENBERG:
+        r0 = -2.0 * m0.A / (m0.B * m0.C)
+        w = 1.0 + 7.0 * r0 * r0 * ts
+        states = np.column_stack(
+            [m0.A * w ** (-1.0 / 14.0), m0.B * w ** (3.0 / 14.0), m0.C * w ** (3.0 / 14.0)]
+        )
+    elif geometry is Geometry.SOL:
+        b = np.sqrt(m0.B * m0.B - 64.0 * ts)
+        a = m0.A * m0.B / b
+        states = np.column_stack([a, b, a])
+    else:
+        s = np.sqrt(m0.A * m0.A - 4.0 * ts)
+        states = np.column_stack([s, s, s])
+    return states[0] if times.ndim == 0 else states
 
 
 def conserved_quantities(
@@ -148,6 +150,21 @@ def conserved_quantities(
     return out
 
 
+def sl2r_trapping_entry(states: np.ndarray) -> tuple[int | None, bool]:
+    """Where SL(2,R) states enter the trapping region F1 < 0 and F2 < 0.
+
+    `states` are (A, B, C) rows in canonical order.  Returns the first row
+    inside the region (None if no row is) and whether every later row stays
+    inside.
+    """
+    f1, f2, _ = _sl2r_f(states[:, 0], states[:, 1], states[:, 2])
+    inside = (f1 < 0.0) & (f2 < 0.0)
+    if not np.any(inside):
+        return None, False
+    i0 = int(np.argmax(inside))
+    return i0, bool(np.all(inside[i0:]))
+
+
 def monotone_quantities(geometry: Geometry, m0: MetricDiag) -> list[tuple[str, str]]:
     """Catalog of quantities monotone along the negative flow from m0.
 
@@ -174,8 +191,8 @@ def monotone_quantities(geometry: Geometry, m0: MetricDiag) -> list[tuple[str, s
         if b0 == c0:
             return [("4/A+1/B", DECREASING), ("A", DECREASING), ("B", INCREASING), ("C", INCREASING)]
         hi, lo = ("B", "C") if b0 > c0 else ("C", "B")
-        f1, f2, _ = _sl2r_f(a0, max(b0, c0), min(b0, c0))
-        if f1 < 0.0 and f2 < 0.0:
+        entered, _ = sl2r_trapping_entry(np.array([[a0, max(b0, c0), min(b0, c0)]], dtype=float))
+        if entered is not None:
             return [("A", INCREASING), (hi, INCREASING), (lo, DECREASING)]
         return []
     if geometry is Geometry.E2:

@@ -17,8 +17,8 @@ keys and flags are the `RunConfig` field names; each value is converted to
 the type of its field's default.  The effective configuration is echoed in
 the output metadata.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 the
-integrator gave up after exhausting its step budget.
+Exit codes: 0 success, 1 verification failure, 2 invalid input or an unusable
+file, 3 the integrator gave up after exhausting its step budget.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from . import acceptance
-from .analysis import estimate_blowup_time, sl2r_trapping_entry, verify
-from .analytic import classify_branch, canonical_permutation
+from .analysis import estimate_blowup_time, verify
+from .analytic import canonical_permutation, classify_branch, sl2r_trapping_entry
 from .flows import FLOWS, FlowSpec
 from .geometry import Geometry, MetricDiag, cross_curvature_diag, sectional_curvatures
 from .integrator import IntegratorOptions, TerminationKind, Trajectory, integrate
@@ -66,6 +66,7 @@ EXIT_BUDGET = 3
 CSV_HEADER = "t,A,B,C,k23,k31,k12,h11,h22,h33"
 SCAN_HEADER = "index,A0,B0,C0,termination,t_stop,blowup_time,branch,flag"
 ENV_CONFIG = "XFLOW_CONFIG"
+GRID_LIMIT = 1_000_000  # points of a `scan` grid, and so also of each of its axes
 
 _GEOMETRY_NAMES = tuple(g.value for g in Geometry)
 
@@ -81,11 +82,11 @@ class RunConfig:
     geometry: str = "heisenberg"
     flow: str = "xcf-"
     init: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    t_max: float = 10.0
-    rtol: float = 1e-10
-    atol: float = 1e-13
-    samples: int = 2048
-    max_steps: int = 10_000_000
+    t_max: float = IntegratorOptions.t_max
+    rtol: float = IntegratorOptions.rtol
+    atol: float = IntegratorOptions.atol
+    samples: int = IntegratorOptions.samples
+    max_steps: int = IntegratorOptions.max_steps
     output: str = "-"
     format: str = "csv"
     analysis: bool = True
@@ -322,14 +323,17 @@ def _effective_run_config(args: argparse.Namespace) -> RunConfig:
     return cfg.merged(flags)
 
 
+def _integrator_options(settings) -> IntegratorOptions:
+    """`IntegratorOptions` from the like-named attributes of a `RunConfig` or of parsed scan flags."""
+    return IntegratorOptions(**{f.name: getattr(settings, f.name) for f in fields(IntegratorOptions)})
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _effective_run_config(args)
     geometry = Geometry.from_name(cfg.geometry)
     spec = FlowSpec.from_name(cfg.flow)
     m0 = MetricDiag(*cfg.init)
-    options = IntegratorOptions(t_max=cfg.t_max, rtol=cfg.rtol, atol=cfg.atol, samples=cfg.samples,
-                                max_steps=cfg.max_steps)
-    trajectory = integrate(geometry, spec, m0, options)
+    trajectory = integrate(geometry, spec, m0, _integrator_options(cfg))
     if cfg.format == "csv":
         _write_output(cfg.output, trajectory_csv_text(trajectory, cfg))
     else:
@@ -390,6 +394,8 @@ def _parse_axis(text: str) -> np.ndarray:
         log = True
     if count < 1:
         raise ConfigError("grid axis count must be at least 1")
+    if count > GRID_LIMIT:  # checked before numpy is asked for the axis
+        raise ConfigError(f"grid axis {text!r} has {count} points; the limit is {GRID_LIMIT}")
     if count == 1:
         return np.array([lo])
     if log:
@@ -400,21 +406,14 @@ def _parse_axis(text: str) -> np.ndarray:
 
 
 def _scan_flag(geometry: Geometry, trajectory: Trajectory, branch: str) -> str:
-    perm = canonical_permutation(geometry, trajectory.m0)
-    Sc = trajectory.states[:, perm]
+    if branch in ("symmetric", "round", "flat"):
+        return branch
+    Sc = trajectory.states[:, canonical_permutation(geometry, trajectory.m0)]
     if geometry is Geometry.SL2R:
-        if branch == "symmetric":
-            return "symmetric"
         _, retained = sl2r_trapping_entry(Sc)
         return "entered-region" if retained else "no-region"
     if geometry is Geometry.SOL:
-        if branch == "symmetric":
-            return "symmetric"
         return "3C>A" if 3.0 * Sc[-1, 2] > Sc[-1, 0] else ""
-    if geometry is Geometry.E2:
-        return "flat" if branch == "flat" else ""
-    if geometry is Geometry.SU2:
-        return "round" if branch == "round" else ""
     return ""
 
 
@@ -450,13 +449,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
         if bad.size:
             raise ConfigError(f"grid axis {text!r} holds {float(bad[0])!r}; values must be finite and positive")
     total = len(axes[0]) * len(axes[1]) * len(axes[2])
-    if total > 1_000_000:
-        raise ConfigError(f"grid has {total} points; the limit is 1000000")
+    if total > GRID_LIMIT:
+        raise ConfigError(f"grid has {total} points; the limit is {GRID_LIMIT}")
     if args.workers < 1:
         raise ConfigError("--workers must be at least 1")
     # built once here, so that a bad option is reported before any worker starts
-    options = IntegratorOptions(t_max=args.t_max, rtol=args.rtol, atol=args.atol, samples=args.samples,
-                                max_steps=args.max_steps)
+    options = _integrator_options(args)
     grid = product(*(axis.tolist() for axis in axes))  # A outermost, C innermost
     payloads = [(geometry, spec, a, b, c, options, volume) for a, b, c in grid]
     if args.workers == 1:
@@ -511,11 +509,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="VALUE or MIN:MAX:COUNT[:log]")
     scan.add_argument("--grid-B", required=True, metavar="SPEC")
     scan.add_argument("--grid-C", required=True, metavar="SPEC")
-    scan.add_argument("--t-max", type=float, default=10.0)
-    scan.add_argument("--rtol", type=float, default=1e-10)
-    scan.add_argument("--atol", type=float, default=1e-13)
+    scan.add_argument("--t-max", type=float, default=IntegratorOptions.t_max)
+    scan.add_argument("--rtol", type=float, default=IntegratorOptions.rtol)
+    scan.add_argument("--atol", type=float, default=IntegratorOptions.atol)
     scan.add_argument("--samples", type=int, default=512)
-    scan.add_argument("--max-steps", type=int, default=RunConfig.max_steps,
+    scan.add_argument("--max-steps", type=int, default=IntegratorOptions.max_steps,
                       help="step-attempt budget of each grid point, counted as for run")
     scan.add_argument("--normalize-volume", type=float, default=None, metavar="V",
                       help="rescale each initial datum so that A*B*C = V")
@@ -531,7 +529,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as e:  # ConfigError and invalid values found further down
+    except (ValueError, OSError) as e:  # ConfigError, invalid values found further down, unusable files
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

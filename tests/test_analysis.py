@@ -20,12 +20,18 @@ from xcflow import (
     estimate_limit_plus_power,
     fit_power_law,
     integrate,
+    exact_solution,
     series_values,
-    sol_symmetric_exact,
     verify,
 )
 from xcflow.analysis import _limit_fit_core, _power_fit_core
-from xcflow.analytic import REGIME_BLOWUP, REGIME_INFINITY
+from xcflow.analytic import (
+    REGIME_BLOWUP,
+    REGIME_INFINITY,
+    classify_branch,
+    expected_asymptotics,
+    singular_time,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +155,7 @@ def test_blowup_time_from_exact_series():
     pre = np.linspace(0.0, t_stop, 128, endpoint=False)
     post = t_stop - np.geomspace(0.5 * t_stop, 1e-12 * t_stop, 384)
     times = np.unique(np.concatenate([pre, post, [t_stop]]))
-    values = np.array([sol_symmetric_exact(a0, b0, float(t)).B for t in times])
+    values = exact_solution(Geometry.SOL, MetricDiag(a0, b0, a0), times)[:, 1]
     est = estimate_blowup_time_from_series(times, values)
     assert est == pytest.approx(t0, rel=1e-8)
 
@@ -302,3 +308,89 @@ def test_every_catalog_series_name_resolves():
     for name in sorted(names):
         assert series_values(S, name).shape == (2,), name
     assert names == set(_SERIES)  # and the table holds no name nobody asks for
+
+
+# ---------------------------------------------------------------------------
+# One closed form per branch: bitwise the expressions `verify` evaluated inline
+
+
+def _inline_closed_form(geom, branch, m0, t):
+    """(T0, kept rows, exact columns) as `_branch_checks` computed them inline; None without a closed form."""
+    if geom is Geometry.HEISENBERG:
+        r0 = -2.0 * m0.A / (m0.B * m0.C)
+        w = 1.0 + 7.0 * r0 * r0 * t
+        exact = np.column_stack(
+            [m0.A * w ** (-1.0 / 14.0), m0.B * w ** (3.0 / 14.0), m0.C * w ** (3.0 / 14.0)]
+        )
+        return None, slice(None), exact
+    if geom is Geometry.SOL and branch == "symmetric":
+        t0e = m0.B * m0.B / 64.0
+        mask = t <= 0.99 * t0e
+        b = np.sqrt(m0.B * m0.B - 64.0 * t[mask])
+        a = m0.A * m0.B / b
+        return t0e, mask, np.column_stack([a, b, a])
+    if geom is Geometry.SU2 and branch == "round":
+        t0e = m0.A * m0.A / 4.0
+        mask = t <= 0.99 * t0e
+        s = np.sqrt(m0.A * m0.A - 4.0 * t[mask])
+        return t0e, mask, np.column_stack([s, s, s])
+    return None
+
+
+def _inline_expect_singular(geom, branch):
+    """The singular-branch list `verify` stated before it read the asymptotic catalog."""
+    return geom in (Geometry.SOL, Geometry.SU2) or (geom is Geometry.SL2R and branch == "generic")
+
+
+# every geometry and branch, canonical and mirrored orderings, integer and float data
+_BRANCH_RUNS = [
+    (Geometry.HEISENBERG, (1, 1, 1), 100.0),
+    (Geometry.HEISENBERG, (1.25, 0.5, 2.0), 10.0),
+    (Geometry.HEISENBERG, (3.1, 2.7, 0.55), 10.0),
+    (Geometry.SOL, (1, 8, 1), 10.0),
+    (Geometry.SOL, (2.5, 3.0, 2.5), 10.0),
+    (Geometry.SOL, (2, 4, 1), 10.0),
+    (Geometry.SOL, (1, 4, 2), 10.0),
+    (Geometry.SOL, (5, 4, 1), 10.0),
+    (Geometry.SU2, (2, 2, 2), 10.0),
+    (Geometry.SU2, (0.7, 0.7, 0.7), 10.0),
+    (Geometry.SU2, (3, 2, 1), 10.0),
+    (Geometry.SU2, (1, 2, 3), 10.0),
+    (Geometry.SL2R, (1, 1, 1), 1e3),
+    (Geometry.SL2R, (1, 2, 1), 10.0),
+    (Geometry.SL2R, (1, 1, 2), 10.0),
+    (Geometry.E2, (2, 1, 1), 1e3),
+    (Geometry.E2, (1, 2, 1), 1e3),
+    (Geometry.E2, (2, 2, 5), 10.0),
+    (Geometry.TRIVIAL, (1, 2, 3), 10.0),
+]
+
+
+@pytest.mark.parametrize(
+    "geom, init, t_max", _BRANCH_RUNS, ids=[f"{g.value}-{i}" for g, i, _ in _BRANCH_RUNS]
+)
+def test_branch_facts_are_bitwise_the_inline_expressions(geom, init, t_max):
+    m0 = MetricDiag(*init)
+    traj = integrate(geom, XCF_MINUS, m0, IntegratorOptions(t_max=t_max))
+    t = traj.times
+    branch = classify_branch(geom, m0)
+    reference = _inline_closed_form(geom, branch, m0, t)
+    report = verify(traj)
+    checks = {c.name: c for c in report.checks}
+    if reference is None:
+        assert singular_time(geom, m0) is None
+        assert exact_solution(geom, m0, t) is None
+        assert not any(name.startswith("closed form") for name in checks)
+    else:
+        t0e, keep, want = reference
+        assert singular_time(geom, m0) == t0e
+        got = exact_solution(geom, m0, t[keep])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        name = "closed form" if t0e is None else "closed form (t <= 0.99 T0)"
+        observed = float(np.max(np.abs(traj.states[keep] - want) / want))
+        assert checks[name].observed == observed
+    catalog = expected_asymptotics(geom, XCF_MINUS, m0)
+    expect_singular = _inline_expect_singular(geom, branch)
+    assert any(law.regime == REGIME_BLOWUP for law in catalog) == expect_singular
+    detail = checks["termination matches branch"].detail
+    assert detail.startswith(f"expected {'singular' if expect_singular else 'complete'},")

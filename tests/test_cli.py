@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from xcflow.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAIL,
+    GRID_LIMIT,
     SCAN_HEADER,
     ConfigError,
     RunConfig,
+    build_parser,
     emit_parsed_csv,
     main,
     parse_trajectory_csv,
@@ -43,6 +46,19 @@ def test_run_config_defaults():
     assert cfg.init == (1.0, 1.0, 1.0)
     assert (cfg.t_max, cfg.rtol, cfg.atol) == (10.0, 1e-10, 1e-13)
     assert cfg.format == "csv" and cfg.output == "-"
+
+
+def test_run_and_scan_defaults_are_the_integrator_defaults():
+    defaults = IntegratorOptions()
+    run = RunConfig()
+    scan = build_parser().parse_args(["scan", "--geometry", "sol", "--grid-A", "1", "--grid-B", "1", "--grid-C", "1"])
+    for field in fields(IntegratorOptions):
+        want = getattr(defaults, field.name)
+        got = getattr(run, field.name)
+        assert got == want and type(got) is type(want), field.name
+        if field.name != "samples":  # a scan point keeps 512 samples
+            assert getattr(scan, field.name) == want, field.name
+    assert scan.samples == 512
 
 
 def test_run_config_merge_and_validation():
@@ -193,6 +209,47 @@ def test_run_invalid_inputs_exit_with_usage_code(capsys):
     assert code == EXIT_USAGE and "error:" in err
 
 
+def _assert_one_line_usage_error(code, out, err, fragment):
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
+
+
+def test_run_unwritable_output_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "no" / "such" / "dir" / "x.csv"
+    code, out, err = run_cli(capsys, "run", "--samples", "8", "--t-max", "0.1", "--output", str(target))
+    _assert_one_line_usage_error(code, out, err, str(target))
+    code, out, err = run_cli(capsys, "run", "--samples", "8", "--t-max", "0.1", "--output", str(tmp_path))
+    _assert_one_line_usage_error(code, out, err, str(tmp_path))
+
+
+def test_run_config_path_that_is_a_directory_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "run", "--config", str(tmp_path))
+    _assert_one_line_usage_error(code, out, err, str(tmp_path))
+
+
+def test_verify_unwritable_output_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    from xcflow import acceptance
+
+    def fake_criterion(runs):
+        return acceptance.CriterionResult(99, "synthetic pass", True, ("fine",))
+
+    monkeypatch.setattr(acceptance, "criteria_for_geometry", lambda geom: [fake_criterion])
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "verify", "e2", "--output", str(target))
+    assert code == EXIT_USAGE and out.startswith("[PASS]")  # the criterion lines come first
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
+
+
+def test_scan_unwritable_output_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "scan.csv"
+    code, out, err = run_cli(
+        capsys, "scan", "--geometry", "heisenberg", "--grid-A", "1", "--grid-B", "1", "--grid-C", "1",
+        "--samples", "8", "--t-max", "0.1", "--output", str(target),
+    )
+    _assert_one_line_usage_error(code, out, err, str(target))
+
+
 def test_run_step_budget_has_distinct_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "run", "--geometry", "sl2r", "--init", "1,1,1", "--t-max", "1e6",
@@ -330,6 +387,25 @@ def test_scan_sol_grid_flags_and_order(capsys):
     assert rows[1][8] == "3C>A" and rows[2][8] == "3C>A"
 
 
+@pytest.mark.parametrize(
+    "geometry, grid, want",
+    [
+        ("e2", ("1:2:2", "1:2:2", "3"), [("flat", "flat"), ("generic", ""), ("generic", ""), ("flat", "flat")]),
+        ("su2", ("1:2:2", "1", "1"), [("round", "round"), ("generic", "")]),
+        ("sl2r", ("1", "1:2:2", "1"), [("symmetric", "symmetric"), ("generic", "entered-region")]),
+        ("heisenberg", ("1", "1", "1"), [("global", "")]),
+        ("trivial", ("1", "1", "1"), [("stationary", "")]),
+    ],
+)
+def test_scan_flag_names_the_exact_branches(capsys, geometry, grid, want):
+    code, out, _ = run_cli(
+        capsys, "scan", "--geometry", geometry, "--grid-A", grid[0], "--grid-B", grid[1], "--grid-C", grid[2],
+        "--t-max", "1", "--samples", "64",
+    )
+    assert code == EXIT_OK
+    assert [tuple(line.split(",")[7:]) for line in out.splitlines()[1:]] == want
+
+
 def test_scan_heisenberg_grid_all_complete(capsys):
     code, out, _ = run_cli(
         capsys, "scan", "--geometry", "heisenberg", "--grid-A", "1:2:2", "--grid-B", "1",
@@ -431,6 +507,20 @@ def test_scan_rejects_oversized_grid(capsys):
     )
     assert code == EXIT_USAGE
     assert "limit is 1000000" in err
+
+
+@pytest.mark.parametrize("spec", ["1:2:1000001", f"1:2:{10**12}:log"])
+def test_scan_rejects_an_oversized_axis_before_building_it(capsys, monkeypatch, spec):
+    from xcflow import cli
+
+    def no_axis(*args, **kwargs):
+        raise AssertionError("built a grid axis before checking its size")
+
+    monkeypatch.setattr(cli.np, "linspace", no_axis)
+    monkeypatch.setattr(cli.np, "geomspace", no_axis)
+    code, out, err = run_cli(capsys, "scan", "--geometry", "sol", "--grid-A", spec, "--grid-B", "4", "--grid-C", "1")
+    _assert_one_line_usage_error(code, out, err, f"the limit is {GRID_LIMIT}")
+    assert spec in err
 
 
 def test_scan_rejects_bad_axis(capsys):

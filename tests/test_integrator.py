@@ -15,13 +15,12 @@ from xcflow import (
     TerminationKind,
     XCF_MINUS,
     XCF_PLUS,
-    heisenberg_exact,
+    exact_solution,
     integrate,
     integrator,
     rhs_function,
     sample_at,
     series_values,
-    sol_symmetric_exact,
 )
 from xcflow.flows import FLOWS
 from xcflow.integrator import (
@@ -180,7 +179,7 @@ def test_sample_at_endpoints_and_range(sol_symmetric_run):
 def test_sample_at_matches_closed_forms(sol_symmetric_run, heisenberg_short_run):
     got = sample_at(sol_symmetric_run, 0.75).as_array()
     assert got == pytest.approx([2.0, 4.0, 2.0], rel=1e-8)
-    want = heisenberg_exact(MetricDiag(1, 1, 1), 10.0).as_array()
+    want = exact_solution(Geometry.HEISENBERG, MetricDiag(1, 1, 1), 10.0)
     assert want == pytest.approx(
         [281.0 ** (-1.0 / 14.0), 281.0 ** (3.0 / 14.0), 281.0 ** (3.0 / 14.0)], rel=1e-15
     )
@@ -504,21 +503,16 @@ def test_wrapped_rhs_function_changes_no_bit_and_counts_the_fsal_budget(monkeypa
 
 
 def test_heisenberg_run_tracks_exact_solution(heisenberg_short_run):
-    worst = 0.0
-    for t, row in zip(heisenberg_short_run.times, heisenberg_short_run.states):
-        want = heisenberg_exact(MetricDiag(1, 1, 1), float(t)).as_array()
-        worst = max(worst, float(np.max(np.abs(row - want) / want)))
+    want = exact_solution(Geometry.HEISENBERG, MetricDiag(1, 1, 1), heisenberg_short_run.times)
+    worst = float(np.max(np.abs(heisenberg_short_run.states - want) / want))
     assert worst <= 1e-8
 
 
 def test_sol_symmetric_run_tracks_exact_solution(sol_symmetric_run):
     t0 = 1.0
-    worst = 0.0
-    for t, row in zip(sol_symmetric_run.times, sol_symmetric_run.states):
-        if t > 0.99 * t0:
-            break
-        want = sol_symmetric_exact(1.0, 8.0, float(t)).as_array()
-        worst = max(worst, float(np.max(np.abs(row - want) / want)))
+    keep = sol_symmetric_run.times <= 0.99 * t0
+    want = exact_solution(Geometry.SOL, MetricDiag(1.0, 8.0, 1.0), sol_symmetric_run.times[keep])
+    worst = float(np.max(np.abs(sol_symmetric_run.states[keep] - want) / want))
     assert worst <= 1e-8
 
 
