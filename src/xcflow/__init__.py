@@ -5,8 +5,8 @@ model geometries reduces the flow to an ODE system for the three diagonal
 coefficients (A, B, C).  This package evaluates the curvature algebra,
 integrates the negative, positive, and volume-normalized flows through
 finite-time singularities, and measures trajectories against the closed
-forms, first integrals, monotone quantities, and asymptotic laws they are
-expected to satisfy.
+forms, first integrals, monotone quantities, and asymptotic laws that the
+branch record of each initial datum (`branch_record`) says they satisfy.
 
 Quick start::
 
@@ -36,12 +36,12 @@ from .analytic import (
     REGIME_BLOWUP,
     REGIME_INFINITY,
     AsymptoticLaw,
+    BranchRecord,
+    branch_record,
     canonical_permutation,
     classify_branch,
     conserved_quantities,
     exact_solution,
-    expected_asymptotics,
-    monotone_quantities,
     singular_time,
 )
 from .flows import (
@@ -52,7 +52,6 @@ from .flows import (
     FlowDirection,
     FlowSpec,
     flow_rhs,
-    mean_cross,
     rhs_function,
 )
 from .geometry import (
@@ -62,9 +61,7 @@ from .geometry import (
     MetricDiag,
     cross_curvature_diag,
     cross_from_sectional,
-    scalar_curvature,
     sectional_curvatures,
-    structure_signs,
 )
 from .integrator import (
     IntegratorOptions,
@@ -82,9 +79,7 @@ __all__ = [
     "MetricDiag",
     "CurvTriple",
     "CrossDiag",
-    "structure_signs",
     "sectional_curvatures",
-    "scalar_curvature",
     "cross_curvature_diag",
     "cross_from_sectional",
     "FlowDirection",
@@ -95,7 +90,6 @@ __all__ = [
     "NXCF_PLUS",
     "flow_rhs",
     "rhs_function",
-    "mean_cross",
     "IntegratorOptions",
     "TerminationKind",
     "Termination",
@@ -105,8 +99,8 @@ __all__ = [
     "exact_solution",
     "singular_time",
     "conserved_quantities",
-    "monotone_quantities",
-    "expected_asymptotics",
+    "branch_record",
+    "BranchRecord",
     "classify_branch",
     "canonical_permutation",
     "AsymptoticLaw",

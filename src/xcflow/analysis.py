@@ -10,8 +10,9 @@ Three estimators and one aggregator:
   where x is t for late-time laws and T0 - t for blow-up laws;
 * `estimate_limit_plus_power` fits value ~ L + c * t^p for laws with a
   finite limit;
-* `verify` runs every conserved, monotone, asymptotic and branch-specific
-  check that applies to a trajectory and returns a structured report.
+* `verify` checks a trajectory against its conserved quantities and what
+  its branch record (`analytic.branch_record`) states, and returns a
+  structured report.
 
 Default fit windows, fixed for reproducibility: late-time fits use
 [t_max/10, t_max]; blow-up fits use u = T0 - t in [1e-4, 1e-3] * T0.  That
@@ -25,7 +26,7 @@ pollute them.  All windows must contain at least 32 samples.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from math import sqrt
 
 import numpy as np
@@ -34,18 +35,13 @@ from .analytic import (
     DECREASING,
     REGIME_BLOWUP,
     REGIME_INFINITY,
-    AsymptoticLaw,
+    BranchRecord,
+    branch_record,
     canonical_permutation,
     classify_branch,
     conserved_quantities,
-    exact_solution,
-    expected_asymptotics,
-    monotone_quantities,
-    singular_time,
     sl2r_trapping_entry,
 )
-from .flows import FlowDirection, FlowSpec
-from .geometry import Geometry
 from .integrator import TerminationKind, Trajectory
 
 __all__ = [
@@ -73,8 +69,6 @@ __all__ = [
     "SL2R_TAIL_RATE_TOL",
 ]
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
 _MIN_WINDOW_SAMPLES = 32
 _TAIL_EXCLUSION = 0.01  # fraction of the run next to the stop event left out of T0 fits
 _BLOWUP_WINDOW_DEPTH = 1e-4  # default blow-up fit window: u in [depth, 10*depth]*T0
@@ -91,7 +85,6 @@ PRODUCT_TAIL_TOL = 1e-3
 E2_COEFF_RELATION_TOL = 0.05
 SL2R_COEFF_RELATION_TOL = 0.02
 SL2R_TAIL_RATE_TOL = 0.10
-_EXPONENT_TOL_DEFAULT = 0.02
 
 
 def _build_series_map():
@@ -435,25 +428,9 @@ class VerificationReport:
         return lines
 
 
-def _law_tolerances(geometry: Geometry, branch: str, law: AsymptoticLaw) -> tuple[float, float | None]:
-    exp_tol = _EXPONENT_TOL_DEFAULT
-    coeff_rtol: float | None = None
-    if geometry is Geometry.HEISENBERG:
-        exp_tol = 0.005
-        coeff_rtol = 0.01
-    elif geometry is Geometry.SOL:
-        if law.variable == "A-C":
-            exp_tol = 0.05
-        if law.coefficient is not None:
-            coeff_rtol = 0.02
-    elif geometry is Geometry.SU2:
-        coeff_rtol = 0.02
-    elif geometry is Geometry.SL2R:
-        if branch == "symmetric" and law.variable == "B":
-            exp_tol = 0.01
-        if law.coefficient is not None:
-            coeff_rtol = 0.03
-    return exp_tol, coeff_rtol
+def _gate(name: str, kind: str, value: float, tol: float, detail: str = "") -> CheckResult:
+    """A result that passes when the measured value is at most the tolerance."""
+    return CheckResult(name, kind, value <= tol, value, tol, detail)
 
 
 def _max_rel_drift(values: np.ndarray, reference: float) -> float:
@@ -467,43 +444,37 @@ def _monotone_violation(values: np.ndarray, direction: str) -> float:
     return float(np.max(wrong, initial=0.0) / (scale if scale > 0.0 else 1.0))
 
 
-def verify(trajectory: Trajectory) -> VerificationReport:
-    """Measure every applicable structural property of a trajectory.
 
-    Pure function of the trajectory: conserved-quantity drift, monotone
-    catalogs, asymptotic law fits at their stated tolerances, and
-    branch-specific checks (closed-form agreement, symmetry locking,
-    singular-time values, ratio limits, invariant curvature-sign regions,
-    quadrature identities).  The asymptotic and monotone catalogs apply to
-    the unnormalized negative flow; other specs are checked for conserved
-    quantities and termination only.
+
+def verify(trajectory: Trajectory) -> VerificationReport:
+    """Measure every structural property a trajectory's branch record promises.
+
+    Pure function of the trajectory: conserved-quantity drift, then what
+    `branch_record` states for its flow and initial datum: the monotone
+    list, the asymptotic laws fitted at their own tolerances, and the branch
+    checks (closed-form agreement, symmetry locking, singular-time values,
+    ratio limits, invariant curvature-sign regions, quadrature identities).
+    A flow without a catalog has the empty record and is checked for its
+    conserved quantities only.
     """
     geom, spec, m0 = trajectory.geometry, trajectory.spec, trajectory.m0
     S = trajectory.states
     t = trajectory.times
     term = trajectory.termination
-    branch = classify_branch(geom, m0)
+    record = branch_record(geom, spec, m0)
     perm = canonical_permutation(geom, m0)
-    relabeled = perm != (0, 1, 2)
     Sc = S[:, perm]
-    negative_flow = spec == FlowSpec(FlowDirection.NEGATIVE, False)
     singular = term.kind is TerminationKind.SINGULAR_TIME
     reached = term.kind is TerminationKind.REACHED_T_MAX
 
-    conserved = []
-    for name, v0 in conserved_quantities(geom, spec, m0):
-        drift = _max_rel_drift(series_values(S, name), v0)
-        conserved.append(
-            CheckResult(name, "conserved", drift <= CONSERVED_DRIFT_TOL, drift, CONSERVED_DRIFT_TOL)
-        )
-
-    monotone = []
-    if negative_flow:
-        for name, direction in monotone_quantities(geom, m0):
-            viol = _monotone_violation(series_values(S, name), direction)
-            monotone.append(
-                CheckResult(f"{name} {direction}", "monotone", viol <= MONOTONE_SLACK, viol, MONOTONE_SLACK)
-            )
+    conserved = [
+        _gate(name, "conserved", _max_rel_drift(series_values(S, name), v0), CONSERVED_DRIFT_TOL)
+        for name, v0 in conserved_quantities(geom, spec, m0)
+    ]
+    monotone = [
+        _gate(f"{name} {direction}", "monotone", _monotone_violation(series_values(S, name), direction), MONOTONE_SLACK)
+        for name, direction in record.monotone
+    ]
 
     blowup_time: float | None = None
     if singular:
@@ -513,183 +484,136 @@ def verify(trajectory: Trajectory) -> VerificationReport:
             blowup_time = None
 
     laws: list[LawResult] = []
-    checks: list[CheckResult] = []
-    law_fits: dict[str, PowerLawFit] = {}
-    limit_fits: dict[str, LimitPowerFit] = {}
-
-    if negative_flow:
-        catalog = expected_asymptotics(geom, spec, m0)
-        expect_singular = any(law.regime == REGIME_BLOWUP for law in catalog)
-        checks.append(
-            CheckResult(
-                "termination matches branch",
-                "check",
-                (singular == expect_singular) and term.kind is not TerminationKind.STEP_BUDGET_EXHAUSTED,
-                detail=f"expected {'singular' if expect_singular else 'complete'}, got {term.kind.value}",
-            )
+    fits: dict[str, PowerLawFit | LimitPowerFit] = {}  # by variable, which is unique within a record
+    for law in record.laws:
+        expected_exp = float(law.exponent)
+        unfitted = LawResult(
+            law.variable, law.regime, expected_exp, law.exponent_tol,
+            expected_coefficient=law.coefficient, coefficient_tolerance=law.coefficient_tol,
         )
-
-        for law in catalog:
-            exp_tol, coeff_rtol = _law_tolerances(geom, branch, law)
-            expected_exp = float(law.exponent)
-            values = series_values(Sc, law.variable)
-            try:
-                if law.limit_form:
-                    if not reached:
-                        raise ValueError("run did not reach its horizon")
-                    fit = _limit_fit_core(t, values, expected_exp, None)
-                    limit_fits[law.variable] = fit
-                    laws.append(
-                        LawResult(
-                            law.variable, law.regime, expected_exp, exp_tol,
-                            fitted_exponent=expected_exp,
-                            fitted_coefficient=fit.coefficient,
-                            fitted_limit=fit.limit,
-                            passed=fit.limit > 0.0,
-                            detail=f"limit={fit.limit:.6g}",
-                        )
-                    )
-                    continue
-                if law.regime == REGIME_BLOWUP:
-                    if not singular or blowup_time is None:
-                        raise ValueError("no usable singular event")
-                    fit = _power_fit_core(t, values, REGIME_BLOWUP, blowup_time, None, reached)
-                else:
-                    fit = _power_fit_core(t, values, REGIME_INFINITY, None, None, reached)
-                law_fits[law.variable] = fit
-                exp_err = abs(fit.exponent - expected_exp)
-                ok = exp_err <= exp_tol
-                coeff_err = None
-                if law.coefficient is not None and coeff_rtol is not None:
-                    coeff_err = abs(fit.coefficient - law.coefficient) / abs(law.coefficient)
-                    ok = ok and coeff_err <= coeff_rtol
-                detail = f"coeff={fit.coefficient:.6g}"
-                if coeff_err is not None:
-                    detail += f" (rel err {coeff_err:.2e})"
-                laws.append(
-                    LawResult(
-                        law.variable, law.regime, expected_exp, exp_tol,
-                        fitted_exponent=fit.exponent,
-                        expected_coefficient=law.coefficient,
-                        coefficient_tolerance=coeff_rtol,
-                        fitted_coefficient=fit.coefficient,
-                        r2=fit.r2,
-                        passed=ok,
-                        detail=detail,
-                    )
-                )
-            except ValueError as e:
-                laws.append(
-                    LawResult(
-                        law.variable, law.regime, expected_exp, exp_tol,
-                        expected_coefficient=law.coefficient,
-                        coefficient_tolerance=coeff_rtol,
-                        passed=False,
-                        detail=str(e),
-                    )
-                )
-
-        checks.extend(
-            _branch_checks(
-                geom, branch, m0, t, S, Sc, blowup_time, singular, reached, law_fits, limit_fits
-            )
-        )
+        values = series_values(Sc, law.variable)
+        try:
+            if law.limit_form:
+                if not reached:
+                    raise ValueError("run did not reach its horizon")
+                fit = fits[law.variable] = _limit_fit_core(t, values, expected_exp, None)
+                laws.append(replace(
+                    unfitted, fitted_exponent=expected_exp, fitted_coefficient=fit.coefficient,
+                    fitted_limit=fit.limit, passed=fit.limit > 0.0, detail=f"limit={fit.limit:.6g}",
+                ))
+                continue
+            if law.regime == REGIME_BLOWUP:
+                if not singular or blowup_time is None:
+                    raise ValueError("no usable singular event")
+                fit = _power_fit_core(t, values, REGIME_BLOWUP, blowup_time, None, reached)
+            else:
+                fit = _power_fit_core(t, values, REGIME_INFINITY, None, None, reached)
+            fits[law.variable] = fit
+            ok = abs(fit.exponent - expected_exp) <= law.exponent_tol
+            detail = f"coeff={fit.coefficient:.6g}"
+            if law.coefficient_tol is not None:
+                coeff_err = abs(fit.coefficient - law.coefficient) / abs(law.coefficient)
+                ok = ok and coeff_err <= law.coefficient_tol
+                detail += f" (rel err {coeff_err:.2e})"
+            laws.append(replace(
+                unfitted, fitted_exponent=fit.exponent, fitted_coefficient=fit.coefficient, r2=fit.r2,
+                passed=ok, detail=detail,
+            ))
+        except ValueError as e:
+            laws.append(replace(unfitted, detail=str(e)))
 
     return VerificationReport(
         geometry=geom.value,
         flow=spec.name,
-        branch=branch,
-        relabeled=relabeled,
+        branch=classify_branch(geom, m0),
+        relabeled=perm != (0, 1, 2),
         termination=term.to_dict(),
         blowup_time=blowup_time,
         conserved=tuple(conserved),
         monotone=tuple(monotone),
         laws=tuple(laws),
-        checks=tuple(checks),
+        checks=tuple(_branch_checks(record, trajectory, Sc, blowup_time, fits)),
     )
 
 
 def _branch_checks(
-    geom: Geometry,
-    branch: str,
-    m0,
-    t: np.ndarray,
-    S: np.ndarray,
+    record: BranchRecord,
+    trajectory: Trajectory,
     Sc: np.ndarray,
     blowup_time: float | None,
-    singular: bool,
-    reached: bool,
-    law_fits: dict,
-    limit_fits: dict,
+    fits: dict[str, PowerLawFit | LimitPowerFit],
 ) -> list[CheckResult]:
+    """The results of the record's branch checks in order, by kind; a check of unknown kind raises.
+
+    `Sc` holds the states in canonical labels.  Around its own result,
+    "sl2r_pancake" reports the A^9 B^3 quadrature and the A tail rate, and
+    "e2_cigar" the settling of (A-B)^2*C.
+    """
+    t, S = trajectory.times, trajectory.states
+    stop = trajectory.termination.kind
+    singular = stop is TerminationKind.SINGULAR_TIME
     out: list[CheckResult] = []
 
     def gate(name: str, value: float, tol: float, detail: str = "") -> None:
-        out.append(CheckResult(name, "check", value <= tol, value, tol, detail))
+        out.append(_gate(name, "check", value, tol, detail))
 
-    def singular_time_check(name: str, t0e: float) -> None:
-        if blowup_time is None:
-            out.append(CheckResult(name, "check", False, detail="no estimate"))
-        else:
-            gate(name, abs(blowup_time - t0e) / t0e, BLOWUP_TIME_TOL)
+    def fail(name: str, detail: str) -> None:
+        out.append(CheckResult(name, "check", False, detail=detail))
 
-    def ratio_check(name: str) -> None:
-        if blowup_time is None:
-            out.append(CheckResult(name, "check", False, detail="no singular-time estimate"))
-            return
-        try:
-            _, mask, _ = _fit_window(t, REGIME_BLOWUP, blowup_time)
-        except ValueError:
-            out.append(CheckResult(name, "check", False, detail="window too thin"))
-            return
-        dev = float(np.mean(np.abs(series_values(Sc, name[:3])[mask] - 1.0)))
-        gate(name, dev, RATIO_LIMIT_TOL, f"mean |{name[:3]}-1| on the final window")
-
-    t0e = singular_time(geom, m0)
-    keep = slice(None) if t0e is None else t <= 0.99 * t0e
-    exact = exact_solution(geom, m0, t[keep])
-    if exact is not None:
-        name = "closed form" if t0e is None else "closed form (t <= 0.99 T0)"
-        gate(name, float(np.max(np.abs(S[keep] - exact) / exact)), CLOSED_FORM_TOL)
-
-    if geom is Geometry.SOL:
-        if branch == "symmetric":
-            gate("A=C locked", float(np.max(np.abs(S[:, 0] - S[:, 2]) / S[:, 0])), SYMMETRY_LOCK_TOL)
-            singular_time_check("singular time = B0^2/64", t0e)
-        elif Sc[0, 0] >= 3.0 * Sc[0, 2]:
-            gap = series_values(Sc, "A-3C")
-            crossed = bool(np.any(gap < 0.0))
-            out.append(
-                CheckResult(
-                    "A-3C changes sign before the singular time", "check", crossed and singular,
-                    detail=f"min(A-3C)={float(gap.min()):.3g}",
-                )
-            )
-
-    elif geom is Geometry.SU2:
-        if branch == "round":
-            gaps = np.max(S, axis=1) - np.min(S, axis=1)
-            gate("A=B=C locked", float(np.max(gaps / np.max(S, axis=1))), SYMMETRY_LOCK_TOL)
-            singular_time_check("singular time = s0^2/4", t0e)
-        else:
-            ratio_check("A/C -> 1")
-
-    elif geom is Geometry.SL2R:
-        if branch == "symmetric":
-            gate("B=C locked", float(np.max(np.abs(S[:, 1] - S[:, 2]) / S[:, 1])), SYMMETRY_LOCK_TOL)
+    for check in record.checks:
+        kind, name = check.kind, check.name
+        if kind == "termination":
+            passed = (singular == record.singular) and stop is not TerminationKind.STEP_BUDGET_EXHAUSTED
+            expected = "singular" if record.singular else "complete"
+            out.append(CheckResult(name, "check", passed, detail=f"expected {expected}, got {stop.value}"))
+        elif kind == "closed_form":
+            keep = slice(None) if record.t0 is None else t <= 0.99 * record.t0
+            exact = record.closed_form(t[keep])
+            gate(name, float(np.max(np.abs(S[keep] - exact) / exact)), CLOSED_FORM_TOL)
+        elif kind == "lock":
+            locked = Sc[:, check.columns]
+            top = np.max(locked, axis=1)
+            gate(name, float(np.max((top - np.min(locked, axis=1)) / top)), SYMMETRY_LOCK_TOL)
+        elif kind == "singular_time":
+            if blowup_time is None:
+                fail(name, "no estimate")
+            else:
+                gate(name, abs(blowup_time - record.t0) / record.t0, BLOWUP_TIME_TOL)
+        elif kind == "ratio_limit":
+            if blowup_time is None:
+                fail(name, "no singular-time estimate")
+                continue
+            try:
+                _, mask, _ = _fit_window(t, REGIME_BLOWUP, blowup_time)
+            except ValueError:
+                fail(name, "window too thin")
+                continue
+            dev = float(np.mean(np.abs(series_values(Sc, check.series)[mask] - 1.0)))
+            gate(name, dev, RATIO_LIMIT_TOL, f"mean |{check.series}-1| on the final window")
+        elif kind == "sign_change":
+            values = series_values(Sc, check.series)
+            crossed = bool(np.any(values < 0.0))
+            out.append(CheckResult(name, "check", crossed and singular, detail=f"min({check.series})={float(values.min()):.3g}"))
+        elif kind == "trapping":
+            i0, retained = sl2r_trapping_entry(Sc)
+            detail = "never entered" if i0 is None else f"entered at t={float(t[i0]):.6g}"
+            out.append(CheckResult(name, "check", retained, detail=detail))
+        elif kind == "stationary":
+            gate(name, float(np.max(np.abs(S - S[0]))), 0.0)
+        elif kind == "sl2r_pancake":
             lhs = S[:, 0] ** 9 * S[:, 1] ** 3
             rhs = lhs[0] + np.concatenate(
                 [[0.0], np.cumsum(0.5 * np.diff(t) * (24.0 * S[:-1, 0] ** 10 + 24.0 * S[1:, 0] ** 10))]
             )
             qerr = abs(float(lhs[-1] - rhs[-1])) / abs(float(lhs[-1]))
             gate("d/dt(A^9 B^3) = 24 A^10 (trapezoid)", qerr, QUADRATURE_TOL)
-            bfit = law_fits.get("B")
-            afit = limit_fits.get("A")
+            bfit = fits.get("B")
+            afit = fits.get("A")
             if bfit is not None and afit is not None and afit.limit > 0.0:
                 a_inf = afit.limit
                 target = (24.0 * a_inf) ** (1.0 / 3.0)
                 gate(
-                    "B coefficient = (24 Ainf)^(1/3)", abs(bfit.coefficient - target) / target,
+                    name, abs(bfit.coefficient - target) / target,
                     SL2R_COEFF_RELATION_TOL, f"fit {bfit.coefficient:.6g} vs {target:.6g} (Ainf={a_inf:.6g})",
                 )
                 rate = 1.0 / (8.0 * 3.0 ** (1.0 / 3.0))
@@ -699,41 +623,28 @@ def _branch_checks(
                     SL2R_TAIL_RATE_TOL, f"fit rate {got:.6g} vs {rate:.6g}",
                 )
             else:
-                out.append(CheckResult("B coefficient = (24 Ainf)^(1/3)", "check", False, detail="missing fits"))
-        else:
-            i0, retained = sl2r_trapping_entry(Sc)
-            out.append(
-                CheckResult(
-                    "F1<0 and F2<0 entered and retained", "check", retained,
-                    detail="never entered" if i0 is None else f"entered at t={float(t[i0]):.6g}",
+                fail(name, "missing fits")
+        elif kind == "e2_cigar":
+            settle = "(A-B)^2*C settles over the last decade"
+            if stop is not TerminationKind.REACHED_T_MAX:
+                fail(settle, "run did not reach its horizon")
+                continue
+            _, mask, _ = _fit_window(t, REGIME_INFINITY, min_samples=0)
+            v = series_values(Sc, "(A-B)^2*C")[mask]
+            gate(settle, abs(float(v[-1] - v[0])) / abs(float(v[-1])), PRODUCT_TAIL_TOL)
+            afit = fits.get("A-B")
+            cfit = fits.get("C")
+            sfit = fits.get("A+B")
+            if afit is not None and cfit is not None and sfit is not None:
+                e1 = sfit.limit / 2.0
+                e2 = afit.coefficient / 2.0
+                target = (8.0 * e2 / e1) * sqrt(6.0)
+                gate(
+                    name, abs(cfit.coefficient - target) / target,
+                    E2_COEFF_RELATION_TOL, f"fit {cfit.coefficient:.6g} vs {target:.6g} (E1={e1:.6g}, E2={e2:.6g})",
                 )
-            )
-            ratio_check("A/B -> 1")
-
-    elif geom is Geometry.E2:
-        if branch == "flat":
-            gate("exactly stationary", float(np.max(np.abs(S - S[0]))), 0.0)
-        else:
-            prod = series_values(Sc, "(A-B)^2*C")
-            if reached:
-                _, mask, _ = _fit_window(t, REGIME_INFINITY, min_samples=0)
-                v = prod[mask]
-                change = abs(float(v[-1] - v[0])) / abs(float(v[-1]))
-                gate("(A-B)^2*C settles over the last decade", change, PRODUCT_TAIL_TOL)
-                afit = law_fits.get("A-B")
-                cfit = law_fits.get("C")
-                sfit = limit_fits.get("A+B")
-                if afit is not None and cfit is not None and sfit is not None:
-                    e1 = sfit.limit / 2.0
-                    e2 = afit.coefficient / 2.0
-                    target = (8.0 * e2 / e1) * sqrt(6.0)
-                    gate(
-                        "C coefficient = (8 E2/E1) sqrt(6)", abs(cfit.coefficient - target) / target,
-                        E2_COEFF_RELATION_TOL, f"fit {cfit.coefficient:.6g} vs {target:.6g} (E1={e1:.6g}, E2={e2:.6g})",
-                    )
-                else:
-                    out.append(CheckResult("C coefficient = (8 E2/E1) sqrt(6)", "check", False, detail="missing fits"))
             else:
-                out.append(CheckResult("(A-B)^2*C settles over the last decade", "check", False, detail="run did not reach its horizon"))
-
+                fail(name, "missing fits")
+        else:
+            raise ValueError(f"unknown branch check kind {kind!r}")
     return out

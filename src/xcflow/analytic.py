@@ -1,17 +1,19 @@
-"""Closed-form solutions, conserved quantities and expected asymptotics.
+"""Exact structure of the negative flow, stated once per branch.
 
-Everything in this module is exact structure of the negative flow that the
-numerical trajectories can be checked against, each fact stated once:
+`branch_record` is the catalog: for a geometry and an initial datum it gives
+the one `BranchRecord` of the branch the datum lies on, which holds
 
-* `exact_solution`, the explicit solution on time columns, on the Heisenberg
-  group and on the symmetric reductions of Sol (A = C) and SU(2)
-  (A = B = C), and `singular_time`, the exact T0 of the latter two;
-* quantities that stay constant along a flow;
-* quantities that are monotone for initial data in a given branch, and the
-  SL(2,R) trapping region F1 < 0, F2 < 0 (`sl2r_trapping_entry`);
-* the catalog of asymptotic power laws, per geometry and branch, with
-  exponents as exact rationals and coefficients either pinned to a known
-  value or left to be fitted from data.
+* the asymptotic power laws, with exponents as exact rationals, coefficients
+  either pinned to a known value or left to be fitted from data, and the
+  tolerance of each;
+* the quantities monotone along the flow, and the first integrals;
+* the closed form and the exact singular time T0, where they exist;
+* the branch checks `analysis.verify` runs, in report order.
+
+Only the unnormalized negative flow has a catalog; every other flow gets the
+empty record.  `exact_solution`, `singular_time` and `conserved_quantities`
+read the record.  `sl2r_trapping_entry` is the SL(2,R) trapping region
+F1 < 0, F2 < 0.
 
 Branches are decided by exact equality of the relevant coefficients
 (symmetric reductions are preserved bitwise by the integrator, so exact
@@ -25,25 +27,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
-from .flows import FlowDirection, FlowSpec
+from .flows import XCF_MINUS, FlowSpec
 from .geometry import Geometry, MetricDiag, _sl2r_f
 
 __all__ = [
     "AsymptoticLaw",
+    "BranchCheck",
+    "BranchRecord",
+    "branch_record",
     "exact_solution",
     "singular_time",
     "sl2r_trapping_entry",
     "conserved_quantities",
-    "monotone_quantities",
-    "expected_asymptotics",
     "classify_branch",
     "canonical_permutation",
 ]
-
-_NEGATIVE_UNNORMALIZED = FlowSpec(FlowDirection.NEGATIVE, False)
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -60,6 +62,9 @@ class AsymptoticLaw:
     `coefficient` is a known constant or None when it must be fitted from
     data.  When `limit_form` is set the law reads
     variable ~ limit + coefficient * x^exponent with a finite limit.
+    A fitted exponent passes within `exponent_tol`; a known coefficient
+    passes within the relative `coefficient_tol`, which is None exactly when
+    no coefficient is checked.
     """
 
     variable: str
@@ -68,6 +73,207 @@ class AsymptoticLaw:
     coefficient: float | None = None
     limit_form: bool = False
     description: str = ""
+    exponent_tol: float = 0.02
+    coefficient_tol: float | None = None
+
+
+@dataclass(frozen=True)
+class BranchCheck:
+    """One branch check: the `kind` that `analysis.verify` dispatches on and the name it reports.
+
+    A "lock" compares the canonical columns `columns`; a "ratio_limit" or a
+    "sign_change" reads the named series `series`.
+    """
+
+    kind: str
+    name: str
+    columns: tuple[int, ...] = ()
+    series: str = ""
+
+
+@dataclass(frozen=True)
+class BranchRecord:
+    """What the negative flow promises on one branch.
+
+    `laws` are stated in the canonical labels of `canonical_permutation`,
+    `monotone` as (series, direction) pairs in the labels of m0, and
+    `first_integrals` as (series, value at m0) pairs.  `closed_form` maps a
+    time column to the exact (A, B, C) rows where the branch is solvable, for
+    0 <= t < T0 with `t0` the exact singular time where it has one.  `checks`
+    come in report order, "termination matches branch" first.
+    """
+
+    laws: tuple[AsymptoticLaw, ...] = ()
+    monotone: tuple[tuple[str, str], ...] = ()
+    first_integrals: tuple[tuple[str, float], ...] = ()
+    t0: float | None = None
+    closed_form: Callable[[np.ndarray], np.ndarray] | None = None
+    checks: tuple[BranchCheck, ...] = ()
+
+    @property
+    def singular(self) -> bool:
+        """Whether the branch ends at a singular time: some law holds as t -> T0."""
+        return any(law.regime == REGIME_BLOWUP for law in self.laws)
+
+
+_TERMINATION = BranchCheck("termination", "termination matches branch")
+
+
+def branch_record(geometry: Geometry, spec: FlowSpec, m0: MetricDiag) -> BranchRecord:
+    """The record of the branch the flow `spec` from m0 lies on.
+
+    Only the unnormalized negative flow has a catalog: every other `spec`
+    gets the empty record.
+    """
+    if spec != XCF_MINUS:
+        return BranchRecord()
+    branch = classify_branch(geometry, m0)
+    perm = canonical_permutation(geometry, m0)
+    coeffs = m0.as_tuple()
+    a0, b0, c0 = (coeffs[perm[0]], coeffs[perm[1]], coeffs[perm[2]])
+
+    if geometry is Geometry.HEISENBERG:
+        r0 = -2.0 * a0 / (b0 * c0)  # the scalar curvature at t = 0
+        s = 7.0 * r0 * r0
+
+        def heisenberg(ts):
+            w = 1.0 + s * ts
+            return np.column_stack([a0 * w ** (-1.0 / 14.0), b0 * w ** (3.0 / 14.0), c0 * w ** (3.0 / 14.0)])
+
+        tols = {"exponent_tol": 0.005, "coefficient_tol": 0.01}
+        return BranchRecord(
+            laws=(
+                AsymptoticLaw("A", REGIME_INFINITY, Fraction(-1, 14), a0 * s ** (-1.0 / 14.0),
+                              description="slow decay of the fiber direction", **tols),
+                *(AsymptoticLaw(v, REGIME_INFINITY, Fraction(3, 14), x0 * s ** (3.0 / 14.0),
+                                description="slow growth of a base direction", **tols) for v, x0 in (("B", b0), ("C", c0))),
+            ),
+            first_integrals=(("A^3*B", a0**3 * b0), ("A^3*C", a0**3 * c0), ("B/C", b0 / c0)),
+            closed_form=heisenberg,
+            checks=(_TERMINATION, BranchCheck("closed_form", "closed form")),
+        )
+
+    if geometry is Geometry.SOL:
+        b_law = AsymptoticLaw("B", REGIME_BLOWUP, Fraction(1, 2), 8.0, coefficient_tol=0.02,
+                              description="collapsing middle direction, B ~ sqrt(64 (T0-t))")
+        if branch == "symmetric":
+            k = a0 * b0 / 8.0
+
+            def sol_symmetric(ts):
+                b = np.sqrt(b0 * b0 - 64.0 * ts)
+                a = a0 * b0 / b
+                return np.column_stack([a, b, a])
+
+            return BranchRecord(
+                laws=(
+                    b_law,
+                    *(AsymptoticLaw(v, REGIME_BLOWUP, Fraction(-1, 2), k, coefficient_tol=0.02,
+                                    description="exploding direction of the symmetric reduction") for v in ("A", "C")),
+                ),
+                t0=b0 * b0 / 64.0,
+                closed_form=sol_symmetric,
+                checks=(
+                    _TERMINATION,
+                    BranchCheck("closed_form", "closed form (t <= 0.99 T0)"),
+                    BranchCheck("lock", "A=C locked", columns=(0, 2)),
+                    BranchCheck("singular_time", "singular time = B0^2/64"),
+                ),
+            )
+        hi, lo = ("A", "C") if m0.A > m0.C else ("C", "A")
+        sign_change = BranchCheck("sign_change", "A-3C changes sign before the singular time", series="A-3C")
+        return BranchRecord(
+            laws=(
+                b_law,
+                *(AsymptoticLaw(v, REGIME_BLOWUP, Fraction(-1, 2), description=f"exploding direction, shared constant with {w}")
+                  for v, w in (("A", "C"), ("C", "A"))),
+                AsymptoticLaw("A-C", REGIME_BLOWUP, Fraction(1, 2), exponent_tol=0.05,
+                              description="anisotropy gap closes like sqrt(T0-t)"),
+            ),
+            monotone=(
+                (f"{hi}-{lo}", DECREASING), (f"{hi}/{lo}", DECREASING), (f"{hi}-3{lo}", DECREASING), (lo, INCREASING),
+            ),
+            checks=(_TERMINATION, sign_change) if a0 >= 3.0 * c0 else (_TERMINATION,),
+        )
+
+    if geometry is Geometry.SU2:
+        hi, mid, lo = (label for _, label in sorted(zip(coeffs, "ABC"), key=lambda p: (-p[0], p[1])))
+        laws = tuple(
+            AsymptoticLaw(v, REGIME_BLOWUP, Fraction(1, 2), 2.0, coefficient_tol=0.02,
+                          description="round collapse, every direction ~ 2 sqrt(T0-t)")
+            for v in ("A", "B", "C")
+        )
+        monotone = (
+            (f"{hi}-{mid}", DECREASING), (f"{hi}-{lo}", DECREASING), (f"{hi}/{mid}", DECREASING), (f"{hi}/{lo}", DECREASING),
+        )
+        if branch == "round":
+
+            def su2_round(ts):
+                s = np.sqrt(a0 * a0 - 4.0 * ts)
+                return np.column_stack([s, s, s])
+
+            return BranchRecord(
+                laws, monotone, t0=a0 * a0 / 4.0, closed_form=su2_round,
+                checks=(
+                    _TERMINATION,
+                    BranchCheck("closed_form", "closed form (t <= 0.99 T0)"),
+                    BranchCheck("lock", "A=B=C locked", columns=(0, 1, 2)),
+                    BranchCheck("singular_time", "singular time = s0^2/4"),
+                ),
+            )
+        return BranchRecord(laws, monotone, checks=(_TERMINATION, BranchCheck("ratio_limit", "A/C -> 1", series="A/C")))
+
+    if geometry is Geometry.SL2R:
+        if branch == "symmetric":
+            return BranchRecord(
+                laws=(
+                    AsymptoticLaw("B", REGIME_INFINITY, Fraction(1, 3), exponent_tol=0.01,
+                                  description="pancake growth, B = C ~ (24 Ainf t)^(1/3)"),
+                    AsymptoticLaw("A", REGIME_INFINITY, Fraction(-1, 3), limit_form=True,
+                                  description="A tends to a positive limit with a t^(-1/3) tail"),
+                ),
+                monotone=(("4/A+1/B", DECREASING), ("A", DECREASING), ("B", INCREASING), ("C", INCREASING)),
+                checks=(
+                    _TERMINATION,
+                    BranchCheck("lock", "B=C locked", columns=(1, 2)),
+                    BranchCheck("sl2r_pancake", "B coefficient = (24 Ainf)^(1/3)"),
+                ),
+            )
+        hi, lo = ("B", "C") if m0.B > m0.C else ("C", "B")
+        entered, _ = sl2r_trapping_entry(np.array([[a0, b0, c0]], dtype=float))
+        return BranchRecord(
+            laws=(
+                *(AsymptoticLaw(v, REGIME_BLOWUP, Fraction(-1, 2), description=f"exploding direction, same constant as {w}")
+                  for v, w in (("A", "B"), ("B", "A"))),
+                AsymptoticLaw("C", REGIME_BLOWUP, Fraction(1, 2), 8.0, coefficient_tol=0.03,
+                              description="collapsing direction, C ~ 8 sqrt(T0-t)"),
+            ),
+            monotone=(("A", INCREASING), (hi, INCREASING), (lo, DECREASING)) if entered is not None else (),
+            checks=(
+                _TERMINATION,
+                BranchCheck("trapping", "F1<0 and F2<0 entered and retained"),
+                BranchCheck("ratio_limit", "A/B -> 1", series="A/B"),
+            ),
+        )
+
+    if geometry is Geometry.E2:
+        if branch == "flat":
+            return BranchRecord(checks=(_TERMINATION, BranchCheck("stationary", "exactly stationary")))
+        hi, lo = ("A", "B") if m0.A > m0.B else ("B", "A")
+        return BranchRecord(
+            laws=(
+                AsymptoticLaw("A-B", REGIME_INFINITY, Fraction(-1, 6), description="anisotropy decays like 2 E2 t^(-1/6)"),
+                AsymptoticLaw("C", REGIME_INFINITY, Fraction(1, 3), description="cigar growth, coefficient (8 E2/E1) sqrt(6)"),
+                AsymptoticLaw("A+B", REGIME_INFINITY, Fraction(-1, 3), limit_form=True,
+                              description="A+B tends to 2 E1 with a t^(-1/3) tail"),
+            ),
+            monotone=(
+                (f"({hi}-{lo})^2*C", INCREASING), (hi, DECREASING), (lo, INCREASING), ("C", INCREASING),
+                (f"{hi}-{lo}", DECREASING),
+            ),
+            checks=(_TERMINATION, BranchCheck("e2_cigar", "C coefficient = (8 E2/E1) sqrt(6)")),
+        )
+
+    return BranchRecord(checks=(_TERMINATION,))
 
 
 def singular_time(geometry: Geometry, m0: MetricDiag) -> float | None:
@@ -76,12 +282,7 @@ def singular_time(geometry: Geometry, m0: MetricDiag) -> float | None:
     T0 = B0^2/64 on the symmetric branch of Sol and T0 = s0^2/4 on the round
     branch of SU(2); None on every other branch.
     """
-    branch = classify_branch(geometry, m0)
-    if geometry is Geometry.SOL and branch == "symmetric":
-        return m0.B * m0.B / 64.0
-    if geometry is Geometry.SU2 and branch == "round":
-        return m0.A * m0.A / 4.0
-    return None
+    return branch_record(geometry, XCF_MINUS, m0).t0
 
 
 def exact_solution(geometry: Geometry, m0: MetricDiag, t) -> np.ndarray | None:
@@ -100,27 +301,14 @@ def exact_solution(geometry: Geometry, m0: MetricDiag, t) -> np.ndarray | None:
     itself is rejected.
     """
     times = np.asarray(t, dtype=float)
-    t0 = singular_time(geometry, m0)
-    if t0 is None and geometry is not Geometry.HEISENBERG:  # Heisenberg's closed form is global
+    record = branch_record(geometry, XCF_MINUS, m0)
+    if record.closed_form is None:
         return None
     if not np.all(times >= 0.0):
         raise ValueError(f"t must be nonnegative, got {float(np.min(times))!r}")
-    if t0 is not None and np.any(times >= t0):
-        raise ValueError(f"t={float(np.max(times))!r} is at or beyond the singular time {t0!r}")
-    ts = np.atleast_1d(times)
-    if geometry is Geometry.HEISENBERG:
-        r0 = -2.0 * m0.A / (m0.B * m0.C)
-        w = 1.0 + 7.0 * r0 * r0 * ts
-        states = np.column_stack(
-            [m0.A * w ** (-1.0 / 14.0), m0.B * w ** (3.0 / 14.0), m0.C * w ** (3.0 / 14.0)]
-        )
-    elif geometry is Geometry.SOL:
-        b = np.sqrt(m0.B * m0.B - 64.0 * ts)
-        a = m0.A * m0.B / b
-        states = np.column_stack([a, b, a])
-    else:
-        s = np.sqrt(m0.A * m0.A - 4.0 * ts)
-        states = np.column_stack([s, s, s])
+    if record.t0 is not None and np.any(times >= record.t0):
+        raise ValueError(f"t={float(np.max(times))!r} is at or beyond the singular time {record.t0!r}")
+    states = record.closed_form(np.atleast_1d(times))
     return states[0] if times.ndim == 0 else states
 
 
@@ -129,25 +317,12 @@ def conserved_quantities(
 ) -> list[tuple[str, float]]:
     """Quantities constant along the flow, with their values at m.
 
-    The unnormalized negative flow on Heisenberg conserves A^3 B, A^3 C and
-    B/C; every normalized flow conserves the volume density A*B*C.
+    The first integrals of the branch record (A^3 B, A^3 C and B/C of the
+    unnormalized negative flow on Heisenberg), then the volume density A*B*C,
+    which every normalized flow conserves.
     """
-    out: list[tuple[str, float]] = []
-    if (
-        geometry is Geometry.HEISENBERG
-        and spec.direction is FlowDirection.NEGATIVE
-        and not spec.normalized
-    ):
-        out.extend(
-            [
-                ("A^3*B", m.A**3 * m.B),
-                ("A^3*C", m.A**3 * m.C),
-                ("B/C", m.B / m.C),
-            ]
-        )
-    if spec.normalized:
-        out.append(("A*B*C", m.A * m.B * m.C))
-    return out
+    volume = [("A*B*C", m.A * m.B * m.C)] if spec.normalized else []
+    return list(branch_record(geometry, spec, m).first_integrals) + volume
 
 
 def sl2r_trapping_entry(states: np.ndarray) -> tuple[int | None, bool]:
@@ -163,50 +338,6 @@ def sl2r_trapping_entry(states: np.ndarray) -> tuple[int | None, bool]:
         return None, False
     i0 = int(np.argmax(inside))
     return i0, bool(np.all(inside[i0:]))
-
-
-def monotone_quantities(geometry: Geometry, m0: MetricDiag) -> list[tuple[str, str]]:
-    """Catalog of quantities monotone along the negative flow from m0.
-
-    The lists depend on the ordering of the initial coefficients; an empty
-    list means no monotonicity statement applies to this initial datum.
-    """
-    a0, b0, c0 = m0.A, m0.B, m0.C
-    if geometry is Geometry.SOL:
-        if a0 > c0:
-            return [("A-C", DECREASING), ("A/C", DECREASING), ("A-3C", DECREASING), ("C", INCREASING)]
-        if c0 > a0:
-            return [("C-A", DECREASING), ("C/A", DECREASING), ("C-3A", DECREASING), ("A", INCREASING)]
-        return []
-    if geometry is Geometry.SU2:
-        order = sorted(zip((a0, b0, c0), "ABC"), key=lambda p: (-p[0], p[1]))
-        hi, mid, lo = (label for _, label in order)
-        return [
-            (f"{hi}-{mid}", DECREASING),
-            (f"{hi}-{lo}", DECREASING),
-            (f"{hi}/{mid}", DECREASING),
-            (f"{hi}/{lo}", DECREASING),
-        ]
-    if geometry is Geometry.SL2R:
-        if b0 == c0:
-            return [("4/A+1/B", DECREASING), ("A", DECREASING), ("B", INCREASING), ("C", INCREASING)]
-        hi, lo = ("B", "C") if b0 > c0 else ("C", "B")
-        entered, _ = sl2r_trapping_entry(np.array([[a0, max(b0, c0), min(b0, c0)]], dtype=float))
-        if entered is not None:
-            return [("A", INCREASING), (hi, INCREASING), (lo, DECREASING)]
-        return []
-    if geometry is Geometry.E2:
-        if a0 == b0:
-            return []
-        hi, lo = ("A", "B") if a0 > b0 else ("B", "A")
-        return [
-            (f"({hi}-{lo})^2*C", INCREASING),
-            (hi, DECREASING),
-            (lo, INCREASING),
-            ("C", INCREASING),
-            (f"{hi}-{lo}", DECREASING),
-        ]
-    return []
 
 
 def classify_branch(geometry: Geometry, m0: MetricDiag) -> str:
@@ -239,94 +370,3 @@ def canonical_permutation(geometry: Geometry, m0: MetricDiag) -> tuple[int, int,
     if geometry is Geometry.E2 and m0.B > m0.A:
         return (1, 0, 2)
     return (0, 1, 2)
-
-
-def expected_asymptotics(
-    geometry: Geometry, spec: FlowSpec, m0: MetricDiag
-) -> list[AsymptoticLaw]:
-    """Asymptotic laws the negative flow from m0 is expected to satisfy.
-
-    Laws are stated in the canonical labels of `canonical_permutation`.
-    Only the unnormalized negative flow carries a catalog; other flow specs
-    are rejected.
-    """
-    if spec != _NEGATIVE_UNNORMALIZED:
-        raise ValueError("asymptotic catalog applies to the unnormalized negative flow only")
-
-    perm = canonical_permutation(geometry, m0)
-    coeffs = m0.as_tuple()
-    a0, b0, c0 = (coeffs[perm[0]], coeffs[perm[1]], coeffs[perm[2]])
-
-    if geometry is Geometry.HEISENBERG:
-        r0 = -2.0 * a0 / (b0 * c0)
-        s = 7.0 * r0 * r0
-        return [
-            AsymptoticLaw("A", REGIME_INFINITY, Fraction(-1, 14), a0 * s ** (-1.0 / 14.0),
-                          description="slow decay of the fiber direction"),
-            AsymptoticLaw("B", REGIME_INFINITY, Fraction(3, 14), b0 * s ** (3.0 / 14.0),
-                          description="slow growth of a base direction"),
-            AsymptoticLaw("C", REGIME_INFINITY, Fraction(3, 14), c0 * s ** (3.0 / 14.0),
-                          description="slow growth of a base direction"),
-        ]
-
-    if geometry is Geometry.SOL:
-        laws = [
-            AsymptoticLaw("B", REGIME_BLOWUP, Fraction(1, 2), 8.0,
-                          description="collapsing middle direction, B ~ sqrt(64 (T0-t))"),
-        ]
-        if a0 == c0:
-            k = a0 * b0 / 8.0
-            laws += [
-                AsymptoticLaw("A", REGIME_BLOWUP, Fraction(-1, 2), k,
-                              description="exploding direction of the symmetric reduction"),
-                AsymptoticLaw("C", REGIME_BLOWUP, Fraction(-1, 2), k,
-                              description="exploding direction of the symmetric reduction"),
-            ]
-        else:
-            laws += [
-                AsymptoticLaw("A", REGIME_BLOWUP, Fraction(-1, 2), None,
-                              description="exploding direction, shared constant with C"),
-                AsymptoticLaw("C", REGIME_BLOWUP, Fraction(-1, 2), None,
-                              description="exploding direction, shared constant with A"),
-                AsymptoticLaw("A-C", REGIME_BLOWUP, Fraction(1, 2), None,
-                              description="anisotropy gap closes like sqrt(T0-t)"),
-            ]
-        return laws
-
-    if geometry is Geometry.SU2:
-        return [
-            AsymptoticLaw(v, REGIME_BLOWUP, Fraction(1, 2), 2.0,
-                          description="round collapse, every direction ~ 2 sqrt(T0-t)")
-            for v in ("A", "B", "C")
-        ]
-
-    if geometry is Geometry.SL2R:
-        if b0 == c0:
-            return [
-                AsymptoticLaw("B", REGIME_INFINITY, Fraction(1, 3), None,
-                              description="pancake growth, B = C ~ (24 Ainf t)^(1/3)"),
-                AsymptoticLaw("A", REGIME_INFINITY, Fraction(-1, 3), None, limit_form=True,
-                              description="A tends to a positive limit with a t^(-1/3) tail"),
-            ]
-        return [
-            AsymptoticLaw("A", REGIME_BLOWUP, Fraction(-1, 2), None,
-                          description="exploding direction, same constant as B"),
-            AsymptoticLaw("B", REGIME_BLOWUP, Fraction(-1, 2), None,
-                          description="exploding direction, same constant as A"),
-            AsymptoticLaw("C", REGIME_BLOWUP, Fraction(1, 2), 8.0,
-                          description="collapsing direction, C ~ 8 sqrt(T0-t)"),
-        ]
-
-    if geometry is Geometry.E2:
-        if a0 == b0:
-            return []
-        return [
-            AsymptoticLaw("A-B", REGIME_INFINITY, Fraction(-1, 6), None,
-                          description="anisotropy decays like 2 E2 t^(-1/6)"),
-            AsymptoticLaw("C", REGIME_INFINITY, Fraction(1, 3), None,
-                          description="cigar growth, coefficient (8 E2/E1) sqrt(6)"),
-            AsymptoticLaw("A+B", REGIME_INFINITY, Fraction(-1, 3), None, limit_form=True,
-                          description="A+B tends to 2 E1 with a t^(-1/3) tail"),
-        ]
-
-    return []

@@ -17,8 +17,10 @@ keys and flags are the `RunConfig` field names; each value is converted to
 the type of its field's default.  The effective configuration is echoed in
 the output metadata.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input or an unusable
-file, 3 the integrator gave up after exhausting its step budget.
+Every subcommand opens its --output file before it integrates anything, so
+an unusable path costs no work.  Exit codes: 0 success, 1 verification
+failure, 2 invalid input or an unusable file, 3 the integrator gave up after
+exhausting its step budget.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import product
 from math import isfinite
@@ -287,12 +290,15 @@ def trajectory_json_document(trajectory: Trajectory, config: RunConfig) -> dict:
     }
 
 
-def _write_output(path: str, text: str) -> None:
+def _open_output(path: str):
+    """The stream a command writes to, as a context manager: stdout for "-", else the file, truncated.
+
+    Commands open it before they integrate anything, so that a path that
+    cannot be written is reported at once rather than after the work.
+    """
     if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+        return nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +339,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     geometry = Geometry.from_name(cfg.geometry)
     spec = FlowSpec.from_name(cfg.flow)
     m0 = MetricDiag(*cfg.init)
-    trajectory = integrate(geometry, spec, m0, _integrator_options(cfg))
-    if cfg.format == "csv":
-        _write_output(cfg.output, trajectory_csv_text(trajectory, cfg))
-    else:
-        doc = trajectory_json_document(trajectory, cfg)
-        _write_output(cfg.output, _json_text(doc) + "\n")
+    options = _integrator_options(cfg)
+    with _open_output(cfg.output) as out:
+        trajectory = integrate(geometry, spec, m0, options)
+        if cfg.format == "csv":
+            out.write(trajectory_csv_text(trajectory, cfg))
+        else:
+            out.write(_json_text(trajectory_json_document(trajectory, cfg)) + "\n")
     term = trajectory.termination
     note = f"terminated: {term.kind.value} at t={term.t_stop:.12g}"
     if term.kind is TerminationKind.SINGULAR_TIME:
@@ -358,20 +365,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
         criteria = acceptance.ALL_CRITERIA
     else:
         criteria = acceptance.criteria_for_geometry(Geometry.from_name(suite))
-    results, reports = acceptance.run_suite(criteria)
-    for result in results:
-        print(result.line())
-    doc = {
-        "suite": suite,
-        "passed": all(r.passed for r in results),
-        "criteria": [
-            {"number": r.number, "name": r.name, "passed": r.passed, "details": list(r.details)}
-            for r in results
-        ],
-        "reports": reports,
-    }
-    if args.output != "-":
-        _write_output(args.output, _json_text(doc) + "\n")
+    # without --output the report is not written at all; stdout carries the criterion lines
+    with nullcontext() if args.output == "-" else _open_output(args.output) as report_file:
+        results, reports = acceptance.run_suite(criteria)
+        for result in results:
+            print(result.line())
+        if report_file is not None:
+            doc = {
+                "suite": suite,
+                "passed": all(r.passed for r in results),
+                "criteria": [
+                    {"number": r.number, "name": r.name, "passed": r.passed, "details": list(r.details)}
+                    for r in results
+                ],
+                "reports": reports,
+            }
+            report_file.write(_json_text(doc) + "\n")
     failing = [r for r in results if not r.passed]
     if failing:
         print("failing criteria: " + ", ".join(f"{r.number} ({r.name})" for r in failing), file=sys.stderr)
@@ -457,14 +466,15 @@ def cmd_scan(args: argparse.Namespace) -> int:
     options = _integrator_options(args)
     grid = product(*(axis.tolist() for axis in axes))  # A outermost, C innermost
     payloads = [(geometry, spec, a, b, c, options, volume) for a, b, c in grid]
-    if args.workers == 1:
-        rows = [_scan_point(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            chunk = max(1, len(payloads) // (4 * args.workers))
-            rows = list(pool.map(_scan_point, payloads, chunksize=chunk))
-    lines = (",".join([str(i), *row]) for i, row in enumerate(rows))
-    _write_output(args.output, _csv_text(None, SCAN_HEADER, lines))
+    with _open_output(args.output) as out:
+        if args.workers == 1:
+            rows = [_scan_point(p) for p in payloads]
+        else:
+            with ProcessPoolExecutor(max_workers=args.workers) as pool:
+                chunk = max(1, len(payloads) // (4 * args.workers))
+                rows = list(pool.map(_scan_point, payloads, chunksize=chunk))
+        lines = (",".join([str(i), *row]) for i, row in enumerate(rows))
+        out.write(_csv_text(None, SCAN_HEADER, lines))
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
-from .geometry import _CROSS, CrossDiag, Geometry, MetricDiag
+from .geometry import _CROSS, Geometry, MetricDiag
 
 __all__ = [
     "FlowDirection",
@@ -33,7 +33,6 @@ __all__ = [
     "NXCF",
     "NXCF_PLUS",
     "flow_rhs",
-    "mean_cross",
     "rhs_function",
 ]
 
@@ -78,11 +77,6 @@ class RhsTriple(NamedTuple):
     dA: float
     dB: float
     dC: float
-
-
-def mean_cross(m: MetricDiag, h: CrossDiag) -> float:
-    """Metric trace hbar = h11/A + h22/B + h33/C of a diagonal cross tensor."""
-    return h.h11 / m.A + h.h22 / m.B + h.h33 / m.C
 
 
 _NAN3 = (float("nan"),) * 3

@@ -38,9 +38,9 @@ under any coincidence, E(2) under A=B).  The flow integrator relies on this
 to keep symmetric reductions exactly symmetric rather than approximately so.
 
 The kernels use only elementwise + - * /, so `sectional_curvatures`,
-`scalar_curvature`, `cross_curvature_diag` and `cross_from_sectional` also
-accept any object whose A, B, C are equal-length float arrays (columns of
-states), and give, entry by entry, the same bits as one metric at a time.
+`cross_curvature_diag` and `cross_from_sectional` also accept any object
+whose A, B, C are equal-length float arrays (columns of states), and give,
+entry by entry, the same bits as one metric at a time.
 TRIVIAL returns scalar zeros in that case.
 """
 
@@ -58,9 +58,7 @@ __all__ = [
     "MetricDiag",
     "CurvTriple",
     "CrossDiag",
-    "structure_signs",
     "sectional_curvatures",
-    "scalar_curvature",
     "cross_curvature_diag",
     "cross_from_sectional",
 ]
@@ -88,21 +86,6 @@ class Geometry(Enum):
         except ValueError:
             valid = ", ".join(g.value for g in cls)
             raise ValueError(f"unknown geometry {name!r}; expected one of: {valid}") from None
-
-
-_SIGNS: dict[Geometry, tuple[int, int, int]] = {
-    Geometry.HEISENBERG: (1, 0, 0),
-    Geometry.SOL: (1, 0, -1),
-    Geometry.SU2: (1, 1, 1),
-    Geometry.SL2R: (-1, 1, 1),
-    Geometry.E2: (1, 1, 0),
-    Geometry.TRIVIAL: (0, 0, 0),
-}
-
-
-def structure_signs(geometry: Geometry) -> tuple[int, int, int]:
-    """Milnor frame bracket signs (eps1, eps2, eps3) of the geometry."""
-    return _SIGNS[geometry]
 
 
 @dataclass(frozen=True)
@@ -316,12 +299,6 @@ def sectional_curvatures(geometry: Geometry, m: MetricDiag) -> CurvTriple:
     `m` may also hold float array columns (see the module docstring).
     """
     return CurvTriple(*_SECTIONAL[geometry](m.A, m.B, m.C))
-
-
-def scalar_curvature(geometry: Geometry, m: MetricDiag) -> float:
-    """Scalar curvature, twice the sum of the principal sectional curvatures."""
-    k23, k31, k12 = _SECTIONAL[geometry](m.A, m.B, m.C)
-    return 2.0 * (k23 + k31 + k12)
 
 
 def cross_curvature_diag(geometry: Geometry, m: MetricDiag) -> CrossDiag:

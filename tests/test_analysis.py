@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,14 +27,18 @@ from xcflow import (
     series_values,
     verify,
 )
-from xcflow.analysis import _limit_fit_core, _power_fit_core
+from xcflow import analysis
+from xcflow.analysis import _SERIES, _limit_fit_core, _power_fit_core
 from xcflow.analytic import (
     REGIME_BLOWUP,
     REGIME_INFINITY,
+    BranchCheck,
+    branch_record,
     classify_branch,
-    expected_asymptotics,
+    conserved_quantities,
     singular_time,
 )
+from xcflow.flows import FLOWS
 
 
 # ---------------------------------------------------------------------------
@@ -286,28 +293,75 @@ def test_report_serialization(sol_symmetric_run):
     assert "passed=True" in lines[0]
 
 
-def test_every_catalog_series_name_resolves():
-    """Every name the catalogs or the ratio checks of `verify` can ask for is a known series."""
-    from itertools import product
+def _records():
+    """The branch record of every geometry, flow and initial datum with coefficients from {1, 2, 3}.
 
-    from xcflow.analysis import _SERIES
-    from xcflow.analytic import conserved_quantities, expected_asymptotics, monotone_quantities
-    from xcflow.flows import FLOWS
-
-    # coefficients from {1, 2, 3}: all six orderings of distinct values and every tie pattern
+    The data hold all six orderings of distinct values and every tie pattern.
+    """
     inits = [MetricDiag(*c) for c in product((1.0, 2.0, 3.0), repeat=3)]
-    names = {"A/C", "A/B"}  # `verify` ratio checks: "A/C -> 1" (Sol), "A/B -> 1" (SU(2))
-    for geometry, spec, m0 in product(Geometry, FLOWS.values(), inits):
+    return [(geometry, spec, m0, branch_record(geometry, spec, m0)) for geometry, spec, m0 in product(Geometry, FLOWS.values(), inits)]
+
+
+def test_every_catalog_series_name_resolves():
+    """Every name the records or the conserved quantities can ask `verify` for is a known series."""
+    names = set()
+    ratio_series = set()
+    for geometry, spec, m0, record in _records():
         names.update(name for name, _ in conserved_quantities(geometry, spec, m0))
-        names.update(name for name, _ in monotone_quantities(geometry, m0))
-        try:
-            names.update(law.variable for law in expected_asymptotics(geometry, spec, m0))
-        except ValueError:  # the asymptotic catalog covers the unnormalized negative flow only
-            pass
+        names.update(name for name, _ in record.monotone)
+        names.update(law.variable for law in record.laws)
+        ratio_series.update(c.series for c in record.checks if c.kind == "ratio_limit")
+        names.update(c.series for c in record.checks if c.series)
+    assert ratio_series == {"A/C", "A/B"}  # "A/C -> 1" (SU(2)), "A/B -> 1" (SL(2,R))
     S = np.array([[2.0, 3.0, 5.0], [3.0, 5.0, 7.0]])
     for name in sorted(names):
         assert series_values(S, name).shape == (2,), name
     assert names == set(_SERIES)  # and the table holds no name nobody asks for
+
+
+def test_every_check_kind_a_record_states_has_a_handler():
+    kinds = set()
+    for geometry, spec, m0, record in _records():
+        if not record.checks:
+            continue
+        kinds.update(check.kind for check in record.checks)
+        report = verify(integrate(geometry, spec, m0, IntegratorOptions(t_max=0.01, samples=64)))  # raises on an unhandled kind
+        assert len(report.checks) >= len(record.checks)  # every check reports at least once
+    assert kinds == {
+        "termination", "closed_form", "lock", "singular_time", "ratio_limit", "sign_change", "trapping",
+        "stationary", "sl2r_pancake", "e2_cigar",
+    }
+
+
+def test_a_check_of_unknown_kind_raises(sol_symmetric_run, monkeypatch):
+    real = analysis.branch_record
+
+    def with_unknown_kind(geometry, spec, m0):
+        record = real(geometry, spec, m0)
+        return replace(record, checks=record.checks + (BranchCheck("no_such_kind", "bogus check"),))
+
+    monkeypatch.setattr(analysis, "branch_record", with_unknown_kind)
+    with pytest.raises(ValueError, match="unknown branch check kind 'no_such_kind'"):
+        verify(sol_symmetric_run)
+
+
+@pytest.mark.parametrize(
+    "geom, init, column, name",
+    [
+        (Geometry.SOL, (1, 8, 1), 0, "A=C locked"),
+        (Geometry.SL2R, (1, 1, 1), 2, "B=C locked"),
+        (Geometry.SU2, (2, 2, 2), 1, "A=B=C locked"),
+    ],
+)
+def test_a_planted_lock_break_fails_the_lock(geom, init, column, name):
+    traj = integrate(geom, XCF_MINUS, MetricDiag(*init), IntegratorOptions(t_max=10.0))
+    lock = {c.name: c for c in verify(traj).checks}[name]
+    assert lock.passed and lock.observed == 0.0
+    states = traj.states.copy()
+    states[len(states) // 2, column] *= 1.0 + 1e-8  # one entry off by 1e-8 relative
+    broken = {c.name: c for c in verify(replace(traj, states=states)).checks}[name]
+    assert not broken.passed
+    assert broken.observed == pytest.approx(1e-8, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +443,7 @@ def test_branch_facts_are_bitwise_the_inline_expressions(geom, init, t_max):
         name = "closed form" if t0e is None else "closed form (t <= 0.99 T0)"
         observed = float(np.max(np.abs(traj.states[keep] - want) / want))
         assert checks[name].observed == observed
-    catalog = expected_asymptotics(geom, XCF_MINUS, m0)
+    catalog = branch_record(geom, XCF_MINUS, m0).laws
     expect_singular = _inline_expect_singular(geom, branch)
     assert any(law.regime == REGIME_BLOWUP for law in catalog) == expect_singular
     detail = checks["termination matches branch"].detail

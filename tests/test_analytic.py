@@ -1,28 +1,32 @@
-"""Closed forms, conserved/monotone catalogs, asymptotic-law catalog."""
+"""Closed forms, conserved quantities, and the branch records: monotone lists and asymptotic laws."""
 
 from __future__ import annotations
 
+from dataclasses import astuple, replace
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from xcflow import (
+    BranchRecord,
     Geometry,
     MetricDiag,
     NXCF,
     XCF_MINUS,
     XCF_PLUS,
+    AsymptoticLaw,
+    branch_record,
     canonical_permutation,
     classify_branch,
     conserved_quantities,
-    expected_asymptotics,
     exact_solution,
     flow_rhs,
-    monotone_quantities,
     singular_time,
 )
 from xcflow.analytic import DECREASING, INCREASING, REGIME_BLOWUP, REGIME_INFINITY, sl2r_trapping_entry
+from xcflow.flows import FLOWS
 from xcflow.geometry import _sl2r_f
 
 
@@ -154,26 +158,31 @@ def test_conserved_catalog_empty_cases():
 # Monotone quantities
 
 
+def _monotone(geometry, m0):
+    """The monotone list of the negative flow from m0, as its branch record states it."""
+    return list(branch_record(geometry, XCF_MINUS, m0).monotone)
+
+
 def test_monotone_catalog_sol():
-    got = monotone_quantities(Geometry.SOL, MetricDiag(2, 4, 1))
+    got = _monotone(Geometry.SOL, MetricDiag(2, 4, 1))
     assert got == [
         ("A-C", DECREASING),
         ("A/C", DECREASING),
         ("A-3C", DECREASING),
         ("C", INCREASING),
     ]
-    mirrored = monotone_quantities(Geometry.SOL, MetricDiag(1, 4, 2))
+    mirrored = _monotone(Geometry.SOL, MetricDiag(1, 4, 2))
     assert mirrored == [
         ("C-A", DECREASING),
         ("C/A", DECREASING),
         ("C-3A", DECREASING),
         ("A", INCREASING),
     ]
-    assert monotone_quantities(Geometry.SOL, MetricDiag(3, 4, 3)) == []
+    assert _monotone(Geometry.SOL, MetricDiag(3, 4, 3)) == []
 
 
 def test_monotone_catalog_su2():
-    got = monotone_quantities(Geometry.SU2, MetricDiag(3, 2, 1))
+    got = _monotone(Geometry.SU2, MetricDiag(3, 2, 1))
     assert got == [
         ("A-B", DECREASING),
         ("A-C", DECREASING),
@@ -181,19 +190,19 @@ def test_monotone_catalog_su2():
         ("A/C", DECREASING),
     ]
     # ordering follows the sorted initial coefficients
-    got = monotone_quantities(Geometry.SU2, MetricDiag(1, 3, 2))
+    got = _monotone(Geometry.SU2, MetricDiag(1, 3, 2))
     assert got[0] == ("B-C", DECREASING)
 
 
 def test_monotone_catalog_sl2r():
-    sym = monotone_quantities(Geometry.SL2R, MetricDiag(1, 1, 1))
+    sym = _monotone(Geometry.SL2R, MetricDiag(1, 1, 1))
     assert ("4/A+1/B", DECREASING) in sym
-    generic = monotone_quantities(Geometry.SL2R, MetricDiag(1, 2, 1))
+    generic = _monotone(Geometry.SL2R, MetricDiag(1, 2, 1))
     assert generic == [("A", INCREASING), ("B", INCREASING), ("C", DECREASING)]
 
 
 def _inline_sl2r_monotone(m0):
-    """The SL(2,R) branch of `monotone_quantities` as it was before it called `sl2r_trapping_entry`."""
+    """The SL(2,R) monotone list as it was stated before it called `sl2r_trapping_entry`."""
     a0, b0, c0 = m0.A, m0.B, m0.C
     if b0 == c0:
         return [("4/A+1/B", DECREASING), ("A", DECREASING), ("B", INCREASING), ("C", INCREASING)]
@@ -229,7 +238,7 @@ def test_sl2r_monotone_catalog_is_the_inline_trapping_test():
     outcomes = set()
     for row in random_rows + boundary:
         m0 = MetricDiag(*row)
-        got = monotone_quantities(Geometry.SL2R, m0)
+        got = _monotone(Geometry.SL2R, m0)
         assert got == _inline_sl2r_monotone(m0), row
         outcomes.add((row in boundary, len(got)))
     # trapped and untrapped data both occur, on the boundary and off it
@@ -240,8 +249,8 @@ def test_sl2r_monotone_catalog_is_the_inline_trapping_test():
 
 
 def test_monotone_catalog_e2():
-    assert monotone_quantities(Geometry.E2, MetricDiag(3, 3, 1)) == []
-    got = monotone_quantities(Geometry.E2, MetricDiag(2, 1, 1))
+    assert _monotone(Geometry.E2, MetricDiag(3, 3, 1)) == []
+    got = _monotone(Geometry.E2, MetricDiag(2, 1, 1))
     assert ("(A-B)^2*C", INCREASING) in got
     assert ("A-B", DECREASING) in got
 
@@ -275,6 +284,11 @@ def test_canonical_permutation():
 # Asymptotic-law catalog
 
 
+def _laws(geometry, spec, m0):
+    """The asymptotic laws of the flow `spec` from m0, as its branch record states them."""
+    return list(branch_record(geometry, spec, m0).laws)
+
+
 def _law(laws, variable):
     matches = [l for l in laws if l.variable == variable]
     assert len(matches) == 1, f"expected exactly one law for {variable}"
@@ -282,14 +296,14 @@ def _law(laws, variable):
 
 
 def test_asymptotics_requires_the_unnormalized_negative_flow():
-    with pytest.raises(ValueError):
-        expected_asymptotics(Geometry.SOL, NXCF, MetricDiag(2, 4, 1))
-    with pytest.raises(ValueError):
-        expected_asymptotics(Geometry.SOL, XCF_PLUS, MetricDiag(2, 4, 1))
+    # every other flow gets the empty record: no laws, no monotone list, no checks
+    assert branch_record(Geometry.SOL, NXCF, MetricDiag(2, 4, 1)) == BranchRecord()
+    assert branch_record(Geometry.SOL, XCF_PLUS, MetricDiag(2, 4, 1)) == BranchRecord()
+    assert _laws(Geometry.SOL, NXCF, MetricDiag(2, 4, 1)) == []
 
 
 def test_asymptotics_heisenberg():
-    laws = expected_asymptotics(Geometry.HEISENBERG, XCF_MINUS, MetricDiag(1, 1, 1))
+    laws = _laws(Geometry.HEISENBERG, XCF_MINUS, MetricDiag(1, 1, 1))
     a = _law(laws, "A")
     assert a.regime == REGIME_INFINITY
     assert a.exponent == Fraction(-1, 14)
@@ -300,7 +314,7 @@ def test_asymptotics_heisenberg():
 
 
 def test_asymptotics_sol_generic():
-    laws = expected_asymptotics(Geometry.SOL, XCF_MINUS, MetricDiag(2, 4, 1))
+    laws = _laws(Geometry.SOL, XCF_MINUS, MetricDiag(2, 4, 1))
     b = _law(laws, "B")
     assert (b.regime, b.exponent, b.coefficient) == (REGIME_BLOWUP, Fraction(1, 2), 8.0)
     assert _law(laws, "A").coefficient is None
@@ -309,21 +323,21 @@ def test_asymptotics_sol_generic():
 
 
 def test_asymptotics_sol_symmetric_pins_the_shared_constant():
-    laws = expected_asymptotics(Geometry.SOL, XCF_MINUS, MetricDiag(1, 8, 1))
+    laws = _laws(Geometry.SOL, XCF_MINUS, MetricDiag(1, 8, 1))
     a = _law(laws, "A")
     assert a.coefficient == pytest.approx(1.0)  # A0 B0 / 8
     assert all(l.variable != "A-C" for l in laws)
 
 
 def test_asymptotics_su2():
-    laws = expected_asymptotics(Geometry.SU2, XCF_MINUS, MetricDiag(3, 2, 1))
+    laws = _laws(Geometry.SU2, XCF_MINUS, MetricDiag(3, 2, 1))
     a = _law(laws, "A")
     assert (a.regime, a.exponent, a.coefficient) == (REGIME_BLOWUP, Fraction(1, 2), 2.0)
     assert {l.variable for l in laws} == {"A", "B", "C"}
 
 
 def test_asymptotics_sl2r_symmetric():
-    laws = expected_asymptotics(Geometry.SL2R, XCF_MINUS, MetricDiag(1, 1, 1))
+    laws = _laws(Geometry.SL2R, XCF_MINUS, MetricDiag(1, 1, 1))
     b = _law(laws, "B")
     assert (b.regime, b.exponent, b.coefficient) == (REGIME_INFINITY, Fraction(1, 3), None)
     a = _law(laws, "A")
@@ -331,14 +345,14 @@ def test_asymptotics_sl2r_symmetric():
 
 
 def test_asymptotics_sl2r_generic():
-    laws = expected_asymptotics(Geometry.SL2R, XCF_MINUS, MetricDiag(1, 2, 1))
+    laws = _laws(Geometry.SL2R, XCF_MINUS, MetricDiag(1, 2, 1))
     c = _law(laws, "C")
     assert (c.regime, c.exponent, c.coefficient) == (REGIME_BLOWUP, Fraction(1, 2), 8.0)
 
 
 def test_asymptotics_e2():
-    assert expected_asymptotics(Geometry.E2, XCF_MINUS, MetricDiag(3, 3, 1)) == []
-    laws = expected_asymptotics(Geometry.E2, XCF_MINUS, MetricDiag(2, 1, 1))
+    assert _laws(Geometry.E2, XCF_MINUS, MetricDiag(3, 3, 1)) == []
+    laws = _laws(Geometry.E2, XCF_MINUS, MetricDiag(2, 1, 1))
     gap = _law(laws, "A-B")
     assert (gap.regime, gap.exponent) == (REGIME_INFINITY, Fraction(-1, 6))
     c = _law(laws, "C")
@@ -348,6 +362,188 @@ def test_asymptotics_e2():
 
 
 def test_asymptotics_mirrored_data_share_the_canonical_catalog():
-    canon = expected_asymptotics(Geometry.SOL, XCF_MINUS, MetricDiag(2, 4, 1))
-    mirrored = expected_asymptotics(Geometry.SOL, XCF_MINUS, MetricDiag(1, 4, 2))
+    canon = _laws(Geometry.SOL, XCF_MINUS, MetricDiag(2, 4, 1))
+    mirrored = _laws(Geometry.SOL, XCF_MINUS, MetricDiag(1, 4, 2))
     assert mirrored == canon
+
+
+# ---------------------------------------------------------------------------
+# The branch record is bitwise the catalog it replaced.  The four functions
+# below are the catalog as it was stated before the record, kept as the
+# reference: the laws, their tolerances (then set by `verify`), the monotone
+# lists and the conserved quantities.
+
+
+def _ref_expected_asymptotics(geometry, spec, m0):
+    if spec != XCF_MINUS:
+        raise ValueError("asymptotic catalog applies to the unnormalized negative flow only")
+
+    perm = canonical_permutation(geometry, m0)
+    coeffs = m0.as_tuple()
+    a0, b0, c0 = (coeffs[perm[0]], coeffs[perm[1]], coeffs[perm[2]])
+
+    if geometry is Geometry.HEISENBERG:
+        r0 = -2.0 * a0 / (b0 * c0)
+        s = 7.0 * r0 * r0
+        return [
+            AsymptoticLaw("A", REGIME_INFINITY, Fraction(-1, 14), a0 * s ** (-1.0 / 14.0),
+                          description="slow decay of the fiber direction"),
+            AsymptoticLaw("B", REGIME_INFINITY, Fraction(3, 14), b0 * s ** (3.0 / 14.0),
+                          description="slow growth of a base direction"),
+            AsymptoticLaw("C", REGIME_INFINITY, Fraction(3, 14), c0 * s ** (3.0 / 14.0),
+                          description="slow growth of a base direction"),
+        ]
+
+    if geometry is Geometry.SOL:
+        laws = [
+            AsymptoticLaw("B", REGIME_BLOWUP, Fraction(1, 2), 8.0,
+                          description="collapsing middle direction, B ~ sqrt(64 (T0-t))"),
+        ]
+        if a0 == c0:
+            k = a0 * b0 / 8.0
+            laws += [
+                AsymptoticLaw("A", REGIME_BLOWUP, Fraction(-1, 2), k,
+                              description="exploding direction of the symmetric reduction"),
+                AsymptoticLaw("C", REGIME_BLOWUP, Fraction(-1, 2), k,
+                              description="exploding direction of the symmetric reduction"),
+            ]
+        else:
+            laws += [
+                AsymptoticLaw("A", REGIME_BLOWUP, Fraction(-1, 2), None,
+                              description="exploding direction, shared constant with C"),
+                AsymptoticLaw("C", REGIME_BLOWUP, Fraction(-1, 2), None,
+                              description="exploding direction, shared constant with A"),
+                AsymptoticLaw("A-C", REGIME_BLOWUP, Fraction(1, 2), None,
+                              description="anisotropy gap closes like sqrt(T0-t)"),
+            ]
+        return laws
+
+    if geometry is Geometry.SU2:
+        return [
+            AsymptoticLaw(v, REGIME_BLOWUP, Fraction(1, 2), 2.0,
+                          description="round collapse, every direction ~ 2 sqrt(T0-t)")
+            for v in ("A", "B", "C")
+        ]
+
+    if geometry is Geometry.SL2R:
+        if b0 == c0:
+            return [
+                AsymptoticLaw("B", REGIME_INFINITY, Fraction(1, 3), None,
+                              description="pancake growth, B = C ~ (24 Ainf t)^(1/3)"),
+                AsymptoticLaw("A", REGIME_INFINITY, Fraction(-1, 3), None, limit_form=True,
+                              description="A tends to a positive limit with a t^(-1/3) tail"),
+            ]
+        return [
+            AsymptoticLaw("A", REGIME_BLOWUP, Fraction(-1, 2), None,
+                          description="exploding direction, same constant as B"),
+            AsymptoticLaw("B", REGIME_BLOWUP, Fraction(-1, 2), None,
+                          description="exploding direction, same constant as A"),
+            AsymptoticLaw("C", REGIME_BLOWUP, Fraction(1, 2), 8.0,
+                          description="collapsing direction, C ~ 8 sqrt(T0-t)"),
+        ]
+
+    if geometry is Geometry.E2:
+        if a0 == b0:
+            return []
+        return [
+            AsymptoticLaw("A-B", REGIME_INFINITY, Fraction(-1, 6), None,
+                          description="anisotropy decays like 2 E2 t^(-1/6)"),
+            AsymptoticLaw("C", REGIME_INFINITY, Fraction(1, 3), None,
+                          description="cigar growth, coefficient (8 E2/E1) sqrt(6)"),
+            AsymptoticLaw("A+B", REGIME_INFINITY, Fraction(-1, 3), None, limit_form=True,
+                          description="A+B tends to 2 E1 with a t^(-1/3) tail"),
+        ]
+
+    return []
+
+
+def _ref_law_tolerances(geometry, branch, law):
+    exp_tol = 0.02
+    coeff_rtol = None
+    if geometry is Geometry.HEISENBERG:
+        exp_tol = 0.005
+        coeff_rtol = 0.01
+    elif geometry is Geometry.SOL:
+        if law.variable == "A-C":
+            exp_tol = 0.05
+        if law.coefficient is not None:
+            coeff_rtol = 0.02
+    elif geometry is Geometry.SU2:
+        coeff_rtol = 0.02
+    elif geometry is Geometry.SL2R:
+        if branch == "symmetric" and law.variable == "B":
+            exp_tol = 0.01
+        if law.coefficient is not None:
+            coeff_rtol = 0.03
+    return exp_tol, coeff_rtol
+
+
+def _ref_monotone_quantities(geometry, m0):
+    a0, b0, c0 = m0.A, m0.B, m0.C
+    if geometry is Geometry.SOL:
+        if a0 > c0:
+            return [("A-C", DECREASING), ("A/C", DECREASING), ("A-3C", DECREASING), ("C", INCREASING)]
+        if c0 > a0:
+            return [("C-A", DECREASING), ("C/A", DECREASING), ("C-3A", DECREASING), ("A", INCREASING)]
+        return []
+    if geometry is Geometry.SU2:
+        order = sorted(zip((a0, b0, c0), "ABC"), key=lambda p: (-p[0], p[1]))
+        hi, mid, lo = (label for _, label in order)
+        return [
+            (f"{hi}-{mid}", DECREASING),
+            (f"{hi}-{lo}", DECREASING),
+            (f"{hi}/{mid}", DECREASING),
+            (f"{hi}/{lo}", DECREASING),
+        ]
+    if geometry is Geometry.SL2R:
+        return _inline_sl2r_monotone(m0)
+    if geometry is Geometry.E2:
+        if a0 == b0:
+            return []
+        hi, lo = ("A", "B") if a0 > b0 else ("B", "A")
+        return [
+            (f"({hi}-{lo})^2*C", INCREASING),
+            (hi, DECREASING),
+            (lo, INCREASING),
+            ("C", INCREASING),
+            (f"{hi}-{lo}", DECREASING),
+        ]
+    return []
+
+
+def _ref_conserved_quantities(geometry, spec, m):
+    out = []
+    if geometry is Geometry.HEISENBERG and spec == XCF_MINUS:
+        out.extend([("A^3*B", m.A**3 * m.B), ("A^3*C", m.A**3 * m.C), ("B/C", m.B / m.C)])
+    if spec.normalized:
+        out.append(("A*B*C", m.A * m.B * m.C))
+    return out
+
+
+def _bits(law):
+    """The fields of a law, each float as its exact hex text."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in astuple(law))
+
+
+def test_branch_record_is_bitwise_the_old_catalog():
+    # coefficients from {1, 2, 3}: all six orderings of distinct values and every tie pattern
+    inits = [MetricDiag(*c) for c in product((1.0, 2.0, 3.0), repeat=3)]
+    for geometry, spec, m0 in product(Geometry, FLOWS.values(), inits):
+        record = branch_record(geometry, spec, m0)
+        got = [(name, v.hex()) for name, v in conserved_quantities(geometry, spec, m0)]
+        want = [(name, v.hex()) for name, v in _ref_conserved_quantities(geometry, spec, m0)]
+        assert got == want, (geometry, spec, m0)
+        assert [name for name, _ in record.first_integrals] == [name for name, _ in want if name != "A*B*C"]
+        if spec != XCF_MINUS:
+            assert record == BranchRecord()
+            with pytest.raises(ValueError):
+                _ref_expected_asymptotics(geometry, spec, m0)
+            continue
+        branch = classify_branch(geometry, m0)
+        want_laws = [
+            replace(law, **dict(zip(("exponent_tol", "coefficient_tol"), _ref_law_tolerances(geometry, branch, law))))
+            for law in _ref_expected_asymptotics(geometry, spec, m0)
+        ]
+        assert [_bits(law) for law in record.laws] == [_bits(law) for law in want_laws], (geometry, m0)
+        assert list(record.monotone) == _ref_monotone_quantities(geometry, m0), (geometry, m0)
+        assert record.checks[0].name == "termination matches branch"

@@ -237,7 +237,7 @@ def test_verify_unwritable_output_is_a_usage_error(capsys, monkeypatch, tmp_path
     monkeypatch.setattr(acceptance, "criteria_for_geometry", lambda geom: [fake_criterion])
     target = tmp_path / "missing" / "report.json"
     code, out, err = run_cli(capsys, "verify", "e2", "--output", str(target))
-    assert code == EXIT_USAGE and out.startswith("[PASS]")  # the criterion lines come first
+    assert code == EXIT_USAGE and out == ""  # the output is opened before any criterion runs
     assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
 
 
@@ -248,6 +248,32 @@ def test_scan_unwritable_output_is_a_usage_error(capsys, tmp_path):
         "--samples", "8", "--t-max", "0.1", "--output", str(target),
     )
     _assert_one_line_usage_error(code, out, err, str(target))
+
+
+@pytest.mark.parametrize(
+    "argv, module, name",
+    [
+        (["run", "--samples", "8"], "cli", "integrate"),
+        (["verify", "all"], "acceptance", "run_suite"),
+        (["scan", "--geometry", "sol", "--grid-A", "0.5:4.5:10", "--grid-B", "4", "--grid-C", "0.5:4.5:10"],
+         "cli", "integrate"),
+    ],
+    ids=["run", "verify", "scan"],
+)
+def test_unwritable_output_fails_before_any_work(capsys, monkeypatch, tmp_path, argv, module, name):
+    from xcflow import acceptance, cli
+
+    calls = []
+
+    def refused(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError(f"{name} ran before --output was opened")
+
+    monkeypatch.setattr({"cli": cli, "acceptance": acceptance}[module], name, refused)
+    target = tmp_path / "no" / "such" / "dir" / "x.out"
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    _assert_one_line_usage_error(code, out, err, str(target))
+    assert calls == []
 
 
 def test_run_step_budget_has_distinct_exit_code(capsys):

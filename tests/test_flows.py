@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from xcflow import (
-    CrossDiag,
     FlowDirection,
     FlowSpec,
     Geometry,
@@ -23,7 +22,6 @@ from xcflow import (
     XCF_PLUS,
     cross_curvature_diag,
     flow_rhs,
-    mean_cross,
     rhs_function,
 )
 from xcflow import flows
@@ -70,12 +68,6 @@ def test_rhs_point_values():
     got = flow_rhs(Geometry.HEISENBERG, MetricDiag(1, 1, 1), NXCF)
     assert got == pytest.approx((-16.0 / 3.0, 8.0 / 3.0, 8.0 / 3.0), rel=1e-15)
     assert flow_rhs(Geometry.SU2, MetricDiag(2, 2, 2), XCF_MINUS) == (-1, -1, -1)
-
-
-def test_mean_cross_point_values():
-    assert mean_cross(MetricDiag(1, 1, 1), CrossDiag(1, -3, -3)) == -5.0
-    assert mean_cross(MetricDiag(0.4, 7, 19), CrossDiag(0, 0, 0)) == 0.0
-    assert mean_cross(MetricDiag(2, 1, 1), CrossDiag(2.5, 3.5, -8.75)) == -4.0
 
 
 def test_trivial_geometry_is_stationary_under_every_flow():

@@ -17,9 +17,7 @@ from xcflow import (
     MetricDiag,
     cross_curvature_diag,
     cross_from_sectional,
-    scalar_curvature,
     sectional_curvatures,
-    structure_signs,
 )
 from xcflow.geometry import _cross_heisenberg, _cross_sol, _sl2r_f, _su2_xyz
 
@@ -39,15 +37,6 @@ geometries = st.sampled_from(ALL_GEOMETRIES)
 
 # ---------------------------------------------------------------------------
 # Enumerations and the metric type
-
-
-def test_structure_signs_table():
-    assert structure_signs(Geometry.SU2) == (1, 1, 1)
-    assert structure_signs(Geometry.HEISENBERG) == (1, 0, 0)
-    assert structure_signs(Geometry.SL2R) == (-1, 1, 1)
-    assert structure_signs(Geometry.SOL) == (1, 0, -1)
-    assert structure_signs(Geometry.E2) == (1, 1, 0)
-    assert structure_signs(Geometry.TRIVIAL) == (0, 0, 0)
 
 
 def test_geometry_from_name():
@@ -95,19 +84,6 @@ def test_cross_from_sectional_point_values():
     assert k == pytest.approx((-3.5, 2.5, 0.5), rel=1e-15)
     h = cross_from_sectional(MetricDiag(2, 1, 1), k)
     assert h == pytest.approx((2.5, -1.75, -8.75), rel=1e-15)
-
-
-def test_scalar_curvature_point_values():
-    assert scalar_curvature(Geometry.HEISENBERG, MetricDiag(1, 1, 1)) == -2.0
-    assert scalar_curvature(Geometry.E2, MetricDiag(3, 3, 7)) == 0.0
-    assert scalar_curvature(Geometry.SU2, MetricDiag(1, 1, 1)) == 6.0
-
-
-def test_scalar_curvature_is_twice_the_sectional_sum():
-    m = MetricDiag(2.0, 0.7, 1.3)
-    for geom in ALL_GEOMETRIES:
-        k = sectional_curvatures(geom, m)
-        assert scalar_curvature(geom, m) == pytest.approx(2.0 * sum(k), rel=1e-14, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
