@@ -26,6 +26,7 @@ pollute them.  All windows must contain at least 32 samples.
 
 from __future__ import annotations
 
+import re
 from dataclasses import asdict, dataclass, replace
 from math import sqrt
 
@@ -437,9 +438,30 @@ def _max_rel_drift(values: np.ndarray, reference: float) -> float:
     return float(np.max(np.abs(values - reference)) / abs(reference))
 
 
-def _monotone_violation(values: np.ndarray, direction: str) -> float:
+_DIFFERENCE = re.compile(r"([ABC])-(3?)([ABC])")
+
+
+def _rounding_floor(states: np.ndarray, name: str) -> np.ndarray | None:
+    """Per-step rounding floor of a difference series such as "C-A" or "A-3C", else None.
+
+    It is the spacing of the larger operand at either end of the step: the
+    difference of two rounded coefficients can step the wrong way by that
+    much while the exact difference is monotone.
+    """
+    match = _DIFFERENCE.fullmatch(name)
+    if match is None:
+        return None
+    x, factor, y = match.groups()
+    mag = np.maximum(np.abs(states[:, "ABC".index(x)]), (3.0 if factor else 1.0) * np.abs(states[:, "ABC".index(y)]))
+    return np.spacing(np.maximum(mag[:-1], mag[1:]))
+
+
+def _monotone_violation(values: np.ndarray, direction: str, floor: np.ndarray | None = None) -> float:
+    """Largest wrong-way step relative to max|values|, ignoring steps of at most `floor` (per step)."""
     d = np.diff(values)
     wrong = np.maximum(0.0, d) if direction == DECREASING else np.maximum(0.0, -d)
+    if floor is not None:
+        wrong = np.where(wrong <= floor, 0.0, wrong)
     scale = float(np.max(np.abs(values)))
     return float(np.max(wrong, initial=0.0) / (scale if scale > 0.0 else 1.0))
 
@@ -472,7 +494,10 @@ def verify(trajectory: Trajectory) -> VerificationReport:
         for name, v0 in conserved_quantities(geom, spec, m0)
     ]
     monotone = [
-        _gate(f"{name} {direction}", "monotone", _monotone_violation(series_values(S, name), direction), MONOTONE_SLACK)
+        _gate(
+            f"{name} {direction}", "monotone",
+            _monotone_violation(series_values(S, name), direction, _rounding_floor(S, name)), MONOTONE_SLACK,
+        )
         for name, direction in record.monotone
     ]
 

@@ -465,17 +465,23 @@ def cmd_scan(args: argparse.Namespace) -> int:
     # built once here, so that a bad option is reported before any worker starts
     options = _integrator_options(args)
     grid = product(*(axis.tolist() for axis in axes))  # A outermost, C innermost
-    payloads = [(geometry, spec, a, b, c, options, volume) for a, b, c in grid]
+    payloads = ((geometry, spec, a, b, c, options, volume) for a, b, c in grid)
+    # each row is written in grid order as soon as it is done, so an
+    # interrupted scan leaves the header and a prefix of valid rows
     with _open_output(args.output) as out:
+        out.write(SCAN_HEADER + "\n")
         if args.workers == 1:
-            rows = [_scan_point(p) for p in payloads]
+            _write_scan_rows(out, map(_scan_point, payloads))
         else:
             with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                chunk = max(1, len(payloads) // (4 * args.workers))
-                rows = list(pool.map(_scan_point, payloads, chunksize=chunk))
-        lines = (",".join([str(i), *row]) for i, row in enumerate(rows))
-        out.write(_csv_text(None, SCAN_HEADER, lines))
+                chunk = max(1, total // (4 * args.workers))
+                _write_scan_rows(out, pool.map(_scan_point, payloads, chunksize=chunk))
     return EXIT_OK
+
+
+def _write_scan_rows(out, rows) -> None:
+    for i, row in enumerate(rows):
+        out.write(",".join([str(i), *row]) + "\n")
 
 
 # ---------------------------------------------------------------------------

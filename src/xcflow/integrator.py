@@ -1,42 +1,64 @@
 """Adaptive integration of the coefficient flows through finite-time singularities.
 
-The scheme is an embedded explicit Runge-Kutta 5(4) pair (Dormand-Prince
-coefficients) with a proportional-integral step controller and the standard
-quartic dense-output interpolant.  On top of the generic solver sit the
-pieces this problem actually needs:
+The flows are homogeneous: g -> lam*g with t -> lam^2*t maps solutions to
+solutions.  The integrator works in variables in which that scaling is a
+translation, so that a self-similar collapse becomes a nearly straight line:
 
-* positivity guard: a trial step is rejected and retried at half the step,
-  before any error control runs, when a stage state has a component outside
-  0 < v < inf or a stage velocity one outside -inf < k < inf (both tests are
-  false for NaN).  A right-hand side whose kernel divides by an underflowed
-  (ABC)^2 returns NaN, so it reads as non-finite too; at the initial metric
+* units: the run is scaled by lam = 2^k, k the binary exponent of the
+  largest initial coefficient (`math.frexp`).  The flow is computed from
+  the scaled metric y0/lam up to t_max/lam^2 and mapped back at the end.
+  Each of these scalings is exact, so `integrate(2^k g, 4^k t_max)` is the
+  base run with its times times 4^k and its states times 2^k, bit for bit.
+  `atol` applies to the scaled time;
+* log coordinates: the step advances xi = log(y / y0) componentwise, as
+  y -> y * exp(dxi), so every state is positive by construction and row 0
+  is y0 exactly.  The first integrals of the catalogued branches (A^3 B,
+  B/C, the volume under the normalized flows) are linear in xi, which a
+  Runge-Kutta step conserves to rounding;
+* Sundman time: the independent variable is tau with dtau = s dt, where
+  s = max(|d log A/dt|, |d log B/dt|, |d log C/dt|, 1/t_max) in scaled
+  units.  So |dxi/dtau| <= 1, and t is a fourth component with
+  dt/dtau = 1/s <= t_max.  Near a self-similar singularity dxi/dtau is
+  nearly constant while T0 - t decays exponentially in tau.  The floor
+  1/t_max makes a fixed point cross [0, t_max] in one unit of tau.
+
+The scheme is the embedded Dormand-Prince 5(4) pair (FSAL) on the four
+components (xi_A, xi_B, xi_C, t), with a proportional-integral step
+controller and the standard quartic dense output for xi.  Each xi component
+is held to `rtol` (it is already relative in y), and t to atol + rtol * t.
+t is the integral of w = 1/s: the exponential through w at both ends of a
+step is integrated exactly and the DP5 weights (and the interpolant) apply
+to the rest, so the geometric approach to T0 costs no accuracy in t.  The
+first trial step is 0.01 in tau and no step exceeds 0.5, which keeps the
+quartic dense output of xi accurate on the approach.
+
+* rejection: a trial step is rejected and retried at half the step when a
+  stage velocity is not finite, including an `exp` that overflows and a
+  kernel that divides by an underflowed (ABC)^2.  At the initial metric
   that is a ValueError;
-* one stop rule for singularities, the step floor: the run stops at a
-  singular time when the accepted step, or the retry step after a
-  rejection, falls below 1e-14 * (1 + t).  The approach is then resolved to
-  the precision of t, and t_stop is the end of the last accepted step.
-  Every run ends on exactly one trigger: `t_max`, `step_underflow` or
-  `max_steps`;
+* stop rules: every run ends on exactly one trigger.  `t_max` when an
+  accepted step reaches the horizon (the step that crosses it is kept, and
+  t_stop is t_max exactly); `step_underflow` when an accepted step advances
+  t by at most 1e-13 of t, so that T0 - t_stop is about 1e-13 T0, or when
+  the retry step after a rejection falls below 1e-12 in tau; `max_steps`
+  when the attempt budget is spent;
 * dense sampling: the returned trajectory carries `samples` interpolated
-  rows; runs that end at a singular time are sampled geometrically in
-  (t_stop - t) so every decade of the approach is resolved at equal density
-  in log-distance to the singular time.
+  rows at times chosen in t; runs that end at a singular time are sampled
+  geometrically in (t_stop - t) so every decade of the approach is resolved
+  at equal density in log-distance to the singular time.  A sample time is
+  mapped to tau by Newton's method on its step's interpolant of t, and the
+  state is y0 * exp(xi) evaluated in long double and rounded once, so
+  consecutive samples move by at most one rounding.
 
-The step runs on Python floats: state and velocity are float tuples and the
-tableau is unrolled component by component into module-level scalars, so
-the step path makes no numpy call and no BLAS product.  Each stage state is
-built in three locals and guarded by the chained comparisons of `_positive`
-and `_finite` written out on them, and the error norm is `_rms` written
-inline, so an attempt calls nothing but the right-hand side, once per stage.
-The velocities of the seven stages of every accepted step are kept in flat
-arrays, and the interpolant coefficients of the whole step table are built
-once, after the last step, as a sum over the stages in a fixed order with
-elementwise products: every step and every component runs the same
-operations.
+The step runs on Python floats: the tableau is unrolled component by
+component into module-level scalars, so an attempt makes no numpy call and
+calls nothing but the right-hand side, once per stage, and `math`.  The
+stage velocities of every accepted step are kept in a flat array, and the
+interpolant coefficients of the whole step table are built once, after the
+last step, with the same operations for every step and every component.
 
 Step times are accumulated with compensated summation, which keeps
-(t_stop - t) accurate to one ulp of t near blow-up; without it the late-time
-power-law fits would be polluted by accumulated rounding of the time grid.
+(t_stop - t) accurate to one ulp of t near blow-up.
 
 Integration is deterministic: identical inputs produce bitwise identical
 trajectories.  The right-hand sides evaluate exactly symmetrically on
@@ -50,7 +72,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import asdict, dataclass
 from enum import Enum
-from math import isfinite, sqrt
+from math import exp, expm1, frexp, isfinite, ldexp, log, sqrt
 
 import numpy as np
 
@@ -88,6 +110,7 @@ _RK_P = np.array(
         [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
     ]
 )
+_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])  # stage abscissae, in units of the step
 _INF = float("inf")
 
 _SAFETY = 0.9
@@ -100,7 +123,12 @@ _EXPO = 0.2 - 0.75 * _BETA
 # a small fraction of the tolerance is what keeps whole-run deviations from
 # the closed forms near the tolerance itself instead of orders above it.
 _ERR_TARGET = 0.05
-_STEP_FLOOR = 1e-14  # accepted step below _STEP_FLOOR*(1+t) stops the run
+_H_START = 0.01  # first trial step in tau; dimensionless, since |dxi/dtau| <= 1
+_H_MAX = 0.5  # largest step in tau: the quartic dense output of xi stays accurate
+_T_RESOLUTION = 1e-13  # an accepted step advancing t by at most this fraction of t ends the run
+_H_FLOOR = 1e-12  # a retry step in tau below this ends the run
+_NEWTON_STEPS = 2  # fixed, so a time maps to the same tau in any stack of times
+_VM_FLOOR = np.nextafter(-1.0, 0.0)
 _VANISH_RATIO = 1e-4  # diagnostic classification of the last accepted state
 _EXPLODE_RATIO = 1e4
 _LABELS = ("A", "B", "C")
@@ -135,7 +163,12 @@ class Termination:
 
 @dataclass(frozen=True)
 class IntegratorOptions:
-    """Tolerances, horizon, step budget and sample count for `integrate`."""
+    """Tolerances, horizon, step budget and sample count for `integrate`.
+
+    `atol` bounds the error of the time component in the run's scaled units
+    (times divided by 4^k, k the binary exponent of the largest initial
+    coefficient); `rtol` bounds the relative error of every component.
+    """
 
     t_max: float = 10.0
     rtol: float = 1e-10
@@ -156,26 +189,66 @@ class IntegratorOptions:
 
 @dataclass(frozen=True)
 class _StepTable:
-    """Accepted steps plus interpolant coefficients for dense output."""
+    """Accepted steps in scaled units plus interpolant coefficients for dense output."""
 
-    t0: np.ndarray  # (m,) step start times
-    h: np.ndarray  # (m,) step sizes
-    y0: np.ndarray  # (m, 3) states at step starts
-    q: np.ndarray  # (m, 3, 4) interpolant coefficients
+    t0: np.ndarray  # (m,) scaled step start times
+    t1: np.ndarray  # (m,) scaled step end times
+    h: np.ndarray  # (m,) step sizes in tau
+    x0: np.ndarray  # (m, 3) long double log states xi = log(y / y(0)) at step starts
+    q: np.ndarray  # (m, 3, 4) long double interpolant coefficients of xi
+    w0: np.ndarray  # (m,) dt/dtau at step starts
+    a: np.ndarray  # (m,) log of dt/dtau at the start over dt/dtau at the end
+    qt: np.ndarray  # (m, 4) interpolant coefficients of the non-exponential part of dt/dtau
+    base: np.ndarray  # (3,) long double scaled initial metric
+    k: int  # binary exponent of the scale: y = 2^k * scaled y, t = 4^k * scaled t
 
     def eval(self, t: np.ndarray) -> np.ndarray:
-        """Interpolated states (n, 3) at the times t (n,) in [0, t_end], each in its own step.
+        """Interpolated states (n, 3), in the caller's units, at the scaled times t (n,) in [0, t_end].
 
-        Dense output is y0 + h * q @ (theta, theta^2, theta^3, theta^4).
-        `np.float_power` evaluates libm's pow on each element, so a time gives
-        the same bits in any stack of times (`sample_at` evaluates a stack of
-        one); numpy's vectorised `**` may use a SIMD pow that differs from it
-        in the last bit.
+        Within a step, t is t0 + h * (w0 * E(theta) + Pt(theta)) with
+        E(theta) = (1 - exp(-a theta))/a: exact where dt/dtau decays or grows
+        exponentially, as it does on a self-similar approach, with the quartic
+        Pt for the rest.  theta solves it for the sample time by a fixed number
+        of Newton steps in v = E(theta)/E(1), in which the time is nearly
+        linear even where it is flat in theta, clipped to [0, 1].  Then xi is
+        x0 + h * P(theta), P the quartic dense output, and the state is
+        y(0) * exp(xi), both in long double and rounded to float once.
+        Everything is elementwise, so a time gives the same bits in any stack
+        of times (`sample_at` evaluates a stack of one).
         """
         idx = np.searchsorted(self.t0, t, side="right") - 1  # t0[0] = 0, so idx >= 0
-        theta = np.minimum((t - self.t0[idx]) / self.h[idx], 1.0)
-        powers = np.array([theta, theta * theta, np.float_power(theta, 3), np.float_power(theta, 4)]).T
-        return self.y0[idx] + self.h[idx, None] * (self.q[idx] @ powers[..., None])[..., 0]
+        h, w0, a = self.h[idx], self.w0[idx], self.a[idx]
+        c0, c1, c2, c3 = self.qt[idx].T
+        flat = a == 0.0
+        a_div = np.where(flat, 1.0, a)
+        m = np.expm1(-a)
+        e1 = np.where(flat, 1.0, -m / a_div)  # E(1)
+        lin = w0 * e1  # the exponential part of (t - t0)/h is lin * v
+        d = (t - self.t0[idx]) / h
+
+        def theta_of(v):
+            vm = np.maximum(v * m, _VM_FLOOR)  # 1 + vm = exp(-a theta) > 0
+            return vm, np.where(flat, v, np.minimum(-np.log1p(vm) / a_div, 1.0))
+
+        v = np.clip(d / (lin + (c0 + c1 + c2 + c3)), 0.0, 1.0)
+        vm, theta = theta_of(v)
+        for _ in range(_NEWTON_STEPS):
+            p = theta * (c0 + theta * (c1 + theta * (c2 + theta * c3)))
+            dp = c0 + theta * (2.0 * c1 + theta * (3.0 * c2 + theta * (4.0 * c3)))
+            dtheta = np.where(flat, 1.0, e1 / (1.0 + vm))
+            v = np.clip(v - (lin * v + p - d) / (lin + dp * dtheta), 0.0, 1.0)
+            vm, theta = theta_of(v)
+        # x0 + h * (theta * (q0 + theta * (q1 + theta * (q2 + theta * q3)))), in place
+        theta = theta.astype(np.longdouble)[:, None]
+        x = self.q[idx, :, 3] * theta
+        for j in (2, 1, 0):
+            x += self.q[idx, :, j]
+            x *= theta
+        x *= h.astype(np.longdouble)[:, None]
+        x += self.x0[idx]
+        np.exp(x, out=x)
+        x *= self.base
+        return np.ldexp(x.astype(float), self.k)
 
 
 @dataclass(frozen=True)
@@ -202,132 +275,165 @@ class Trajectory:
         return float(self.times[-1])
 
 
-def _finite(k) -> bool:
-    """Every component of the triple k lies in (-inf, inf); false for NaN."""
-    k0, k1, k2 = k
-    return -_INF < k0 < _INF and -_INF < k1 < _INF and -_INF < k2 < _INF
+def _velocity(rhs, y, smin):
+    """(dxi_A, dxi_B, dxi_C, dt) per unit tau at the scaled state y, or None if not finite."""
+    g = [v / c for v, c in zip(rhs(y), y)]
+    s = max(abs(g[0]), abs(g[1]), abs(g[2]), smin)
+    f = (g[0] / s, g[1] / s, g[2] / s, 1.0 / s)
+    return f if all(-_INF < v < _INF for v in f[:3]) else None
 
 
-def _positive(y) -> bool:
-    """Every component of the triple y lies in (0, inf); false for NaN."""
-    y0, y1, y2 = y
-    return 0.0 < y0 < _INF and 0.0 < y1 < _INF and 0.0 < y2 < _INF
+def _attempt_step(rhs, y, f, h, t, smin, rtol, atol):
+    """One trial step of size h in tau from the scaled state y at the scaled time t.
 
+    `f` is the velocity (dxi_A, dxi_B, dxi_C, dt) per unit tau at y and
+    `smin` the floor of s.  Returns None if a stage velocity is not finite;
+    an `exp` that overflows and a division by a coefficient that underflowed
+    to 0 count as such.  Otherwise returns (y_new, dt, f_new, err, stages),
+    `stages` being the seven stage velocities flattened into one 28-tuple,
+    stage by stage.  `kSC` is component C of the velocity at stage S.
 
-def _rms(r0: float, r1: float, r2: float) -> float:
-    """Root mean square of three floats, summed in numpy's order for a 3-vector."""
-    return sqrt(((r0 * r0 + r1 * r1) + r2 * r2) / 3.0)
-
-
-def _initial_step(rhs, y0, f0, rtol, atol, t_max):
-    """Starting step size from the local scale of y and its derivatives."""
-    s0, s1, s2 = (atol + rtol * abs(v) for v in y0)
-    d0 = _rms(y0[0] / s0, y0[1] / s1, y0[2] / s2)
-    d1 = _rms(f0[0] / s0, f0[1] / s1, f0[2] / s2)
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, t_max)
-    y1 = tuple(v + h0 * k for v, k in zip(y0, f0))
-    for _ in range(40):
-        if _positive(y1):
-            break
-        h0 *= 0.1
-        y1 = tuple(v + h0 * k for v, k in zip(y0, f0))
-    f1 = rhs(y1)
-    if not _finite(f1):
-        return min(1e-6, t_max)
-    d2 = _rms((f1[0] - f0[0]) / s0, (f1[1] - f0[1]) / s1, (f1[2] - f0[2]) / s2) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100.0 * h0, h1, t_max)
-
-
-def _attempt_step(rhs, y, f, h, rtol, atol):
-    """One trial step from the state y with velocity f, both float triples.
-
-    Returns None if a stage state leaves the positive cone or a stage velocity
-    is not finite.  Otherwise returns (y_new, f_new, err, stages), `stages`
-    being the seven stage velocities flattened into one 21-tuple, stage by
-    stage.  `kSC` is component C of the velocity at stage S, and `sC` of the
-    stage state; the guards are `_positive` and `_finite` written out.
+    A stage state is y * exp(h * sum_j a_j k_j) componentwise, so it is
+    positive by construction and carries the rounding of y itself.  Each
+    stage computes g = (dy/dt)/y, s = max(|g|, smin) and the velocity
+    (g/s, 1/s).  |g/s| <= 1 where it is finite, so the guard is a
+    finiteness test of g/s (NaN fails it, and an infinite g makes it NaN).
     """
     y0, y1, y2 = y
-    k10, k11, k12 = f
-    s0 = y0 + h * (_A21 * k10)
-    s1 = y1 + h * (_A21 * k11)
-    s2 = y2 + h * (_A21 * k12)
-    if not (0.0 < s0 < _INF and 0.0 < s1 < _INF and 0.0 < s2 < _INF):
+    k10, k11, k12, k13 = f
+    try:
+        z0 = y0 * exp(h * (_A21 * k10))
+        z1 = y1 * exp(h * (_A21 * k11))
+        z2 = y2 * exp(h * (_A21 * k12))
+        g0, g1, g2 = rhs((z0, z1, z2))
+        g0, g1, g2 = g0 / z0, g1 / z1, g2 / z2
+        s = g0 if g0 >= 0.0 else -g0
+        a = g1 if g1 >= 0.0 else -g1
+        s = a if a > s else s
+        a = g2 if g2 >= 0.0 else -g2
+        s = a if a > s else s
+        s = smin if smin > s else s
+        k20, k21, k22, k23 = g0 / s, g1 / s, g2 / s, 1.0 / s
+        if not (-_INF < k20 < _INF and -_INF < k21 < _INF and -_INF < k22 < _INF):
+            return None
+        z0 = y0 * exp(h * (_A31 * k10 + _A32 * k20))
+        z1 = y1 * exp(h * (_A31 * k11 + _A32 * k21))
+        z2 = y2 * exp(h * (_A31 * k12 + _A32 * k22))
+        g0, g1, g2 = rhs((z0, z1, z2))
+        g0, g1, g2 = g0 / z0, g1 / z1, g2 / z2
+        s = g0 if g0 >= 0.0 else -g0
+        a = g1 if g1 >= 0.0 else -g1
+        s = a if a > s else s
+        a = g2 if g2 >= 0.0 else -g2
+        s = a if a > s else s
+        s = smin if smin > s else s
+        k30, k31, k32, k33 = g0 / s, g1 / s, g2 / s, 1.0 / s
+        if not (-_INF < k30 < _INF and -_INF < k31 < _INF and -_INF < k32 < _INF):
+            return None
+        z0 = y0 * exp(h * (_A41 * k10 + _A42 * k20 + _A43 * k30))
+        z1 = y1 * exp(h * (_A41 * k11 + _A42 * k21 + _A43 * k31))
+        z2 = y2 * exp(h * (_A41 * k12 + _A42 * k22 + _A43 * k32))
+        g0, g1, g2 = rhs((z0, z1, z2))
+        g0, g1, g2 = g0 / z0, g1 / z1, g2 / z2
+        s = g0 if g0 >= 0.0 else -g0
+        a = g1 if g1 >= 0.0 else -g1
+        s = a if a > s else s
+        a = g2 if g2 >= 0.0 else -g2
+        s = a if a > s else s
+        s = smin if smin > s else s
+        k40, k41, k42, k43 = g0 / s, g1 / s, g2 / s, 1.0 / s
+        if not (-_INF < k40 < _INF and -_INF < k41 < _INF and -_INF < k42 < _INF):
+            return None
+        z0 = y0 * exp(h * (_A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40))
+        z1 = y1 * exp(h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41))
+        z2 = y2 * exp(h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42))
+        g0, g1, g2 = rhs((z0, z1, z2))
+        g0, g1, g2 = g0 / z0, g1 / z1, g2 / z2
+        s = g0 if g0 >= 0.0 else -g0
+        a = g1 if g1 >= 0.0 else -g1
+        s = a if a > s else s
+        a = g2 if g2 >= 0.0 else -g2
+        s = a if a > s else s
+        s = smin if smin > s else s
+        k50, k51, k52, k53 = g0 / s, g1 / s, g2 / s, 1.0 / s
+        if not (-_INF < k50 < _INF and -_INF < k51 < _INF and -_INF < k52 < _INF):
+            return None
+        z0 = y0 * exp(h * (_A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40 + _A65 * k50))
+        z1 = y1 * exp(h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51))
+        z2 = y2 * exp(h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42 + _A65 * k52))
+        g0, g1, g2 = rhs((z0, z1, z2))
+        g0, g1, g2 = g0 / z0, g1 / z1, g2 / z2
+        s = g0 if g0 >= 0.0 else -g0
+        a = g1 if g1 >= 0.0 else -g1
+        s = a if a > s else s
+        a = g2 if g2 >= 0.0 else -g2
+        s = a if a > s else s
+        s = smin if smin > s else s
+        k60, k61, k62, k63 = g0 / s, g1 / s, g2 / s, 1.0 / s
+        if not (-_INF < k60 < _INF and -_INF < k61 < _INF and -_INF < k62 < _INF):
+            return None
+        z0 = y0 * exp(h * (_B1 * k10 + _B3 * k30 + _B4 * k40 + _B5 * k50 + _B6 * k60))
+        z1 = y1 * exp(h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61))
+        z2 = y2 * exp(h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62))
+        g0, g1, g2 = rhs((z0, z1, z2))
+        g0, g1, g2 = g0 / z0, g1 / z1, g2 / z2
+        s = g0 if g0 >= 0.0 else -g0
+        a = g1 if g1 >= 0.0 else -g1
+        s = a if a > s else s
+        a = g2 if g2 >= 0.0 else -g2
+        s = a if a > s else s
+        s = smin if smin > s else s
+        k70, k71, k72, k73 = f_new = g0 / s, g1 / s, g2 / s, 1.0 / s
+        if not (-_INF < k70 < _INF and -_INF < k71 < _INF and -_INF < k72 < _INF):
+            return None
+        # t is the integral of w = dt/dtau.  The exponential through both ends,
+        # k13 * exp(-a tau/h), is integrated exactly; the DP5 weights apply to
+        # the stage values less it (stages 1 and 7 lie on it)
+        a = log(k13 / k73)
+        lin = k13 if a == 0.0 else k13 * -expm1(-a) / a
+        r3 = k33 - k13 * exp(-0.3 * a)
+        r4 = k43 - k13 * exp(-0.8 * a)
+        r5 = k53 - k13 * exp(-(8 / 9) * a)
+        r6 = k63 - k13 * exp(-a)
+    except (OverflowError, ZeroDivisionError):
         return None
-    k20, k21, k22 = rhs((s0, s1, s2))
-    if not (-_INF < k20 < _INF and -_INF < k21 < _INF and -_INF < k22 < _INF):
-        return None
-    s0 = y0 + h * (_A31 * k10 + _A32 * k20)
-    s1 = y1 + h * (_A31 * k11 + _A32 * k21)
-    s2 = y2 + h * (_A31 * k12 + _A32 * k22)
-    if not (0.0 < s0 < _INF and 0.0 < s1 < _INF and 0.0 < s2 < _INF):
-        return None
-    k30, k31, k32 = rhs((s0, s1, s2))
-    if not (-_INF < k30 < _INF and -_INF < k31 < _INF and -_INF < k32 < _INF):
-        return None
-    s0 = y0 + h * (_A41 * k10 + _A42 * k20 + _A43 * k30)
-    s1 = y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31)
-    s2 = y2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32)
-    if not (0.0 < s0 < _INF and 0.0 < s1 < _INF and 0.0 < s2 < _INF):
-        return None
-    k40, k41, k42 = rhs((s0, s1, s2))
-    if not (-_INF < k40 < _INF and -_INF < k41 < _INF and -_INF < k42 < _INF):
-        return None
-    s0 = y0 + h * (_A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40)
-    s1 = y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41)
-    s2 = y2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42)
-    if not (0.0 < s0 < _INF and 0.0 < s1 < _INF and 0.0 < s2 < _INF):
-        return None
-    k50, k51, k52 = rhs((s0, s1, s2))
-    if not (-_INF < k50 < _INF and -_INF < k51 < _INF and -_INF < k52 < _INF):
-        return None
-    s0 = y0 + h * (_A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40 + _A65 * k50)
-    s1 = y1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51)
-    s2 = y2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42 + _A65 * k52)
-    if not (0.0 < s0 < _INF and 0.0 < s1 < _INF and 0.0 < s2 < _INF):
-        return None
-    k60, k61, k62 = rhs((s0, s1, s2))
-    if not (-_INF < k60 < _INF and -_INF < k61 < _INF and -_INF < k62 < _INF):
-        return None
-    z0 = y0 + h * (_B1 * k10 + _B3 * k30 + _B4 * k40 + _B5 * k50 + _B6 * k60)
-    z1 = y1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61)
-    z2 = y2 + h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62)
-    if not (0.0 < z0 < _INF and 0.0 < z1 < _INF and 0.0 < z2 < _INF):
-        return None
-    y_new = (z0, z1, z2)
-    k70, k71, k72 = f_new = rhs(y_new)
-    if not (-_INF < k70 < _INF and -_INF < k71 < _INF and -_INF < k72 < _INF):
-        return None
-    # y and y_new are positive and finite here, so each conditional is max(); err is _rms inline
-    r0 = h * (_E1 * k10 + _E3 * k30 + _E4 * k40 + _E5 * k50 + _E6 * k60 + _E7 * k70)
-    r0 = r0 / (atol + rtol * (y0 if y0 >= z0 else z0))
-    r1 = h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * k71)
-    r1 = r1 / (atol + rtol * (y1 if y1 >= z1 else z1))
-    r2 = h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62 + _E7 * k72)
-    r2 = r2 / (atol + rtol * (y2 if y2 >= z2 else z2))
-    err = sqrt(((r0 * r0 + r1 * r1) + r2 * r2) / 3.0)
-    k = (k10, k11, k12, k20, k21, k22, k30, k31, k32, k40, k41, k42, k50, k51, k52, k60, k61, k62, k70, k71, k72)
-    return y_new, f_new, err, k
+    dt = h * (lin + (_B3 * r3 + _B4 * r4 + _B5 * r5 + _B6 * r6))
+    # err is the rms of the four scaled error components; xi is relative in y, and t >= 0
+    e0 = h * (_E1 * k10 + _E3 * k30 + _E4 * k40 + _E5 * k50 + _E6 * k60 + _E7 * k70) / rtol
+    e1 = h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * k71) / rtol
+    e2 = h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62 + _E7 * k72) / rtol
+    e3 = h * (_E3 * r3 + _E4 * r4 + _E5 * r5 + _E6 * r6) / (atol + rtol * (t + dt))
+    err = sqrt((((e0 * e0 + e1 * e1) + e2 * e2) + e3 * e3) / 4.0)
+    k = (
+        k10, k11, k12, k13, k20, k21, k22, k23, k30, k31, k32, k33, k40, k41, k42, k43,
+        k50, k51, k52, k53, k60, k61, k62, k63, k70, k71, k72, k73,
+    )
+    return (z0, z1, z2), dt, f_new, err, k
 
 
-def _step_table(rows_t, rows_h, rows_y, rows_k) -> _StepTable:
+def _step_table(rows_t, t_end, rows_h, rows_k, base, k) -> _StepTable:
     """Table of the accepted steps with the interpolant coefficients of each.
 
     q = K^T P is summed stage by stage with elementwise products, the same
     operations for every step and every component, so exactly equal stage
-    velocities give exactly equal coefficients.
+    velocities give exactly equal coefficients.  For t, P is applied to the
+    stage values of dt/dtau less the exponential w0 * exp(-a c) through its
+    two ends.
     """
-    K = np.frombuffer(rows_k).reshape(-1, 7, 3, 1)
-    q = K[:, 0] * _RK_P[0]
+    K = np.frombuffer(rows_k).reshape(-1, 7, 4).copy()
+    w0 = K[:, 0, 3].copy()
+    a = np.log(w0 / K[:, 6, 3])
+    K[:, :, 3] -= w0[:, None] * np.exp(-a[:, None] * _C)
+    q = K[:, 0, :, None] * _RK_P[0]
     for s in range(1, 7):
-        q = q + K[:, s] * _RK_P[s]
+        q = q + K[:, s, :, None] * _RK_P[s]
+    t0, h = np.frombuffer(rows_t), np.frombuffer(rows_h)
+    qx = q[:, :3].astype(np.longdouble)
+    # xi at the step starts, summed in long double from the interpolant at theta = 1
+    x1 = np.cumsum(h.astype(np.longdouble)[:, None] * qx.sum(axis=2), axis=0)
+    x0 = np.concatenate([np.zeros((1, 3), dtype=np.longdouble), x1[:-1]])
     return _StepTable(
-        np.frombuffer(rows_t), np.frombuffer(rows_h), np.frombuffer(rows_y).reshape(-1, 3), q
+        t0, np.append(t0[1:], t_end), h, x0, qx, w0, a, q[:, 3], np.array(base, dtype=np.longdouble), k,
     )
 
 
@@ -375,18 +481,33 @@ def integrate(
 ) -> Trajectory:
     """Run the flow from m0 until t_max, a singular time, or the step budget."""
     opts = options if options is not None else IntegratorOptions()
-    t_max, rtol, atol, max_steps = opts.t_max, opts.rtol, opts.atol, opts.max_steps
+    rtol, atol, max_steps = opts.rtol, opts.atol, opts.max_steps
     rhs = rhs_function(geometry, spec)
-    y = y0 = m0.as_tuple()
+    y0 = m0.as_tuple()
 
-    # accepted steps, flat: start time, size, start state (3), stage velocities (7 x 3)
-    rows_t, rows_h, rows_y, rows_k = array("d"), array("d"), array("d"), array("d")
+    # scaled units: y = 2^k * scaled y and t = 4^k * scaled t, exactly
+    k = frexp(max(y0))[1]
+    base = tuple(ldexp(v, -k) for v in y0)
+    try:
+        t_max = ldexp(opts.t_max, -2 * k)
+    except OverflowError:
+        t_max = _INF
+    if not (0.0 < t_max < _INF and 1.0 / t_max < _INF):
+        raise ValueError(f"t_max={opts.t_max!r} is out of range at the scale of the initial metric")
+    smin = 1.0 / t_max
+    try:
+        f = _velocity(rhs, base, smin)
+    except (OverflowError, ZeroDivisionError):
+        f = None
+    if f is None:
+        raise ValueError("flow right-hand side is not finite at the initial metric")
+
+    # accepted steps, flat: start time, size in tau, stage velocities (7 x 4)
+    rows_t, rows_h, rows_k = array("d"), array("d"), array("d")
+    y = base
     t = 0.0
     comp = 0.0  # compensated-summation carry for t
-    f = rhs(y)
-    if not _finite(f):
-        raise ValueError("flow right-hand side is not finite at the initial metric")
-    h = _initial_step(rhs, y, f, rtol, atol, t_max)
+    h = _H_START
     facold = 1e-4
     growth_locked = False
     n_acc = n_rej = 0
@@ -396,64 +517,56 @@ def integrate(
             kind, t_stop, trigger = TerminationKind.STEP_BUDGET_EXHAUSTED, t, "max_steps"
             break
 
-        remaining = t_max - t
-        landing = h >= remaining
-        h_try = remaining if landing else h
-
-        out = _attempt_step(rhs, y, f, h_try, rtol, atol)
-        if out is None or out[2] > 1.0:
+        out = _attempt_step(rhs, y, f, h, t, smin, rtol, atol)
+        if out is None or out[3] > 1.0:
             n_rej += 1
             if out is None:
-                # positivity or finiteness failure inside the step: retry at h/2
-                h = 0.5 * h_try
+                # a stage velocity is not finite: retry at h/2
+                h = 0.5 * h
             else:
-                h = h_try * max(_MIN_FACTOR, _SAFETY * max(out[2] / _ERR_TARGET, 1e-300) ** (-_EXPO))
+                h = h * max(_MIN_FACTOR, _SAFETY * max(out[3] / _ERR_TARGET, 1e-300) ** (-_EXPO))
             growth_locked = True
-            h_resolved = h
-        else:
-            # accepted: record the step; its interpolant is built after the loop
-            y_new, f_new, err, stages = out
-            rows_t.append(t)
-            rows_h.append(h_try)
-            rows_y.extend(y)
-            rows_k.extend(stages)
-            n_acc += 1
-
-            carry = h_try + comp
-            t_prev = t
-            t = t_prev + carry
-            comp = carry - (t - t_prev)
-            if landing:
-                t, comp = t_max, 0.0
-            y = y_new
-            f = f_new
-
-            if landing or t >= t_max:
-                kind, t_stop, trigger = TerminationKind.REACHED_T_MAX, t_max, "t_max"
+            if h < _H_FLOOR:  # the solver can no longer make progress
+                kind, t_stop, trigger = TerminationKind.SINGULAR_TIME, t, "step_underflow"
                 break
+            continue
 
-            factor = _SAFETY * max(err / _ERR_TARGET, 1e-300) ** (-_EXPO) * facold**_BETA
-            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-            if growth_locked:
-                factor = min(1.0, factor)
-                growth_locked = False
-            h = h_try * factor
-            facold = max(err / _ERR_TARGET, 1e-4)
-            h_resolved = h_try
-
-        # the retry step after a rejection, or the step just accepted, is below
-        # the floor: the solver can no longer resolve the approach
-        if h_resolved < _STEP_FLOOR * (1.0 + t):
+        y_new, dt, f_new, err, stages = out
+        n_acc += 1
+        carry = dt + comp
+        t_new = t + carry
+        if dt <= _T_RESOLUTION * t:  # the approach to the singular time is resolved
+            y = y_new
             kind, t_stop, trigger = TerminationKind.SINGULAR_TIME, t, "step_underflow"
             break
+        comp = carry - (t_new - t)
+        # accepted: record the step; its interpolant is built after the loop
+        rows_t.append(t)
+        rows_h.append(h)
+        rows_k.extend(stages)
+        t, y, f = t_new, y_new, f_new
+        if t >= t_max:
+            kind, t_stop, trigger = TerminationKind.REACHED_T_MAX, t_max, "t_max"
+            break
 
-    table = _step_table(rows_t, rows_h, rows_y, rows_k) if rows_t else None
-    van, exp_ = _diagnose(y, y0) if kind is TerminationKind.SINGULAR_TIME else ((), ())
-    termination = Termination(kind, t_stop, van, exp_, trigger, n_accepted=n_acc, n_rejected=n_rej)
+        factor = _SAFETY * max(err / _ERR_TARGET, 1e-300) ** (-_EXPO) * facold**_BETA
+        factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+        if growth_locked:
+            factor = min(1.0, factor)
+            growth_locked = False
+        h = min(h * factor, _H_MAX)
+        facold = max(err / _ERR_TARGET, 1e-4)
 
-    times = _sample_times(kind, t_stop, opts.samples)
+    table = _step_table(rows_t, t, rows_h, rows_k, base, k) if rows_t else None
+    van, exp_ = _diagnose(y, base) if kind is TerminationKind.SINGULAR_TIME else ((), ())
+    termination = Termination(
+        kind, ldexp(t_stop, 2 * k), van, exp_, trigger, n_accepted=n_acc, n_rejected=n_rej
+    )
+
+    grid = _sample_times(kind, t_stop, opts.samples)
+    times = np.ldexp(grid, 2 * k)
     if table is not None:
-        states = table.eval(times)
+        states = table.eval(grid)
     else:  # stopped before the first accepted step, so t_stop = 0 and times = [0]
         states = np.array([y0])
     for arr in (times, states):
@@ -480,4 +593,5 @@ def sample_at(trajectory: Trajectory, t: float) -> MetricDiag:
         )
     if t == 0.0:
         return trajectory.m0
-    return MetricDiag.from_array(trajectory._table.eval(np.array([t]))[0])
+    table = trajectory._table
+    return MetricDiag.from_array(table.eval(np.ldexp(np.array([t]), -2 * table.k))[0])

@@ -448,3 +448,50 @@ def test_branch_facts_are_bitwise_the_inline_expressions(geom, init, t_max):
     assert any(law.regime == REGIME_BLOWUP for law in catalog) == expect_singular
     detail = checks["termination matches branch"].detail
     assert detail.startswith(f"expected {'singular' if expect_singular else 'complete'},")
+
+
+# ---------------------------------------------------------------------------
+# Monotone checks of a difference ignore the rounding of its operands
+
+_NEAR_SYMMETRIC_SOL = MetricDiag(2.5, 2.001, 2.523)
+
+
+def test_difference_steps_within_one_spacing_of_the_operands_are_ignored():
+    big = 2.0**20  # spacing 2^-32
+    states = np.array([[big, 1.0, big + 2.0**-28], [big, 1.0, big + 2.0**-29], [big, 1.0, big + 2.0**-29 + 2.0**-32]])
+    values = series_values(states, "C-A")
+    floor = analysis._rounding_floor(states, "C-A")
+    assert floor.tolist() == [2.0**-32, 2.0**-32]
+    assert analysis._monotone_violation(values, "decreasing") > 0.0
+    assert analysis._monotone_violation(values, "decreasing", floor) == 0.0
+    states[2, 2] += 2.0**-32  # now two spacings the wrong way
+    assert analysis._monotone_violation(series_values(states, "C-A"), "decreasing", floor) > 0.0
+    assert analysis._rounding_floor(states, "A-3C").tolist() == np.spacing(3.0 * states[1:, 2]).tolist()
+    assert analysis._rounding_floor(states, "A/C") is None and analysis._rounding_floor(states, "C") is None
+
+
+def test_near_symmetric_sol_passes_its_monotone_checks():
+    # C-A steps the wrong way by one ulp of A ~ 1e6 near the singular time
+    report = verify(integrate(Geometry.SOL, XCF_MINUS, _NEAR_SYMMETRIC_SOL, IntegratorOptions(t_max=10.0)))
+    assert report.passed
+    assert [c.observed for c in report.monotone if c.name == "C-A decreasing"] == [0.0]
+
+
+def _c_minus_a_check(traj, states):
+    report = verify(replace(traj, states=states))
+    return next(c for c in report.monotone if c.name == "C-A decreasing")
+
+
+def test_planted_wrong_way_step_of_a_difference_still_fails():
+    traj = integrate(Geometry.SOL, XCF_MINUS, _NEAR_SYMMETRIC_SOL, IntegratorOptions(t_max=10.0))
+    v = traj.states[:, 2] - traj.states[:, 0]
+    # early, where A ~ 10 and its spacing is far below the slack: C-A rises by 2e-9 of its scale
+    states = np.array(traj.states)
+    i = int(np.argmax(states[:, 0] > 10.0))
+    states[i + 1:, 2] += (v[i] - v[i + 1]) + 2e-9 * np.max(np.abs(v))
+    check = _c_minus_a_check(traj, states)
+    assert not check.passed and check.observed == pytest.approx(2e-9, rel=1e-3)
+    # at the last sample, where A ~ 7e6 and the floor is largest: C rises by 1e-9 of itself
+    states = np.array(traj.states)
+    states[-1, 2] *= 1.0 + 1e-9
+    assert not _c_minus_a_check(traj, states).passed

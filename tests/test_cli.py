@@ -505,12 +505,14 @@ def test_scan_checks_every_axis_value_before_integrating(capsys, monkeypatch, tm
 
 
 def test_scan_non_finite_velocity_at_initial_metric_is_a_usage_error(capsys):
+    # the run is scaled by 2^k for the largest coefficient, so only a spread
+    # of 200 decades makes (ABC)^2 underflow at the scaled initial metric
     code, out, err = run_cli(
-        capsys, "scan", "--geometry", "sol", "--grid-A", "1e-100", "--grid-B", "2e-100",
-        "--grid-C", "3e-100",
+        capsys, "scan", "--geometry", "sol", "--grid-A", "1e-200", "--grid-B", "1",
+        "--grid-C", "1e-200",
     )
     assert code == EXIT_USAGE
-    assert out == ""
+    assert out == SCAN_HEADER + "\n"  # rows are streamed, so the header precedes the first point
     assert err == "error: flow right-hand side is not finite at the initial metric\n"
 
 
@@ -641,10 +643,10 @@ def test_sample_columns_match_row_by_row_evaluation(geometry, init, flow):
 
 
 def test_scan_point_that_spends_its_budget_gets_a_budget_row(capsys):
-    # Sol (1,4,1) and (2,4,1) reach their singular time in 730 and 745 step
-    # attempts, (3,4,1) needs 769: a budget of 760 stops only the last point.
+    # Sol (1,4,1) and (2,4,1) reach their singular time in 33 and 222 step
+    # attempts, (3,4,1) needs 242: a budget of 230 stops only the last point.
     argv = ["scan", "--geometry", "sol", "--grid-A", "1:3:3", "--grid-B", "4", "--grid-C", "1",
-            "--samples", "128", "--max-steps", "760"]
+            "--samples", "128", "--max-steps", "230"]
     code, serial, err = run_cli(capsys, *argv)
     assert code == EXIT_OK and err == ""
     rows = [line.split(",") for line in serial.splitlines()[1:]]
@@ -675,3 +677,48 @@ def test_scan_rejects_a_budget_below_one_before_starting_work(capsys, monkeypatc
     assert code == EXIT_USAGE
     assert out == ""
     assert err == "error: max_steps must be at least 1\n"
+
+
+# ---------------------------------------------------------------------------
+# scan rows are streamed
+
+
+_STREAM_ARGV = ("scan", "--geometry", "sol", "--grid-A", "1:3:4", "--grid-B", "4", "--grid-C", "1:2:2",
+                "--samples", "64")
+
+
+def test_streamed_scan_file_is_byte_identical_across_worker_counts(capsys, tmp_path):
+    texts = []
+    for workers in ("1", "2"):
+        path = tmp_path / f"scan{workers}.csv"
+        code, out, err = run_cli(capsys, *_STREAM_ARGV, "--workers", workers, "--output", str(path))
+        assert (code, out, err) == (EXIT_OK, "", "")
+        texts.append(path.read_bytes())
+    assert texts[0] == texts[1]
+    lines = texts[0].decode().splitlines()
+    assert lines[0] == SCAN_HEADER and [line.split(",")[0] for line in lines[1:]] == [str(i) for i in range(8)]
+
+
+def test_scan_that_fails_at_a_point_leaves_the_rows_before_it(capsys, monkeypatch, tmp_path):
+    from xcflow import cli
+
+    real_integrate = cli.integrate
+    calls = []
+
+    def failing_integrate(*args):
+        calls.append(1)
+        if len(calls) == 6:  # grid point 5
+            raise ValueError("planted failure at point 5")
+        return real_integrate(*args)
+
+    monkeypatch.setattr(cli, "integrate", failing_integrate)
+    path = tmp_path / "scan.csv"
+    code, out, err = run_cli(capsys, *_STREAM_ARGV, "--output", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: planted failure at point 5\n"
+    lines = path.read_text().splitlines()
+    assert lines[0] == SCAN_HEADER and len(lines) == 6
+    for index, line in enumerate(lines[1:]):
+        cells = line.split(",")
+        assert len(cells) == len(SCAN_HEADER.split(",")) and cells[0] == str(index)
+        assert cells[4] == "singular_time"

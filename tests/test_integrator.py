@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from math import sqrt
+from dataclasses import replace
+from math import exp, expm1, inf, ldexp, log, sqrt
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from xcflow.flows import FLOWS
 from xcflow.integrator import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
     _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7,
-    _attempt_step, _finite, _positive, _rms,
+    _attempt_step,
 )
 
 
@@ -117,7 +118,7 @@ _IMMORTAL_FIXTURES = (
 
 @pytest.mark.parametrize("name", _SINGULAR_FIXTURES + _IMMORTAL_FIXTURES)
 def test_stop_vocabulary(request, name):
-    # the step floor is the only singular-time rule; every run ends on one of three triggers
+    # one singular-time rule (step_underflow); every run ends on one of three triggers
     traj = request.getfixturevalue(name)
     term = traj.termination
     if name in _SINGULAR_FIXTURES:
@@ -148,9 +149,11 @@ def test_termination_to_dict_round_trips_enums(sol_symmetric_run):
 
 @pytest.mark.parametrize("geom", [Geometry.SOL, Geometry.SU2, Geometry.HEISENBERG])
 def test_non_finite_velocity_at_initial_metric_raises(geom):
-    # (ABC)^2 underflows to 0.0, so the kernels divide by zero
+    # the run is scaled so that the largest coefficient lies in [0.5, 1);
+    # (ABC)^2 of the scaled metric still underflows to 0.0 here, so the
+    # kernels divide by zero
     with pytest.raises(ValueError, match="not finite at the initial metric"):
-        integrate(geom, XCF_MINUS, MetricDiag(2e-100, 4e-100, 1e-100))
+        integrate(geom, XCF_MINUS, MetricDiag(1e-200, 1.0, 1e-200))
 
 
 # ---------------------------------------------------------------------------
@@ -194,24 +197,54 @@ def test_sample_at_agrees_with_emitted_grid(heisenberg_short_run, sol_generic_ru
         assert np.array_equal(got, traj.states)
 
 
-def test_dense_grid_matches_per_row_interpolant(heisenberg_short_run, sol_generic_run):
-    # reference: the quartic interpolant evaluated one row at a time in Python floats
-    for traj in (heisenberg_short_run, sol_generic_run):
+def _row_state(table, t):
+    """The dense output at one scaled time, in numpy scalars: the reference for `_StepTable.eval`."""
+    i = int(np.searchsorted(table.t0, t, side="right")) - 1
+    h, w0, a = table.h[i], table.w0[i], table.a[i]
+    c0, c1, c2, c3 = table.qt[i]
+    m = np.expm1(-a)
+    e1 = 1.0 if a == 0.0 else -m / a
+    lin = w0 * e1
+    d = (t - table.t0[i]) / h
+    v = min(max(d / (lin + (c0 + c1 + c2 + c3)), 0.0), 1.0)
+    for n in range(integrator._NEWTON_STEPS + 1):
+        vm = max(v * m, integrator._VM_FLOOR)
+        theta = v if a == 0.0 else min(-np.log1p(vm) / a, 1.0)
+        if n == integrator._NEWTON_STEPS:
+            break
+        p = theta * (c0 + theta * (c1 + theta * (c2 + theta * c3)))
+        dp = c0 + theta * (2.0 * c1 + theta * (3.0 * c2 + theta * (4.0 * c3)))
+        dtheta = 1.0 if a == 0.0 else e1 / (1.0 + vm)
+        v = min(max(v - (lin * v + p - d) / (lin + dp * dtheta), 0.0), 1.0)
+    theta = np.longdouble(theta)
+    q = table.q[i]
+    x = table.x0[i] + np.longdouble(h) * (theta * (q[:, 0] + theta * (q[:, 1] + theta * (q[:, 2] + theta * q[:, 3]))))
+    return np.ldexp((table.base * np.exp(x)).astype(float), table.k)
+
+
+def test_dense_grid_matches_per_row_interpolant(heisenberg_short_run, sol_generic_run, su2_round_run):
+    # reference: the same interpolant and inverse evaluated one row at a time
+    for traj in (heisenberg_short_run, sol_generic_run, su2_round_run):
         table = traj._table
-        want = []
-        for t in traj.times:
-            i = int(np.searchsorted(table.t0, t, side="right")) - 1
-            theta = min(float((t - table.t0[i]) / table.h[i]), 1.0)
-            powers = np.array([theta, theta * theta, theta**3, theta**4])
-            want.append(table.y0[i] + table.h[i] * (table.q[i] @ powers))
+        want = [_row_state(table, t) for t in np.ldexp(traj.times, -2 * table.k)]
         assert np.array_equal(np.array(want), traj.states)
 
 
-# ---------------------------------------------------------------------------
-# The single step: stage guards and the matrix-form reference
+def test_dense_inverse_has_converged(sol_generic_run, su2_generic_run, sl2r_generic_run, e2_generic_run):
+    # the fixed Newton count maps every sample time to tau as well as many more steps do
+    for traj in (sol_generic_run, su2_generic_run, sl2r_generic_run, e2_generic_run):
+        grid = np.ldexp(traj.times, -2 * traj._table.k)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrator, "_NEWTON_STEPS", 30)
+            converged = traj._table.eval(grid)
+        assert np.max(np.abs(traj.states - converged) / converged) <= 1e-14
 
-# Dormand-Prince 5(4) in matrix form on numpy 3-vectors, the step as it was
-# written before the elementwise float form: the reference for _attempt_step.
+
+# ---------------------------------------------------------------------------
+# The single step: finiteness guards and the matrix-form reference
+
+# Dormand-Prince 5(4) in matrix form on numpy vectors, the log/Sundman step
+# written without unrolling: the reference for _attempt_step.
 _REF_A = (
     np.array([1 / 5]),
     np.array([3 / 40, 9 / 40]),
@@ -221,181 +254,183 @@ _REF_A = (
 )
 _REF_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
 _REF_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_REF_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 
 
-def _reference_step(rhs, y, f, h, rtol, atol):
-    K = np.empty((7, 3))
+def _reference_step(rhs, y, f, h, t, smin, rtol, atol):
+    def rate(z):
+        g = np.array(rhs(z)) / z
+        s = max(float(np.max(np.abs(g))), smin)
+        return np.append(g / s, 1.0 / s)
+
+    K = np.empty((7, 4))
     K[0] = f
-    for s in range(1, 6):
-        ys = y + h * (_REF_A[s - 1] @ K[:s])
-        if not (np.all(np.isfinite(ys)) and np.all(ys > 0.0)):
-            return None
-        K[s] = rhs(ys)
-        if not np.all(np.isfinite(K[s])):
-            return None
-    y_new = y + h * (_REF_B @ K[:6])
-    if not (np.all(np.isfinite(y_new)) and np.all(y_new > 0.0)):
-        return None
-    K[6] = rhs(y_new)
-    if not np.all(np.isfinite(K[6])):
-        return None
-    e = h * (_REF_E @ K)
-    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-    err = sqrt(float(np.mean((e / scale) ** 2)))
-    return y_new, K[6], err, K
+    with np.errstate(over="ignore"):
+        for s in range(1, 7):
+            weights = _REF_A[s - 1] if s < 6 else _REF_B
+            z = y * np.exp(h * (weights @ K[:s, :3]))
+            if not (np.all(np.isfinite(z)) and np.all(z > 0.0)):
+                return None
+            K[s] = rate(z)
+            if not np.all(np.isfinite(K[s])):
+                return None
+    w = K[:, 3]
+    a = np.log(w[0] / w[6])
+    r = w - w[0] * np.exp(-a * _REF_C)  # dt/dtau less the exponential through both ends
+    dt = h * (w[0] * -np.expm1(-a) / a + _REF_B @ r[:6])
+    scale = np.array([rtol, rtol, rtol, atol + rtol * (t + dt)])
+    e = h * (_REF_E @ np.column_stack([K[:, :3], r])) / scale
+    return z, dt, K[6], sqrt(float(np.mean(e * e))), K
 
 
 def _scripted_rhs(bad_call, bad_value, component=0):
-    """Velocity (1, 1, 1), with bad_value in one component on call number bad_call; counts calls."""
+    """Velocity (1, 1, 1), with bad_value in one component on call number bad_call; counts calls.
+
+    A bad_value that is an exception type is raised instead.
+    """
     calls = []
 
     def rhs(y):
         calls.append(tuple(y))
         k = [1.0, 1.0, 1.0]
         if len(calls) == bad_call:
+            if isinstance(bad_value, type):
+                raise bad_value("planted")
             k[component] = bad_value
         return tuple(k)
 
     return rhs, calls
 
 
-# The coefficient of stage velocity k_(n+1) in the state of stage n+2 (y_new for n = 5).
-_NEXT_COEF = {
-    1: integrator._A32, 2: integrator._A43, 3: integrator._A54, 4: integrator._A65, 5: integrator._B6,
-}
-
-
-@pytest.mark.parametrize("bad_call", sorted(_NEXT_COEF))
-def test_attempt_step_rejects_stage_outside_positive_cone(bad_call):
-    # a huge velocity of the sign that drives the next stage state negative
-    value = -1e6 if _NEXT_COEF[bad_call] > 0.0 else 1e6
-    rhs, calls = _scripted_rhs(bad_call, value)
-    assert _attempt_step(rhs, (1.0, 1.0, 1.0), (1.0, 1.0, 1.0), 0.1, 1e-10, 1e-13) is None
-    assert len(calls) == bad_call  # the negative state was never evaluated
-    assert all(min(y) > 0.0 for y in calls)
-
-
-def test_attempt_step_rejects_negative_first_stage():
-    rhs, calls = _scripted_rhs(0, 0.0)
-    assert _attempt_step(rhs, (1.0, 1.0, 1.0), (-1e6, 1.0, 1.0), 0.1, 1e-10, 1e-13) is None
-    assert calls == []
+_UNIT = (1.0, 1.0, 1.0)
+_UNIT_VELOCITY = (1.0, 1.0, 1.0, 1.0)  # of the scripted rhs at _UNIT: g = 1, s = 1
 
 
 @pytest.mark.parametrize("bad_value", [float("inf"), float("-inf"), float("nan")])
 @pytest.mark.parametrize("bad_call", range(1, 7))
 def test_attempt_step_rejects_non_finite_stage_velocity(bad_call, bad_value):
     rhs, calls = _scripted_rhs(bad_call, bad_value)
-    assert _attempt_step(rhs, (1.0, 1.0, 1.0), (1.0, 1.0, 1.0), 1e-3, 1e-10, 1e-13) is None
+    assert _attempt_step(rhs, _UNIT, _UNIT_VELOCITY, 1e-3, 0.0, 0.1, 1e-10, 1e-13) is None
     assert len(calls) == bad_call
+
+
+@pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError])
+@pytest.mark.parametrize("bad_call", range(1, 7))
+def test_attempt_step_rejects_a_raising_stage(bad_call, error):
+    # a kernel that overflows or divides by zero rejects the attempt, it does not propagate
+    rhs, calls = _scripted_rhs(bad_call, error)
+    assert _attempt_step(rhs, _UNIT, _UNIT_VELOCITY, 1e-3, 0.0, 0.1, 1e-10, 1e-13) is None
+    assert len(calls) == bad_call
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_attempt_step_rejects_a_stage_state_beyond_the_floats(sign):
+    # |dxi/dtau| <= 1, so only a step of hundreds of units of tau takes exp
+    # past the floats: above, math.exp raises before the rhs sees the state;
+    # below, the state underflows to 0 and g = (dy/dt)/y divides by zero
+    rhs, calls = _scripted_rhs(0, 0.0)
+    f = (sign, sign, sign, 1.0)
+    assert _attempt_step(rhs, _UNIT, f, 1e4, 0.0, 0.1, 1e-10, 1e-13) is None
+    assert len(calls) == (0 if sign > 0.0 else 1)
+
+
+def _table_points(traj, count):
+    """(scaled state, scaled time, step size) at up to `count` accepted steps spread over the run."""
+    table = traj._table
+    for i in np.unique(np.linspace(0, len(table.h) - 1, count).round().astype(int)):
+        y = tuple((table.base * np.exp(table.x0[i])).astype(float).tolist())
+        yield y, float(table.t0[i]), float(table.h[i])
+
+
+def _smin(traj):
+    return 1.0 / ldexp(traj.options.t_max, -2 * traj._table.k)
 
 
 def test_attempt_step_matches_matrix_form_reference(
     sol_symmetric_run, sol_generic_run, sl2r_generic_run, su2_round_run, su2_generic_run
 ):
     # The float form sums the tableau left to right; BLAS may fuse and reorder
-    # the same products, so results differ in the last bits.  y_new is a sum of
-    # like-signed terms here and is compared relatively.  err is a difference of
-    # nearly cancelling terms (the E weights sum to 0), so its gap is measured
+    # the same products, so results differ in the last bits.  States and
+    # velocities are compared relatively.  err is a difference of nearly
+    # cancelling terms (the E weights sum to 0), so its gap is measured
     # against the rms of the term magnitudes instead of err itself.
     rtol, atol = 1e-10, 1e-13
     for traj in (sol_symmetric_run, sol_generic_run, sl2r_generic_run, su2_round_run, su2_generic_run):
         rhs = rhs_function(traj.geometry, traj.spec)
-        table = traj._table
-        for i in np.unique(np.linspace(0, len(table.h) - 1, 200).round().astype(int)):
-            y, h = tuple(table.y0[i].tolist()), float(table.h[i])
-            f = rhs(y)
-            got = _attempt_step(rhs, y, f, h, rtol, atol)
-            want = _reference_step(lambda v: np.array(rhs(v)), np.array(y), np.array(f), h, rtol, atol)
-            y_new, K = want[0], want[3]
-            assert np.max(np.abs(np.array(got[0]) - y_new) / y_new) <= 1e-14
-            assert np.max(np.abs(np.array(got[1]) - K[6]) / np.abs(K[6])) <= 1e-14
-            scale = atol + rtol * np.maximum(np.abs(y), y_new)
-            magnitude = sqrt(float(np.mean((abs(h) * (np.abs(_REF_E) @ np.abs(K)) / scale) ** 2)))
-            assert abs(got[2] - want[2]) <= 1e-14 * magnitude
+        smin = _smin(traj)
+        for y, t, h in _table_points(traj, 60):
+            f = integrator._velocity(rhs, y, smin)
+            got = _attempt_step(rhs, y, f, h, t, smin, rtol, atol)
+            want = _reference_step(rhs, np.array(y), np.array(f), h, t, smin, rtol, atol)
+            z, dt, k7, err, K = want
+            assert np.max(np.abs(np.array(got[0]) - z) / z) <= 1e-14
+            assert abs(got[1] - dt) <= 1e-14 * dt
+            assert np.max(np.abs(np.array(got[2]) - k7)) <= 1e-14
+            magnitude = sqrt(float(np.mean((h * (np.abs(_REF_E) @ np.abs(K))) ** 2))) / rtol
+            assert abs(got[3] - err) <= 1e-14 * magnitude
 
 
-# The step as written before its guards and error norm were inlined: stage
-# states as tuples checked by _positive/_finite, max() and _rms.  The inline
-# form must give exactly its bits, or None where it gives None.
+# The step written with loops over the tableau rows and a helper for the
+# stage velocity, instead of unrolled into locals.  The unrolled form must
+# give exactly its bits, or None where it gives None.
+
+_STAGE_ROWS = (
+    ((_A21, 0),),
+    ((_A31, 0), (_A32, 1)),
+    ((_A41, 0), (_A42, 1), (_A43, 2)),
+    ((_A51, 0), (_A52, 1), (_A53, 2), (_A54, 3)),
+    ((_A61, 0), (_A62, 1), (_A63, 2), (_A64, 3), (_A65, 4)),
+    ((_B1, 0), (_B3, 2), (_B4, 3), (_B5, 4), (_B6, 5)),  # the new state, where stage 7 is evaluated
+)
+_ERROR_ROW = ((_E1, 0), (_E3, 2), (_E4, 3), (_E5, 4), (_E6, 5), (_E7, 6))
 
 
-def _helper_form_step(rhs, y, f, h, rtol, atol):
-    y0, y1, y2 = y
-    k10, k11, k12 = f
-    s = (y0 + h * (_A21 * k10), y1 + h * (_A21 * k11), y2 + h * (_A21 * k12))
-    if not _positive(s):
+def _weighted(row, ks, c):
+    total = row[0][0] * ks[row[0][1]][c]
+    for coef, j in row[1:]:
+        total = total + coef * ks[j][c]
+    return total
+
+
+def _stage_velocity(rhs, z, smin):
+    g = [v / c for v, c in zip(rhs(z), z)]
+    s = abs(g[0])
+    for v in g[1:]:
+        s = abs(v) if abs(v) > s else s
+    s = smin if smin > s else s
+    k = (g[0] / s, g[1] / s, g[2] / s, 1.0 / s)
+    return k if all(-inf < v < inf for v in k[:3]) else None
+
+
+def _helper_form_step(rhs, y, f, h, t, smin, rtol, atol):
+    ks = [f]
+    try:
+        for row in _STAGE_ROWS:
+            z = tuple(y[c] * exp(h * _weighted(row, ks, c)) for c in range(3))
+            k = _stage_velocity(rhs, z, smin)
+            if k is None:
+                return None
+            ks.append(k)
+        w = [k[3] for k in ks]
+        a = log(w[0] / w[6])
+        lin = w[0] if a == 0.0 else w[0] * -expm1(-a) / a
+        r = [w[j] - w[0] * exp(-c * a) for j, c in ((2, 3 / 10), (3, 4 / 5), (4, 8 / 9), (5, 1.0))]
+    except (OverflowError, ZeroDivisionError):
         return None
-    k2 = k20, k21, k22 = rhs(s)
-    if not _finite(k2):
-        return None
-    s = (
-        y0 + h * (_A31 * k10 + _A32 * k20),
-        y1 + h * (_A31 * k11 + _A32 * k21),
-        y2 + h * (_A31 * k12 + _A32 * k22),
-    )
-    if not _positive(s):
-        return None
-    k3 = k30, k31, k32 = rhs(s)
-    if not _finite(k3):
-        return None
-    s = (
-        y0 + h * (_A41 * k10 + _A42 * k20 + _A43 * k30),
-        y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31),
-        y2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32),
-    )
-    if not _positive(s):
-        return None
-    k4 = k40, k41, k42 = rhs(s)
-    if not _finite(k4):
-        return None
-    s = (
-        y0 + h * (_A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40),
-        y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41),
-        y2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42),
-    )
-    if not _positive(s):
-        return None
-    k5 = k50, k51, k52 = rhs(s)
-    if not _finite(k5):
-        return None
-    s = (
-        y0 + h * (_A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40 + _A65 * k50),
-        y1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51),
-        y2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42 + _A65 * k52),
-    )
-    if not _positive(s):
-        return None
-    k6 = k60, k61, k62 = rhs(s)
-    if not _finite(k6):
-        return None
-    y_new = z0, z1, z2 = (
-        y0 + h * (_B1 * k10 + _B3 * k30 + _B4 * k40 + _B5 * k50 + _B6 * k60),
-        y1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61),
-        y2 + h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62),
-    )
-    if not _positive(y_new):
-        return None
-    k7 = k70, k71, k72 = rhs(y_new)
-    if not _finite(k7):
-        return None
-    err = _rms(
-        h * (_E1 * k10 + _E3 * k30 + _E4 * k40 + _E5 * k50 + _E6 * k60 + _E7 * k70)
-        / (atol + rtol * max(y0, z0)),
-        h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * k71)
-        / (atol + rtol * max(y1, z1)),
-        h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62 + _E7 * k72)
-        / (atol + rtol * max(y2, z2)),
-    )
-    return y_new, k7, err, (*f, *k2, *k3, *k4, *k5, *k6, *k7)
+    dt = h * (lin + (_B3 * r[0] + _B4 * r[1] + _B5 * r[2] + _B6 * r[3]))
+    e = [h * _weighted(_ERROR_ROW, ks, c) / rtol for c in range(3)]
+    e.append(h * (_E3 * r[0] + _E4 * r[1] + _E5 * r[2] + _E6 * r[3]) / (atol + rtol * (t + dt)))
+    err = sqrt((((e[0] * e[0] + e[1] * e[1]) + e[2] * e[2]) + e[3] * e[3]) / 4.0)
+    return z, dt, ks[6], err, tuple(v for k in ks for v in k)
 
 
 def _step_bits(out):
     """The result of a step attempt as bytes (None stays None); tells -0.0 from 0.0."""
     if out is None:
         return None
-    y_new, f_new, err, stages = out
-    assert len(y_new) == len(f_new) == 3 and len(stages) == 21
-    return np.array([*y_new, *f_new, err, *stages], dtype=float).tobytes()
+    y_new, dt, f_new, err, stages = out
+    assert len(y_new) == 3 and len(f_new) == 4 and len(stages) == 28
+    return np.array([*y_new, dt, *f_new, err, *stages], dtype=float).tobytes()
 
 
 _FIXTURES = _SINGULAR_FIXTURES + _IMMORTAL_FIXTURES
@@ -406,19 +441,21 @@ _FIXTURES = _SINGULAR_FIXTURES + _IMMORTAL_FIXTURES
 def test_attempt_step_is_bitwise_the_helper_form(request, geom, flow):
     # states and step sizes of accepted steps of every canonical run, stepped
     # under this geometry and flow at h, 8h and 1e3h, so that attempts end
-    # accepted, rejected on error, and rejected by a stage guard (None)
+    # accepted, rejected on error, and rejected by a finiteness guard (None)
     rtol, atol = 1e-10, 1e-13
     rhs = rhs_function(geom, FLOWS[flow])
     outcomes = {"none": 0, "rejected": 0, "accepted": 0}
     for name in _FIXTURES:
-        table = request.getfixturevalue(name)._table
-        for i in np.unique(np.linspace(0, len(table.h) - 1, 12).round().astype(int)):
-            y, h = tuple(table.y0[i].tolist()), float(table.h[i])
-            f = rhs(y)
+        traj = request.getfixturevalue(name)
+        smin = _smin(traj)
+        for y, t, h in _table_points(traj, 12):
+            f = integrator._velocity(rhs, y, smin)
+            if f is None:
+                continue
             for step in (h, 8.0 * h, 1e3 * h):
-                got = _attempt_step(rhs, y, f, step, rtol, atol)
-                assert _step_bits(got) == _step_bits(_helper_form_step(rhs, y, f, step, rtol, atol))
-                kind = "none" if got is None else "rejected" if got[2] > 1.0 else "accepted"
+                got = _attempt_step(rhs, y, f, step, t, smin, rtol, atol)
+                assert _step_bits(got) == _step_bits(_helper_form_step(rhs, y, f, step, t, smin, rtol, atol))
+                kind = "none" if got is None else "rejected" if got[3] > 1.0 else "accepted"
                 outcomes[kind] += 1
     # TRIVIAL's velocity is zero, so its every attempt passes with err = 0
     assert outcomes["accepted"] > 0
@@ -430,16 +467,46 @@ def test_attempt_step_is_bitwise_the_helper_form(request, geom, flow):
 @pytest.mark.parametrize("bad_value", [float("inf"), float("-inf"), float("nan"), -1e6, 1e6])
 @pytest.mark.parametrize("bad_call", range(0, 7))
 def test_attempt_step_rejections_match_the_helper_form(bad_call, bad_value, component):
-    # every stage guard on every component: a non-finite velocity, or one
-    # that drives the next stage state out of the positive cone
-    y = (1.0, 1.0, 1.0)
-    for f in (y, tuple(bad_value if i == component else 1.0 for i in range(3))):
+    # every finiteness guard on every component: a non-finite velocity, or a
+    # huge one that makes s large and the other components' dxi/dtau small
+    for f in (_UNIT_VELOCITY, (0.5, -1.0, 0.25, 2.0)):
         for h in (1e-3, 0.1):
             rhs, calls = _scripted_rhs(bad_call, bad_value, component)
             ref_rhs, ref_calls = _scripted_rhs(bad_call, bad_value, component)
-            got = _attempt_step(rhs, y, f, h, 1e-10, 1e-13)
-            assert _step_bits(got) == _step_bits(_helper_form_step(ref_rhs, y, f, h, 1e-10, 1e-13))
+            got = _attempt_step(rhs, _UNIT, f, h, 0.0, 0.1, 1e-10, 1e-13)
+            assert _step_bits(got) == _step_bits(_helper_form_step(ref_rhs, _UNIT, f, h, 0.0, 0.1, 1e-10, 1e-13))
             assert calls == ref_calls
+
+
+@pytest.mark.parametrize(
+    "name, pairs",
+    [
+        ("sol_symmetric_run", ((0, 2),)),
+        ("sl2r_symmetric_run", ((1, 2),)),
+        ("su2_round_run", ((0, 1), (1, 2))),
+    ],
+)
+def test_attempt_step_is_bitwise_symmetric(request, name, pairs):
+    # exactly symmetric states step to exactly symmetric states, stage by
+    # stage, accepted or not; these are the symmetric-branch locks
+    traj = request.getfixturevalue(name)
+    rhs = rhs_function(traj.geometry, traj.spec)
+    smin = _smin(traj)
+    checked = 0
+    for y, t, h in _table_points(traj, 20):
+        assert all(y[i] == y[j] for i, j in pairs)
+        f = integrator._velocity(rhs, y, smin)
+        for step in (h, 8.0 * h):
+            out = _attempt_step(rhs, y, f, step, t, smin, 1e-10, 1e-13)
+            if out is None:
+                continue
+            y_new, _, f_new, _, stages = out
+            stages = np.array(stages).reshape(7, 4)
+            for i, j in pairs:
+                assert y_new[i] == y_new[j] and f_new[i] == f_new[j]
+                assert np.array_equal(stages[:, i], stages[:, j])
+            checked += 1
+    assert checked > 0
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +559,10 @@ def test_wrapped_rhs_function_changes_no_bit_and_counts_the_fsal_budget(monkeypa
     assert wrapped.termination == plain.termination
     term = wrapped.termination
     assert len(outcomes) == term.n_accepted + term.n_rejected
-    # every attempt of these runs passes its stage guards: FSAL costs one
-    # evaluation at t=0, one in the initial step heuristic and six per attempt
+    # every attempt of these runs passes its finiteness guards: FSAL costs one
+    # evaluation at t=0 and six per attempt, and the first step is fixed in tau
     assert all(outcomes)
-    assert len(calls) == 2 + 6 * len(outcomes)
+    assert len(calls) == 1 + 6 * len(outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -611,3 +678,137 @@ def test_sol_generic_monotone_quantities(sol_generic_run):
 def test_e2_spread_energy_is_nondecreasing(e2_generic_run):
     v = series_values(e2_generic_run, "(A-B)^2*C")
     assert float(np.max(np.maximum(-np.diff(v), 0.0), initial=0.0)) <= 1e-9 * float(np.max(v))
+
+
+# ---------------------------------------------------------------------------
+# Units: the run is computed in units scaled by a power of two
+
+
+_SCALE_DATA = {
+    Geometry.HEISENBERG: (1.0, 2.0, 3.0),
+    Geometry.SOL: (2.0, 4.0, 1.0),
+    Geometry.SU2: (3.0, 2.0, 1.0),
+    Geometry.SL2R: (1.0, 2.0, 1.0),
+    Geometry.E2: (2.0, 1.0, 1.0),
+    Geometry.TRIVIAL: (1.5, 2.5, 3.5),
+}
+_SCALE_EXPONENTS = (-400, -263, -64, -1, 1, 37, 211, 400)
+
+
+@pytest.mark.parametrize("flow", list(FLOWS))
+@pytest.mark.parametrize("geom", list(Geometry), ids=lambda g: g.value)
+def test_power_of_two_scaling_is_bitwise(geom, flow):
+    # integrate(2^k g, 4^k t_max) is the base run with times * 4^k and states * 2^k
+    opts = IntegratorOptions(t_max=10.0, samples=64)
+    m0 = _SCALE_DATA[geom]
+    base = integrate(geom, FLOWS[flow], MetricDiag(*m0), opts)
+    for k in _SCALE_EXPONENTS:
+        run = integrate(
+            geom, FLOWS[flow], MetricDiag(*(ldexp(v, k) for v in m0)), replace(opts, t_max=ldexp(10.0, 2 * k))
+        )
+        assert np.ldexp(run.times, -2 * k).tobytes() == base.times.tobytes()
+        assert np.ldexp(run.states, -k).tobytes() == base.states.tobytes()
+        assert run.termination == replace(base.termination, t_stop=ldexp(base.termination.t_stop, 2 * k))
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-60, 1e60])
+@pytest.mark.parametrize(
+    "geom, init", [(Geometry.SOL, (2, 4, 1)), (Geometry.HEISENBERG, (2, 4, 1)), (Geometry.SU2, (3, 2, 1))],
+    ids=["sol", "heisenberg", "su2"],
+)
+def test_any_scale_ends_like_the_unit_run(geom, init, scale):
+    # Before runs were scaled, these stopped at t = 0 (1e-8; 1e-60, or raised
+    # there) or reported a false t_max with the state unchanged (1e60).
+    unit = integrate(geom, XCF_MINUS, MetricDiag(*init), IntegratorOptions(t_max=10.0))
+    run = integrate(
+        geom, XCF_MINUS, MetricDiag(*(scale * v for v in init)), IntegratorOptions(t_max=10.0 * scale * scale)
+    )
+    assert run.termination.trigger == unit.termination.trigger
+    assert run.termination.kind is unit.termination.kind
+    assert run.termination.t_stop / scale**2 == pytest.approx(unit.termination.t_stop, rel=1e-12)
+
+
+def test_t_max_out_of_range_at_the_metric_scale_is_an_error():
+    # 10 / 4^k overflows for the scale 2^k of this metric
+    with pytest.raises(ValueError, match="out of range at the scale of the initial metric"):
+        integrate(Geometry.SOL, XCF_MINUS, MetricDiag(2e-300, 4e-300, 1e-300))
+
+
+# ---------------------------------------------------------------------------
+# What the log/Sundman step buys, and what it must keep
+
+# Step attempts of the t-parametrised Dormand-Prince stepper that this one
+# replaced, on the same runs at the default options.
+_T_FORM_ATTEMPTS = {
+    (Geometry.SOL, (2, 4, 1)): 745,
+    (Geometry.SOL, (1, 8, 1)): 755,
+    (Geometry.SL2R, (1, 2, 1)): 674,
+    (Geometry.SU2, (2, 2, 2)): 366,
+}
+
+
+@pytest.mark.parametrize("geom, init", list(_T_FORM_ATTEMPTS), ids=lambda v: getattr(v, "value", str(v)))
+def test_singular_runs_take_at_most_half_the_t_form_attempts(geom, init):
+    term = integrate(geom, XCF_MINUS, MetricDiag(*init), IntegratorOptions(t_max=10.0)).termination
+    assert term.trigger == "step_underflow"
+    assert term.n_accepted + term.n_rejected <= _T_FORM_ATTEMPTS[(geom, init)] // 2
+
+
+@pytest.mark.parametrize(
+    "geom, init, t0", [(Geometry.SOL, (1, 8, 1), 1.0), (Geometry.SU2, (2, 2, 2), 1.0)], ids=["sol", "su2"]
+)
+def test_singular_time_lands_within_1e_10_of_the_closed_form(geom, init, t0):
+    term = integrate(geom, XCF_MINUS, MetricDiag(*init), IntegratorOptions(t_max=10.0)).termination
+    assert abs(term.t_stop - t0) <= 1e-10 * t0
+
+
+def test_positive_heisenberg_flow_lands_on_its_singular_time():
+    # the positive flow runs the closed form backward: w = 1 - 28 (A0/(B0 C0))^2 t = 1 - 7t, so T0 = 1/7
+    term = integrate(Geometry.HEISENBERG, XCF_PLUS, MetricDiag(2, 4, 1), IntegratorOptions(t_max=10.0)).termination
+    assert term.trigger == "step_underflow"
+    assert abs(term.t_stop - 1.0 / 7.0) <= 1e-10 / 7.0
+
+
+def test_first_integrals_are_conserved_to_rounding(heisenberg_unit_run):
+    # A^3 B, A^3 C and B/C are linear in log coordinates, which a Runge-Kutta step conserves
+    for name in ("A^3*B", "A^3*C", "B/C"):
+        v = series_values(heisenberg_unit_run, name)
+        assert np.max(np.abs(v - v[0])) / abs(v[0]) < 1e-13
+
+
+@pytest.mark.parametrize("geom", list(Geometry), ids=lambda g: g.value)
+def test_normalized_flow_conserves_volume_to_rounding(geom):
+    traj = integrate(geom, NXCF, MetricDiag(*_SCALE_DATA[geom]), IntegratorOptions(t_max=2.0))
+    v = series_values(traj, "A*B*C")
+    assert np.max(np.abs(v - v[0])) / abs(v[0]) < 1e-13
+
+
+@pytest.mark.parametrize("kind", ["overflow", "nan"])
+@pytest.mark.parametrize("stage", range(1, 7))
+def test_a_fault_planted_at_every_attempt_ends_the_run_in_bounded_cost(monkeypatch, stage, kind):
+    # the right-hand side fails at this stage of every attempt: each attempt
+    # is rejected, h halves, and the retry floor ends the run at t = 0
+    real_rhs_function = integrator.rhs_function
+
+    def faulty_rhs_function(geometry, spec):
+        fn = real_rhs_function(geometry, spec)
+        calls = []
+
+        def rhs(y):
+            calls.append(1)
+            if len(calls) > 1 and (len(calls) - 2) % 6 == stage - 1:
+                if kind == "overflow":
+                    raise OverflowError("planted")
+                return (float("nan"),) * 3
+            return fn(y)
+
+        return rhs
+
+    monkeypatch.setattr(integrator, "rhs_function", faulty_rhs_function)
+    traj = integrate(Geometry.SOL, XCF_MINUS, MetricDiag(2, 4, 1), IntegratorOptions(t_max=10.0))
+    term = traj.termination
+    assert (term.kind, term.trigger, term.t_stop, term.n_accepted) == (
+        TerminationKind.SINGULAR_TIME, "step_underflow", 0.0, 0,
+    )
+    assert term.n_rejected <= 40  # 0.01 halved below 1e-12
+    assert traj.times.tolist() == [0.0] and np.array_equal(traj.states, [[2.0, 4.0, 1.0]])
