@@ -466,15 +466,18 @@ def cmd_scan(args: argparse.Namespace) -> int:
     options = _integrator_options(args)
     grid = product(*(axis.tolist() for axis in axes))  # A outermost, C innermost
     payloads = ((geometry, spec, a, b, c, options, volume) for a, b, c in grid)
+    # the pool starts all its workers at once, so it gets no more than there
+    # are points and processors; the rows do not depend on the count
+    workers = min(args.workers, total, os.cpu_count() or 1)
     # each row is written in grid order as soon as it is done, so an
     # interrupted scan leaves the header and a prefix of valid rows
     with _open_output(args.output) as out:
         out.write(SCAN_HEADER + "\n")
-        if args.workers == 1:
+        if workers == 1:
             _write_scan_rows(out, map(_scan_point, payloads))
         else:
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                chunk = max(1, total // (4 * args.workers))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                chunk = max(1, total // (4 * workers))
                 _write_scan_rows(out, pool.map(_scan_point, payloads, chunksize=chunk))
     return EXIT_OK
 

@@ -32,10 +32,10 @@ to the rest, so the geometric approach to T0 costs no accuracy in t.  The
 first trial step is 0.01 in tau and no step exceeds 0.5, which keeps the
 quartic dense output of xi accurate on the approach.
 
-* rejection: a trial step is rejected and retried at half the step when a
-  stage velocity is not finite, including an `exp` that overflows and a
-  kernel that divides by an underflowed (ABC)^2.  At the initial metric
-  that is a ValueError;
+* rejection: a trial step is rejected and retried at half the step on an
+  ArithmeticError: a stage velocity that is not finite, an `exp` that
+  overflows, or a kernel that divides by an underflowed (ABC)^2.  At the
+  initial metric that is a ValueError;
 * stop rules: every run ends on exactly one trigger.  `t_max` when an
   accepted step reaches the horizon (the step that crosses it is kept, and
   t_stop is t_max exactly); `step_underflow` when an accepted step advances
@@ -50,10 +50,11 @@ quartic dense output of xi accurate on the approach.
   state is y0 * exp(xi) evaluated in long double and rounded once, so
   consecutive samples move by at most one rounding.
 
-The step runs on Python floats: the tableau is unrolled component by
-component into module-level scalars, so an attempt makes no numpy call and
-calls nothing but the right-hand side, once per stage, and `math`.  The
-stage velocities of every accepted step are kept in a flat array, and the
+The step runs on Python floats, so an attempt makes no numpy call.  Each
+stage state is one tableau row written out component by component into
+locals, and each stage velocity is one call of `_velocity`, which evaluates
+the right-hand side, s and the finiteness guard.  The stage
+velocities of every accepted step are kept in a flat array, and the
 interpolant coefficients of the whole step table are built once, after the
 last step, with the same operations for every step and every component.
 
@@ -192,7 +193,6 @@ class _StepTable:
     """Accepted steps in scaled units plus interpolant coefficients for dense output."""
 
     t0: np.ndarray  # (m,) scaled step start times
-    t1: np.ndarray  # (m,) scaled step end times
     h: np.ndarray  # (m,) step sizes in tau
     x0: np.ndarray  # (m, 3) long double log states xi = log(y / y(0)) at step starts
     q: np.ndarray  # (m, 3, 4) long double interpolant coefficients of xi
@@ -275,117 +275,79 @@ class Trajectory:
         return float(self.times[-1])
 
 
-def _velocity(rhs, y, smin):
-    """(dxi_A, dxi_B, dxi_C, dt) per unit tau at the scaled state y, or None if not finite."""
-    g = [v / c for v, c in zip(rhs(y), y)]
-    s = max(abs(g[0]), abs(g[1]), abs(g[2]), smin)
-    f = (g[0] / s, g[1] / s, g[2] / s, 1.0 / s)
-    return f if all(-_INF < v < _INF for v in f[:3]) else None
+def _velocity(rhs, z, smin):
+    """(dxi_A, dxi_B, dxi_C, dt) per unit tau at the scaled state z; ArithmeticError if not finite.
+
+    g = (dy/dt)/y, s = max(|g_A|, |g_B|, |g_C|, smin) and the velocity is
+    (g/s, 1/s).  Each g/s is NaN or lies in [-1, 1]: a NaN g_A makes s and
+    every g/s NaN; otherwise s >= |g| for every g that is not NaN, and an
+    infinite g makes s infinite and its g/s NaN.  So the velocity is finite
+    exactly when no g/s is NaN, which is the guard, and 1/s <= 1/smin.
+    """
+    z0, z1, z2 = z
+    g0, g1, g2 = rhs(z)
+    g0, g1, g2 = g0 / z0, g1 / z1, g2 / z2
+    s = g0 if g0 >= 0.0 else -g0
+    a = g1 if g1 >= 0.0 else -g1
+    s = a if a > s else s
+    a = g2 if g2 >= 0.0 else -g2
+    s = a if a > s else s
+    s = smin if smin > s else s
+    g0, g1, g2 = g0 / s, g1 / s, g2 / s
+    if g0 == g0 and g1 == g1 and g2 == g2:
+        return g0, g1, g2, 1.0 / s
+    raise ArithmeticError("stage velocity is not finite")
 
 
 def _attempt_step(rhs, y, f, h, t, smin, rtol, atol):
     """One trial step of size h in tau from the scaled state y at the scaled time t.
 
     `f` is the velocity (dxi_A, dxi_B, dxi_C, dt) per unit tau at y and
-    `smin` the floor of s.  Returns None if a stage velocity is not finite;
-    an `exp` that overflows and a division by a coefficient that underflowed
-    to 0 count as such.  Otherwise returns (y_new, dt, f_new, err, stages),
+    `smin` the floor of s.  Returns (y_new, dt, f_new, err, stages),
     `stages` being the seven stage velocities flattened into one 28-tuple,
-    stage by stage.  `kSC` is component C of the velocity at stage S.
+    stage by stage, or None if the attempt is rejected: an ArithmeticError
+    from a stage velocity that is not finite, an `exp` that overflows, or a
+    division by a coefficient that underflowed to 0.  `kSC` is component C
+    of the velocity at stage S.
 
     A stage state is y * exp(h * sum_j a_j k_j) componentwise, so it is
-    positive by construction and carries the rounding of y itself.  Each
-    stage computes g = (dy/dt)/y, s = max(|g|, smin) and the velocity
-    (g/s, 1/s).  |g/s| <= 1 where it is finite, so the guard is a
-    finiteness test of g/s (NaN fails it, and an infinite g makes it NaN).
+    positive by construction and carries the rounding of y itself; each
+    stage velocity is one call of `_velocity`.
     """
     y0, y1, y2 = y
     k10, k11, k12, k13 = f
     try:
-        z0 = y0 * exp(h * (_A21 * k10))
-        z1 = y1 * exp(h * (_A21 * k11))
-        z2 = y2 * exp(h * (_A21 * k12))
-        g0, g1, g2 = rhs((z0, z1, z2))
-        g0, g1, g2 = g0 / z0, g1 / z1, g2 / z2
-        s = g0 if g0 >= 0.0 else -g0
-        a = g1 if g1 >= 0.0 else -g1
-        s = a if a > s else s
-        a = g2 if g2 >= 0.0 else -g2
-        s = a if a > s else s
-        s = smin if smin > s else s
-        k20, k21, k22, k23 = g0 / s, g1 / s, g2 / s, 1.0 / s
-        if not (-_INF < k20 < _INF and -_INF < k21 < _INF and -_INF < k22 < _INF):
-            return None
-        z0 = y0 * exp(h * (_A31 * k10 + _A32 * k20))
-        z1 = y1 * exp(h * (_A31 * k11 + _A32 * k21))
-        z2 = y2 * exp(h * (_A31 * k12 + _A32 * k22))
-        g0, g1, g2 = rhs((z0, z1, z2))
-        g0, g1, g2 = g0 / z0, g1 / z1, g2 / z2
-        s = g0 if g0 >= 0.0 else -g0
-        a = g1 if g1 >= 0.0 else -g1
-        s = a if a > s else s
-        a = g2 if g2 >= 0.0 else -g2
-        s = a if a > s else s
-        s = smin if smin > s else s
-        k30, k31, k32, k33 = g0 / s, g1 / s, g2 / s, 1.0 / s
-        if not (-_INF < k30 < _INF and -_INF < k31 < _INF and -_INF < k32 < _INF):
-            return None
-        z0 = y0 * exp(h * (_A41 * k10 + _A42 * k20 + _A43 * k30))
-        z1 = y1 * exp(h * (_A41 * k11 + _A42 * k21 + _A43 * k31))
-        z2 = y2 * exp(h * (_A41 * k12 + _A42 * k22 + _A43 * k32))
-        g0, g1, g2 = rhs((z0, z1, z2))
-        g0, g1, g2 = g0 / z0, g1 / z1, g2 / z2
-        s = g0 if g0 >= 0.0 else -g0
-        a = g1 if g1 >= 0.0 else -g1
-        s = a if a > s else s
-        a = g2 if g2 >= 0.0 else -g2
-        s = a if a > s else s
-        s = smin if smin > s else s
-        k40, k41, k42, k43 = g0 / s, g1 / s, g2 / s, 1.0 / s
-        if not (-_INF < k40 < _INF and -_INF < k41 < _INF and -_INF < k42 < _INF):
-            return None
-        z0 = y0 * exp(h * (_A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40))
-        z1 = y1 * exp(h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41))
-        z2 = y2 * exp(h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42))
-        g0, g1, g2 = rhs((z0, z1, z2))
-        g0, g1, g2 = g0 / z0, g1 / z1, g2 / z2
-        s = g0 if g0 >= 0.0 else -g0
-        a = g1 if g1 >= 0.0 else -g1
-        s = a if a > s else s
-        a = g2 if g2 >= 0.0 else -g2
-        s = a if a > s else s
-        s = smin if smin > s else s
-        k50, k51, k52, k53 = g0 / s, g1 / s, g2 / s, 1.0 / s
-        if not (-_INF < k50 < _INF and -_INF < k51 < _INF and -_INF < k52 < _INF):
-            return None
-        z0 = y0 * exp(h * (_A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40 + _A65 * k50))
-        z1 = y1 * exp(h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51))
-        z2 = y2 * exp(h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42 + _A65 * k52))
-        g0, g1, g2 = rhs((z0, z1, z2))
-        g0, g1, g2 = g0 / z0, g1 / z1, g2 / z2
-        s = g0 if g0 >= 0.0 else -g0
-        a = g1 if g1 >= 0.0 else -g1
-        s = a if a > s else s
-        a = g2 if g2 >= 0.0 else -g2
-        s = a if a > s else s
-        s = smin if smin > s else s
-        k60, k61, k62, k63 = g0 / s, g1 / s, g2 / s, 1.0 / s
-        if not (-_INF < k60 < _INF and -_INF < k61 < _INF and -_INF < k62 < _INF):
-            return None
-        z0 = y0 * exp(h * (_B1 * k10 + _B3 * k30 + _B4 * k40 + _B5 * k50 + _B6 * k60))
-        z1 = y1 * exp(h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61))
-        z2 = y2 * exp(h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62))
-        g0, g1, g2 = rhs((z0, z1, z2))
-        g0, g1, g2 = g0 / z0, g1 / z1, g2 / z2
-        s = g0 if g0 >= 0.0 else -g0
-        a = g1 if g1 >= 0.0 else -g1
-        s = a if a > s else s
-        a = g2 if g2 >= 0.0 else -g2
-        s = a if a > s else s
-        s = smin if smin > s else s
-        k70, k71, k72, k73 = f_new = g0 / s, g1 / s, g2 / s, 1.0 / s
-        if not (-_INF < k70 < _INF and -_INF < k71 < _INF and -_INF < k72 < _INF):
-            return None
+        k20, k21, k22, k23 = _velocity(rhs, (
+            y0 * exp(h * (_A21 * k10)),
+            y1 * exp(h * (_A21 * k11)),
+            y2 * exp(h * (_A21 * k12)),
+        ), smin)
+        k30, k31, k32, k33 = _velocity(rhs, (
+            y0 * exp(h * (_A31 * k10 + _A32 * k20)),
+            y1 * exp(h * (_A31 * k11 + _A32 * k21)),
+            y2 * exp(h * (_A31 * k12 + _A32 * k22)),
+        ), smin)
+        k40, k41, k42, k43 = _velocity(rhs, (
+            y0 * exp(h * (_A41 * k10 + _A42 * k20 + _A43 * k30)),
+            y1 * exp(h * (_A41 * k11 + _A42 * k21 + _A43 * k31)),
+            y2 * exp(h * (_A41 * k12 + _A42 * k22 + _A43 * k32)),
+        ), smin)
+        k50, k51, k52, k53 = _velocity(rhs, (
+            y0 * exp(h * (_A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40)),
+            y1 * exp(h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41)),
+            y2 * exp(h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42)),
+        ), smin)
+        k60, k61, k62, k63 = _velocity(rhs, (
+            y0 * exp(h * (_A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40 + _A65 * k50)),
+            y1 * exp(h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51)),
+            y2 * exp(h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42 + _A65 * k52)),
+        ), smin)
+        z = (
+            y0 * exp(h * (_B1 * k10 + _B3 * k30 + _B4 * k40 + _B5 * k50 + _B6 * k60)),
+            y1 * exp(h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61)),
+            y2 * exp(h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62)),
+        )
+        k70, k71, k72, k73 = f_new = _velocity(rhs, z, smin)
         # t is the integral of w = dt/dtau.  The exponential through both ends,
         # k13 * exp(-a tau/h), is integrated exactly; the DP5 weights apply to
         # the stage values less it (stages 1 and 7 lie on it)
@@ -395,7 +357,7 @@ def _attempt_step(rhs, y, f, h, t, smin, rtol, atol):
         r4 = k43 - k13 * exp(-0.8 * a)
         r5 = k53 - k13 * exp(-(8 / 9) * a)
         r6 = k63 - k13 * exp(-a)
-    except (OverflowError, ZeroDivisionError):
+    except ArithmeticError:
         return None
     dt = h * (lin + (_B3 * r3 + _B4 * r4 + _B5 * r5 + _B6 * r6))
     # err is the rms of the four scaled error components; xi is relative in y, and t >= 0
@@ -408,10 +370,10 @@ def _attempt_step(rhs, y, f, h, t, smin, rtol, atol):
         k10, k11, k12, k13, k20, k21, k22, k23, k30, k31, k32, k33, k40, k41, k42, k43,
         k50, k51, k52, k53, k60, k61, k62, k63, k70, k71, k72, k73,
     )
-    return (z0, z1, z2), dt, f_new, err, k
+    return z, dt, f_new, err, k
 
 
-def _step_table(rows_t, t_end, rows_h, rows_k, base, k) -> _StepTable:
+def _step_table(rows_t, rows_h, rows_k, base, k) -> _StepTable:
     """Table of the accepted steps with the interpolant coefficients of each.
 
     q = K^T P is summed stage by stage with elementwise products, the same
@@ -432,9 +394,7 @@ def _step_table(rows_t, t_end, rows_h, rows_k, base, k) -> _StepTable:
     # xi at the step starts, summed in long double from the interpolant at theta = 1
     x1 = np.cumsum(h.astype(np.longdouble)[:, None] * qx.sum(axis=2), axis=0)
     x0 = np.concatenate([np.zeros((1, 3), dtype=np.longdouble), x1[:-1]])
-    return _StepTable(
-        t0, np.append(t0[1:], t_end), h, x0, qx, w0, a, q[:, 3], np.array(base, dtype=np.longdouble), k,
-    )
+    return _StepTable(t0, h, x0, qx, w0, a, q[:, 3], np.array(base, dtype=np.longdouble), k)
 
 
 def _diagnose(y_stop, y_init):
@@ -445,16 +405,18 @@ def _diagnose(y_stop, y_init):
 
 
 def _sample_times(kind: TerminationKind, t_end: float, n: int) -> np.ndarray:
-    """Deterministic dense-output grid; strictly increasing, starting at 0.
+    """Deterministic dense-output grid: starts at 0, increases strictly and ends at t_end.
 
     Singular runs get a quarter of the rows uniformly over the whole run and
     the rest geometrically spaced in u = t_stop - t from half the run down to
     a few ulps of t_stop, so that every decade of the approach is covered at
     roughly equal density in log(u).  Completed runs are sampled
-    geometrically in t.
+    geometrically in t.  Two rows are the two ends of the run.
     """
     if t_end <= 0.0:
         return np.array([0.0])
+    if n == 2:
+        return np.array([0.0, t_end])
     if kind is TerminationKind.SINGULAR_TIME:
         u_hi = 0.5 * t_end
         u_lo = 4e-16 * t_end
@@ -497,10 +459,8 @@ def integrate(
     smin = 1.0 / t_max
     try:
         f = _velocity(rhs, base, smin)
-    except (OverflowError, ZeroDivisionError):
-        f = None
-    if f is None:
-        raise ValueError("flow right-hand side is not finite at the initial metric")
+    except ArithmeticError:
+        raise ValueError("flow right-hand side is not finite at the initial metric") from None
 
     # accepted steps, flat: start time, size in tau, stage velocities (7 x 4)
     rows_t, rows_h, rows_k = array("d"), array("d"), array("d")
@@ -557,7 +517,7 @@ def integrate(
         h = min(h * factor, _H_MAX)
         facold = max(err / _ERR_TARGET, 1e-4)
 
-    table = _step_table(rows_t, t, rows_h, rows_k, base, k) if rows_t else None
+    table = _step_table(rows_t, rows_h, rows_k, base, k) if rows_t else None
     van, exp_ = _diagnose(y, base) if kind is TerminationKind.SINGULAR_TIME else ((), ())
     termination = Termination(
         kind, ldexp(t_stop, 2 * k), van, exp_, trigger, n_accepted=n_acc, n_rejected=n_rej

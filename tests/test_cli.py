@@ -722,3 +722,36 @@ def test_scan_that_fails_at_a_point_leaves_the_rows_before_it(capsys, monkeypatc
         cells = line.split(",")
         assert len(cells) == len(SCAN_HEADER.split(",")) and cells[0] == str(index)
         assert cells[4] == "singular_time"
+
+
+@pytest.mark.parametrize(
+    "cpus, axis, started",
+    [(None, "1:2:2", []), (1, "1:2:2", []), (64, "1:2:2", [(2, 1)]), (2, "1:3:40", [(2, 5)])],
+)
+def test_scan_starts_no_more_workers_than_points_or_processors(capsys, monkeypatch, cpus, axis, started):
+    # a stand-in pool records (max_workers, chunksize) and maps in this process
+    from xcflow import cli
+
+    argv = ("scan", "--geometry", "sol", "--grid-A", axis, "--grid-B", "4", "--grid-C", "1", "--samples", "64")
+    code, serial, err = run_cli(capsys, *argv, "--workers", "1")
+    assert (code, err) == (EXIT_OK, "")
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            pools.append((self.max_workers, chunksize))
+            return map(fn, iterable)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert run_cli(capsys, *argv, "--workers", "100000") == (EXIT_OK, serial, "")
+    assert pools == started

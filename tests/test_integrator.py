@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 from math import exp, expm1, inf, ldexp, log, sqrt
 
@@ -195,6 +196,26 @@ def test_sample_at_agrees_with_emitted_grid(heisenberg_short_run, sol_generic_ru
     for traj in (heisenberg_short_run, sol_generic_run):
         got = np.array([sample_at(traj, float(t)).as_array() for t in traj.times])
         assert np.array_equal(got, traj.states)
+
+
+@pytest.mark.parametrize("samples", [2, 3])
+@pytest.mark.parametrize(
+    "geom, init, opts, trigger",
+    [
+        (Geometry.HEISENBERG, (1, 2, 3), {"t_max": 10.0}, "t_max"),
+        (Geometry.SOL, (2, 4, 1), {}, "step_underflow"),
+        (Geometry.SOL, (2, 4, 1), {"max_steps": 50}, "max_steps"),
+    ],
+)
+def test_fewest_samples_span_the_run(geom, init, opts, trigger, samples):
+    # the grid starts at 0, increases strictly and ends at t_stop whatever the trigger
+    traj = integrate(geom, XCF_MINUS, MetricDiag(*init), IntegratorOptions(samples=samples, **opts))
+    term = traj.termination
+    assert term.trigger == trigger
+    t = traj.times
+    assert len(t) == samples and t[0] == 0.0 and np.all(np.diff(t) > 0.0)
+    assert t[-1] == term.t_stop == traj.t_end
+    assert np.array_equal(sample_at(traj, term.t_stop).as_array(), traj.states[-1])
 
 
 def _row_state(table, t):
@@ -449,8 +470,9 @@ def test_attempt_step_is_bitwise_the_helper_form(request, geom, flow):
         traj = request.getfixturevalue(name)
         smin = _smin(traj)
         for y, t, h in _table_points(traj, 12):
-            f = integrator._velocity(rhs, y, smin)
-            if f is None:
+            try:
+                f = integrator._velocity(rhs, y, smin)
+            except ArithmeticError:
                 continue
             for step in (h, 8.0 * h, 1e3 * h):
                 got = _attempt_step(rhs, y, f, step, t, smin, rtol, atol)
@@ -476,6 +498,28 @@ def test_attempt_step_rejections_match_the_helper_form(bad_call, bad_value, comp
             got = _attempt_step(rhs, _UNIT, f, h, 0.0, 0.1, 1e-10, 1e-13)
             assert _step_bits(got) == _step_bits(_helper_form_step(ref_rhs, _UNIT, f, h, 0.0, 0.1, 1e-10, 1e-13))
             assert calls == ref_calls
+
+
+_G_VALUES = (1.0, -2.0, 0.0, -0.0, 1e300, inf, -inf, float("nan"))
+
+
+def test_velocity_raises_exactly_where_the_helper_form_is_not_finite():
+    # every triple of these log-derivatives: the same bits as the reference
+    # stage velocity, and ArithmeticError exactly where the reference is None
+    raised = 0
+    for g in itertools.product(_G_VALUES, repeat=3):
+        for z in (_UNIT, (0.25, 2.0, 3.0)):
+            rates = tuple(v * c for v, c in zip(g, z))
+            for smin in (0.1, 1e3):
+                want = _stage_velocity(lambda _: rates, z, smin)
+                if want is None:
+                    with pytest.raises(ArithmeticError):
+                        integrator._velocity(lambda _: rates, z, smin)
+                    raised += 1
+                else:
+                    got = integrator._velocity(lambda _: rates, z, smin)
+                    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert 0 < raised < 2 * 2 * len(_G_VALUES) ** 3
 
 
 @pytest.mark.parametrize(
