@@ -26,7 +26,6 @@ from .analysis import (
     PowerLawFit,
     VerificationReport,
     estimate_blowup_time,
-    estimate_blowup_time_from_series,
     estimate_limit_plus_power,
     fit_power_law,
     series_values,
@@ -114,7 +113,6 @@ __all__ = [
     "REGIME_INFINITY",
     "fit_power_law",
     "estimate_blowup_time",
-    "estimate_blowup_time_from_series",
     "estimate_limit_plus_power",
     "verify",
     "__version__",

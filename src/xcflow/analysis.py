@@ -1,11 +1,8 @@
 """Quantitative checks of flow trajectories against the expected structure.
 
-Three estimators and one aggregator:
-
-* `estimate_blowup_time` extrapolates the singular time T0 by fitting the
-  square of the vanishing coefficient linearly in t (the square of every
-  collapsing direction here closes linearly), refined once by re-windowing
-  in T0_est - t;
+* `estimate_blowup_time` is the singular time T0 of a run that stopped at a
+  singularity: the stop time of the Sundman-time stepper, which resolves T0
+  to about 1e-13 of itself;
 * `fit_power_law` fits value ~ coeff * x^p by linear regression of logs,
   where x is t for late-time laws and T0 - t for blow-up laws;
 * `estimate_limit_plus_power` fits value ~ L + c * t^p for laws with a
@@ -14,14 +11,13 @@ Three estimators and one aggregator:
   its branch record (`analytic.branch_record`) states, and returns a
   structured report.
 
-Default fit windows, fixed for reproducibility: late-time fits use
-[t_max/10, t_max]; blow-up fits use u = T0 - t in [1e-4, 1e-3] * T0.  That
-decade is deep enough that next-order corrections (relative size O(u/T0))
-are far below the stated tolerances, yet shallow enough that difference
-series such as A - C, which shrink like u relative to their parents, stay
-several orders of magnitude above solver noise.  The samples nearest the
-stop event are never used: solver error and the float resolution of T0 - t
-pollute them.  All windows must contain at least 32 samples.
+Every fit window comes from `_fit_window`, fixed for reproducibility:
+late-time fits use [t_max/10, t_max]; blow-up fits use u = T0 - t in
+[1e-4, 1e-3] * T0.  That decade is deep enough that next-order corrections
+(relative size O(u/T0)) are far below the stated tolerances, yet shallow
+enough that difference series such as A - C, which shrink like u relative
+to their parents, stay several orders of magnitude above solver noise.  All
+windows must contain at least 32 samples.
 """
 
 from __future__ import annotations
@@ -53,7 +49,6 @@ __all__ = [
     "VerificationReport",
     "series_values",
     "estimate_blowup_time",
-    "estimate_blowup_time_from_series",
     "fit_power_law",
     "estimate_limit_plus_power",
     "verify",
@@ -71,7 +66,6 @@ __all__ = [
 ]
 
 _MIN_WINDOW_SAMPLES = 32
-_TAIL_EXCLUSION = 0.01  # fraction of the run next to the stop event left out of T0 fits
 _BLOWUP_WINDOW_DEPTH = 1e-4  # default blow-up fit window: u in [depth, 10*depth]*T0
 
 # Gate thresholds used by `verify`; the acceptance suite reuses them.
@@ -151,10 +145,11 @@ class LimitPowerFit:
 def _linefit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Least-squares slope, intercept and r^2.
 
-    Computed from the centered closed form rather than a generic lstsq:
-    singular-time fits regress over abscissa spans of a few ulps, where an
-    SVD-based solver would drop the slope column as numerically
-    rank-deficient.
+    Computed from the centered closed form rather than a generic lstsq: a
+    few reductions and no SVD per fit, and the abscissa mean is removed
+    before any product, so a window that is narrow next to its offset (log t
+    over the last decade of a long run) keeps its slope.  Every fitted
+    exponent in a report is these bits.
     """
     x_mean = float(np.mean(x))
     y_mean = float(np.mean(y))
@@ -274,71 +269,16 @@ def estimate_limit_plus_power(
     return _limit_fit_core(trajectory.times, values, float(exponent), window)
 
 
-def _linear_root(t: np.ndarray, w: np.ndarray) -> float | None:
-    """Root of the least-squares line through (t, w); None if not decreasing.
-
-    The regression is centered on the last abscissa: near a singular time the
-    samples span a few ulps of t, and an uncentered design matrix would be
-    numerically rank-deficient.
-    """
-    t_ref = float(t[-1])
-    slope, intercept, _ = _linefit(t - t_ref, w)
-    if slope >= 0.0:
-        return None
-    return t_ref - intercept / slope
-
-
-def estimate_blowup_time_from_series(times, values) -> float:
-    """Singular-time estimate from a collapsing series: fit values^2 linearly.
-
-    Two passes: a first fit over the late window (excluding the final 1
-    percent of the run), then one refit over samples re-windowed in
-    T0_est - t, deep enough that the square is linear to rounding.
-    """
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if t.ndim != 1 or t.shape != v.shape or len(t) < 48:
-        raise ValueError("need matched 1-d series with at least 48 samples")
-    w = v * v
-    t_end = float(t[-1])
-    keep = t <= (1.0 - _TAIL_EXCLUSION) * t_end
-    if int(keep.sum()) < 16:
-        keep = np.ones_like(t, dtype=bool)
-        keep[-2:] = False
-    tk, wk = t[keep], w[keep]
-    n1 = min(128, max(8, len(tk) // 4))
-    first = _linear_root(tk[-n1:], wk[-n1:])
-    if first is None or first <= t_end:
-        first = t_end * (1.0 + 1e-9)
-
-    u = first - t
-    mask = (u >= 1e-8 * first) & (u <= 1e-6 * first)
-    if int(mask.sum()) < _MIN_WINDOW_SAMPLES:
-        pos = np.nonzero(u > 4e-16 * first)[0]
-        mask = np.zeros_like(u, dtype=bool)
-        mask[pos[-min(128, len(pos)) :]] = True
-    second = _linear_root(t[mask], w[mask])
-    if second is None or second <= float(t[mask][-1]):
-        return first
-    return second
-
-
 def estimate_blowup_time(trajectory: Trajectory) -> float:
-    """Singular-time estimate for a trajectory that stopped at a singularity.
+    """Singular time of a trajectory that stopped at a singularity: its stop time.
 
-    Uses the most collapsed coefficient, or the reciprocal of the most
-    exploded one if nothing collapsed.
+    The Sundman-time stepper stops when a step advances t by at most 1e-13
+    of t, so t_stop resolves T0 to about that fraction; no fit of the
+    samples comes closer at the sample counts in use.
     """
     if trajectory.termination.kind is not TerminationKind.SINGULAR_TIME:
         raise ValueError("trajectory did not stop at a singular time")
-    S = trajectory.states
-    ratios = S[-1] / S[0]
-    i_min = int(np.argmin(ratios))
-    if ratios[i_min] < 0.5:
-        series = S[:, i_min]
-    else:
-        series = 1.0 / S[:, int(np.argmax(ratios))]
-    return estimate_blowup_time_from_series(trajectory.times, series)
+    return trajectory.termination.t_stop
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +441,7 @@ def verify(trajectory: Trajectory) -> VerificationReport:
         for name, direction in record.monotone
     ]
 
-    blowup_time: float | None = None
-    if singular:
-        try:
-            blowup_time = estimate_blowup_time(trajectory)
-        except ValueError:
-            blowup_time = None
+    blowup_time = estimate_blowup_time(trajectory) if singular else None
 
     laws: list[LawResult] = []
     fits: dict[str, PowerLawFit | LimitPowerFit] = {}  # by variable, which is unique within a record
@@ -528,7 +463,7 @@ def verify(trajectory: Trajectory) -> VerificationReport:
                 ))
                 continue
             if law.regime == REGIME_BLOWUP:
-                if not singular or blowup_time is None:
+                if blowup_time is None:
                     raise ValueError("no usable singular event")
                 fit = _power_fit_core(t, values, REGIME_BLOWUP, blowup_time, None, reached)
             else:

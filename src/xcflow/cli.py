@@ -347,13 +347,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         else:
             out.write(_json_text(trajectory_json_document(trajectory, cfg)) + "\n")
     term = trajectory.termination
-    note = f"terminated: {term.kind.value} at t={term.t_stop:.12g}"
-    if term.kind is TerminationKind.SINGULAR_TIME:
-        try:
-            note += f", singular time estimate {estimate_blowup_time(trajectory):.12g}"
-        except ValueError:
-            pass
-    print(note, file=sys.stderr)
+    print(f"terminated: {term.kind.value} at t={term.t_stop:.12g}", file=sys.stderr)
     if term.kind is TerminationKind.STEP_BUDGET_EXHAUSTED:
         return EXIT_BUDGET
     return EXIT_OK
@@ -434,12 +428,7 @@ def _scan_point(payload: tuple) -> list[str]:
         m0 = m0.scaled((volume / (a * b * c)) ** (1.0 / 3.0))
     trajectory = integrate(geometry, spec, m0, options)
     term = trajectory.termination
-    blowup = ""
-    if term.kind is TerminationKind.SINGULAR_TIME:
-        try:
-            blowup = "%.17g" % estimate_blowup_time(trajectory)
-        except ValueError:
-            pass
+    blowup = "%.17g" % estimate_blowup_time(trajectory) if term.kind is TerminationKind.SINGULAR_TIME else ""
     branch = classify_branch(geometry, m0)
     return ["%.17g" % m0.A, "%.17g" % m0.B, "%.17g" % m0.C, term.kind.value, "%.17g" % term.t_stop, blowup,
             branch, _scan_flag(geometry, trajectory, branch)]

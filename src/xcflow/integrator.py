@@ -44,8 +44,9 @@ quartic dense output of xi accurate on the approach.
   when the attempt budget is spent;
 * dense sampling: the returned trajectory carries `samples` interpolated
   rows at times chosen in t; runs that end at a singular time are sampled
-  geometrically in (t_stop - t) so every decade of the approach is resolved
-  at equal density in log-distance to the singular time.  A sample time is
+  geometrically in (t_stop - t) down to the stop rule's resolution, so
+  every decade of the approach is resolved at equal density in
+  log-distance to the singular time.  A sample time is
   mapped to tau by Newton's method on its step's interpolant of t, and the
   state is y0 * exp(xi) evaluated in long double and rounded once, so
   consecutive samples move by at most one rounding.
@@ -407,26 +408,23 @@ def _diagnose(y_stop, y_init):
 def _sample_times(kind: TerminationKind, t_end: float, n: int) -> np.ndarray:
     """Deterministic dense-output grid: starts at 0, increases strictly and ends at t_end.
 
-    Singular runs get a quarter of the rows uniformly over the whole run and
+    Singular runs get an eighth of the rows uniformly over the whole run and
     the rest geometrically spaced in u = t_stop - t from half the run down to
-    a few ulps of t_stop, so that every decade of the approach is covered at
-    roughly equal density in log(u).  Completed runs are sampled
-    geometrically in t.  Two rows are the two ends of the run.
+    the stepper's resolution `_T_RESOLUTION * t_stop`, so that every decade
+    of the approach is covered at equal density in log(u): 512 rows put at
+    least 32 in each decade of u within [1e-12, 1e-1] * t_stop.  Completed
+    runs are sampled geometrically in t.  Two rows are the two ends of the
+    run.
     """
     if t_end <= 0.0:
         return np.array([0.0])
     if n == 2:
         return np.array([0.0, t_end])
     if kind is TerminationKind.SINGULAR_TIME:
-        u_hi = 0.5 * t_end
-        u_lo = 4e-16 * t_end
-        if u_lo >= u_hi:
-            grid = np.linspace(0.0, t_end, n)
-        else:
-            n_pre = max(2, n // 4)
-            pre = np.linspace(0.0, t_end, n_pre, endpoint=False)
-            post = t_end - np.geomspace(u_hi, u_lo, n - n_pre - 1)
-            grid = np.concatenate([pre, post, [t_end]])
+        n_pre = max(2, n // 8)
+        pre = np.linspace(0.0, t_end, n_pre, endpoint=False)
+        post = t_end - np.geomspace(0.5 * t_end, _T_RESOLUTION * t_end, n - n_pre - 1)
+        grid = np.concatenate([pre, post, [t_end]])
     else:
         grid = np.concatenate([[0.0], np.geomspace(1e-12 * t_end, t_end, n - 1)])
     grid = np.unique(np.clip(grid, 0.0, t_end))

@@ -14,12 +14,8 @@ from xcflow import (
     Geometry,
     IntegratorOptions,
     MetricDiag,
-    Termination,
-    TerminationKind,
-    Trajectory,
     XCF_MINUS,
     estimate_blowup_time,
-    estimate_blowup_time_from_series,
     estimate_limit_plus_power,
     fit_power_law,
     integrate,
@@ -154,25 +150,6 @@ def test_sl2r_limit_extraction(sl2r_symmetric_run):
 # Singular-time estimation
 
 
-def test_blowup_time_from_exact_series():
-    # analytically sampled symmetric collapse isolates estimator error
-    a0, b0 = 1.0, 8.0
-    t0 = b0 * b0 / 64.0
-    t_stop = t0 * (1.0 - 1e-12)
-    pre = np.linspace(0.0, t_stop, 128, endpoint=False)
-    post = t_stop - np.geomspace(0.5 * t_stop, 1e-12 * t_stop, 384)
-    times = np.unique(np.concatenate([pre, post, [t_stop]]))
-    values = exact_solution(Geometry.SOL, MetricDiag(a0, b0, a0), times)[:, 1]
-    est = estimate_blowup_time_from_series(times, values)
-    assert est == pytest.approx(t0, rel=1e-8)
-
-
-def test_blowup_time_needs_enough_samples():
-    t = np.linspace(0.0, 0.9, 40)
-    with pytest.raises(ValueError, match="48"):
-        estimate_blowup_time_from_series(t, np.sqrt(1.0 - t))
-
-
 def test_blowup_time_on_trajectories(sol_symmetric_run, su2_round_run, heisenberg_unit_run):
     assert estimate_blowup_time(sol_symmetric_run) == pytest.approx(1.0, abs=1e-5)
     assert estimate_blowup_time(su2_round_run) == pytest.approx(1.0, abs=1e-5)
@@ -180,29 +157,26 @@ def test_blowup_time_on_trajectories(sol_symmetric_run, su2_round_run, heisenber
         estimate_blowup_time(heisenberg_unit_run)
 
 
-def test_blowup_time_uses_exploding_component_when_nothing_collapses():
-    # A = C = 1/sqrt(1 - t) explode and B is constant, so no coefficient falls
-    # below half its start and the estimate must come from 1/A, squared 1 - t
-    t_stop = 1.0 - 1e-6
-    pre = np.linspace(0.0, t_stop, 128, endpoint=False)
-    post = t_stop - np.geomspace(0.5 * t_stop, 1e-12 * t_stop, 384)
-    times = np.unique(np.concatenate([pre, post, [t_stop]]))
-    a = 1.0 / np.sqrt(1.0 - times)
-    states = np.column_stack([a, np.full_like(times, 8.0), a])
-    traj = Trajectory(
-        geometry=Geometry.SOL,
-        spec=XCF_MINUS,
-        m0=MetricDiag(1, 8, 1),
-        options=IntegratorOptions(),
-        times=times,
-        states=states,
-        termination=Termination(
-            TerminationKind.SINGULAR_TIME, t_stop, (), ("A", "C"), "step_underflow"
-        ),
-        _table=None,
-    )
-    assert min(states[-1] / states[0]) >= 0.5
-    assert estimate_blowup_time(traj) == pytest.approx(1.0, rel=1e-8)
+@pytest.mark.parametrize("samples", [48, 64, 100, 512])
+@pytest.mark.parametrize(
+    "geom, init",
+    [
+        (Geometry.SOL, (1, 8, 1)),
+        (Geometry.SOL, (2, 4, 1)),
+        (Geometry.SU2, (2, 2, 2)),
+        (Geometry.SU2, (3, 2, 1)),
+        (Geometry.SL2R, (1, 2, 1)),
+    ],
+)
+def test_blowup_time_is_the_stop_time(geom, init, samples):
+    # one singular-time rule at every sample count: the stepper's stop time
+    m0 = MetricDiag(*init)
+    traj = integrate(geom, XCF_MINUS, m0, IntegratorOptions(t_max=10.0, samples=samples))
+    t_stop = traj.termination.t_stop
+    assert estimate_blowup_time(traj) == t_stop == verify(traj).blowup_time
+    t0 = singular_time(geom, m0)
+    if t0 is not None:  # the two closed-form branches
+        assert abs(t_stop - t0) / t0 <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -183,9 +183,23 @@ def test_run_reports_singular_time_on_stderr(capsys):
     )
     assert code == EXIT_OK
     assert "singular_time" in err
-    match = re.search(r"singular time estimate ([0-9.eE+-]+)", err)
+    match = re.search(r"t=([0-9.eE+-]+)", err)
     assert match is not None
     assert float(match.group(1)) == pytest.approx(1.0, abs=1e-5)
+
+
+def test_run_512_samples_pass_generic_blowup_fits(capsys, tmp_path):
+    # 512 rows resolve every decade of the approach with the 32 samples a blow-up fit needs
+    out_path = tmp_path / "run.json"
+    code, _, _ = run_cli(
+        capsys, "run", "--geometry", "sol", "--init", "1.957,3.707,3.728", "--samples", "512",
+        "--format", "json", "--output", str(out_path),
+    )
+    assert code == EXIT_OK
+    doc = json.loads(out_path.read_text())
+    assert doc["termination"]["kind"] == "singular_time"
+    assert doc["analysis"]["blowup_time"] == doc["termination"]["t_stop"]
+    assert doc["analysis"]["passed"] is True
 
 
 def test_run_json_format_to_file(capsys, tmp_path):
@@ -430,6 +444,18 @@ def test_scan_flag_names_the_exact_branches(capsys, geometry, grid, want):
     )
     assert code == EXIT_OK
     assert [tuple(line.split(",")[7:]) for line in out.splitlines()[1:]] == want
+
+
+def test_scan_blowup_time_is_the_stop_time_at_few_samples(capsys):
+    # the generic row's grid collapses to 47 rows at --samples 48 and still reports its singular time
+    code, out, _ = run_cli(
+        capsys, "scan", "--geometry", "sol", "--grid-A", "1", "--grid-B", "8", "--grid-C", "1:2:2",
+        "--samples", "48",
+    )
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 2 and all(r[4] == "singular_time" for r in rows)
+    assert all(r[6] == r[5] for r in rows)
 
 
 def test_scan_heisenberg_grid_all_complete(capsys):

@@ -198,6 +198,15 @@ def test_sample_at_agrees_with_emitted_grid(heisenberg_short_run, sol_generic_ru
         assert np.array_equal(got, traj.states)
 
 
+def test_512_singular_rows_cover_every_decade_of_the_approach():
+    # blow-up fits need 32 rows in their decade of u = t_stop - t
+    traj = integrate(Geometry.SOL, XCF_MINUS, MetricDiag(2, 4, 1), IntegratorOptions(samples=512))
+    t_stop = traj.termination.t_stop
+    u = (t_stop - traj.times) / t_stop
+    for k in range(-12, -1):
+        assert int(np.count_nonzero((u >= 10.0**k) & (u <= 10.0 ** (k + 1)))) >= 32, k
+
+
 @pytest.mark.parametrize("samples", [2, 3])
 @pytest.mark.parametrize(
     "geom, init, opts, trigger",
