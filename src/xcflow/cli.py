@@ -7,7 +7,8 @@ one table of sample columns, with each curvature kernel evaluated once on
 whole state columns.  `verify` executes the quantitative acceptance
 criteria for one geometry or all of them and writes a JSON report.  `scan`
 integrates a grid of initial data and writes one classification row per
-grid point, ordered by grid index no matter how the work was scheduled.
+grid point, ordered by grid index no matter how the work was scheduled;
+each point is integrated with only the samples its row reads.
 Every CSV text, trajectory or scan, goes through one writer, and every JSON
 text through another, which gives the bytes of `json.dumps(doc, indent=2)`.
 
@@ -29,7 +30,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import product
@@ -421,17 +421,36 @@ def _scan_flag(geometry: Geometry, trajectory: Trajectory, branch: str) -> str:
 
 
 def _scan_point(payload: tuple) -> list[str]:
-    """The SCAN_HEADER cells after `index` for one grid point."""
+    """The SCAN_HEADER cells after `index` for one grid point.
+
+    Only the flag of a generic SL(2,R) row reads the sample path; every other
+    cell reads the termination, m0 or the last row.  So every other row is
+    integrated with two samples: the dense output is elementwise, so its last
+    row has the same bits as at any sample count.
+    """
     geometry, spec, a, b, c, options, volume = payload
     m0 = MetricDiag(a, b, c)
     if volume is not None:
         m0 = m0.scaled((volume / (a * b * c)) ** (1.0 / 3.0))
+    branch = classify_branch(geometry, m0)
+    if not (geometry is Geometry.SL2R and branch == "generic"):
+        options = replace(options, samples=2)
     trajectory = integrate(geometry, spec, m0, options)
     term = trajectory.termination
     blowup = "%.17g" % estimate_blowup_time(trajectory) if term.kind is TerminationKind.SINGULAR_TIME else ""
-    branch = classify_branch(geometry, m0)
     return ["%.17g" % m0.A, "%.17g" % m0.B, "%.17g" % m0.C, term.kind.value, "%.17g" % term.t_stop, blowup,
             branch, _scan_flag(geometry, trajectory, branch)]
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """`concurrent.futures.ProcessPoolExecutor`, imported only when a scan starts workers.
+
+    The import pulls in `multiprocessing`, `subprocess` and `socket`, which a
+    one-process scan and every other command never use.
+    """
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -520,7 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--t-max", type=float, default=IntegratorOptions.t_max)
     scan.add_argument("--rtol", type=float, default=IntegratorOptions.rtol)
     scan.add_argument("--atol", type=float, default=IntegratorOptions.atol)
-    scan.add_argument("--samples", type=int, default=512)
+    scan.add_argument("--samples", type=int, default=512,
+                      help="dense output of the rows whose flag reads the samples (generic sl2r)")
     scan.add_argument("--max-steps", type=int, default=IntegratorOptions.max_steps,
                       help="step-attempt budget of each grid point, counted as for run")
     scan.add_argument("--normalize-volume", type=float, default=None, metavar="V",

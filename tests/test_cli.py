@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -447,7 +452,7 @@ def test_scan_flag_names_the_exact_branches(capsys, geometry, grid, want):
 
 
 def test_scan_blowup_time_is_the_stop_time_at_few_samples(capsys):
-    # the generic row's grid collapses to 47 rows at --samples 48 and still reports its singular time
+    # a small --samples still reports each row's singular time
     code, out, _ = run_cli(
         capsys, "scan", "--geometry", "sol", "--grid-A", "1", "--grid-B", "8", "--grid-C", "1:2:2",
         "--samples", "48",
@@ -662,6 +667,139 @@ def test_sample_columns_match_row_by_row_evaluation(geometry, init, flow):
     for name, column in expected.items():
         _assert_same_bits(csv_columns[name], column)
         _assert_same_bits(samples[name], column)
+
+
+# ---------------------------------------------------------------------------
+# scan rows read only the samples they need
+
+
+def _scan_cells_at_full_samples(payload):
+    """The cells of one scan row built from a trajectory integrated at the full sample count."""
+    from xcflow import cli
+
+    geometry, spec, a, b, c, options, volume = payload
+    m0 = MetricDiag(a, b, c)
+    if volume is not None:
+        m0 = m0.scaled((volume / (a * b * c)) ** (1.0 / 3.0))
+    traj = integrate(geometry, spec, m0, options)
+    term = traj.termination
+    blowup = "%.17g" % term.t_stop if term.kind.value == "singular_time" else ""
+    branch = cli.classify_branch(geometry, m0)
+    return ["%.17g" % m0.A, "%.17g" % m0.B, "%.17g" % m0.C, term.kind.value, "%.17g" % term.t_stop, blowup,
+            branch, cli._scan_flag(geometry, traj, branch)]
+
+
+# every branch of every geometry, with rows that end on t_max, step_underflow and max_steps
+_SCAN_CASES = [
+    ("sol", "xcf-", (2.0, 4.0, 1.0), {}, "generic", "step_underflow"),
+    ("sol", "xcf-", (1.0, 4.0, 3.0), {}, "generic", "step_underflow"),
+    ("sol", "xcf+", (0.442, 4.042, 1.1675), {}, "generic", "step_underflow"),
+    ("sol", "xcf-", (1.893, 4.042, 1.1675), {"t_max": 0.05}, "generic", "t_max"),
+    ("sol", "xcf-", (3.0, 4.0, 1.0), {"max_steps": 100}, "generic", "max_steps"),
+    ("sol", "xcf-", (1.0, 8.0, 1.0), {}, "symmetric", "step_underflow"),
+    ("sl2r", "xcf-", (1.0, 2.0, 1.0), {}, "generic", "step_underflow"),
+    ("sl2r", "xcf+", (0.516, 0.819, 2.165), {}, "generic", "step_underflow"),
+    ("sl2r", "xcf-", (1.0, 2.0, 1.0), {"max_steps": 60}, "generic", "max_steps"),
+    ("sl2r", "xcf-", (1.0, 1.0, 1.0), {"t_max": 100.0}, "symmetric", "t_max"),
+    ("su2", "xcf-", (2.0, 2.0, 2.0), {}, "round", "step_underflow"),
+    ("su2", "xcf-", (3.0, 2.0, 1.0), {}, "generic", "step_underflow"),
+    ("su2", "nxcf", (1.0, 2.0, 0.5), {"t_max": 5.0}, "generic", "t_max"),
+    ("e2", "xcf-", (2.0, 2.0, 5.0), {}, "flat", "t_max"),
+    ("e2", "xcf-", (2.0, 1.0, 1.0), {"t_max": 1e4}, "generic", "t_max"),
+    ("heisenberg", "xcf-", (1.0, 2.0, 3.0), {}, "global", "t_max"),
+    ("heisenberg", "xcf-", (1.0, 2.0, 3.0), {"max_steps": 20}, "global", "max_steps"),
+    ("trivial", "xcf-", (1.0, 2.0, 3.0), {}, "stationary", "t_max"),
+]
+
+
+@pytest.mark.parametrize("samples", [64, 512])
+@pytest.mark.parametrize(
+    "geometry, flow, init, opts, branch, trigger", _SCAN_CASES,
+    ids=[f"{c[0]}-{c[1]}-{c[4]}-{c[5]}-{i}" for i, c in enumerate(_SCAN_CASES)],
+)
+def test_scan_point_cells_equal_cells_from_the_full_sample_path(
+    monkeypatch, geometry, flow, init, opts, branch, trigger, samples
+):
+    from xcflow import cli
+    from xcflow.flows import FLOWS
+
+    options = IntegratorOptions(samples=samples, **opts)
+    payload = (Geometry.from_name(geometry), FLOWS[flow], *init, options, None)
+    asked = []
+
+    def recording_integrate(geometry, spec, m0, options):
+        traj = integrate(geometry, spec, m0, options)
+        asked.append((options.samples, traj.termination.trigger))
+        return traj
+
+    monkeypatch.setattr(cli, "integrate", recording_integrate)
+    cells = cli._scan_point(payload)
+    assert cells == _scan_cells_at_full_samples(payload)
+    assert cells[6] == branch
+    reads_path = geometry == "sl2r" and branch == "generic"
+    assert asked == [(samples if reads_path else 2, trigger)]
+
+
+def test_scan_point_with_volume_normalization_matches_the_full_sample_path():
+    from xcflow import cli
+    from xcflow.flows import FLOWS
+
+    for geometry, init in (("sol", (2.0, 4.0, 1.0)), ("sl2r", (1.0, 2.0, 1.0)), ("su2", (3.0, 2.0, 1.0))):
+        payload = (Geometry.from_name(geometry), FLOWS["xcf-"], *init, IntegratorOptions(samples=512), 2.5)
+        assert cli._scan_point(payload) == _scan_cells_at_full_samples(payload)
+
+
+@pytest.mark.parametrize(
+    "geometry, grid",
+    [
+        ("sol", ("0.5:3:4", "4", "0.5:3:4")),
+        ("sl2r", ("1:3:3", "2", "2")),  # B = C: every row symmetric
+        ("su2", ("1:2:2", "1:2:2", "1:2:2")),
+        ("e2", ("1:2:2", "1:2:2", "3")),
+        ("heisenberg", ("1:2:2", "1", "1:3:2")),
+        ("trivial", ("1", "1:2:2", "1")),
+    ],
+)
+def test_scan_file_does_not_depend_on_samples_off_the_generic_sl2r_rows(capsys, geometry, grid):
+    argv = ("scan", "--geometry", geometry, "--grid-A", grid[0], "--grid-B", grid[1], "--grid-C", grid[2],
+            "--t-max", "5")
+    texts = []
+    for samples in ("2", "512"):
+        code, out, err = run_cli(capsys, *argv, "--samples", samples)
+        assert (code, err) == (EXIT_OK, "")
+        texts.append(out)
+    assert texts[0] == texts[1]
+    assert "generic" not in texts[0] or geometry != "sl2r"
+
+
+def test_commands_import_neither_the_process_pool_nor_numpy_ma():
+    # a fresh interpreter, since pytest and earlier tests may have imported these modules already
+    child = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        from xcflow import cli
+        loaded = [m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules]
+        assert loaded == [], loaded
+        commands = [
+            ["scan", "--geometry", "sol", "--grid-A", "1:2:2", "--grid-B", "4", "--grid-C", "1:2:2",
+             "--workers", "1"],
+            ["scan", "--geometry", "sl2r", "--grid-A", "1", "--grid-B", "1:2:2", "--grid-C", "1:2:2",
+             "--workers", "1"],
+            ["run", "--geometry", "sol", "--init", "2,4,1", "--samples", "512", "--format", "json"],
+            ["verify", "sol"],
+        ]
+        for argv in commands:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+        loaded = [m for m in ("numpy.ma", "concurrent.futures.process", "multiprocessing") if m in sys.modules]
+        assert loaded == [], loaded
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,23 @@ def test_fewest_samples_span_the_run(geom, init, opts, trigger, samples):
     assert np.array_equal(sample_at(traj, term.t_stop).as_array(), traj.states[-1])
 
 
+@pytest.mark.parametrize("kind", list(TerminationKind), ids=lambda k: k.value)
+def test_sample_grid_has_exactly_the_asked_rows(kind):
+    # an even uniform share of a singular grid used to hold t_end / 2, the first geometric row too
+    for t_end in (1.0, 3.7, 1e-5, 123.456, 2.0 - 2.0**-52, 2.0**-30):
+        for n in (*range(2, 130), 511, 512, 2048, 8191, 8192):
+            grid = integrator._sample_times(kind, t_end, n)
+            assert len(grid) == n, (t_end, n)
+            assert grid[0] == 0.0 and grid[-1] == t_end and np.all(np.diff(grid) > 0.0), (t_end, n)
+
+
+@pytest.mark.parametrize("samples", [4, 17, 48, 512])
+def test_singular_run_returns_the_asked_rows(samples):
+    traj = integrate(Geometry.SOL, XCF_MINUS, MetricDiag(2, 4, 1), IntegratorOptions(samples=samples))
+    assert traj.termination.kind is TerminationKind.SINGULAR_TIME
+    assert len(traj.times) == len(traj.states) == samples
+
+
 def _row_state(table, t):
     """The dense output at one scaled time, in numpy scalars: the reference for `_StepTable.eval`."""
     i = int(np.searchsorted(table.t0, t, side="right")) - 1
