@@ -5,7 +5,9 @@ Parameter sweeps: a phase diagram from the command line
 The `flow scan` subcommand integrates a whole grid of initial metrics and
 emits one CSV row per grid point: termination kind, singular-time estimate,
 branch, and a geometry-specific flag.  This script drives it in-process over
-a 9 x 9 slice of Sol initial data (B0 fixed).
+a 9 x 9 slice of Sol initial data (B0 fixed): 81 points, but only 45 runs,
+since the scan integrates a point with C0 > A0 as its mirror image A0 <-> C0
+and shares that run with the mirrored grid point.
 
 On Sol the flag records whether 3C > A held at some point of the run.  The
 claim worth checking is that this happens for *every* generic datum -- even

@@ -8,7 +8,9 @@ whole state columns.  `verify` executes the quantitative acceptance
 criteria for one geometry or all of them and writes a JSON report.  `scan`
 integrates a grid of initial data and writes one classification row per
 grid point, ordered by grid index no matter how the work was scheduled;
-each point is integrated with only the samples its row reads.
+each point is integrated in the labels the catalogs assume, once for all
+the points that relabel to the same datum, and with only the samples its
+row reads.
 Every CSV text, trajectory or scan, goes through one writer, and every JSON
 text through another, which gives the bytes of `json.dumps(doc, indent=2)`.
 
@@ -30,9 +32,10 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import product
+from itertools import permutations, product
 from math import isfinite
 from types import SimpleNamespace
 from typing import Sequence
@@ -408,38 +411,90 @@ def _parse_axis(text: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
+def _canonical(geometry: Geometry, point: tuple) -> tuple[float, float, float]:
+    """A grid point relabeled by `canonical_permutation`: mirrored twins give the same triple."""
+    return tuple([point[i] for i in canonical_permutation(geometry, MetricDiag(*point))])
+
+
+def _volume_factor(datum: tuple, volume: float) -> float:
+    """The factor that scales a canonical datum to `A*B*C = volume`.
+
+    It is computed in the canonical labels, so mirrored twins get the same
+    factor and so the same scaled datum bit for bit.
+    """
+    return (volume / (datum[0] * datum[1] * datum[2])) ** (1.0 / 3.0)
+
+
 def _scan_flag(geometry: Geometry, trajectory: Trajectory, branch: str) -> str:
+    """The flag cell of a trajectory integrated from a canonical datum."""
     if branch in ("symmetric", "round", "flat"):
         return branch
-    Sc = trajectory.states[:, canonical_permutation(geometry, trajectory.m0)]
+    S = trajectory.states
     if geometry is Geometry.SL2R:
-        _, retained = sl2r_trapping_entry(Sc)
+        _, retained = sl2r_trapping_entry(S)
         return "entered-region" if retained else "no-region"
     if geometry is Geometry.SOL:
-        return "3C>A" if 3.0 * Sc[-1, 2] > Sc[-1, 0] else ""
+        return "3C>A" if 3.0 * S[-1, 2] > S[-1, 0] else ""
     return ""
 
 
 def _scan_point(payload: tuple) -> list[str]:
-    """The SCAN_HEADER cells after `index` for one grid point.
+    """The SCAN_HEADER cells after `C0` for one grid point.
 
+    The point is relabeled to its canonical datum, and then scaled when a
+    volume is given, so a point and its mirrored twin have the same cells.
     Only the flag of a generic SL(2,R) row reads the sample path; every other
     cell reads the termination, m0 or the last row.  So every other row is
     integrated with two samples: the dense output is elementwise, so its last
     row has the same bits as at any sample count.
     """
     geometry, spec, a, b, c, options, volume = payload
-    m0 = MetricDiag(a, b, c)
+    datum = _canonical(geometry, (a, b, c))
+    m0 = MetricDiag(*datum)
     if volume is not None:
-        m0 = m0.scaled((volume / (a * b * c)) ** (1.0 / 3.0))
+        m0 = m0.scaled(_volume_factor(datum, volume))
     branch = classify_branch(geometry, m0)
     if not (geometry is Geometry.SL2R and branch == "generic"):
         options = replace(options, samples=2)
     trajectory = integrate(geometry, spec, m0, options)
     term = trajectory.termination
     blowup = "%.17g" % estimate_blowup_time(trajectory) if term.kind is TerminationKind.SINGULAR_TIME else ""
-    return ["%.17g" % m0.A, "%.17g" % m0.B, "%.17g" % m0.C, term.kind.value, "%.17g" % term.t_stop, blowup,
-            branch, _scan_flag(geometry, trajectory, branch)]
+    return [term.kind.value, "%.17g" % term.t_stop, blowup, branch, _scan_flag(geometry, trajectory, branch)]
+
+
+def _occurrences(geometry: Geometry, datum: tuple, counts: list[Counter]) -> int:
+    """How many grid points relabel to a canonical datum.
+
+    They are the distinct permutations of the datum that relabel to it (the
+    datum and its mirrored twin), each as often as the product of the counts
+    of its values on the three axes.
+    """
+    total = 0
+    for point in set(permutations(datum)):
+        n = counts[0][point[0]] * counts[1][point[1]] * counts[2][point[2]]
+        if n and _canonical(geometry, point) == datum:
+            total += n
+    return total
+
+
+def _grid_data(geometry: Geometry, axes: list[list[float]]):
+    """(point, datum, first, later) for each grid point in grid order, A outermost and C innermost.
+
+    `datum` is the point's canonical datum: mirrored twins share it, and so
+    do the points that duplicate axis values repeat.  `first` marks the
+    datum's first point in grid order and `later` counts its points still to
+    come.  Only data that recur have an entry in the table of open counts,
+    from their first point to their last.
+    """
+    counts = [Counter(axis) for axis in axes]
+    left: dict = {}  # datum -> its points still to come
+    for point in product(*axes):
+        datum = _canonical(geometry, point)
+        first = datum not in left
+        later = (_occurrences(geometry, datum, counts) if first else left.pop(datum)) - 1
+        if later:
+            left[datum] = later
+        yield point, datum, first, later
 
 
 def ProcessPoolExecutor(max_workers: int):
@@ -472,8 +527,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise ConfigError("--workers must be at least 1")
     # built once here, so that a bad option is reported before any worker starts
     options = _integrator_options(args)
-    grid = product(*(axis.tolist() for axis in axes))  # A outermost, C innermost
-    payloads = ((geometry, spec, a, b, c, options, volume) for a, b, c in grid)
+    axes = [axis.tolist() for axis in axes]
+    # each datum is integrated at its first point; the row writer meets the
+    # same first points in its own pass, however far the pool reads ahead
+    payloads = ((geometry, spec, *point, options, volume)
+                for point, _, first, _ in _grid_data(geometry, axes) if first)
+    points = _grid_data(geometry, axes)
     # the pool starts all its workers at once, so it gets no more than there
     # are points and processors; the rows do not depend on the count
     workers = min(args.workers, total, os.cpu_count() or 1)
@@ -482,17 +541,31 @@ def cmd_scan(args: argparse.Namespace) -> int:
     with _open_output(args.output) as out:
         out.write(SCAN_HEADER + "\n")
         if workers == 1:
-            _write_scan_rows(out, map(_scan_point, payloads))
+            _write_scan_rows(out, points, map(_scan_point, payloads), volume, {})
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 chunk = max(1, total // (4 * workers))
-                _write_scan_rows(out, pool.map(_scan_point, payloads, chunksize=chunk))
+                _write_scan_rows(out, points, pool.map(_scan_point, payloads, chunksize=chunk), volume, {})
     return EXIT_OK
 
 
-def _write_scan_rows(out, rows) -> None:
-    for i, row in enumerate(rows):
-        out.write(",".join([str(i), *row]) + "\n")
+def _write_scan_rows(out, points, cells, volume: float | None, memo: dict) -> None:
+    """Write each grid point's row in grid order, as soon as its cells are known.
+
+    `points` is `_grid_data` of the grid and `cells` yields `_scan_point` of
+    each datum's first point, in order.  The cells of a datum with points
+    still to come wait in `memo`, which is empty again after the last row.
+    `A0,B0,C0` are the point's own, scaled by its datum's factor when a
+    volume is given.
+    """
+    for index, (point, datum, first, later) in enumerate(points):
+        row = next(cells) if first else memo.pop(datum)
+        if later:
+            memo[datum] = row
+        if volume is not None:
+            factor = _volume_factor(datum, volume)
+            point = [factor * x for x in point]
+        out.write(",".join([str(index), *["%.17g" % x for x in point], *row]) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,7 @@ _ERR_TARGET = 0.05
 _H_START = 0.01  # first trial step in tau; dimensionless, since |dxi/dtau| <= 1
 _H_MAX = 0.5  # largest step in tau: the quartic dense output of xi stays accurate
 _T_RESOLUTION = 1e-13  # an accepted step advancing t by at most this fraction of t ends the run
+_EPS = 2.0**-52  # float spacing at 1: one ulp of t is at most _EPS * t
 _H_FLOOR = 1e-12  # a retry step in tau below this ends the run
 _NEWTON_STEPS = 2  # fixed, so a time maps to the same tau in any stack of times
 _VM_FLOOR = np.nextafter(-1.0, 0.0)
@@ -409,19 +410,24 @@ def _sample_times(kind: TerminationKind, t_end: float, n: int) -> np.ndarray:
     """Deterministic dense-output grid of n rows: starts at 0, increases strictly and ends at t_end.
 
     Singular runs get an eighth of the rows uniformly over the first half of
-    the run and the rest geometrically spaced in u = t_stop - t from half the
-    run down to the stepper's resolution `_T_RESOLUTION * t_stop`, so that
+    the run and the m = n - n/8 - 1 others geometrically spaced in
+    u = t_stop - t from half the run down to a floor f * t_stop, so that
     every decade of the approach is covered at equal density in log(u): 512
     rows put at least 32 in each decade of u within [1e-12, 1e-1] * t_stop.
     The two shares meet at no row, since the uniform one stops short of
     half the run.  Completed runs are sampled geometrically in t.  Two rows
     are the two ends of the run.
 
-    Both shares are built in increasing order, and rows that round to the
-    same time are dropped once: near t_stop the geometric rows are about
-    3e-12 t_stop / n apart, less than one ulp of t_stop only above about 1.5e4
-    singular samples.  The drop is an adjacent-equality mask, not
-    `np.unique`, which imports `numpy.ma` on its first call in a process.
+    The floor f is the stepper's resolution `_T_RESOLUTION`, raised to
+    (m - 1) * eps / 16 where that is larger, which is above about 8200 rows.
+    The last two geometric rows are f * ln(0.5 / f) / (m - 1) * t_stop
+    apart, so that keeps them more than ln(0.5 / f) / 16 > 1 ulp of t_stop
+    apart, and every row distinct, for any f below 5e-8, that is up to
+    about 4e9 rows.  Below 8200 rows the floor, and so the grid, is the
+    stepper's resolution.  Both shares are built in increasing order, and
+    rows that still round to the same time are dropped once, by an
+    adjacent-equality mask, not `np.unique`, which imports `numpy.ma` on its
+    first call in a process.
     """
     if t_end <= 0.0:
         return np.array([0.0])
@@ -429,8 +435,10 @@ def _sample_times(kind: TerminationKind, t_end: float, n: int) -> np.ndarray:
         return np.array([0.0, t_end])
     if kind is TerminationKind.SINGULAR_TIME:
         n_pre = max(2, n // 8)
+        m = n - n_pre - 1
+        floor = max(_T_RESOLUTION, (m - 1) * _EPS / 16.0)
         pre = np.linspace(0.0, 0.5 * t_end, n_pre, endpoint=False)
-        post = t_end - np.geomspace(0.5 * t_end, _T_RESOLUTION * t_end, n - n_pre - 1)
+        post = t_end - np.geomspace(0.5 * t_end, floor * t_end, m)
         grid = np.concatenate([pre, post, [t_end]])
     else:
         grid = np.concatenate([[0.0], np.geomspace(1e-12 * t_end, t_end, n - 1)])

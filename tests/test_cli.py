@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xcflow import Geometry, MetricDiag, IntegratorOptions, XCF_MINUS, integrate
+from xcflow import Geometry, MetricDiag, IntegratorOptions, XCF_MINUS, canonical_permutation, integrate
 from xcflow.cli import (
     CSV_HEADER,
     EXIT_BUDGET,
@@ -674,19 +674,19 @@ def test_sample_columns_match_row_by_row_evaluation(geometry, init, flow):
 
 
 def _scan_cells_at_full_samples(payload):
-    """The cells of one scan row built from a trajectory integrated at the full sample count."""
+    """The cells after C0 of one scan row, from the canonical datum integrated at the full sample count."""
     from xcflow import cli
 
     geometry, spec, a, b, c, options, volume = payload
-    m0 = MetricDiag(a, b, c)
+    point = (a, b, c)
+    m0 = MetricDiag(*(point[i] for i in canonical_permutation(geometry, MetricDiag(*point))))
     if volume is not None:
-        m0 = m0.scaled((volume / (a * b * c)) ** (1.0 / 3.0))
+        m0 = m0.scaled((volume / (m0.A * m0.B * m0.C)) ** (1.0 / 3.0))
     traj = integrate(geometry, spec, m0, options)
     term = traj.termination
     blowup = "%.17g" % term.t_stop if term.kind.value == "singular_time" else ""
     branch = cli.classify_branch(geometry, m0)
-    return ["%.17g" % m0.A, "%.17g" % m0.B, "%.17g" % m0.C, term.kind.value, "%.17g" % term.t_stop, blowup,
-            branch, cli._scan_flag(geometry, traj, branch)]
+    return [term.kind.value, "%.17g" % term.t_stop, blowup, branch, cli._scan_flag(geometry, traj, branch)]
 
 
 # every branch of every geometry, with rows that end on t_max, step_underflow and max_steps
@@ -735,7 +735,7 @@ def test_scan_point_cells_equal_cells_from_the_full_sample_path(
     monkeypatch.setattr(cli, "integrate", recording_integrate)
     cells = cli._scan_point(payload)
     assert cells == _scan_cells_at_full_samples(payload)
-    assert cells[6] == branch
+    assert cells[3] == branch
     reads_path = geometry == "sl2r" and branch == "generic"
     assert asked == [(samples if reads_path else 2, trigger)]
 
@@ -919,3 +919,143 @@ def test_scan_starts_no_more_workers_than_points_or_processors(capsys, monkeypat
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     assert run_cli(capsys, *argv, "--workers", "100000") == (EXIT_OK, serial, "")
     assert pools == started
+
+
+# ---------------------------------------------------------------------------
+# scan integrates each canonical datum once
+
+
+_TWIN_GRIDS = [
+    ("sol", ("0.5:3:4", "4.1", "0.5:3:4")),  # every twin present; A*B*C and C*B*A round apart
+    ("sol", ("1:3:3", "4", "2:3:2")),  # (3,4,2) and (2,4,3) twins; (1,4,2) has none
+    ("sol", ("2:2:3", "4", "1:3:3")),  # duplicate A values
+    ("sl2r", ("1", "0.5:2:4", "0.5:2:4")),
+    ("sl2r", ("1", "1:2:2", "1.5:2.5:3")),  # no mirrored row has its twin
+    ("sl2r", ("1:1:2", "1:2:2", "1:2:2")),
+    ("e2", ("1:2:3", "1:2:3", "2")),
+    ("e2", ("1:2:2", "1.5:2:2", "2:2:2")),
+    ("su2", ("1:2:2", "2:1:2", "1:1:2")),  # no relabeling on SU(2), Heisenberg and TRIVIAL
+    ("heisenberg", ("1:2:2", "2:2:2", "1:2:2")),
+    ("trivial", ("1", "1:2:2", "3:3:2")),
+]
+
+
+@pytest.mark.parametrize("volume", [None, 2.5])
+@pytest.mark.parametrize("geometry, grid", _TWIN_GRIDS, ids=[f"{g}-{'x'.join(a)}" for g, a in _TWIN_GRIDS])
+def test_scan_rows_of_a_datum_and_its_twins_are_the_canonical_run(capsys, monkeypatch, geometry, grid, volume):
+    from xcflow import cli
+
+    memos = []
+    writer = cli._write_scan_rows
+
+    def keeping_writer(out, points, cells, volume, memo):
+        memos.append(memo)
+        writer(out, points, cells, volume, memo)
+
+    monkeypatch.setattr(cli, "_write_scan_rows", keeping_writer)
+    argv = ["scan", "--geometry", geometry, "--grid-A", grid[0], "--grid-B", grid[1], "--grid-C", grid[2],
+            "--t-max", "5", "--samples", "64"]
+    if volume is not None:
+        argv += ["--normalize-volume", str(volume)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert memos == [{}]  # every datum's points were counted right, so its entry left with its last row
+    axes = [cli._parse_axis(text).tolist() for text in grid]
+    points = [(a, b, c) for a in axes[0] for b in axes[1] for c in axes[2]]
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[0] for row in rows] == [str(i) for i in range(len(points))]
+    geom = Geometry.from_name(geometry)
+    by_datum = {}
+    for point, row in zip(points, rows):
+        datum = tuple(point[i] for i in canonical_permutation(geom, MetricDiag(*point)))
+        if geometry in ("su2", "heisenberg", "trivial"):
+            assert datum == point
+        # A0,B0,C0 are the point's own, scaled by the factor of its canonical datum
+        factor = 1.0 if volume is None else (volume / (datum[0] * datum[1] * datum[2])) ** (1.0 / 3.0)
+        assert row[1:4] == ["%.17g" % (factor * x) for x in point]
+        # every row carries the cells of its canonical datum, byte for byte
+        by_datum.setdefault(datum, []).append(row[4:])
+    options = IntegratorOptions(t_max=5.0, samples=64)
+    for datum, cells in by_datum.items():
+        want = _scan_cells_at_full_samples((geom, XCF_MINUS, *datum, options, volume))
+        assert cells == [want] * len(cells), datum
+
+
+def test_scan_with_shared_twins_is_byte_identical_across_worker_counts(capsys, tmp_path):
+    texts = []
+    for workers in ("1", "2"):
+        path = tmp_path / f"scan{workers}.csv"
+        code, out, err = run_cli(
+            capsys, "scan", "--geometry", "sol", "--grid-A", "0.5:3:4", "--grid-B", "4", "--grid-C", "0.5:3:4",
+            "--samples", "64", "--normalize-volume", "2.5", "--workers", workers, "--output", str(path),
+        )
+        assert (code, out, err) == (EXIT_OK, "", "")
+        texts.append(path.read_bytes())
+    assert texts[0] == texts[1]
+
+
+def test_readme_scan_grid_integrates_each_canonical_datum_once(capsys, monkeypatch):
+    from xcflow import cli
+
+    data = []
+
+    def recording_integrate(geometry, spec, m0, options):
+        data.append(m0.as_tuple())
+        return integrate(geometry, spec, m0, options)
+
+    monkeypatch.setattr(cli, "integrate", recording_integrate)
+    code, out, err = run_cli(capsys, "scan", "--geometry", "sol", "--grid-A", "0.5:4.5:9", "--grid-B", "4",
+                             "--grid-C", "0.5:4.5:9", "--t-max", "10")
+    assert (code, err) == (EXIT_OK, "")
+    assert len(out.splitlines()) == 1 + 81
+    assert len(data) == len(set(data)) == 45
+    assert all(a >= c for a, _, c in data)
+
+
+class _RecordingMemo(dict):
+    """A scan memo that records its size after every insertion."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = [0]
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.sizes.append(len(self))
+
+
+def test_scan_memo_holds_only_open_twins(capsys, monkeypatch, tmp_path):
+    # a stand-in point function names its canonical datum, so each row shows whose cells it got
+    from xcflow import cli
+
+    calls = []
+
+    def naming_point(payload):
+        datum = cli._canonical(payload[0], payload[2:5])
+        calls.append(datum)
+        return ["%r" % x for x in datum]
+
+    memos = []
+    writer = cli._write_scan_rows
+
+    def recording_writer(out, points, cells, volume, memo):
+        memos.append(_RecordingMemo())
+        writer(out, points, cells, volume, memos[-1])
+
+    monkeypatch.setattr(cli, "_scan_point", naming_point)
+    monkeypatch.setattr(cli, "_write_scan_rows", recording_writer)
+    n = 200
+    path = tmp_path / "scan.csv"
+    code, out, err = run_cli(capsys, "scan", "--geometry", "sol", "--grid-A", f"1:2:{n}", "--grid-B", "4",
+                             "--grid-C", f"1:2:{n}", "--output", str(path))
+    assert (code, out, err) == (EXIT_OK, "", "")
+    assert len(calls) == len(set(calls)) == n * (n + 1) // 2
+    [memo] = memos
+    assert 0 < max(memo.sizes) <= n * n // 4
+    assert len(memo) == 0
+    lines = path.read_text().splitlines()
+    assert len(lines) == 1 + n * n
+    for line in lines[1:]:
+        cells = line.split(",")
+        a, b, c = map(float, cells[1:4])
+        assert cells[4:] == ["%r" % x for x in (max(a, c), b, min(a, c))]

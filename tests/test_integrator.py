@@ -231,7 +231,7 @@ def test_fewest_samples_span_the_run(geom, init, opts, trigger, samples):
 def test_sample_grid_has_exactly_the_asked_rows(kind):
     # an even uniform share of a singular grid used to hold t_end / 2, the first geometric row too
     for t_end in (1.0, 3.7, 1e-5, 123.456, 2.0 - 2.0**-52, 2.0**-30):
-        for n in (*range(2, 130), 511, 512, 2048, 8191, 8192):
+        for n in (*range(2, 130), 511, 512, 2048, 8191, 8192, 16384, 32768, 65536):
             grid = integrator._sample_times(kind, t_end, n)
             assert len(grid) == n, (t_end, n)
             assert grid[0] == 0.0 and grid[-1] == t_end and np.all(np.diff(grid) > 0.0), (t_end, n)
