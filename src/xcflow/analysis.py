@@ -333,13 +333,10 @@ class VerificationReport:
     checks: tuple[CheckResult, ...]
 
     @property
-    def passed(self) -> bool:
-        return (
-            all(c.passed for c in self.conserved)
-            and all(c.passed for c in self.monotone)
-            and all(l.passed for l in self.laws)
-            and all(c.passed for c in self.checks)
-        )
+    def passed(self) -> bool | None:
+        """Whether every entry passed; None when the report has no entry, so nothing was checked."""
+        entries = (*self.conserved, *self.monotone, *self.laws, *self.checks)
+        return all(e.passed for e in entries) if entries else None
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -352,7 +349,7 @@ class VerificationReport:
     def summary_lines(self) -> list[str]:
         lines = [
             f"{self.geometry}/{self.flow} branch={self.branch} "
-            f"termination={self.termination['kind']} passed={self.passed}"
+            f"termination={self.termination['kind']} passed={'unchecked' if self.passed is None else self.passed}"
         ]
         for c in self.conserved:
             lines.append(f"  conserved {c.name}: drift={c.observed:.3e} (tol {c.threshold:.0e}) {'ok' if c.passed else 'FAIL'}")

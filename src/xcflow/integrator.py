@@ -22,15 +22,21 @@ translation, so that a self-similar collapse becomes a nearly straight line:
   nearly constant while T0 - t decays exponentially in tau.  The floor
   1/t_max makes a fixed point cross [0, t_max] in one unit of tau.
 
-The scheme is the embedded Dormand-Prince 5(4) pair (FSAL) on the four
-components (xi_A, xi_B, xi_C, t), with a proportional-integral step
-controller and the standard quartic dense output for xi.  Each xi component
-is held to `rtol` (it is already relative in y), and t to atol + rtol * t.
-t is the integral of w = 1/s: the exponential through w at both ends of a
-step is integrated exactly and the DP5 weights (and the interpolant) apply
-to the rest, so the geometric approach to T0 costs no accuracy in t.  The
-first trial step is 0.01 in tau and no step exceeds 0.5, which keeps the
-quartic dense output of xi accurate on the approach.
+The scheme is the embedded Runge-Kutta 8(5,3) pair of Prince and Dormand,
+DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, section II.10; the
+`dop853.f` code), on the four components (xi_A, xi_B, xi_C, t).  An attempt
+costs 12 right-hand-side evaluations: eleven new stages and the velocity at
+the new state, which is the first stage of the next step.  The error is
+Hairer's combined estimate from the embedded 5th- and 3rd-order weights,
+err = h * S5 / sqrt(4 (S5 + 0.01 S3)) with S5, S3 the sums of squares of
+the scaled component errors, which behaves like an 8th-order estimate, and
+the proportional-integral controller uses the exponent 1/8 - 0.75 beta.
+Each xi component is held to `rtol` (it is already relative in y), and t to
+atol + rtol * t.  t is the integral of w = 1/s: the exponential through w
+at both ends of a step is integrated exactly and the DOP853 weights (and
+the interpolant) apply to the rest, so the geometric approach to T0 costs
+no accuracy in t.  The first trial step is 0.01 in tau and no step exceeds
+0.5.
 
 * rejection: a trial step is rejected and retried at half the step on an
   ArithmeticError: a stage velocity that is not finite, an `exp` that
@@ -46,18 +52,20 @@ quartic dense output of xi accurate on the approach.
   rows at times chosen in t; runs that end at a singular time are sampled
   geometrically in (t_stop - t) down to the stop rule's resolution, so
   every decade of the approach is resolved at equal density in
-  log-distance to the singular time.  A sample time is
-  mapped to tau by Newton's method on its step's interpolant of t, and the
-  state is y0 * exp(xi) evaluated in long double and rounded once, so
-  consecutive samples move by at most one rounding.
+  log-distance to the singular time.  The interpolant is DOP853's
+  seventh-order continuous extension, which needs three more stages per
+  step (at 1/10, 1/5 and 7/9 of it).  They are evaluated only for the
+  steps that hold a requested time, each from its own stored start state,
+  size and stages, so a row has the same bits whatever else is sampled.  A
+  sample time is mapped to tau by Newton's method on its step's
+  interpolant of t, and the state is y0 * exp(xi) evaluated in long double
+  and rounded once, so consecutive samples move by at most one rounding.
 
 The step runs on Python floats, so an attempt makes no numpy call.  Each
 stage state is one tableau row written out component by component into
 locals, and each stage velocity is one call of `_velocity`, which evaluates
-the right-hand side, s and the finiteness guard.  The stage
-velocities of every accepted step are kept in a flat array, and the
-interpolant coefficients of the whole step table are built once, after the
-last step, with the same operations for every step and every component.
+the right-hand side, s and the finiteness guard.  The start state, size and
+stage velocities of every accepted step are kept in flat arrays.
 
 Step times are accumulated with compensated summation, which keeps
 (t_stop - t) accurate to one ulp of t near blow-up.
@@ -72,7 +80,7 @@ rather than to a tolerance.
 from __future__ import annotations
 
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from math import exp, expm1, frexp, isfinite, ldexp, log, sqrt
 
@@ -90,43 +98,187 @@ __all__ = [
     "sample_at",
 ]
 
-# Dormand-Prince 5(4) tableau, FSAL form: stage coefficients _Aij, 5th order
-# weights _Bi (_B2 = 0, and the 7th stage is f at the new state), error
-# weights _Ei = 5th minus 4th order weights (_E2 = 0), and the quartic
-# interpolant coefficients _RK_P, one row per stage.
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
-_RK_P = np.array(
-    [
-        [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-        [0, 0, 0, 0],
-        [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-        [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-        [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-        [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-        [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-    ]
+# DOP853: the 8(5,3) pair of Prince & Dormand, "High order embedded
+# Runge-Kutta formulae", J. Comput. Appl. Math. 7 (1981), with the error
+# weights and dense output of Hairer's `dop853.f` (Hairer, Norsett & Wanner,
+# Solving ODEs I, section II.10).  Stages are numbered from 1: _Ai_j is the
+# weight of stage j in stage i, _Bi the 8th-order weight of stage i (stage
+# 13 is f at the new state), _Ei the weights of the 5th-order error and
+# _BHHi those of the 3rd-order solution that the 3rd-order error compares
+# with the _Bi.  Every weight not listed is zero.
+_A2_1 = 5.26001519587677318785587544488e-2
+_A3_1, _A3_2 = 1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2
+_A4_1, _A4_3 = 2.95875854768068491816892993775e-2, 8.87627564304205475450678981324e-2
+_A5_1 = 2.41365134159266685502369798665e-1
+_A5_3 = -8.84549479328286085344864962717e-1
+_A5_4 = 9.24834003261792003115737966543e-1
+_A6_1 = 3.7037037037037037037037037037e-2
+_A6_4 = 1.70828608729473871279604482173e-1
+_A6_5 = 1.25467687566822425016691814123e-1
+_A7_1 = 3.7109375e-2
+_A7_4 = 1.70252211019544039314978060272e-1
+_A7_5 = 6.02165389804559606850219397283e-2
+_A7_6 = -1.7578125e-2
+_A8_1 = 3.70920001185047927108779319836e-2
+_A8_4 = 1.70383925712239993810214054705e-1
+_A8_5 = 1.07262030446373284651809199168e-1
+_A8_6 = -1.53194377486244017527936158236e-2
+_A8_7 = 8.27378916381402288758473766002e-3
+_A9_1 = 6.24110958716075717114429577812e-1
+_A9_4 = -3.36089262944694129406857109825
+_A9_5 = -8.68219346841726006818189891453e-1
+_A9_6 = 2.75920996994467083049415600797e1
+_A9_7 = 2.01540675504778934086186788979e1
+_A9_8 = -4.34898841810699588477366255144e1
+_A10_1 = 4.77662536438264365890433908527e-1
+_A10_4 = -2.48811461997166764192642586468
+_A10_5 = -5.90290826836842996371446475743e-1
+_A10_6 = 2.12300514481811942347288949897e1
+_A10_7 = 1.52792336328824235832596922938e1
+_A10_8 = -3.32882109689848629194453265587e1
+_A10_9 = -2.03312017085086261358222928593e-2
+_A11_1 = -9.3714243008598732571704021658e-1
+_A11_4 = 5.18637242884406370830023853209
+_A11_5 = 1.09143734899672957818500254654
+_A11_6 = -8.14978701074692612513997267357
+_A11_7 = -1.85200656599969598641566180701e1
+_A11_8 = 2.27394870993505042818970056734e1
+_A11_9 = 2.49360555267965238987089396762
+_A11_10 = -3.0467644718982195003823669022
+_A12_1 = 2.27331014751653820792359768449
+_A12_4 = -1.05344954667372501984066689879e1
+_A12_5 = -2.00087205822486249909675718444
+_A12_6 = -1.79589318631187989172765950534e1
+_A12_7 = 2.79488845294199600508499808837e1
+_A12_8 = -2.85899827713502369474065508674
+_A12_9 = -8.87285693353062954433549289258
+_A12_10 = 1.23605671757943030647266201528e1
+_A12_11 = 6.43392746015763530355970484046e-1
+_B1 = 5.42937341165687622380535766363e-2
+_B6 = 4.45031289275240888144113950566
+_B7 = 1.89151789931450038304281599044
+_B8 = -5.8012039600105847814672114227
+_B9 = 3.1116436695781989440891606237e-1
+_B10 = -1.52160949662516078556178806805e-1
+_B11 = 2.01365400804030348374776537501e-1
+_B12 = 4.47106157277725905176885569043e-2
+_E1 = 0.1312004499419488073250102996e-1
+_E6 = -0.1225156446376204440720569753e1
+_E7 = -0.4957589496572501915214079952
+_E8 = 0.1664377182454986536961530415e1
+_E9 = -0.3503288487499736816886487290
+_E10 = 0.3341791187130174790297318841
+_E11 = 0.8192320648511571246570742613e-1
+_E12 = -0.2235530786388629525884427845e-1
+_BHH1 = 0.244094488188976377952755905512
+_BHH9 = 0.733846688281611857341361741547
+_BHH12 = 0.220588235294117647058823529412e-1
+# stage abscissae, in units of the step: stages 1-13, then the three that only the dense output uses
+_C = np.array([
+    0.0, 0.526001519587677318785587544488e-1, 0.789002279381515978178381316732e-1,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490, 1 / 3, 1 / 4, 4 / 13,
+    127 / 195, 3 / 5, 6 / 7, 1.0, 1.0, 1 / 10, 1 / 5, 7 / 9,
+])
+_C6, _C7, _C8, _C9, _C10, _C11 = _C[5:11].tolist()
+# Stages 14-16, which only the continuous extension uses.
+_A14_1 = 5.61675022830479523392909219681e-2
+_A14_7 = 2.53500210216624811088794765333e-1
+_A14_8 = -2.46239037470802489917441475441e-1
+_A14_9 = -1.24191423263816360469010140626e-1
+_A14_10 = 1.5329179827876569731206322685e-1
+_A14_11 = 8.20105229563468988491666602057e-3
+_A14_12 = 7.56789766054569976138603589584e-3
+_A14_13 = -8.298e-3
+_A15_1 = 3.18346481635021405060768473261e-2
+_A15_6 = 2.83009096723667755288322961402e-2
+_A15_7 = 5.35419883074385676223797384372e-2
+_A15_8 = -5.49237485713909884646569340306e-2
+_A15_11 = -1.08347328697249322858509316994e-4
+_A15_12 = 3.82571090835658412954920192323e-4
+_A15_13 = -3.40465008687404560802977114492e-4
+_A15_14 = 1.41312443674632500278074618366e-1
+_A16_1 = -4.28896301583791923408573538692e-1
+_A16_6 = -4.69762141536116384314449447206
+_A16_7 = 7.68342119606259904184240953878
+_A16_8 = 4.06898981839711007970213554331
+_A16_9 = 3.56727187455281109270669543021e-1
+_A16_13 = -1.39902416515901462129418009734e-3
+_A16_14 = 2.9475147891527723389556272149
+_A16_15 = -9.15095847217987001081870187138
+# Continuous extension: xi(theta) = x0 + theta * (F0 + (1 - theta) * (F1 + theta * (F2
+# + (1 - theta) * (F3 + theta * (F4 + (1 - theta) * (F5 + theta * F6)))))), with F0 the
+# step's increment h * sum b_i k_i, F1 = h k_1 - F0, F2 = 2 F0 - h (k_1 + k_13), and
+# F3-F6 = h * sum_i d_i k_i over the rows of _D, which weigh stages 1 and 6-16.
+_D = (
+    (
+        -0.84289382761090128651353491142e1, 0.56671495351937776962531783590, -0.30689499459498916912797304727e1,
+        0.23846676565120698287728149680e1, 0.21170345824450282767155149946e1, -0.87139158377797299206789907490,
+        0.22404374302607882758541771650e1, 0.63157877876946881815570249290, -0.88990336451333310820698117400e-1,
+        0.18148505520854727256656404962e2, -0.91946323924783554000451984436e1, -0.44360363875948939664310572000e1,
+    ),
+    (
+        0.10427508642579134603413151009e2, 0.24228349177525818288430175319e3, 0.16520045171727028198505394887e3,
+        -0.37454675472269020279518312152e3, -0.22113666853125306036270938578e2, 0.77334326684722638389603898808e1,
+        -0.30674084731089398182061213626e2, -0.93321305264302278729567221706e1, 0.15697238121770843886131091075e2,
+        -0.31139403219565177677282850411e2, -0.93529243588444783865713862664e1, 0.35816841486394083752465898540e2,
+    ),
+    (
+        0.19985053242002433820987653617e2, -0.38703730874935176555105901742e3, -0.18917813819516756882830838328e3,
+        0.52780815920542364900561016686e3, -0.11573902539959630126141871134e2, 0.68812326946963000169666922661e1,
+        -0.10006050966910838403183860980e1, 0.77771377980534432092869265740, -0.27782057523535084065932004339e1,
+        -0.60196695231264120758267380846e2, 0.84320405506677161018159903784e2, 0.11992291136182789328035130030e2,
+    ),
+    (
+        -0.25693933462703749003312586129e2, -0.15418974869023643374053993627e3, -0.23152937917604549567536039109e3,
+        0.35763911791061412378285349910e3, 0.93405324183624310003907691704e2, -0.37458323136451633156875139351e2,
+        0.10409964950896230045147246184e3, 0.29840293426660503123344363579e2, -0.43533456590011143754432175058e2,
+        0.96324553959188282948394950600e2, -0.39177261675615439165231486172e2, -0.14972683625798562581422125276e3,
+    ),
 )
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])  # stage abscissae, in units of the step
+_WEIGHTS = np.zeros(16, dtype=np.longdouble)  # the _Bi of stages 1-16, in long double
+_WEIGHTS[[0, 5, 6, 7, 8, 9, 10, 11]] = (_B1, _B6, _B7, _B8, _B9, _B10, _B11, _B12)
+
+
+def _monomial_matrix(with_extension: bool) -> np.ndarray:
+    """M[s, p]: the coefficient of theta^p in P(theta) from stage s, xi = x0 + h theta P(theta).
+
+    Expands the nested form above in long double.  Without the extension
+    (F3-F6 dropped) it is the cubic Hermite interpolant through the two ends
+    of the step, which needs no extra stage.
+    """
+    rows = np.zeros((7, 16), dtype=np.longdouble)
+    rows[0] = _WEIGHTS
+    rows[1] = -_WEIGHTS
+    rows[1, 0] += 1.0
+    rows[2] = 2.0 * _WEIGHTS
+    rows[2, [0, 12]] -= 1.0
+    if with_extension:
+        rows[3:, [0, *range(5, 16)]] = _D
+    # theta^p coefficients of 1, 1-x, x(1-x), x(1-x)^2, x^2(1-x)^2, x^2(1-x)^3, x^3(1-x)^3
+    basis = np.array([
+        (1, 0, 0, 0, 0, 0, 0), (1, -1, 0, 0, 0, 0, 0), (0, 1, -1, 0, 0, 0, 0), (0, 1, -2, 1, 0, 0, 0),
+        (0, 0, 1, -2, 1, 0, 0), (0, 0, 1, -3, 3, -1, 0), (0, 0, 0, 1, -3, 3, -1),
+    ], dtype=np.longdouble)
+    m = rows.T @ basis
+    return m if with_extension else m[:13]
+
+
+_DENSE = _monomial_matrix(True)  # (16, 7): the seventh-order extension
+_HERMITE = _monomial_matrix(False)  # (13, 7): its cubic part, for a step whose extra stages fail
 _INF = float("inf")
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _BETA = 0.04  # PI controller integral gain
-_EXPO = 0.2 - 0.75 * _BETA
+_EXPO = 1 / 8 - 0.75 * _BETA  # the error estimate behaves like order 8
 # The controller aims below the acceptance threshold err <= 1.  Collapsing
 # solutions amplify earlier local errors like (u_then/u_now), so steering to
 # a small fraction of the tolerance is what keeps whole-run deviations from
 # the closed forms near the tolerance itself instead of orders above it.
 _ERR_TARGET = 0.05
 _H_START = 0.01  # first trial step in tau; dimensionless, since |dxi/dtau| <= 1
-_H_MAX = 0.5  # largest step in tau: the quartic dense output of xi stays accurate
+_H_MAX = 0.5  # largest step in tau: longer steps let sampled differences such as C - A step the wrong way
 _T_RESOLUTION = 1e-13  # an accepted step advancing t by at most this fraction of t ends the run
 _EPS = 2.0**-52  # float spacing at 1: one ulp of t is at most _EPS * t
 _H_FLOOR = 1e-12  # a retry step in tau below this ends the run
@@ -192,35 +344,85 @@ class IntegratorOptions:
 
 @dataclass(frozen=True)
 class _StepTable:
-    """Accepted steps in scaled units plus interpolant coefficients for dense output."""
+    """Accepted steps in scaled units, with the interpolant of each step built when first sampled."""
 
     t0: np.ndarray  # (m,) scaled step start times
     h: np.ndarray  # (m,) step sizes in tau
+    y: np.ndarray  # (m, 3) scaled states at step starts, as the stepper held them
+    K: np.ndarray  # (m, 13, 4) stage velocities of each step, stage 13 at its end
     x0: np.ndarray  # (m, 3) long double log states xi = log(y / y(0)) at step starts
-    q: np.ndarray  # (m, 3, 4) long double interpolant coefficients of xi
     w0: np.ndarray  # (m,) dt/dtau at step starts
     a: np.ndarray  # (m,) log of dt/dtau at the start over dt/dtau at the end
-    qt: np.ndarray  # (m, 4) interpolant coefficients of the non-exponential part of dt/dtau
     base: np.ndarray  # (3,) long double scaled initial metric
     k: int  # binary exponent of the scale: y = 2^k * scaled y, t = 4^k * scaled t
+    rhs: object  # the run's right-hand side, for the stages of the continuous extension
+    smin: float  # the run's floor of s
+    # interpolant coefficients, filled step by step as steps are sampled
+    q: np.ndarray = field(init=False, repr=False)  # (m, 3, 7) long double, of xi
+    qt: np.ndarray = field(init=False, repr=False)  # (m, 7), of the non-exponential part of dt/dtau
+    ready: np.ndarray = field(init=False, repr=False)  # (m,) whether q and qt hold the step
+
+    def __post_init__(self) -> None:
+        m = len(self.h)
+        object.__setattr__(self, "q", np.zeros((m, 3, 7), dtype=np.longdouble))
+        object.__setattr__(self, "qt", np.zeros((m, 7)))
+        object.__setattr__(self, "ready", np.zeros(m, dtype=bool))
+
+    def _build(self, idx: np.ndarray) -> None:
+        """Interpolant coefficients of every step in idx that has none yet.
+
+        Each step gets the three extra stages of the extension from its own
+        start state, size and stages, and q = K^T M is summed stage by stage
+        in long double, the same operations for every step and component:
+        a step's coefficients do not depend on which other steps are built
+        with it, and exactly equal stage velocities give exactly equal
+        coefficients.  For t, M is applied to the stage values of dt/dtau
+        less the exponential w0 * exp(-a c) through its two ends.  A step
+        whose extra stage raises ArithmeticError keeps its row: it gets the
+        cubic Hermite interpolant through its two ends (`_HERMITE`), which
+        needs no extra stage.
+        """
+        mark = np.zeros(len(self.h), dtype=bool)
+        mark[idx] = True
+        new = np.flatnonzero(mark & ~self.ready)
+        if not len(new):
+            return
+        extra, extended = [], []
+        for y, k, h in zip(self.y[new].tolist(), self.K[new].reshape(len(new), 52).tolist(), self.h[new].tolist()):
+            try:
+                extra.append(_extra_stages(self.rhs, y, k, h, self.smin))
+                extended.append(True)
+            except ArithmeticError:
+                extra.append(((0.0,) * 4,) * 3)
+                extended.append(False)
+        K = np.concatenate([self.K[new], np.array(extra)], axis=1)
+        extended = np.array(extended)
+        K[:, :, 3] -= self.w0[new, None] * np.exp(-self.a[new, None] * _C)
+        q = _coefficients(K, _DENSE)
+        if not extended.all():
+            q[~extended] = _coefficients(K[~extended, :13], _HERMITE)
+        self.q[new] = q[:, :3]
+        self.qt[new] = q[:, 3]
+        self.ready[new] = True
 
     def eval(self, t: np.ndarray) -> np.ndarray:
         """Interpolated states (n, 3), in the caller's units, at the scaled times t (n,) in [0, t_end].
 
-        Within a step, t is t0 + h * (w0 * E(theta) + Pt(theta)) with
+        Within a step, t is t0 + h * (w0 * E(theta) + theta * Pt(theta)) with
         E(theta) = (1 - exp(-a theta))/a: exact where dt/dtau decays or grows
-        exponentially, as it does on a self-similar approach, with the quartic
-        Pt for the rest.  theta solves it for the sample time by a fixed number
-        of Newton steps in v = E(theta)/E(1), in which the time is nearly
-        linear even where it is flat in theta, clipped to [0, 1].  Then xi is
-        x0 + h * P(theta), P the quartic dense output, and the state is
-        y(0) * exp(xi), both in long double and rounded to float once.
+        exponentially, as it does on a self-similar approach, with the
+        degree-6 Pt of the continuous extension for the rest.  theta solves it
+        for the sample time by a fixed number of Newton steps in
+        v = E(theta)/E(1), in which the time is nearly linear even where it is
+        flat in theta, clipped to [0, 1].  Then xi is x0 + h * theta * P(theta),
+        P the degree-6 polynomial of the seventh-order extension, and the state
+        is y(0) * exp(xi), both in long double and rounded to float once.
         Everything is elementwise, so a time gives the same bits in any stack
         of times (`sample_at` evaluates a stack of one).
         """
         idx = np.searchsorted(self.t0, t, side="right") - 1  # t0[0] = 0, so idx >= 0
-        h, w0, a = self.h[idx], self.w0[idx], self.a[idx]
-        c0, c1, c2, c3 = self.qt[idx].T
+        self._build(idx)
+        h, w0, a, c = self.h[idx], self.w0[idx], self.a[idx], self.qt[idx].T
         flat = a == 0.0
         a_div = np.where(flat, 1.0, a)
         m = np.expm1(-a)
@@ -232,19 +434,26 @@ class _StepTable:
             vm = np.maximum(v * m, _VM_FLOOR)  # 1 + vm = exp(-a theta) > 0
             return vm, np.where(flat, v, np.minimum(-np.log1p(vm) / a_div, 1.0))
 
-        v = np.clip(d / (lin + (c0 + c1 + c2 + c3)), 0.0, 1.0)
+        def pt(theta):  # theta * Pt(theta) and its derivative, by Horner's rule
+            p, dp = c[6], 7.0 * c[6]
+            for j in range(5, -1, -1):
+                p = p * theta + c[j]
+                dp = dp * theta + (j + 1.0) * c[j]
+            return p * theta, dp
+
+        v = np.clip(d / (lin + pt(1.0)[0]), 0.0, 1.0)
         vm, theta = theta_of(v)
         for _ in range(_NEWTON_STEPS):
-            p = theta * (c0 + theta * (c1 + theta * (c2 + theta * c3)))
-            dp = c0 + theta * (2.0 * c1 + theta * (3.0 * c2 + theta * (4.0 * c3)))
+            p, dp = pt(theta)
             dtheta = np.where(flat, 1.0, e1 / (1.0 + vm))
             v = np.clip(v - (lin * v + p - d) / (lin + dp * dtheta), 0.0, 1.0)
             vm, theta = theta_of(v)
-        # x0 + h * (theta * (q0 + theta * (q1 + theta * (q2 + theta * q3)))), in place
+        # x0 + h * theta * P(theta), in place
         theta = theta.astype(np.longdouble)[:, None]
-        x = self.q[idx, :, 3] * theta
-        for j in (2, 1, 0):
-            x += self.q[idx, :, j]
+        q = self.q[idx]
+        x = q[:, :, 6] * theta
+        for j in range(5, -1, -1):
+            x += q[:, :, j]
             x *= theta
         x *= h.astype(np.longdouble)[:, None]
         x += self.x0[idx]
@@ -306,97 +515,197 @@ def _attempt_step(rhs, y, f, h, t, smin, rtol, atol):
 
     `f` is the velocity (dxi_A, dxi_B, dxi_C, dt) per unit tau at y and
     `smin` the floor of s.  Returns (y_new, dt, f_new, err, stages),
-    `stages` being the seven stage velocities flattened into one 28-tuple,
-    stage by stage, or None if the attempt is rejected: an ArithmeticError
-    from a stage velocity that is not finite, an `exp` that overflows, or a
-    division by a coefficient that underflowed to 0.  `kSC` is component C
-    of the velocity at stage S.
+    `stages` being the thirteen stage velocities (the last is f_new)
+    flattened into one 52-tuple, stage by stage, or None if the attempt is
+    rejected: an ArithmeticError from a stage velocity that is not finite,
+    an `exp` that overflows, or a division by a coefficient that underflowed
+    to 0.  `kSa`, `kSb`, `kSc` and `kSt` are the components of the velocity
+    at stage S.
 
     A stage state is y * exp(h * sum_j a_j k_j) componentwise, so it is
     positive by construction and carries the rounding of y itself; each
-    stage velocity is one call of `_velocity`.
+    stage velocity is one call of `_velocity`, twelve per attempt.  err is
+    Hairer's combined estimate h * S5 / sqrt(4 (S5 + 0.01 S3)), where S5 is
+    the sum of squares of the four scaled 5th-order error components and S3
+    that of the differences between the 8th- and 3rd-order solutions.
     """
     y0, y1, y2 = y
-    k10, k11, k12, k13 = f
+    k1a, k1b, k1c, k1t = f
     try:
-        k20, k21, k22, k23 = _velocity(rhs, (
-            y0 * exp(h * (_A21 * k10)),
-            y1 * exp(h * (_A21 * k11)),
-            y2 * exp(h * (_A21 * k12)),
+        k2a, k2b, k2c, k2t = _velocity(rhs, (
+            y0 * exp(h * (_A2_1 * k1a)),
+            y1 * exp(h * (_A2_1 * k1b)),
+            y2 * exp(h * (_A2_1 * k1c)),
         ), smin)
-        k30, k31, k32, k33 = _velocity(rhs, (
-            y0 * exp(h * (_A31 * k10 + _A32 * k20)),
-            y1 * exp(h * (_A31 * k11 + _A32 * k21)),
-            y2 * exp(h * (_A31 * k12 + _A32 * k22)),
+        k3a, k3b, k3c, k3t = _velocity(rhs, (
+            y0 * exp(h * (_A3_1 * k1a + _A3_2 * k2a)),
+            y1 * exp(h * (_A3_1 * k1b + _A3_2 * k2b)),
+            y2 * exp(h * (_A3_1 * k1c + _A3_2 * k2c)),
         ), smin)
-        k40, k41, k42, k43 = _velocity(rhs, (
-            y0 * exp(h * (_A41 * k10 + _A42 * k20 + _A43 * k30)),
-            y1 * exp(h * (_A41 * k11 + _A42 * k21 + _A43 * k31)),
-            y2 * exp(h * (_A41 * k12 + _A42 * k22 + _A43 * k32)),
+        k4a, k4b, k4c, k4t = _velocity(rhs, (
+            y0 * exp(h * (_A4_1 * k1a + _A4_3 * k3a)),
+            y1 * exp(h * (_A4_1 * k1b + _A4_3 * k3b)),
+            y2 * exp(h * (_A4_1 * k1c + _A4_3 * k3c)),
         ), smin)
-        k50, k51, k52, k53 = _velocity(rhs, (
-            y0 * exp(h * (_A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40)),
-            y1 * exp(h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41)),
-            y2 * exp(h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42)),
+        k5a, k5b, k5c, k5t = _velocity(rhs, (
+            y0 * exp(h * (_A5_1 * k1a + _A5_3 * k3a + _A5_4 * k4a)),
+            y1 * exp(h * (_A5_1 * k1b + _A5_3 * k3b + _A5_4 * k4b)),
+            y2 * exp(h * (_A5_1 * k1c + _A5_3 * k3c + _A5_4 * k4c)),
         ), smin)
-        k60, k61, k62, k63 = _velocity(rhs, (
-            y0 * exp(h * (_A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40 + _A65 * k50)),
-            y1 * exp(h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51)),
-            y2 * exp(h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42 + _A65 * k52)),
+        k6a, k6b, k6c, k6t = _velocity(rhs, (
+            y0 * exp(h * (_A6_1 * k1a + _A6_4 * k4a + _A6_5 * k5a)),
+            y1 * exp(h * (_A6_1 * k1b + _A6_4 * k4b + _A6_5 * k5b)),
+            y2 * exp(h * (_A6_1 * k1c + _A6_4 * k4c + _A6_5 * k5c)),
         ), smin)
-        z = (
-            y0 * exp(h * (_B1 * k10 + _B3 * k30 + _B4 * k40 + _B5 * k50 + _B6 * k60)),
-            y1 * exp(h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61)),
-            y2 * exp(h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62)),
-        )
-        k70, k71, k72, k73 = f_new = _velocity(rhs, z, smin)
+        k7a, k7b, k7c, k7t = _velocity(rhs, (
+            y0 * exp(h * (_A7_1 * k1a + _A7_4 * k4a + _A7_5 * k5a + _A7_6 * k6a)),
+            y1 * exp(h * (_A7_1 * k1b + _A7_4 * k4b + _A7_5 * k5b + _A7_6 * k6b)),
+            y2 * exp(h * (_A7_1 * k1c + _A7_4 * k4c + _A7_5 * k5c + _A7_6 * k6c)),
+        ), smin)
+        k8a, k8b, k8c, k8t = _velocity(rhs, (
+            y0 * exp(h * (_A8_1 * k1a + _A8_4 * k4a + _A8_5 * k5a + _A8_6 * k6a + _A8_7 * k7a)),
+            y1 * exp(h * (_A8_1 * k1b + _A8_4 * k4b + _A8_5 * k5b + _A8_6 * k6b + _A8_7 * k7b)),
+            y2 * exp(h * (_A8_1 * k1c + _A8_4 * k4c + _A8_5 * k5c + _A8_6 * k6c + _A8_7 * k7c)),
+        ), smin)
+        k9a, k9b, k9c, k9t = _velocity(rhs, (
+            y0 * exp(h * (_A9_1 * k1a + _A9_4 * k4a + _A9_5 * k5a + _A9_6 * k6a + _A9_7 * k7a + _A9_8 * k8a)),
+            y1 * exp(h * (_A9_1 * k1b + _A9_4 * k4b + _A9_5 * k5b + _A9_6 * k6b + _A9_7 * k7b + _A9_8 * k8b)),
+            y2 * exp(h * (_A9_1 * k1c + _A9_4 * k4c + _A9_5 * k5c + _A9_6 * k6c + _A9_7 * k7c + _A9_8 * k8c)),
+        ), smin)
+        k10a, k10b, k10c, k10t = _velocity(rhs, (
+            y0 * exp(h * (_A10_1 * k1a + _A10_4 * k4a + _A10_5 * k5a + _A10_6 * k6a + _A10_7 * k7a
+                          + _A10_8 * k8a + _A10_9 * k9a)),
+            y1 * exp(h * (_A10_1 * k1b + _A10_4 * k4b + _A10_5 * k5b + _A10_6 * k6b + _A10_7 * k7b
+                          + _A10_8 * k8b + _A10_9 * k9b)),
+            y2 * exp(h * (_A10_1 * k1c + _A10_4 * k4c + _A10_5 * k5c + _A10_6 * k6c + _A10_7 * k7c
+                          + _A10_8 * k8c + _A10_9 * k9c)),
+        ), smin)
+        k11a, k11b, k11c, k11t = _velocity(rhs, (
+            y0 * exp(h * (_A11_1 * k1a + _A11_4 * k4a + _A11_5 * k5a + _A11_6 * k6a + _A11_7 * k7a
+                          + _A11_8 * k8a + _A11_9 * k9a + _A11_10 * k10a)),
+            y1 * exp(h * (_A11_1 * k1b + _A11_4 * k4b + _A11_5 * k5b + _A11_6 * k6b + _A11_7 * k7b
+                          + _A11_8 * k8b + _A11_9 * k9b + _A11_10 * k10b)),
+            y2 * exp(h * (_A11_1 * k1c + _A11_4 * k4c + _A11_5 * k5c + _A11_6 * k6c + _A11_7 * k7c
+                          + _A11_8 * k8c + _A11_9 * k9c + _A11_10 * k10c)),
+        ), smin)
+        k12a, k12b, k12c, k12t = _velocity(rhs, (
+            y0 * exp(h * (_A12_1 * k1a + _A12_4 * k4a + _A12_5 * k5a + _A12_6 * k6a + _A12_7 * k7a
+                          + _A12_8 * k8a + _A12_9 * k9a + _A12_10 * k10a + _A12_11 * k11a)),
+            y1 * exp(h * (_A12_1 * k1b + _A12_4 * k4b + _A12_5 * k5b + _A12_6 * k6b + _A12_7 * k7b
+                          + _A12_8 * k8b + _A12_9 * k9b + _A12_10 * k10b + _A12_11 * k11b)),
+            y2 * exp(h * (_A12_1 * k1c + _A12_4 * k4c + _A12_5 * k5c + _A12_6 * k6c + _A12_7 * k7c
+                          + _A12_8 * k8c + _A12_9 * k9c + _A12_10 * k10c + _A12_11 * k11c)),
+        ), smin)
+        ba = _B1 * k1a + _B6 * k6a + _B7 * k7a + _B8 * k8a + _B9 * k9a + _B10 * k10a + _B11 * k11a + _B12 * k12a
+        bb = _B1 * k1b + _B6 * k6b + _B7 * k7b + _B8 * k8b + _B9 * k9b + _B10 * k10b + _B11 * k11b + _B12 * k12b
+        bc = _B1 * k1c + _B6 * k6c + _B7 * k7c + _B8 * k8c + _B9 * k9c + _B10 * k10c + _B11 * k11c + _B12 * k12c
+        z = (y0 * exp(h * ba), y1 * exp(h * bb), y2 * exp(h * bc))
+        k13a, k13b, k13c, k13t = f_new = _velocity(rhs, z, smin)
         # t is the integral of w = dt/dtau.  The exponential through both ends,
-        # k13 * exp(-a tau/h), is integrated exactly; the DP5 weights apply to
-        # the stage values less it (stages 1 and 7 lie on it)
-        a = log(k13 / k73)
-        lin = k13 if a == 0.0 else k13 * -expm1(-a) / a
-        r3 = k33 - k13 * exp(-0.3 * a)
-        r4 = k43 - k13 * exp(-0.8 * a)
-        r5 = k53 - k13 * exp(-(8 / 9) * a)
-        r6 = k63 - k13 * exp(-a)
+        # k1t * exp(-a tau/h), is integrated exactly; the DOP853 weights apply
+        # to the stage values less it (stages 1 and 13 lie on it, and stages
+        # 2-5 have no weight in the solution or the error estimates)
+        a = log(k1t / k13t)
+        lin = k1t if a == 0.0 else k1t * -expm1(-a) / a
+        r6 = k6t - k1t * exp(-_C6 * a)
+        r7 = k7t - k1t * exp(-_C7 * a)
+        r8 = k8t - k1t * exp(-_C8 * a)
+        r9 = k9t - k1t * exp(-_C9 * a)
+        r10 = k10t - k1t * exp(-_C10 * a)
+        r11 = k11t - k1t * exp(-_C11 * a)
+        r12 = k12t - k1t * exp(-a)
     except ArithmeticError:
         return None
-    dt = h * (lin + (_B3 * r3 + _B4 * r4 + _B5 * r5 + _B6 * r6))
-    # err is the rms of the four scaled error components; xi is relative in y, and t >= 0
-    e0 = h * (_E1 * k10 + _E3 * k30 + _E4 * k40 + _E5 * k50 + _E6 * k60 + _E7 * k70) / rtol
-    e1 = h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * k71) / rtol
-    e2 = h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62 + _E7 * k72) / rtol
-    e3 = h * (_E3 * r3 + _E4 * r4 + _E5 * r5 + _E6 * r6) / (atol + rtol * (t + dt))
-    err = sqrt((((e0 * e0 + e1 * e1) + e2 * e2) + e3 * e3) / 4.0)
+    bt = _B6 * r6 + _B7 * r7 + _B8 * r8 + _B9 * r9 + _B10 * r10 + _B11 * r11 + _B12 * r12
+    dt = h * (lin + bt)
+    # the scaled error components: xi is relative in y, and t >= 0
+    st = atol + rtol * (t + dt)
+    e5a = (_E1 * k1a + _E6 * k6a + _E7 * k7a + _E8 * k8a + _E9 * k9a + _E10 * k10a + _E11 * k11a + _E12 * k12a) / rtol
+    e5b = (_E1 * k1b + _E6 * k6b + _E7 * k7b + _E8 * k8b + _E9 * k9b + _E10 * k10b + _E11 * k11b + _E12 * k12b) / rtol
+    e5c = (_E1 * k1c + _E6 * k6c + _E7 * k7c + _E8 * k8c + _E9 * k9c + _E10 * k10c + _E11 * k11c + _E12 * k12c) / rtol
+    e5t = (_E6 * r6 + _E7 * r7 + _E8 * r8 + _E9 * r9 + _E10 * r10 + _E11 * r11 + _E12 * r12) / st
+    e3a = (ba - (_BHH1 * k1a + _BHH9 * k9a + _BHH12 * k12a)) / rtol
+    e3b = (bb - (_BHH1 * k1b + _BHH9 * k9b + _BHH12 * k12b)) / rtol
+    e3c = (bc - (_BHH1 * k1c + _BHH9 * k9c + _BHH12 * k12c)) / rtol
+    e3t = (bt - (_BHH9 * r9 + _BHH12 * r12)) / st
+    s5 = ((e5a * e5a + e5b * e5b) + e5c * e5c) + e5t * e5t
+    s3 = ((e3a * e3a + e3b * e3b) + e3c * e3c) + e3t * e3t
+    deno = s5 + 0.01 * s3
+    err = h * s5 / sqrt(4.0 * deno) if deno > 0.0 else 0.0
     k = (
-        k10, k11, k12, k13, k20, k21, k22, k23, k30, k31, k32, k33, k40, k41, k42, k43,
-        k50, k51, k52, k53, k60, k61, k62, k63, k70, k71, k72, k73,
+        k1a, k1b, k1c, k1t, k2a, k2b, k2c, k2t, k3a, k3b, k3c, k3t, k4a, k4b, k4c, k4t, k5a, k5b,
+        k5c, k5t, k6a, k6b, k6c, k6t, k7a, k7b, k7c, k7t, k8a, k8b, k8c, k8t, k9a, k9b, k9c, k9t,
+        k10a, k10b, k10c, k10t, k11a, k11b, k11c, k11t, k12a, k12b, k12c, k12t, k13a, k13b, k13c,
+        k13t,
     )
     return z, dt, f_new, err, k
 
 
-def _step_table(rows_t, rows_h, rows_k, base, k) -> _StepTable:
-    """Table of the accepted steps with the interpolant coefficients of each.
+def _extra_stages(rhs, y, k, h, smin):
+    """Velocities at stages 14-16, which only the continuous extension uses.
 
-    q = K^T P is summed stage by stage with elementwise products, the same
-    operations for every step and every component, so exactly equal stage
-    velocities give exactly equal coefficients.  For t, P is applied to the
-    stage values of dt/dtau less the exponential w0 * exp(-a c) through its
-    two ends.
+    `y` is the step's start state, `k` its 13 stage velocities flattened
+    stage by stage as `_attempt_step` returns them, and h its size.  Written
+    out like `_attempt_step`; raises ArithmeticError where a stage of the
+    step would be rejected.
     """
-    K = np.frombuffer(rows_k).reshape(-1, 7, 4).copy()
-    w0 = K[:, 0, 3].copy()
-    a = np.log(w0 / K[:, 6, 3])
-    K[:, :, 3] -= w0[:, None] * np.exp(-a[:, None] * _C)
-    q = K[:, 0, :, None] * _RK_P[0]
-    for s in range(1, 7):
-        q = q + K[:, s, :, None] * _RK_P[s]
+    y0, y1, y2 = y
+    k1a, k1b, k1c = k[0:3]
+    k6a, k6b, k6c = k[20:23]
+    k7a, k7b, k7c = k[24:27]
+    k8a, k8b, k8c = k[28:31]
+    k9a, k9b, k9c = k[32:35]
+    k10a, k10b, k10c = k[36:39]
+    k11a, k11b, k11c = k[40:43]
+    k12a, k12b, k12c = k[44:47]
+    k13a, k13b, k13c = k[48:51]
+    k14 = k14a, k14b, k14c, _ = _velocity(rhs, (
+        y0 * exp(h * (_A14_1 * k1a + _A14_7 * k7a + _A14_8 * k8a + _A14_9 * k9a + _A14_10 * k10a
+                      + _A14_11 * k11a + _A14_12 * k12a + _A14_13 * k13a)),
+        y1 * exp(h * (_A14_1 * k1b + _A14_7 * k7b + _A14_8 * k8b + _A14_9 * k9b + _A14_10 * k10b
+                      + _A14_11 * k11b + _A14_12 * k12b + _A14_13 * k13b)),
+        y2 * exp(h * (_A14_1 * k1c + _A14_7 * k7c + _A14_8 * k8c + _A14_9 * k9c + _A14_10 * k10c
+                      + _A14_11 * k11c + _A14_12 * k12c + _A14_13 * k13c)),
+    ), smin)
+    k15 = k15a, k15b, k15c, _ = _velocity(rhs, (
+        y0 * exp(h * (_A15_1 * k1a + _A15_6 * k6a + _A15_7 * k7a + _A15_8 * k8a + _A15_11 * k11a
+                      + _A15_12 * k12a + _A15_13 * k13a + _A15_14 * k14a)),
+        y1 * exp(h * (_A15_1 * k1b + _A15_6 * k6b + _A15_7 * k7b + _A15_8 * k8b + _A15_11 * k11b
+                      + _A15_12 * k12b + _A15_13 * k13b + _A15_14 * k14b)),
+        y2 * exp(h * (_A15_1 * k1c + _A15_6 * k6c + _A15_7 * k7c + _A15_8 * k8c + _A15_11 * k11c
+                      + _A15_12 * k12c + _A15_13 * k13c + _A15_14 * k14c)),
+    ), smin)
+    k16 = _velocity(rhs, (
+        y0 * exp(h * (_A16_1 * k1a + _A16_6 * k6a + _A16_7 * k7a + _A16_8 * k8a + _A16_9 * k9a
+                      + _A16_13 * k13a + _A16_14 * k14a + _A16_15 * k15a)),
+        y1 * exp(h * (_A16_1 * k1b + _A16_6 * k6b + _A16_7 * k7b + _A16_8 * k8b + _A16_9 * k9b
+                      + _A16_13 * k13b + _A16_14 * k14b + _A16_15 * k15b)),
+        y2 * exp(h * (_A16_1 * k1c + _A16_6 * k6c + _A16_7 * k7c + _A16_8 * k8c + _A16_9 * k9c
+                      + _A16_13 * k13c + _A16_14 * k14c + _A16_15 * k15c)),
+    ), smin)
+    return k14, k15, k16
+
+
+def _coefficients(K, M):
+    """q[n, c, p] = sum_s K[n, s, c] M[s, p], summed over the stages in order, in long double."""
+    return np.einsum("nsc,sp->ncp", K.astype(np.longdouble), M)
+
+
+def _step_table(rows_t, rows_h, rows_y, rows_k, base, k, rhs, smin) -> _StepTable:
+    """Table of the accepted steps; the interpolant of a step is built when it is first sampled.
+
+    xi at the step starts is the running sum of the steps' increments
+    h * sum_i b_i k_i, in long double.
+    """
+    K = np.frombuffer(rows_k).reshape(-1, 13, 4)
+    w0 = K[:, 0, 3]
+    a = np.log(w0 / K[:, 12, 3])
     t0, h = np.frombuffer(rows_t), np.frombuffer(rows_h)
-    qx = q[:, :3].astype(np.longdouble)
-    # xi at the step starts, summed in long double from the interpolant at theta = 1
-    x1 = np.cumsum(h.astype(np.longdouble)[:, None] * qx.sum(axis=2), axis=0)
+    increments = h.astype(np.longdouble)[:, None] * _coefficients(K[:, :, :3], _WEIGHTS[:13, None])[:, :, 0]
+    x1 = np.cumsum(increments, axis=0)
     x0 = np.concatenate([np.zeros((1, 3), dtype=np.longdouble), x1[:-1]])
-    return _StepTable(t0, h, x0, qx, w0, a, q[:, 3], np.array(base, dtype=np.longdouble), k)
+    y = np.frombuffer(rows_y).reshape(-1, 3)
+    return _StepTable(t0, h, y, K, x0, w0, a, np.array(base, dtype=np.longdouble), k, rhs, smin)
 
 
 def _diagnose(y_stop, y_init):
@@ -472,8 +781,8 @@ def integrate(
     except ArithmeticError:
         raise ValueError("flow right-hand side is not finite at the initial metric") from None
 
-    # accepted steps, flat: start time, size in tau, stage velocities (7 x 4)
-    rows_t, rows_h, rows_k = array("d"), array("d"), array("d")
+    # accepted steps, flat: start time, size in tau, start state, stage velocities (13 x 4)
+    rows_t, rows_h, rows_y, rows_k = array("d"), array("d"), array("d"), array("d")
     y = base
     t = 0.0
     comp = 0.0  # compensated-summation carry for t
@@ -488,7 +797,7 @@ def integrate(
             break
 
         out = _attempt_step(rhs, y, f, h, t, smin, rtol, atol)
-        if out is None or out[3] > 1.0:
+        if out is None or not out[3] <= 1.0:  # an err that overflowed to NaN is rejected too
             n_rej += 1
             if out is None:
                 # a stage velocity is not finite: retry at h/2
@@ -510,9 +819,10 @@ def integrate(
             kind, t_stop, trigger = TerminationKind.SINGULAR_TIME, t, "step_underflow"
             break
         comp = carry - (t_new - t)
-        # accepted: record the step; its interpolant is built after the loop
+        # accepted: record the step; its interpolant is built when it is sampled
         rows_t.append(t)
         rows_h.append(h)
+        rows_y.extend(y)
         rows_k.extend(stages)
         t, y, f = t_new, y_new, f_new
         if t >= t_max:
@@ -527,7 +837,7 @@ def integrate(
         h = min(h * factor, _H_MAX)
         facold = max(err / _ERR_TARGET, 1e-4)
 
-    table = _step_table(rows_t, rows_h, rows_k, base, k) if rows_t else None
+    table = _step_table(rows_t, rows_h, rows_y, rows_k, base, k, rhs, smin) if rows_t else None
     van, exp_ = _diagnose(y, base) if kind is TerminationKind.SINGULAR_TIME else ((), ())
     termination = Termination(
         kind, ldexp(t_stop, 2 * k), van, exp_, trigger, n_accepted=n_acc, n_rejected=n_rej

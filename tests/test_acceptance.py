@@ -35,6 +35,23 @@ def test_criterion(criterion):
     assert result.passed, result.line()
 
 
+def test_verify_all_takes_at_most_1000_step_attempts(monkeypatch):
+    # the 16 canonical runs of `flow verify all`; the Dormand-Prince 5(4)
+    # stepper took 2,781 attempts on them, DOP853 takes 818
+    attempts = []
+    real_integrate = acceptance.integrate
+
+    def counting_integrate(*args):
+        traj = real_integrate(*args)
+        attempts.append(traj.termination.n_accepted + traj.termination.n_rejected)
+        return traj
+
+    monkeypatch.setattr(acceptance, "integrate", counting_integrate)
+    assert all(result.passed for result in acceptance.run_all())
+    assert len(attempts) == 16
+    assert sum(attempts) <= 1000
+
+
 def test_full_suite_is_green():
     results = acceptance.run_all()
     assert len(results) == 11

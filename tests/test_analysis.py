@@ -15,6 +15,7 @@ from xcflow import (
     IntegratorOptions,
     MetricDiag,
     XCF_MINUS,
+    XCF_PLUS,
     estimate_blowup_time,
     estimate_limit_plus_power,
     fit_power_law,
@@ -265,6 +266,17 @@ def test_report_serialization(sol_symmetric_run):
     lines = report.summary_lines()
     assert lines and all(isinstance(s, str) for s in lines)
     assert "passed=True" in lines[0]
+
+
+@pytest.mark.parametrize("geom", list(Geometry), ids=lambda g: g.value)
+def test_a_report_with_no_entry_is_unchecked_not_passed(geom):
+    # xcf+ has no branch record and no conserved quantity yet: a report that
+    # checked nothing must not read as a pass
+    report = verify(integrate(geom, XCF_PLUS, MetricDiag(2, 4, 1), IntegratorOptions(t_max=1.0)))
+    assert (report.conserved, report.monotone, report.laws, report.checks) == ((), (), (), ())
+    assert report.passed is None
+    assert report.to_dict()["passed"] is None
+    assert "passed=unchecked" in report.summary_lines()[0]
 
 
 def _records():

@@ -156,6 +156,16 @@ def test_json_document_shape(sol_symmetric_run):
     assert off["analysis"] is None
 
 
+def test_json_analysis_of_an_unchecked_run_is_null(capsys):
+    code, out, err = run_cli(
+        capsys, "run", "--geometry", "sol", "--flow", "xcf+", "--init", "2,4,1", "--t-max", "1",
+        "--samples", "16", "--format", "json",
+    )
+    assert code == EXIT_OK and "singular_time" in err
+    assert '"passed": null' in out
+    assert json.loads(out)["analysis"]["passed"] is None
+
+
 # ---------------------------------------------------------------------------
 # run subcommand
 
@@ -695,7 +705,7 @@ _SCAN_CASES = [
     ("sol", "xcf-", (1.0, 4.0, 3.0), {}, "generic", "step_underflow"),
     ("sol", "xcf+", (0.442, 4.042, 1.1675), {}, "generic", "step_underflow"),
     ("sol", "xcf-", (1.893, 4.042, 1.1675), {"t_max": 0.05}, "generic", "t_max"),
-    ("sol", "xcf-", (3.0, 4.0, 1.0), {"max_steps": 100}, "generic", "max_steps"),
+    ("sol", "xcf-", (3.0, 4.0, 1.0), {"max_steps": 25}, "generic", "max_steps"),
     ("sol", "xcf-", (1.0, 8.0, 1.0), {}, "symmetric", "step_underflow"),
     ("sl2r", "xcf-", (1.0, 2.0, 1.0), {}, "generic", "step_underflow"),
     ("sl2r", "xcf+", (0.516, 0.819, 2.165), {}, "generic", "step_underflow"),
@@ -791,7 +801,8 @@ def test_commands_import_neither_the_process_pool_nor_numpy_ma():
         for argv in commands:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 assert cli.main(argv) == 0, argv
-        loaded = [m for m in ("numpy.ma", "concurrent.futures.process", "multiprocessing") if m in sys.modules]
+        # scipy is no dependency: importing it would cost more than a command's whole start-up
+        loaded = [m for m in ("numpy.ma", "concurrent.futures.process", "multiprocessing", "scipy") if m in sys.modules]
         assert loaded == [], loaded
         """
     )
@@ -807,10 +818,11 @@ def test_commands_import_neither_the_process_pool_nor_numpy_ma():
 
 
 def test_scan_point_that_spends_its_budget_gets_a_budget_row(capsys):
-    # Sol (1,4,1) and (2,4,1) reach their singular time in 33 and 222 step
-    # attempts, (3,4,1) needs 242: a budget of 230 stops only the last point.
+    # Sol (1,4,1) and (2,4,1) reach their singular time in 36 and 55 step
+    # attempts, (3,4,1) needs 58: a budget of 56 stops only the last point,
+    # before its last step that advances t.
     argv = ["scan", "--geometry", "sol", "--grid-A", "1:3:3", "--grid-B", "4", "--grid-C", "1",
-            "--samples", "128", "--max-steps", "230"]
+            "--samples", "128", "--max-steps", "56"]
     code, serial, err = run_cli(capsys, *argv)
     assert code == EXIT_OK and err == ""
     rows = [line.split(",") for line in serial.splitlines()[1:]]
