@@ -12,12 +12,15 @@ run shared by several criteria of one suite is integrated once.  Each
 `run_suite` call starts an empty memo, so its report dicts hold only the
 runs of that call and nothing is kept between calls.
 
-Criteria 10 and 11 integrate nothing.  They draw random metrics and evaluate
-the curvature kernels and `flow_rhs` on whole columns of draws, one call per
-geometry (and per flow kind), then take a gap per draw with
-`_max_entry_gap`.  The kernels use only elementwise + - * /, so each draw's
-gap has the same bits as evaluating that draw alone.  A NaN gap fails the
-criterion and names its geometry.
+Criteria 10 and 11 integrate nothing.  They draw pseudo-random metrics (and
+criterion 11 its scales) from a fixed SplitMix64 counter stream, `_uniform`,
+which needs only numpy integer arithmetic: no `numpy.random`.  Each draw call
+has its own seed, so the first k draws of a geometry do not depend on the
+draw count.  The criteria evaluate the curvature kernels and `flow_rhs` on
+whole columns of draws, one call per geometry (and per flow kind), then take
+a gap per draw with `_max_entry_gap`.  The kernels use only elementwise
++ - * /, so each draw's gap has the same bits as evaluating that draw alone.
+A NaN gap fails the criterion and names its geometry.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .integrator import IntegratorOptions, TerminationKind, integrate
 __all__ = ["CriterionResult", "ALL_CRITERIA", "run_suite", "run_all", "criteria_for_geometry"]
 
 _ORACLE_SEED = 20260814
+_SCALING_SEED = _ORACLE_SEED + len(Geometry)  # criterion 10 takes one seed per geometry
 _ORACLE_DRAWS = 10_000
 _SCALING_DRAWS = 1_000
 _ORACLE_TOL = 1e-12
@@ -238,25 +242,51 @@ def _max_entry_gap(got, want) -> np.ndarray:
     is absolute.  Each row gets the same bits as the triple of that row alone,
     and a NaN entry in a row makes that row's gap NaN.
     """
-    cols = np.array(np.broadcast_arrays(*got, *want))
-    gap = np.abs(cols[:3] - cols[3:]).max(axis=0)
-    scale = np.abs(cols[3:]).max(axis=0)
+    (g0, g1, g2), (w0, w1, w2) = got, want
+    gap = np.maximum(np.maximum(np.abs(g0 - w0), np.abs(g1 - w1)), np.abs(g2 - w2))
+    scale = np.maximum(np.maximum(np.abs(w0), np.abs(w1)), np.abs(w2))
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(scale != 0.0, gap / scale, gap)
 
 
-def _random_metrics(rng: np.random.Generator, n: int) -> SimpleNamespace:
-    """n random metrics as the A, B, C columns the kernels and `flow_rhs` accept."""
-    draws = 10.0 ** rng.uniform(-2.0, 2.0, size=(n, 3))
+def _uniform(seed: int, n: int) -> np.ndarray:
+    """n pseudo-random draws in [0, 1) from a fixed SplitMix64 counter stream.
+
+    Draw i is the SplitMix64 output (Steele, Lea & Flood, "Fast splittable
+    pseudorandom number generators", OOPSLA 2014) for the counter
+    c = (seed << 32) + i, that is the finalizer applied to c times the golden
+    gamma, all modulo 2**64.  Its top 53 bits times 2**-53 give the draw, so
+    the first k draws of a call do not depend on n.
+    """
+    z = (np.arange(n, dtype=np.uint64) + np.uint64(seed << 32)) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return ((z ^ (z >> 31)) >> 11) * 2.0**-53
+
+
+def _log_uniform(seed: int, n: int, lo: float, hi: float) -> np.ndarray:
+    """n values 10**U(lo, hi), from the draws of `_uniform(seed, n)`."""
+    return 10.0 ** (lo + (hi - lo) * _uniform(seed, n))
+
+
+def _random_metrics(seed: int, n: int) -> SimpleNamespace:
+    """n random metrics as the A, B, C columns the kernels and `flow_rhs` accept.
+
+    Metric j takes draws 3j, 3j+1 and 3j+2 of the seed, so the first k metrics
+    do not depend on n.
+    """
+    draws = _log_uniform(seed, 3 * n, -2.0, 2.0).reshape(n, 3)
     return SimpleNamespace(A=draws[:, 0], B=draws[:, 1], C=draws[:, 2])
 
 
 def _oracle_gaps() -> dict[Geometry, np.ndarray]:
-    """Per geometry, the gap of the sectional route to the factored kernels, one per draw."""
-    rng = np.random.default_rng(_ORACLE_SEED)
+    """Per geometry, the gap of the sectional route to the factored kernels, one per draw.
+
+    The k-th geometry draws its metrics with seed `_ORACLE_SEED + k`.
+    """
     gaps = {}
-    for geom in Geometry:
-        m = _random_metrics(rng, _ORACLE_DRAWS)
+    for k, geom in enumerate(Geometry):
+        m = _random_metrics(_ORACLE_SEED + k, _ORACLE_DRAWS)
         direct = cross_curvature_diag(geom, m)
         via_k = cross_from_sectional(m, sectional_curvatures(geom, m))
         gaps[geom] = _max_entry_gap(via_k, direct)
@@ -266,13 +296,15 @@ def _oracle_gaps() -> dict[Geometry, np.ndarray]:
 def _scaling_gaps() -> dict[Geometry, np.ndarray]:
     """Per geometry, the gap of the velocity at lam*g to the velocity at g over lam.
 
-    Row 0 holds the XCF_MINUS gaps and row 1 the NXCF gaps, one per draw.
+    Row 0 holds the XCF_MINUS gaps and row 1 the NXCF gaps, one per draw.  The
+    k-th geometry draws its metrics with seed `_SCALING_SEED + 2k` and its
+    scales with seed `_SCALING_SEED + 2k + 1`.
     """
-    rng = np.random.default_rng(_ORACLE_SEED + 1)
     gaps = {}
-    for geom in Geometry:
-        m = _random_metrics(rng, _SCALING_DRAWS)
-        lams = 10.0 ** rng.uniform(-3.0, 3.0, size=_SCALING_DRAWS)
+    for k, geom in enumerate(Geometry):
+        seed = _SCALING_SEED + 2 * k
+        m = _random_metrics(seed, _SCALING_DRAWS)
+        lams = _log_uniform(seed + 1, _SCALING_DRAWS, -3.0, 3.0)
         m_scaled = SimpleNamespace(A=lams * m.A, B=lams * m.B, C=lams * m.C)
         rows = []
         for spec in (XCF_MINUS, NXCF):

@@ -23,7 +23,7 @@ windows must contain at least 32 samples.
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from math import sqrt
 
 import numpy as np
@@ -295,7 +295,14 @@ class CheckResult:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "name": self.name,
+            "kind": self.kind,
+            "passed": self.passed,
+            "observed": self.observed,
+            "threshold": self.threshold,
+            "detail": self.detail,
+        }
 
 
 @dataclass(frozen=True)
@@ -314,7 +321,20 @@ class LawResult:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "variable": self.variable,
+            "regime": self.regime,
+            "expected_exponent": self.expected_exponent,
+            "exponent_tolerance": self.exponent_tolerance,
+            "fitted_exponent": self.fitted_exponent,
+            "expected_coefficient": self.expected_coefficient,
+            "coefficient_tolerance": self.coefficient_tolerance,
+            "fitted_coefficient": self.fitted_coefficient,
+            "fitted_limit": self.fitted_limit,
+            "r2": self.r2,
+            "passed": self.passed,
+            "detail": self.detail,
+        }
 
 
 @dataclass(frozen=True)
@@ -339,11 +359,19 @@ class VerificationReport:
         return all(e.passed for e in entries) if entries else None
 
     def to_dict(self) -> dict:
-        d = asdict(self)
         return {
-            **d,
+            "geometry": self.geometry,
+            "flow": self.flow,
+            "branch": self.branch,
+            "relabeled": self.relabeled,
+            # the termination dict holds scalars and lists of coefficient names
+            "termination": {k: list(v) if isinstance(v, list) else v for k, v in self.termination.items()},
+            "blowup_time": self.blowup_time,
+            "conserved": [c.to_dict() for c in self.conserved],
+            "monotone": [c.to_dict() for c in self.monotone],
+            "laws": [l.to_dict() for l in self.laws],
+            "checks": [c.to_dict() for c in self.checks],
             "passed": self.passed,
-            **{key: list(d[key]) for key in ("conserved", "monotone", "laws", "checks")},
         }
 
     def summary_lines(self) -> list[str]:

@@ -34,7 +34,7 @@ import os
 import sys
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from itertools import permutations, product
 from math import isfinite
 from types import SimpleNamespace
@@ -130,7 +130,19 @@ class RunConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "geometry": self.geometry,
+            "flow": self.flow,
+            "init": self.init,
+            "t_max": self.t_max,
+            "rtol": self.rtol,
+            "atol": self.atol,
+            "samples": self.samples,
+            "max_steps": self.max_steps,
+            "output": self.output,
+            "format": self.format,
+            "analysis": self.analysis,
+        }
 
 
 def _parse_init(value) -> tuple[float, float, float]:

@@ -80,7 +80,7 @@ rather than to a tolerance.
 from __future__ import annotations
 
 from array import array
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from math import exp, expm1, frexp, isfinite, ldexp, log, sqrt
 
@@ -309,10 +309,13 @@ class Termination:
 
     def to_dict(self) -> dict:
         return {
-            **asdict(self),
             "kind": self.kind.value,
+            "t_stop": self.t_stop,
             "vanishing": list(self.vanishing),
             "exploding": list(self.exploding),
+            "trigger": self.trigger,
+            "n_accepted": self.n_accepted,
+            "n_rejected": self.n_rejected,
         }
 
 

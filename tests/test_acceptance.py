@@ -74,11 +74,11 @@ def _row_gap(got: np.ndarray, want: np.ndarray) -> float:
 
 
 def _reference_oracle() -> tuple[CriterionResult, dict]:
-    rng = np.random.default_rng(acceptance._ORACLE_SEED)
     n, tol = acceptance._ORACLE_DRAWS, acceptance._ORACLE_TOL
     worst, worst_geom, gaps = 0.0, "", {}
-    for geom in Geometry:
-        draws = 10.0 ** rng.uniform(-2.0, 2.0, size=(n, 3))
+    for k, geom in enumerate(Geometry):
+        u = acceptance._uniform(acceptance._ORACLE_SEED + k, 3 * n)
+        draws = 10.0 ** (-2.0 + 4.0 * u.reshape(n, 3))
         row_gaps = []
         for row in draws:
             m = MetricDiag(*row)
@@ -100,12 +100,12 @@ def _reference_oracle() -> tuple[CriterionResult, dict]:
 
 
 def _reference_scaling() -> tuple[CriterionResult, dict]:
-    rng = np.random.default_rng(acceptance._ORACLE_SEED + 1)
     n, tol = acceptance._SCALING_DRAWS, acceptance._ORACLE_TOL
     worst, worst_geom, gaps = 0.0, "", {}
-    for geom in Geometry:
-        draws = 10.0 ** rng.uniform(-2.0, 2.0, size=(n, 3))
-        lams = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+    for k, geom in enumerate(Geometry):
+        seed = acceptance._SCALING_SEED + 2 * k
+        draws = 10.0 ** (-2.0 + 4.0 * acceptance._uniform(seed, 3 * n).reshape(n, 3))
+        lams = 10.0 ** (-3.0 + 6.0 * acceptance._uniform(seed + 1, n))
         row_gaps = np.empty((2, n))
         for i, (row, lam) in enumerate(zip(draws, lams)):
             m = MetricDiag(*row)
@@ -147,6 +147,59 @@ def test_column_criteria_match_per_draw_reference(monkeypatch, draws, criterion,
         assert got.shape == want.shape and got.dtype == want.dtype == np.float64
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), geom
     assert criterion({}) == want_result
+
+
+# The draws come from a SplitMix64 counter stream.  The reference is the
+# generator in Python integers: counter c = (seed << 32) + i, the finalizer
+# applied to c times the golden gamma modulo 2**64, and the top 53 bits.
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix_draw(seed: int, i: int) -> float:
+    z = (((seed << 32) + i) * 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return ((z ^ (z >> 31)) >> 11) * 2.0**-53
+
+
+# The first call of each criterion: criterion 10's for its first geometry, and
+# criterion 11's metric call for its first geometry.
+_FIRST_DRAWS = [
+    (acceptance._ORACLE_SEED, [0.43702265703034826, 0.5232609493582604, 0.44091755798820287, 0.8244275953138898]),
+    (acceptance._SCALING_SEED, [0.6082353652178495, 0.9781366728879198, 0.6857982361785842, 0.8200589006140482]),
+]
+
+
+@pytest.mark.parametrize("seed, want", _FIRST_DRAWS, ids=["10", "11"])
+def test_first_draws_of_each_criterion_are_pinned(seed, want):
+    assert acceptance._uniform(seed, 4).tolist() == want
+    assert [_splitmix_draw(seed, i) for i in range(4)] == want
+
+
+def test_every_draw_of_both_criteria_lies_in_the_unit_interval():
+    n10, n11 = acceptance._ORACLE_DRAWS, acceptance._SCALING_DRAWS
+    calls = [(acceptance._ORACLE_SEED + k, 3 * n10) for k in range(len(Geometry))]
+    calls += [(acceptance._SCALING_SEED + 2 * k, 3 * n11) for k in range(len(Geometry))]
+    calls += [(acceptance._SCALING_SEED + 2 * k + 1, n11) for k in range(len(Geometry))]
+    for seed, n in calls:
+        u = acceptance._uniform(seed, n)
+        assert u.shape == (n,) and u.dtype == np.float64
+        assert np.all((u >= 0.0) & (u < 1.0)), seed
+        assert np.array_equal(u * 2.0**53, np.floor(u * 2.0**53)), seed
+        assert [_splitmix_draw(seed, i) for i in (0, 1, n // 2, n - 1)] == u[[0, 1, n // 2, n - 1]].tolist()
+
+
+@pytest.mark.parametrize("column_gaps", [acceptance._oracle_gaps, acceptance._scaling_gaps], ids=["10", "11"])
+def test_a_300_draw_call_is_a_prefix_of_the_full_size_call(monkeypatch, column_gaps):
+    full = column_gaps()
+    monkeypatch.setattr(acceptance, "_ORACLE_DRAWS", 300)
+    monkeypatch.setattr(acceptance, "_SCALING_DRAWS", 300)
+    short = column_gaps()
+    for geom in Geometry:
+        assert np.array_equal(short[geom].view(np.int64), full[geom][..., :300].view(np.int64)), geom
+    for seed in (acceptance._ORACLE_SEED, acceptance._SCALING_SEED + 1):
+        assert np.array_equal(acceptance._uniform(seed, 300), acceptance._uniform(seed, 30_000)[:300])
 
 
 # Planted defects: one entry of one draw is wrong by a relative 1e-9 (a

@@ -782,13 +782,13 @@ def test_scan_file_does_not_depend_on_samples_off_the_generic_sl2r_rows(capsys, 
     assert "generic" not in texts[0] or geometry != "sl2r"
 
 
-def test_commands_import_neither_the_process_pool_nor_numpy_ma():
+def test_commands_import_neither_the_process_pool_nor_numpy_ma_nor_numpy_random():
     # a fresh interpreter, since pytest and earlier tests may have imported these modules already
     child = textwrap.dedent(
         """
         import contextlib, io, sys
         from xcflow import cli
-        loaded = [m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules]
+        loaded = [m for m in ("concurrent.futures.process", "multiprocessing", "numpy.random") if m in sys.modules]
         assert loaded == [], loaded
         commands = [
             ["scan", "--geometry", "sol", "--grid-A", "1:2:2", "--grid-B", "4", "--grid-C", "1:2:2",
@@ -804,13 +804,34 @@ def test_commands_import_neither_the_process_pool_nor_numpy_ma():
         # scipy is no dependency: importing it would cost more than a command's whole start-up
         loaded = [m for m in ("numpy.ma", "concurrent.futures.process", "multiprocessing", "scipy") if m in sys.modules]
         assert loaded == [], loaded
+        # `verify sol` runs criteria 10 and 11, whose draws need no numpy.random (nor its secrets import)
+        loaded = [m for m in ("numpy.random", "secrets") if m in sys.modules]
+        assert loaded == [], loaded
         """
     )
+    done = subprocess.run([sys.executable, "-c", child], env=_child_env(), capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+
+
+def _child_env(**extra: str) -> dict:
+    """The environment of a fresh interpreter that imports this checkout's package."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
-    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr[-2000:]
+    return {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path, **extra}
+
+
+def test_verify_all_gives_the_same_bytes_under_any_hash_seed(tmp_path):
+    outputs = []
+    for hash_seed in ("1", "2"):
+        report = tmp_path / f"verify-{hash_seed}.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "xcflow.cli", "verify", "all", "--output", str(report)],
+            env=_child_env(PYTHONHASHSEED=hash_seed), capture_output=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        outputs.append((done.stdout, report.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].count(b"[PASS]") == 11
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,19 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xcflow import Geometry, IntegratorOptions, MetricDiag, integrate
+from xcflow import Geometry, IntegratorOptions, MetricDiag, acceptance, integrate, verify
 from xcflow import cli
+from xcflow.analysis import VerificationReport
 from xcflow.cli import CSV_HEADER, ConfigError, ParsedCsv, RunConfig, emit_parsed_csv, main, parse_trajectory_csv
 from xcflow.flows import FLOWS
+from xcflow.integrator import Termination
 
 _DATA = [
     (Geometry.HEISENBERG, (1.0, 2.0, 3.0)),
@@ -187,3 +190,60 @@ def test_verify_all_output_equals_indented_dumps(capsys, monkeypatch, tmp_path):
     capsys.readouterr()
     assert len(docs) == 1
     assert target.read_text(encoding="utf-8") == json.dumps(docs[0], indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# to_dict: field by field, equal to the recursive `dataclasses.asdict` copy it
+# replaced, and sharing no mutable part with the object
+
+
+def _asdict_reference(obj) -> dict:
+    if isinstance(obj, VerificationReport):
+        d = asdict(obj)
+        return {**d, "passed": obj.passed, **{key: list(d[key]) for key in ("conserved", "monotone", "laws", "checks")}}
+    if isinstance(obj, Termination):
+        return {**asdict(obj), "kind": obj.kind.value, "vanishing": list(obj.vanishing),
+                "exploding": list(obj.exploding)}
+    return asdict(obj)
+
+
+def _mutate(value) -> None:
+    """Change every dict and list reachable from `value` in place."""
+    if isinstance(value, dict):
+        for child in value.values():
+            _mutate(child)
+        value["planted"] = None
+    elif isinstance(value, list):
+        for child in value:
+            _mutate(child)
+        value.append("planted")
+
+
+def _assert_to_dict_is_a_fresh_asdict(obj) -> None:
+    want = _asdict_reference(obj)
+    got = obj.to_dict()
+    assert got == want and list(got) == list(want)
+    assert json.dumps(got) == json.dumps(want)
+    _mutate(got)
+    assert obj.to_dict() == want
+
+
+def _acceptance_reports() -> list[VerificationReport]:
+    runs: dict = {}
+    for criterion in acceptance.ALL_CRITERIA:
+        criterion(runs)
+    return list(runs.values())
+
+
+def test_every_to_dict_equals_asdict_and_shares_nothing():
+    reports = _acceptance_reports()
+    assert len(reports) == 16
+    unchecked = verify(integrate(Geometry.SOL, FLOWS["xcf+"], MetricDiag(2.0, 4.0, 1.0), IntegratorOptions(t_max=1.0)))
+    assert unchecked.passed is None
+    singular = integrate(Geometry.SOL, FLOWS["xcf-"], MetricDiag(2.0, 4.0, 1.0), IntegratorOptions(t_max=10.0))
+    assert singular.termination.vanishing or singular.termination.exploding
+    objects = [*reports, unchecked, singular.termination, RunConfig(), RunConfig(geometry="sol", init=(2.0, 4.0, 1.0))]
+    for report in reports:
+        objects += [*report.conserved, *report.monotone, *report.laws, *report.checks]
+    for obj in objects:
+        _assert_to_dict_is_a_fresh_asdict(obj)
