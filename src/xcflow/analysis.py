@@ -295,14 +295,7 @@ class CheckResult:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "passed": self.passed,
-            "observed": self.observed,
-            "threshold": self.threshold,
-            "detail": self.detail,
-        }
+        return dict(self.__dict__)
 
 
 @dataclass(frozen=True)
@@ -321,20 +314,7 @@ class LawResult:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "variable": self.variable,
-            "regime": self.regime,
-            "expected_exponent": self.expected_exponent,
-            "exponent_tolerance": self.exponent_tolerance,
-            "fitted_exponent": self.fitted_exponent,
-            "expected_coefficient": self.expected_coefficient,
-            "coefficient_tolerance": self.coefficient_tolerance,
-            "fitted_coefficient": self.fitted_coefficient,
-            "fitted_limit": self.fitted_limit,
-            "r2": self.r2,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        return dict(self.__dict__)
 
 
 @dataclass(frozen=True)

@@ -130,19 +130,7 @@ class RunConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        return {
-            "geometry": self.geometry,
-            "flow": self.flow,
-            "init": self.init,
-            "t_max": self.t_max,
-            "rtol": self.rtol,
-            "atol": self.atol,
-            "samples": self.samples,
-            "max_steps": self.max_steps,
-            "output": self.output,
-            "format": self.format,
-            "analysis": self.analysis,
-        }
+        return dict(self.__dict__)
 
 
 def _parse_init(value) -> tuple[float, float, float]:

@@ -54,12 +54,13 @@ no accuracy in t.  The first trial step is 0.01 in tau and no step exceeds
   every decade of the approach is resolved at equal density in
   log-distance to the singular time.  The interpolant is DOP853's
   seventh-order continuous extension, which needs three more stages per
-  step (at 1/10, 1/5 and 7/9 of it).  They are evaluated only for the
-  steps that hold a requested time, each from its own stored start state,
-  size and stages, so a row has the same bits whatever else is sampled.  A
-  sample time is mapped to tau by Newton's method on its step's
-  interpolant of t, and the state is y0 * exp(xi) evaluated in long double
-  and rounded once, so consecutive samples move by at most one rounding.
+  step (at 1/10, 1/5 and 7/9 of it).  They come from one weight table in
+  one pass over the steps that hold a requested time, each step's from its
+  own stored start state, size and stages, so a row has the same bits
+  whatever else is sampled.  A sample time is mapped to tau by Newton's
+  method on its step's interpolant of t, and the state is y0 * exp(xi)
+  evaluated in long double and rounded once, so consecutive samples move
+  by at most one rounding.
 
 The step runs on Python floats, so an attempt makes no numpy call.  Each
 stage state is one tableau row written out component by component into
@@ -180,31 +181,24 @@ _C = np.array([
     127 / 195, 3 / 5, 6 / 7, 1.0, 1.0, 1 / 10, 1 / 5, 7 / 9,
 ])
 _C6, _C7, _C8, _C9, _C10, _C11 = _C[5:11].tolist()
-# Stages 14-16, which only the continuous extension uses.
-_A14_1 = 5.61675022830479523392909219681e-2
-_A14_7 = 2.53500210216624811088794765333e-1
-_A14_8 = -2.46239037470802489917441475441e-1
-_A14_9 = -1.24191423263816360469010140626e-1
-_A14_10 = 1.5329179827876569731206322685e-1
-_A14_11 = 8.20105229563468988491666602057e-3
-_A14_12 = 7.56789766054569976138603589584e-3
-_A14_13 = -8.298e-3
-_A15_1 = 3.18346481635021405060768473261e-2
-_A15_6 = 2.83009096723667755288322961402e-2
-_A15_7 = 5.35419883074385676223797384372e-2
-_A15_8 = -5.49237485713909884646569340306e-2
-_A15_11 = -1.08347328697249322858509316994e-4
-_A15_12 = 3.82571090835658412954920192323e-4
-_A15_13 = -3.40465008687404560802977114492e-4
-_A15_14 = 1.41312443674632500278074618366e-1
-_A16_1 = -4.28896301583791923408573538692e-1
-_A16_6 = -4.69762141536116384314449447206
-_A16_7 = 7.68342119606259904184240953878
-_A16_8 = 4.06898981839711007970213554331
-_A16_9 = 3.56727187455281109270669543021e-1
-_A16_13 = -1.39902416515901462129418009734e-3
-_A16_14 = 2.9475147891527723389556272149
-_A16_15 = -9.15095847217987001081870187138
+# Stages 14-16, which only the continuous extension uses: per stage, the (j, weight of stage j+1)
+# pairs of its sum in the order the sum runs.
+_EXTRA = (
+    ((0, 5.61675022830479523392909219681e-2), (6, 2.53500210216624811088794765333e-1),
+     (7, -2.46239037470802489917441475441e-1), (8, -1.24191423263816360469010140626e-1),
+     (9, 1.5329179827876569731206322685e-1), (10, 8.20105229563468988491666602057e-3),
+     (11, 7.56789766054569976138603589584e-3), (12, -8.298e-3)),
+    ((0, 3.18346481635021405060768473261e-2), (5, 2.83009096723667755288322961402e-2),
+     (6, 5.35419883074385676223797384372e-2), (7, -5.49237485713909884646569340306e-2),
+     (10, -1.08347328697249322858509316994e-4), (11, 3.82571090835658412954920192323e-4),
+     (12, -3.40465008687404560802977114492e-4), (13, 1.41312443674632500278074618366e-1)),
+    ((0, -4.28896301583791923408573538692e-1), (5, -4.69762141536116384314449447206),
+     (6, 7.68342119606259904184240953878), (7, 4.06898981839711007970213554331),
+     (8, 3.56727187455281109270669543021e-1), (12, -1.39902416515901462129418009734e-3),
+     (13, 2.9475147891527723389556272149), (14, -9.15095847217987001081870187138)),
+)
+# each row of _EXTRA as its stage indices and its weight column, for the column sums of `_extra_stages`
+_EXTRA_COLUMNS = [([j for j, _ in row], np.array([[a] for _, a in row])) for row in _EXTRA]
 # Continuous extension: xi(theta) = x0 + theta * (F0 + (1 - theta) * (F1 + theta * (F2
 # + (1 - theta) * (F3 + theta * (F4 + (1 - theta) * (F5 + theta * F6)))))), with F0 the
 # step's increment h * sum b_i k_i, F1 = h k_1 - F0, F2 = 2 F0 - h (k_1 + k_13), and
@@ -308,15 +302,8 @@ class Termination:
     n_rejected: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "t_stop": self.t_stop,
-            "vanishing": list(self.vanishing),
-            "exploding": list(self.exploding),
-            "trigger": self.trigger,
-            "n_accepted": self.n_accepted,
-            "n_rejected": self.n_rejected,
-        }
+        return {**self.__dict__, "kind": self.kind.value, "vanishing": list(self.vanishing),
+                "exploding": list(self.exploding)}
 
 
 @dataclass(frozen=True)
@@ -374,32 +361,23 @@ class _StepTable:
     def _build(self, idx: np.ndarray) -> None:
         """Interpolant coefficients of every step in idx that has none yet.
 
-        Each step gets the three extra stages of the extension from its own
-        start state, size and stages, and q = K^T M is summed stage by stage
-        in long double, the same operations for every step and component:
-        a step's coefficients do not depend on which other steps are built
-        with it, and exactly equal stage velocities give exactly equal
-        coefficients.  For t, M is applied to the stage values of dt/dtau
-        less the exponential w0 * exp(-a c) through its two ends.  A step
-        whose extra stage raises ArithmeticError keeps its row: it gets the
-        cubic Hermite interpolant through its two ends (`_HERMITE`), which
-        needs no extra stage.
+        `_extra_stages` gives the new steps, in one pass, the three extra
+        stages of the extension, each step's from its own start state, size
+        and stages.  q = K^T M is summed stage by stage in long double, the
+        same operations for every step and component: a step's coefficients
+        do not depend on which other steps are built with it, and exactly
+        equal stage velocities give exactly equal coefficients.  For t, M is
+        applied to the stage values of dt/dtau less the exponential
+        w0 * exp(-a c) through its two ends.  A step whose extra stage raises
+        ArithmeticError keeps its row: it gets the cubic Hermite interpolant
+        through its two ends (`_HERMITE`), which needs no extra stage.
         """
         mark = np.zeros(len(self.h), dtype=bool)
         mark[idx] = True
         new = np.flatnonzero(mark & ~self.ready)
         if not len(new):
             return
-        extra, extended = [], []
-        for y, k, h in zip(self.y[new].tolist(), self.K[new].reshape(len(new), 52).tolist(), self.h[new].tolist()):
-            try:
-                extra.append(_extra_stages(self.rhs, y, k, h, self.smin))
-                extended.append(True)
-            except ArithmeticError:
-                extra.append(((0.0,) * 4,) * 3)
-                extended.append(False)
-        K = np.concatenate([self.K[new], np.array(extra)], axis=1)
-        extended = np.array(extended)
+        K, extended = _extra_stages(self.rhs, self.y[new], self.K[new], self.h[new], self.smin)
         K[:, :, 3] -= self.w0[new, None] * np.exp(-self.a[new, None] * _C)
         q = _coefficients(K, _DENSE)
         if not extended.all():
@@ -644,49 +622,28 @@ def _attempt_step(rhs, y, f, h, t, smin, rtol, atol):
     return z, dt, f_new, err, k
 
 
-def _extra_stages(rhs, y, k, h, smin):
-    """Velocities at stages 14-16, which only the continuous extension uses.
+def _extra_stages(rhs, y, K, h, smin):
+    """Stages 14-16 of the n steps with start states y (n, 3), stages K (n, 13, 4) and sizes h (n,).
 
-    `y` is the step's start state, `k` its 13 stage velocities flattened
-    stage by stage as `_attempt_step` returns them, and h its size.  Written
-    out like `_attempt_step`; raises ArithmeticError where a stage of the
-    step would be rejected.
+    Returns the stages (n, 16, 4) and a mask of the steps whose three extra
+    stages are all finite.  Each stage sum h * sum_j a_j k_j is formed on
+    whole columns in the order of its row of `_EXTRA`, which gives the bits
+    of the same sum on floats; then, step by step, the stage state
+    y * exp(sum) and its velocity as in `_attempt_step`.  A step whose stage
+    raises ArithmeticError is masked and gets no further stage.
     """
-    y0, y1, y2 = y
-    k1a, k1b, k1c = k[0:3]
-    k6a, k6b, k6c = k[20:23]
-    k7a, k7b, k7c = k[24:27]
-    k8a, k8b, k8c = k[28:31]
-    k9a, k9b, k9c = k[32:35]
-    k10a, k10b, k10c = k[36:39]
-    k11a, k11b, k11c = k[40:43]
-    k12a, k12b, k12c = k[44:47]
-    k13a, k13b, k13c = k[48:51]
-    k14 = k14a, k14b, k14c, _ = _velocity(rhs, (
-        y0 * exp(h * (_A14_1 * k1a + _A14_7 * k7a + _A14_8 * k8a + _A14_9 * k9a + _A14_10 * k10a
-                      + _A14_11 * k11a + _A14_12 * k12a + _A14_13 * k13a)),
-        y1 * exp(h * (_A14_1 * k1b + _A14_7 * k7b + _A14_8 * k8b + _A14_9 * k9b + _A14_10 * k10b
-                      + _A14_11 * k11b + _A14_12 * k12b + _A14_13 * k13b)),
-        y2 * exp(h * (_A14_1 * k1c + _A14_7 * k7c + _A14_8 * k8c + _A14_9 * k9c + _A14_10 * k10c
-                      + _A14_11 * k11c + _A14_12 * k12c + _A14_13 * k13c)),
-    ), smin)
-    k15 = k15a, k15b, k15c, _ = _velocity(rhs, (
-        y0 * exp(h * (_A15_1 * k1a + _A15_6 * k6a + _A15_7 * k7a + _A15_8 * k8a + _A15_11 * k11a
-                      + _A15_12 * k12a + _A15_13 * k13a + _A15_14 * k14a)),
-        y1 * exp(h * (_A15_1 * k1b + _A15_6 * k6b + _A15_7 * k7b + _A15_8 * k8b + _A15_11 * k11b
-                      + _A15_12 * k12b + _A15_13 * k13b + _A15_14 * k14b)),
-        y2 * exp(h * (_A15_1 * k1c + _A15_6 * k6c + _A15_7 * k7c + _A15_8 * k8c + _A15_11 * k11c
-                      + _A15_12 * k12c + _A15_13 * k13c + _A15_14 * k14c)),
-    ), smin)
-    k16 = _velocity(rhs, (
-        y0 * exp(h * (_A16_1 * k1a + _A16_6 * k6a + _A16_7 * k7a + _A16_8 * k8a + _A16_9 * k9a
-                      + _A16_13 * k13a + _A16_14 * k14a + _A16_15 * k15a)),
-        y1 * exp(h * (_A16_1 * k1b + _A16_6 * k6b + _A16_7 * k7b + _A16_8 * k8b + _A16_9 * k9b
-                      + _A16_13 * k13b + _A16_14 * k14b + _A16_15 * k15b)),
-        y2 * exp(h * (_A16_1 * k1c + _A16_6 * k6c + _A16_7 * k7c + _A16_8 * k8c + _A16_9 * k9c
-                      + _A16_13 * k13c + _A16_14 * k14c + _A16_15 * k15c)),
-    ), smin)
-    return k14, k15, k16
+    K = np.concatenate([K, np.zeros((len(h), 3, 4))], axis=1)
+    ok = [True] * len(h)
+    ys, hs = y.tolist(), h[:, None]
+    for i, (j, a) in enumerate(_EXTRA_COLUMNS, 13):
+        x = hs * (K[:, j, :3] * a).cumsum(axis=1)[:, -1]  # cumsum adds the terms left to right
+        for s, ((y0, y1, y2), (x0, x1, x2)) in enumerate(zip(ys, x.tolist())):
+            if ok[s]:
+                try:
+                    K[s, i] = _velocity(rhs, (y0 * exp(x0), y1 * exp(x1), y2 * exp(x2)), smin)
+                except ArithmeticError:
+                    ok[s] = False
+    return K, np.array(ok)
 
 
 def _coefficients(K, M):

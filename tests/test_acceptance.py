@@ -233,17 +233,21 @@ def _assert_fails_naming(result: CriterionResult, geom: Geometry, value) -> None
     assert ("gap nan " in result.line()) == (value is not None)
 
 
+@pytest.mark.parametrize("kernel", ["cross_curvature_diag", "sectional_curvatures"])
 @pytest.mark.parametrize("geom, value", _PLANTS, ids=_PLANT_IDS)
-def test_oracle_criterion_fails_on_a_planted_defect(monkeypatch, geom, value):
-    real = acceptance.cross_curvature_diag
+def test_oracle_criterion_fails_on_a_planted_defect(monkeypatch, geom, value, kernel):
+    # the defect goes into the factored kernel, which gives the `want` side of
+    # the gap, or into the sectional curvatures that `cross_from_sectional`
+    # turns into its `got` side
+    real = getattr(acceptance, kernel)
 
     def planted(g, m):
         h = real(g, m)
         if g is not geom:
             return h
-        return CrossDiag(*_plant(np.broadcast_arrays(*h, m.A)[:3], _DRAW, value))
+        return type(h)(*_plant(np.broadcast_arrays(*h, m.A)[:3], _DRAW, value))
 
-    monkeypatch.setattr(acceptance, "cross_curvature_diag", planted)
+    monkeypatch.setattr(acceptance, kernel, planted)
     gaps = acceptance._oracle_gaps()
     assert np.flatnonzero(~(gaps[geom] <= acceptance._ORACLE_TOL)).tolist() == [_DRAW]
     _assert_fails_naming(acceptance.criterion_oracle_equivalence({}), geom, value)

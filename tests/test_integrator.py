@@ -405,9 +405,12 @@ def _reference_step(rhs, y, f, h, t, smin, rtol, atol):
 def _integrator_tableau():
     """The integrator's stage weights as one 16 x 16 matrix, its error weights and its nodes."""
     A = np.zeros((16, 16))
-    for i in range(2, 17):
+    for i in range(2, 13):
         for j in range(1, i):
             A[i - 1, j - 1] = getattr(integrator, f"_A{i}_{j}", 0.0)
+    for i, row in enumerate(integrator._EXTRA, 13):
+        for j, a in row:
+            A[i, j] = a
     for j in range(1, 13):
         A[12, j - 1] = getattr(integrator, f"_B{j}", 0.0)
     E5 = np.array([getattr(integrator, f"_E{j}", 0.0) for j in range(1, 14)])
@@ -725,6 +728,65 @@ def test_velocity_raises_exactly_where_the_helper_form_is_not_finite():
                     got = integrator._velocity(lambda _: rates, z, smin)
                     assert np.array(got).tobytes() == np.array(want).tobytes()
     assert 0 < raised < 2 * 2 * len(_G_VALUES) ** 3
+
+
+# Stages 14-16 of the continuous extension, step by step in pure Python from
+# rows 14-16 of the reference tableau: the one pass of `_extra_stages`, which
+# forms the stage sums on numpy columns, must give exactly their bits.
+
+def _stage_state(ks, y, h, row):
+    return tuple(y[c] * exp(h * _weighted(_row(row), ks, c)) for c in range(3))
+
+
+def _reference_extra_stages(rhs, y, k, h, smin):
+    ks = [tuple(stage) for stage in k]
+    for row in range(13, 16):
+        ks.append(integrator._velocity(rhs, _stage_state(ks, y, h, row), smin))
+    return ks[13:]
+
+
+def test_extra_stages_are_bitwise_the_per_step_reference(
+    sol_generic_run, su2_generic_run, heisenberg_unit_run, e2_generic_run
+):
+    for traj in (sol_generic_run, su2_generic_run, heisenberg_unit_run, e2_generic_run):
+        table = traj._table
+        K, ok = integrator._extra_stages(table.rhs, table.y, table.K, table.h, table.smin)
+        assert K.shape == (len(table.h), 16, 4) and ok.all()
+        assert K[:, :13].tobytes() == table.K.tobytes()
+        want = [
+            _reference_extra_stages(table.rhs, y, k, h, table.smin)
+            for y, k, h in zip(table.y.tolist(), table.K.tolist(), table.h.tolist())
+        ]
+        assert K[:, 13:16].tobytes() == np.array(want).tobytes()
+
+
+def test_a_step_whose_stage_14_raises_stops_there_and_moves_no_other_step(sol_generic_run):
+    # only the middle step's stage 14 raises: that step makes no stage-15 or
+    # stage-16 call and falls back to its Hermite rows, and every other step
+    # keeps its stages and interpolant to the bit
+    table = sol_generic_run._table
+    n, bad = len(table.h), len(table.h) // 2
+    z14 = _stage_state([tuple(k) for k in table.K[bad].tolist()], table.y[bad].tolist(), float(table.h[bad]), 13)
+    calls = []
+
+    def rhs(z):
+        calls.append(tuple(z))
+        if tuple(z) == z14:
+            raise OverflowError("planted")
+        return table.rhs(z)
+
+    clean, _ = integrator._extra_stages(table.rhs, table.y, table.K, table.h, table.smin)
+    K, ok = integrator._extra_stages(rhs, table.y, table.K, table.h, table.smin)
+    assert np.flatnonzero(~ok).tolist() == [bad]
+    assert calls.count(z14) == 1 and len(calls) == 3 * (n - 1) + 1
+    others = np.arange(n) != bad
+    assert K[others].tobytes() == clean[others].tobytes()
+    assert K[bad, :13].tobytes() == table.K[bad].tobytes()
+    faulty, full = replace(table, rhs=rhs), _built(sol_generic_run)
+    faulty._build(np.arange(n))
+    assert faulty.q[others].tobytes() == full.q[others].tobytes()
+    assert faulty.qt[others].tobytes() == full.qt[others].tobytes()
+    assert faulty.q[bad].tobytes() != full.q[bad].tobytes()
 
 
 @pytest.mark.parametrize(
