@@ -69,6 +69,7 @@ from .integrator import (
     Trajectory,
     integrate,
     sample_at,
+    terminate,
 )
 
 __version__ = "0.1.0"
@@ -94,6 +95,7 @@ __all__ = [
     "Termination",
     "Trajectory",
     "integrate",
+    "terminate",
     "sample_at",
     "exact_solution",
     "singular_time",

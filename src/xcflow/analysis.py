@@ -39,7 +39,7 @@ from .analytic import (
     conserved_quantities,
     sl2r_trapping_entry,
 )
-from .integrator import TerminationKind, Trajectory
+from .integrator import Termination, TerminationKind, Trajectory
 
 __all__ = [
     "PowerLawFit",
@@ -269,16 +269,18 @@ def estimate_limit_plus_power(
     return _limit_fit_core(trajectory.times, values, float(exponent), window)
 
 
-def estimate_blowup_time(trajectory: Trajectory) -> float:
-    """Singular time of a trajectory that stopped at a singularity: its stop time.
+def estimate_blowup_time(run: Trajectory | Termination) -> float:
+    """Singular time of a run that stopped at a singularity: its stop time.
 
-    The Sundman-time stepper stops when a step advances t by at most 1e-13
-    of t, so t_stop resolves T0 to about that fraction; no fit of the
-    samples comes closer at the sample counts in use.
+    `run` is the trajectory or its `Termination` (which `terminate` returns
+    alone).  The Sundman-time stepper stops when a step advances t by at
+    most 1e-13 of t, so t_stop resolves T0 to about that fraction; no fit of
+    the samples comes closer at the sample counts in use.
     """
-    if trajectory.termination.kind is not TerminationKind.SINGULAR_TIME:
+    termination = run if isinstance(run, Termination) else run.termination
+    if termination.kind is not TerminationKind.SINGULAR_TIME:
         raise ValueError("trajectory did not stop at a singular time")
-    return trajectory.termination.t_stop
+    return termination.t_stop
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ integrates a grid of initial data and writes one classification row per
 grid point, ordered by grid index no matter how the work was scheduled;
 each point is integrated in the labels the catalogs assume, once for all
 the points that relabel to the same datum, and with only the samples its
-row reads.
+row reads: none, and so no step table, where the row reads only how the
+run ended.
 Every CSV text, trajectory or scan, goes through one writer, and every JSON
 text through another, which gives the bytes of `json.dumps(doc, indent=2)`.
 
@@ -47,7 +48,7 @@ from .analysis import estimate_blowup_time, verify
 from .analytic import canonical_permutation, classify_branch, sl2r_trapping_entry
 from .flows import FLOWS, FlowSpec
 from .geometry import Geometry, MetricDiag, cross_curvature_diag, sectional_curvatures
-from .integrator import IntegratorOptions, TerminationKind, Trajectory, integrate
+from .integrator import IntegratorOptions, TerminationKind, Trajectory, integrate, terminate
 
 __all__ = [
     "RunConfig",
@@ -425,17 +426,33 @@ def _volume_factor(datum: tuple, volume: float) -> float:
     return (volume / (datum[0] * datum[1] * datum[2])) ** (1.0 / 3.0)
 
 
-def _scan_flag(geometry: Geometry, trajectory: Trajectory, branch: str) -> str:
-    """The flag cell of a trajectory integrated from a canonical datum."""
-    if branch in ("symmetric", "round", "flat"):
-        return branch
-    S = trajectory.states
-    if geometry is Geometry.SL2R:
-        _, retained = sl2r_trapping_entry(S)
-        return "entered-region" if retained else "no-region"
-    if geometry is Geometry.SOL:
-        return "3C>A" if 3.0 * S[-1, 2] > S[-1, 0] else ""
-    return ""
+_OWN_FLAG_BRANCHES = ("symmetric", "round", "flat")  # branches whose scan flag is the branch name
+
+
+def _scan_reads(geometry: Geometry, branch: str) -> str:
+    """What the flag of a scan row reads: "nothing", the "last" state or the whole "path".
+
+    The one rule for what a row is integrated with (`_scan_point`) and for
+    what its flag reads (`_scan_flag`).  A branch with its own flag and
+    every geometry but Sol and SL(2,R) read nothing; a generic Sol row
+    compares 3C with A at its last state; a generic SL(2,R) row looks for
+    the trapping region along its samples.
+    """
+    if branch in _OWN_FLAG_BRANCHES or geometry not in (Geometry.SOL, Geometry.SL2R):
+        return "nothing"
+    return "last" if geometry is Geometry.SOL else "path"
+
+
+def _scan_flag(geometry: Geometry, trajectory: Trajectory | None, branch: str) -> str:
+    """The flag cell of a canonical datum's run; `trajectory` may be None where the flag reads nothing."""
+    reads = _scan_reads(geometry, branch)
+    if reads == "nothing":
+        return branch if branch in _OWN_FLAG_BRANCHES else ""
+    if reads == "last":
+        A, _, C = trajectory.states[-1]
+        return "3C>A" if 3.0 * C > A else ""
+    _, retained = sl2r_trapping_entry(trajectory.states)
+    return "entered-region" if retained else "no-region"
 
 
 def _scan_point(payload: tuple) -> list[str]:
@@ -443,10 +460,12 @@ def _scan_point(payload: tuple) -> list[str]:
 
     The point is relabeled to its canonical datum, and then scaled when a
     volume is given, so a point and its mirrored twin have the same cells.
-    Only the flag of a generic SL(2,R) row reads the sample path; every other
-    cell reads the termination, m0 or the last row.  So every other row is
-    integrated with two samples: the dense output is elementwise, so its last
-    row has the same bits as at any sample count.
+    Every cell but the flag reads only the termination, m0 or the branch,
+    and `_scan_reads` says what the flag reads.  A row whose flag reads
+    nothing runs the bare stepper (`terminate`): no step table, no dense
+    output.  A generic Sol row is integrated with two samples, whose last
+    row has the same bits as at any sample count, since the dense output is
+    elementwise; a generic SL(2,R) row with `--samples`.
     """
     geometry, spec, a, b, c, options, volume = payload
     datum = _canonical(geometry, (a, b, c))
@@ -454,11 +473,13 @@ def _scan_point(payload: tuple) -> list[str]:
     if volume is not None:
         m0 = m0.scaled(_volume_factor(datum, volume))
     branch = classify_branch(geometry, m0)
-    if not (geometry is Geometry.SL2R and branch == "generic"):
-        options = replace(options, samples=2)
-    trajectory = integrate(geometry, spec, m0, options)
-    term = trajectory.termination
-    blowup = "%.17g" % estimate_blowup_time(trajectory) if term.kind is TerminationKind.SINGULAR_TIME else ""
+    reads = _scan_reads(geometry, branch)
+    if reads == "nothing":
+        trajectory, term = None, terminate(geometry, spec, m0, options)
+    else:
+        trajectory = integrate(geometry, spec, m0, replace(options, samples=2) if reads == "last" else options)
+        term = trajectory.termination
+    blowup = "%.17g" % estimate_blowup_time(term) if term.kind is TerminationKind.SINGULAR_TIME else ""
     return [term.kind.value, "%.17g" % term.t_stop, blowup, branch, _scan_flag(geometry, trajectory, branch)]
 
 

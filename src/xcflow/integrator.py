@@ -65,8 +65,13 @@ no accuracy in t.  The first trial step is 0.01 in tau and no step exceeds
 The step runs on Python floats, so an attempt makes no numpy call.  Each
 stage state is one tableau row written out component by component into
 locals, and each stage velocity is one call of `_velocity`, which evaluates
-the right-hand side, s and the finiteness guard.  The start state, size and
-stage velocities of every accepted step are kept in flat arrays.
+the right-hand side, s and the finiteness guard.  One step loop, the
+generator `_steps`, holds the controller, the stop rules and the budget; it
+yields each accepted step and returns the stop record, and two functions
+drain it.  `integrate` keeps the start state, size and stage velocities of
+every accepted step in flat arrays, for the step table and the dense
+output.  `terminate` keeps nothing and returns only the `Termination`,
+equal to `integrate`'s field for field, for callers that read nothing else.
 
 Step times are accumulated with compensated summation, which keeps
 (t_stop - t) accurate to one ulp of t near blow-up.
@@ -84,6 +89,7 @@ from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from math import exp, expm1, frexp, isfinite, ldexp, log, sqrt
+from typing import Generator, NamedTuple
 
 import numpy as np
 
@@ -96,6 +102,7 @@ __all__ = [
     "Termination",
     "Trajectory",
     "integrate",
+    "terminate",
     "sample_at",
 ]
 
@@ -714,18 +721,32 @@ def _sample_times(kind: TerminationKind, t_end: float, n: int) -> np.ndarray:
     return grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
 
 
-def integrate(
-    geometry: Geometry,
-    spec: FlowSpec,
-    m0: MetricDiag,
-    options: IntegratorOptions | None = None,
-) -> Trajectory:
-    """Run the flow from m0 until t_max, a singular time, or the step budget."""
-    opts = options if options is not None else IntegratorOptions()
-    rtol, atol, max_steps = opts.rtol, opts.atol, opts.max_steps
+class _Run(NamedTuple):
+    """The scaled start of a run, for `_steps` and for the consumers that build on its steps."""
+
+    rhs: object  # the right-hand side, from `rhs_function` at call time
+    k: int  # binary exponent of the scale: y = 2^k * scaled y, t = 4^k * scaled t
+    base: tuple  # the scaled initial metric
+    t_max: float  # the scaled horizon
+    smin: float  # the floor of s, 1 / t_max
+    f: tuple  # the velocity at the initial metric
+
+
+class _Stop(NamedTuple):
+    """How the step loop ended, in scaled units."""
+
+    kind: TerminationKind
+    t_stop: float
+    trigger: str
+    y: tuple  # the last accepted state
+    n_accepted: int
+    n_rejected: int
+
+
+def _start(geometry: Geometry, spec: FlowSpec, m0: MetricDiag, opts: IntegratorOptions) -> _Run:
+    """Scale the run and evaluate its first velocity; ValueError if it cannot start."""
     rhs = rhs_function(geometry, spec)
     y0 = m0.as_tuple()
-
     # scaled units: y = 2^k * scaled y and t = 4^k * scaled t, exactly
     k = frexp(max(y0))[1]
     base = tuple(ldexp(v, -k) for v in y0)
@@ -740,10 +761,20 @@ def integrate(
         f = _velocity(rhs, base, smin)
     except ArithmeticError:
         raise ValueError("flow right-hand side is not finite at the initial metric") from None
+    return _Run(rhs, k, base, t_max, smin, f)
 
-    # accepted steps, flat: start time, size in tau, start state, stage velocities (13 x 4)
-    rows_t, rows_h, rows_y, rows_k = array("d"), array("d"), array("d"), array("d")
-    y = base
+
+def _steps(run: _Run, opts: IntegratorOptions) -> Generator[tuple, None, _Stop]:
+    """Yield (t, h, y, stages) for each accepted step of a run; return its `_Stop`.
+
+    t, h and y are the step's scaled start time, size in tau and scaled
+    start state, and `stages` the 52-tuple of `_attempt_step`.  An accepted
+    step that ends the run on `step_underflow` is not yielded: its state is
+    only the last one of the `_Stop`.  The step that reaches t_max is.
+    """
+    rhs, smin, t_max, f = run.rhs, run.smin, run.t_max, run.f
+    rtol, atol, max_steps = opts.rtol, opts.atol, opts.max_steps
+    y = run.base
     t = 0.0
     comp = 0.0  # compensated-summation carry for t
     h = _H_START
@@ -753,8 +784,7 @@ def integrate(
 
     while True:
         if n_acc + n_rej >= max_steps:
-            kind, t_stop, trigger = TerminationKind.STEP_BUDGET_EXHAUSTED, t, "max_steps"
-            break
+            return _Stop(TerminationKind.STEP_BUDGET_EXHAUSTED, t, "max_steps", y, n_acc, n_rej)
 
         out = _attempt_step(rhs, y, f, h, t, smin, rtol, atol)
         if out is None or not out[3] <= 1.0:  # an err that overflowed to NaN is rejected too
@@ -766,8 +796,7 @@ def integrate(
                 h = h * max(_MIN_FACTOR, _SAFETY * max(out[3] / _ERR_TARGET, 1e-300) ** (-_EXPO))
             growth_locked = True
             if h < _H_FLOOR:  # the solver can no longer make progress
-                kind, t_stop, trigger = TerminationKind.SINGULAR_TIME, t, "step_underflow"
-                break
+                return _Stop(TerminationKind.SINGULAR_TIME, t, "step_underflow", y, n_acc, n_rej)
             continue
 
         y_new, dt, f_new, err, stages = out
@@ -775,19 +804,12 @@ def integrate(
         carry = dt + comp
         t_new = t + carry
         if dt <= _T_RESOLUTION * t:  # the approach to the singular time is resolved
-            y = y_new
-            kind, t_stop, trigger = TerminationKind.SINGULAR_TIME, t, "step_underflow"
-            break
+            return _Stop(TerminationKind.SINGULAR_TIME, t, "step_underflow", y_new, n_acc, n_rej)
         comp = carry - (t_new - t)
-        # accepted: record the step; its interpolant is built when it is sampled
-        rows_t.append(t)
-        rows_h.append(h)
-        rows_y.extend(y)
-        rows_k.extend(stages)
+        yield t, h, y, stages
         t, y, f = t_new, y_new, f_new
         if t >= t_max:
-            kind, t_stop, trigger = TerminationKind.REACHED_T_MAX, t_max, "t_max"
-            break
+            return _Stop(TerminationKind.REACHED_T_MAX, t_max, "t_max", y, n_acc, n_rej)
 
         factor = _SAFETY * max(err / _ERR_TARGET, 1e-300) ** (-_EXPO) * facold**_BETA
         factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
@@ -797,18 +819,45 @@ def integrate(
         h = min(h * factor, _H_MAX)
         facold = max(err / _ERR_TARGET, 1e-4)
 
-    table = _step_table(rows_t, rows_h, rows_y, rows_k, base, k, rhs, smin) if rows_t else None
-    van, exp_ = _diagnose(y, base) if kind is TerminationKind.SINGULAR_TIME else ((), ())
-    termination = Termination(
-        kind, ldexp(t_stop, 2 * k), van, exp_, trigger, n_accepted=n_acc, n_rejected=n_rej
-    )
 
-    grid = _sample_times(kind, t_stop, opts.samples)
-    times = np.ldexp(grid, 2 * k)
-    if table is not None:
+def _termination(run: _Run, stop: _Stop) -> Termination:
+    """The `Termination` of a run that ended on `stop`, in the caller's units."""
+    van, exp_ = _diagnose(stop.y, run.base) if stop.kind is TerminationKind.SINGULAR_TIME else ((), ())
+    return Termination(stop.kind, ldexp(stop.t_stop, 2 * run.k), van, exp_, stop.trigger,
+                       n_accepted=stop.n_accepted, n_rejected=stop.n_rejected)
+
+
+def integrate(
+    geometry: Geometry,
+    spec: FlowSpec,
+    m0: MetricDiag,
+    options: IntegratorOptions | None = None,
+) -> Trajectory:
+    """Run the flow from m0 until t_max, a singular time, or the step budget."""
+    opts = options if options is not None else IntegratorOptions()
+    run = _start(geometry, spec, m0, opts)
+    # accepted steps, flat: start time, size in tau, start state, stage velocities (13 x 4);
+    # a step's interpolant is built when it is sampled
+    rows_t, rows_h, rows_y, rows_k = array("d"), array("d"), array("d"), array("d")
+    steps = _steps(run, opts)
+    while True:
+        try:
+            t, h, y, stages = next(steps)
+        except StopIteration as end:
+            stop = end.value
+            break
+        rows_t.append(t)
+        rows_h.append(h)
+        rows_y.extend(y)
+        rows_k.extend(stages)
+
+    grid = _sample_times(stop.kind, stop.t_stop, opts.samples)
+    times = np.ldexp(grid, 2 * run.k)
+    if rows_t:
+        table = _step_table(rows_t, rows_h, rows_y, rows_k, run.base, run.k, run.rhs, run.smin)
         states = table.eval(grid)
     else:  # stopped before the first accepted step, so t_stop = 0 and times = [0]
-        states = np.array([y0])
+        table, states = None, np.array([m0.as_tuple()])
     for arr in (times, states):
         arr.setflags(write=False)
 
@@ -819,9 +868,30 @@ def integrate(
         options=opts,
         times=times,
         states=states,
-        termination=termination,
+        termination=_termination(run, stop),
         _table=table,
     )
+
+
+def terminate(
+    geometry: Geometry,
+    spec: FlowSpec,
+    m0: MetricDiag,
+    options: IntegratorOptions | None = None,
+) -> Termination:
+    """`integrate(geometry, spec, m0, options).termination`, from the same steps, keeping none of them.
+
+    It builds no step table and no dense output, so `options.samples` is
+    not used.
+    """
+    opts = options if options is not None else IntegratorOptions()
+    run = _start(geometry, spec, m0, opts)
+    steps = _steps(run, opts)
+    try:
+        while True:
+            next(steps)
+    except StopIteration as end:
+        return _termination(run, end.value)
 
 
 def sample_at(trajectory: Trajectory, t: float) -> MetricDiag:

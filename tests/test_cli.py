@@ -508,6 +508,7 @@ def test_scan_rejects_non_positive_or_non_finite_volume(capsys, monkeypatch, vol
         raise AssertionError("integrated before the volume was checked")
 
     monkeypatch.setattr(cli, "integrate", no_integration)
+    monkeypatch.setattr(cli, "terminate", no_integration)
     code, out, err = run_cli(
         capsys, "scan", "--geometry", "sol", "--grid-A", "1", "--grid-B", "4", "--grid-C", "1",
         f"--normalize-volume={volume}",
@@ -534,6 +535,7 @@ def test_scan_checks_every_axis_value_before_integrating(capsys, monkeypatch, tm
         raise AssertionError("integrated before every grid value was checked")
 
     monkeypatch.setattr(cli, "integrate", no_integration)
+    monkeypatch.setattr(cli, "terminate", no_integration)
     grid = {"--grid-A": "2", "--grid-B": "4", "--grid-C": "1", axis: spec}
     target = tmp_path / "scan.csv"
     code, out, err = run_cli(
@@ -615,6 +617,7 @@ def test_scan_rejects_bad_integrator_options_before_starting_workers(capsys, mon
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", not_called)
     monkeypatch.setattr(cli, "integrate", not_called)
+    monkeypatch.setattr(cli, "terminate", not_called)
     target = tmp_path / "scan.csv"
     code, out, err = run_cli(
         capsys, "scan", "--geometry", "sol", "--grid-A", "1:2:2", "--grid-B", "4", "--grid-C", "1",
@@ -746,8 +749,49 @@ def test_scan_point_cells_equal_cells_from_the_full_sample_path(
     cells = cli._scan_point(payload)
     assert cells == _scan_cells_at_full_samples(payload)
     assert cells[3] == branch
-    reads_path = geometry == "sl2r" and branch == "generic"
-    assert asked == [(samples if reads_path else 2, trigger)]
+    # three ways: generic SL(2,R) rows read every sample, generic Sol rows the last state,
+    # and every other row only its termination, from the bare stepper with no `integrate` call
+    if branch == "generic" and geometry == "sl2r":
+        assert asked == [(samples, trigger)]
+    elif branch == "generic" and geometry == "sol":
+        assert asked == [(2, trigger)]
+    else:
+        assert asked == []
+
+
+@pytest.mark.parametrize(
+    "geometry, grid, tables, rows",
+    [
+        # rows that read only their termination: no step table, no dense output
+        ("sol", ("2", "1:4:3", "2"), 0, []),  # the A = C diagonal: symmetric
+        ("sl2r", ("1:3:3", "2", "2"), 0, []),  # B = C: symmetric
+        ("su2", ("1:2:2", "1:2:2", "1:2:2"), 0, []),  # round and generic
+        # a generic Sol row reads its last state, a generic SL(2,R) row every sample
+        ("sol", ("2", "4", "1"), 1, [2]),
+        ("sl2r", ("1", "2", "1"), 1, [64]),
+    ],
+)
+def test_scan_builds_a_step_table_only_for_rows_that_read_samples(capsys, monkeypatch, geometry, grid, tables, rows):
+    # counts, not timings: the calls of `integrator._step_table` and the rows `_StepTable.eval` evaluates
+    from xcflow import integrator
+
+    built, evaluated = [], []
+    real_step_table, real_eval = integrator._step_table, integrator._StepTable.eval
+
+    def counting_step_table(*args):
+        built.append(1)
+        return real_step_table(*args)
+
+    def counting_eval(table, t):
+        evaluated.append(len(t))
+        return real_eval(table, t)
+
+    monkeypatch.setattr(integrator, "_step_table", counting_step_table)
+    monkeypatch.setattr(integrator._StepTable, "eval", counting_eval)
+    code, out, err = run_cli(capsys, "scan", "--geometry", geometry, "--grid-A", grid[0], "--grid-B", grid[1],
+                             "--grid-C", grid[2], "--samples", "64")
+    assert (code, err) == (EXIT_OK, "")
+    assert (len(built), evaluated) == (tables, rows)
 
 
 def test_scan_point_with_volume_normalization_matches_the_full_sample_path():
@@ -867,6 +911,7 @@ def test_scan_rejects_a_budget_below_one_before_starting_work(capsys, monkeypatc
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", not_called)
     monkeypatch.setattr(cli, "integrate", not_called)
+    monkeypatch.setattr(cli, "terminate", not_called)
     code, out, err = run_cli(
         capsys, "scan", "--geometry", "sol", "--grid-A", "1:2:2", "--grid-B", "4", "--grid-C", "1",
         "--workers", "2", "--max-steps", budget,
@@ -899,16 +944,19 @@ def test_streamed_scan_file_is_byte_identical_across_worker_counts(capsys, tmp_p
 def test_scan_that_fails_at_a_point_leaves_the_rows_before_it(capsys, monkeypatch, tmp_path):
     from xcflow import cli
 
-    real_integrate = cli.integrate
     calls = []
 
-    def failing_integrate(*args):
-        calls.append(1)
-        if len(calls) == 6:  # grid point 5
-            raise ValueError("planted failure at point 5")
-        return real_integrate(*args)
+    def failing(run):  # rows that read only their termination call `terminate`, the others `integrate`
+        def run_or_fail(*args):
+            calls.append(1)
+            if len(calls) == 6:  # grid point 5
+                raise ValueError("planted failure at point 5")
+            return run(*args)
 
-    monkeypatch.setattr(cli, "integrate", failing_integrate)
+        return run_or_fail
+
+    monkeypatch.setattr(cli, "integrate", failing(cli.integrate))
+    monkeypatch.setattr(cli, "terminate", failing(cli.terminate))
     path = tmp_path / "scan.csv"
     code, out, err = run_cli(capsys, *_STREAM_ARGV, "--output", str(path))
     assert code == EXIT_USAGE and out == ""
@@ -1032,11 +1080,15 @@ def test_readme_scan_grid_integrates_each_canonical_datum_once(capsys, monkeypat
 
     data = []
 
-    def recording_integrate(geometry, spec, m0, options):
-        data.append(m0.as_tuple())
-        return integrate(geometry, spec, m0, options)
+    def recording(run):  # the symmetric rows call `terminate`, the generic ones `integrate`
+        def recorded_run(geometry, spec, m0, options):
+            data.append(m0.as_tuple())
+            return run(geometry, spec, m0, options)
 
-    monkeypatch.setattr(cli, "integrate", recording_integrate)
+        return recorded_run
+
+    monkeypatch.setattr(cli, "integrate", recording(cli.integrate))
+    monkeypatch.setattr(cli, "terminate", recording(cli.terminate))
     code, out, err = run_cli(capsys, "scan", "--geometry", "sol", "--grid-A", "0.5:4.5:9", "--grid-B", "4",
                              "--grid-C", "0.5:4.5:9", "--t-max", "10")
     assert (code, err) == (EXIT_OK, "")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import replace
 from math import exp, expm1, fsum, inf, ldexp, log, sqrt
 
@@ -877,6 +878,59 @@ def test_wrapped_rhs_function_changes_no_bit_and_counts_the_fsal_budget(monkeypa
     extended = int(np.count_nonzero(wrapped._table.ready))
     assert 0 < extended <= term.n_accepted
     assert len(calls) == 1 + 12 * len(outcomes) + 3 * extended
+
+
+# ---------------------------------------------------------------------------
+# `terminate` drains the same step loop as `integrate` and keeps nothing
+
+
+def _bits(term):
+    """A Termination's fields, its one float as its hex text, so that equality is bitwise."""
+    return (term.kind, term.t_stop.hex(), term.vanishing, term.exploding, term.trigger,
+            term.n_accepted, term.n_rejected)
+
+
+def _seeded_datum(geom, flow):
+    rng = random.Random(f"terminate/{geom.value}/{flow}")
+    return MetricDiag(*(rng.uniform(0.3, 5.0) for _ in range(3)))
+
+
+@pytest.mark.parametrize("flow", list(FLOWS))
+@pytest.mark.parametrize("geom", list(Geometry), ids=lambda g: g.value)
+def test_terminate_is_the_termination_of_integrate(geom, flow):
+    m0 = _seeded_datum(geom, flow)
+    for t_max in (1.0, 10.0, 1e3):
+        opts = IntegratorOptions(t_max=t_max, samples=2)
+        want = integrate(geom, FLOWS[flow], m0, opts).termination
+        got = integrator.terminate(geom, FLOWS[flow], m0, opts)
+        assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("geom", list(Geometry), ids=lambda g: g.value)
+def test_terminate_spends_the_step_budget_as_integrate_does(geom):
+    opts = IntegratorOptions(t_max=1e6, max_steps=3, samples=2)  # trivial needs 4 steps to its horizon
+    m0 = _seeded_datum(geom, "xcf-")
+    want = integrate(geom, XCF_MINUS, m0, opts).termination
+    got = integrator.terminate(geom, XCF_MINUS, m0, opts)
+    assert got.trigger == "max_steps" and got.n_accepted + got.n_rejected == 3
+    assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("max_steps", [3, 10_000_000])
+def test_terminate_of_a_run_that_stops_before_its_first_accepted_step(max_steps):
+    # at rtol 1e-200 every attempt is rejected: the budget or the retry floor ends the run at t = 0
+    opts = IntegratorOptions(rtol=1e-200, max_steps=max_steps, samples=2)
+    traj = integrate(Geometry.SOL, XCF_MINUS, MetricDiag(2, 4, 1), opts)
+    assert traj._table is None and traj.termination.n_accepted == 0
+    assert _bits(integrator.terminate(Geometry.SOL, XCF_MINUS, MetricDiag(2, 4, 1), opts)) == _bits(traj.termination)
+
+
+def test_terminate_takes_the_default_options_and_rejects_what_integrate_rejects():
+    m0 = MetricDiag(2, 4, 1)
+    assert integrator.terminate(Geometry.SOL, XCF_MINUS, m0) == integrate(Geometry.SOL, XCF_MINUS, m0).termination
+    for bad in (MetricDiag(1e-200, 1.0, 1e-200), MetricDiag(2e-300, 4e-300, 1e-300)):
+        with pytest.raises(ValueError):
+            integrator.terminate(Geometry.SOL, XCF_MINUS, bad)
 
 
 # ---------------------------------------------------------------------------
