@@ -6,11 +6,23 @@ test suite and the `flow verify` subcommand both run these through
 `run_suite`; keeping them here makes the two entry points report identical
 numbers.
 
-A criterion takes the run memo of the suite it belongs to: a dict from
-(geometry, flow, init, t_max) to the verification report of that run, so a
-run shared by several criteria of one suite is integrated once.  Each
-`run_suite` call starts an empty memo, so its report dicts hold only the
+A criterion takes the run memo of the suite it belongs to: a dict from the
+run key (geometry, flow, init, t_max) to the verification report of that
+run, so a run shared by several criteria of one suite is integrated once.
+Each `run_suite` call starts an empty memo, so its report dicts hold only the
 runs of that call and nothing is kept between calls.
+
+Criteria 1-9 are rows of one table, `_TABLE`, read by one evaluator.  A row
+gives the criterion's number, name and geometry (None for criterion 9, which
+covers all of them) and its ordered entries.  An `_Entry` names a run key, a
+report field (`checks`, `conserved`, `monotone`, `laws`, or `termination`
+for the run's termination kind), the entry's name within that field (a
+law's variable; for `termination`, the kind that passes) and the template
+its text is printed with.  The evaluator looks each entry up in its report,
+raising `LookupError` when the report has none, prints one detail per entry
+in row order, and passes the criterion exactly when every printed entry
+passes.  Reports enter the memo in the order the entries first name their
+runs, and that order is the key order of the reports `run_suite` returns.
 
 Criteria 10 and 11 integrate nothing.  They draw pseudo-random metrics (and
 criterion 11 its scales) from a fixed SplitMix64 counter stream, `_uniform`,
@@ -26,16 +38,14 @@ A NaN gap fails the criterion and names its geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import isnan
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import (
-    CONSERVED_DRIFT_TOL,
-    VerificationReport,
-    verify,
-)
+from .analysis import VerificationReport, verify
 from .flows import NXCF, XCF_MINUS, FlowSpec, flow_rhs
 from .geometry import (
     Geometry,
@@ -85,153 +95,130 @@ def _report(
     return runs[key]
 
 
-def _check(report: VerificationReport, name: str):
-    for c in report.checks:
-        if c.name == name:
-            return c
-    raise LookupError(f"report has no check named {name!r}")
-
-
-def _law(report: VerificationReport, variable: str):
-    for l in report.laws:
-        if l.variable == variable:
-            return l
-    raise LookupError(f"report has no law for {variable!r}")
-
-
-def _monotone(report: VerificationReport, prefix: str):
-    for c in report.monotone:
-        if c.name.startswith(prefix):
-            return c
-    raise LookupError(f"report has no monotone entry starting with {prefix!r}")
-
-
 def _fmt_check(c) -> str:
     if c.observed is None or c.threshold is None:
-        return f"{c.name}: {c.detail or ('ok' if c.passed else 'failed')}"
-    return f"{c.name}: {c.observed:.3e} (tol {c.threshold:.0e})"
+        return c.detail or ("ok" if c.passed else "failed")
+    return f"{c.observed:.3e} (tol {c.threshold:.0e})"
 
 
 def _fmt_law(l) -> str:
-    s = f"{l.variable}: exponent {l.fitted_exponent:+.5f} vs {l.expected_exponent:+.5f} (tol {l.exponent_tolerance})"
+    s = f"exponent {l.fitted_exponent:+.5f} vs {l.expected_exponent:+.5f} (tol {l.exponent_tolerance})"
     if l.expected_coefficient is not None and l.fitted_coefficient is not None:
         s += f", coeff {l.fitted_coefficient:.5g} vs {l.expected_coefficient:.5g}"
     return s
 
 
-def criterion_heisenberg_closed_form(runs: dict) -> CriterionResult:
-    rep = _report(runs, Geometry.HEISENBERG, XCF_MINUS, (1.0, 1.0, 1.0), 100.0)
-    c = _check(rep, "closed form")
-    return CriterionResult(1, "nil closed form", c.passed, (_fmt_check(c),))
+class _Entry(NamedTuple):
+    """One printed entry of a criterion.
+
+    `form` is formatted with the entry's `name`, its measured `value`, the
+    run's `geometry` name and the report's `blowup_time`.
+    """
+
+    run: tuple  # (geometry, flow, init, t_max)
+    field: str  # "checks", "conserved", "monotone", "laws" or "termination"
+    name: str
+    form: str = "{name}: {value}"
 
 
-def criterion_heisenberg_invariants(runs: dict) -> CriterionResult:
-    rep = _report(runs, Geometry.HEISENBERG, XCF_MINUS, (1.0, 1.0, 1.0), 100.0)
-    wanted = ("A^3*B", "A^3*C", "B/C")
-    rows = [c for c in rep.conserved if c.name in wanted]
-    ok = len(rows) == 3 and all(c.passed for c in rows)
-    return CriterionResult(2, "nil first integrals", ok, tuple(_fmt_check(c) for c in rows))
+def _each(run: tuple, field: str, *names: str) -> tuple[_Entry, ...]:
+    return tuple(_Entry(run, field, name) for name in names)
 
 
-def criterion_sol_symmetric(runs: dict) -> CriterionResult:
-    rep = _report(runs, Geometry.SOL, XCF_MINUS, (1.0, 8.0, 1.0), 10.0)
-    singular = rep.termination["kind"] == TerminationKind.SINGULAR_TIME.value
-    t0 = _check(rep, "singular time = B0^2/64")
-    lock = _check(rep, "A=C locked")
-    closed = _check(rep, "closed form (t <= 0.99 T0)")
-    ok = singular and t0.passed and lock.passed and closed.passed
-    details = (
-        f"termination {rep.termination['kind']}",
-        f"singular time {rep.blowup_time!r} vs 1.0: " + _fmt_check(t0),
-        _fmt_check(lock),
-        _fmt_check(closed),
-    )
-    return CriterionResult(3, "sol symmetric collapse", ok, details)
+class _Row(NamedTuple):
+    key: str  # the criterion function is named criterion_<key>
+    number: int
+    name: str
+    geometry: Geometry | None
+    entries: tuple[_Entry, ...]
 
 
-def criterion_sol_generic(runs: dict) -> CriterionResult:
-    rep = _report(runs, Geometry.SOL, XCF_MINUS, (2.0, 4.0, 1.0), 10.0)
-    laws = [_law(rep, v) for v in ("B", "A", "C", "A-C")]
-    rep2 = _report(runs, Geometry.SOL, XCF_MINUS, (5.0, 4.0, 1.0), 10.0)
-    sign = _check(rep2, "A-3C changes sign before the singular time")
-    ok = all(l.passed for l in laws) and sign.passed
-    details = tuple(_fmt_law(l) for l in laws) + (_fmt_check(sign),)
-    return CriterionResult(4, "sol generic blow-up laws", ok, details)
+def _evaluate(row: _Row, runs: dict) -> CriterionResult:
+    flags, details = [], []
+    for entry in row.entries:
+        rep = _report(runs, *entry.run)
+        if entry.field == "termination":
+            value = rep.termination["kind"]
+            flags.append(value == entry.name)
+        else:
+            attr, fmt = ("variable", _fmt_law) if entry.field == "laws" else ("name", _fmt_check)
+            item = next((x for x in getattr(rep, entry.field) if getattr(x, attr) == entry.name), None)
+            if item is None:
+                raise LookupError(f"report has no {entry.field} entry {entry.name!r} for run {entry.run}")
+            value = fmt(item)
+            flags.append(item.passed)
+        details.append(entry.form.format(
+            name=entry.name, value=value, geometry=entry.run[0].value, blowup_time=rep.blowup_time
+        ))
+    return CriterionResult(row.number, row.name, all(flags), tuple(details))
 
 
-def criterion_su2(runs: dict) -> CriterionResult:
-    round_rep = _report(runs, Geometry.SU2, XCF_MINUS, (2.0, 2.0, 2.0), 10.0)
-    closed = _check(round_rep, "closed form (t <= 0.99 T0)")
-    gen = _report(runs, Geometry.SU2, XCF_MINUS, (3.0, 2.0, 1.0), 10.0)
-    singular = gen.termination["kind"] == TerminationKind.SINGULAR_TIME.value
-    ratio = _check(gen, "A/C -> 1")
-    a_law = _law(gen, "A")
-    ok = closed.passed and singular and ratio.passed and a_law.passed
-    details = (
-        "round: " + _fmt_check(closed),
-        f"generic termination {gen.termination['kind']}",
-        "generic " + _fmt_check(ratio),
-        "generic " + _fmt_law(a_law),
-    )
-    return CriterionResult(5, "su2 collapse", ok, details)
+_SINGULAR = TerminationKind.SINGULAR_TIME.value
+_CLOSED = "closed form (t <= 0.99 T0)"
+_NIL = (Geometry.HEISENBERG, XCF_MINUS, (1.0, 1.0, 1.0), 100.0)
+_SOL_SYM = (Geometry.SOL, XCF_MINUS, (1.0, 8.0, 1.0), 10.0)
+_SOL_GEN = (Geometry.SOL, XCF_MINUS, (2.0, 4.0, 1.0), 10.0)
+_SU2_GEN = (Geometry.SU2, XCF_MINUS, (3.0, 2.0, 1.0), 10.0)
+_SL2R_SYM = (Geometry.SL2R, XCF_MINUS, (1.0, 1.0, 1.0), 1.0e6)
+_SL2R_GEN = (Geometry.SL2R, XCF_MINUS, (1.0, 2.0, 1.0), 10.0)
+_E2_GEN = (Geometry.E2, XCF_MINUS, (2.0, 1.0, 1.0), 1.0e8)
+
+_TABLE = (
+    _Row("heisenberg_closed_form", 1, "nil closed form", Geometry.HEISENBERG, _each(_NIL, "checks", "closed form")),
+    _Row("heisenberg_invariants", 2, "nil first integrals", Geometry.HEISENBERG,
+         _each(_NIL, "conserved", "A^3*B", "A^3*C", "B/C")),
+    _Row("sol_symmetric", 3, "sol symmetric collapse", Geometry.SOL, (
+        _Entry(_SOL_SYM, "termination", _SINGULAR, "termination {value}"),
+        _Entry(_SOL_SYM, "checks", "singular time = B0^2/64", "singular time {blowup_time!r} vs 1.0: {name}: {value}"),
+        *_each(_SOL_SYM, "checks", "A=C locked", _CLOSED),
+    )),
+    _Row("sol_generic", 4, "sol generic blow-up laws", Geometry.SOL, (
+        *_each(_SOL_GEN, "laws", "B", "A", "C", "A-C"),
+        _Entry((Geometry.SOL, XCF_MINUS, (5.0, 4.0, 1.0), 10.0), "checks", "A-3C changes sign before the singular time"),
+    )),
+    _Row("su2", 5, "su2 collapse", Geometry.SU2, (
+        _Entry((Geometry.SU2, XCF_MINUS, (2.0, 2.0, 2.0), 10.0), "checks", _CLOSED, "round: {name}: {value}"),
+        _Entry(_SU2_GEN, "termination", _SINGULAR, "generic termination {value}"),
+        _Entry(_SU2_GEN, "checks", "A/C -> 1", "generic {name}: {value}"),
+        _Entry(_SU2_GEN, "laws", "A", "generic {name}: {value}"),
+    )),
+    _Row("sl2r_symmetric", 6, "sl2r symmetric pancake", Geometry.SL2R, (
+        _Entry(_SL2R_SYM, "checks", "B=C locked"),
+        _Entry(_SL2R_SYM, "laws", "B"),
+        _Entry(_SL2R_SYM, "checks", "B coefficient = (24 Ainf)^(1/3)"),
+        _Entry(_SL2R_SYM, "monotone", "4/A+1/B decreasing"),
+        _Entry(_SL2R_SYM, "checks", "d/dt(A^9 B^3) = 24 A^10 (trapezoid)"),
+    )),
+    _Row("sl2r_generic", 7, "sl2r generic blow-up laws", Geometry.SL2R, (
+        _Entry(_SL2R_GEN, "checks", "F1<0 and F2<0 entered and retained"),
+        *_each(_SL2R_GEN, "laws", "C", "A", "B"),
+        _Entry(_SL2R_GEN, "checks", "A/B -> 1"),
+    )),
+    _Row("e2", 8, "e2 cigar laws", Geometry.E2, (
+        _Entry((Geometry.E2, XCF_MINUS, (3.0, 3.0, 1.0), 10.0), "checks", "exactly stationary", "flat: {name}: {value}"),
+        *_each(_E2_GEN, "laws", "A-B", "C"),
+        _Entry(_E2_GEN, "monotone", "(A-B)^2*C increasing"),
+        *_each(_E2_GEN, "checks", "(A-B)^2*C settles over the last decade", "C coefficient = (8 E2/E1) sqrt(6)"),
+    )),
+    _Row("nxcf_volume", 9, "normalized flow preserves volume", None, tuple(
+        _Entry((geom, NXCF, init, 2.0), "conserved", "A*B*C", "{geometry}: drift {value}")
+        for geom, init in _NXCF_SEEDS.items()
+    )),
+)
 
 
-def criterion_sl2r_symmetric(runs: dict) -> CriterionResult:
-    rep = _report(runs, Geometry.SL2R, XCF_MINUS, (1.0, 1.0, 1.0), 1.0e6)
-    lock = _check(rep, "B=C locked")
-    b_law = _law(rep, "B")
-    rel = _check(rep, "B coefficient = (24 Ainf)^(1/3)")
-    mono = _monotone(rep, "4/A+1/B")
-    quad = _check(rep, "d/dt(A^9 B^3) = 24 A^10 (trapezoid)")
-    ok = lock.passed and b_law.passed and rel.passed and mono.passed and quad.passed
-    details = (_fmt_check(lock), _fmt_law(b_law), _fmt_check(rel), _fmt_check(mono), _fmt_check(quad))
-    return CriterionResult(6, "sl2r symmetric pancake", ok, details)
+def _criterion(row: _Row):
+    def criterion(runs: dict) -> CriterionResult:
+        return _evaluate(row, runs)
+
+    criterion.__name__ = criterion.__qualname__ = f"criterion_{row.key}"
+    return criterion
 
 
-def criterion_sl2r_generic(runs: dict) -> CriterionResult:
-    rep = _report(runs, Geometry.SL2R, XCF_MINUS, (1.0, 2.0, 1.0), 10.0)
-    region = _check(rep, "F1<0 and F2<0 entered and retained")
-    laws = [_law(rep, v) for v in ("C", "A", "B")]
-    ratio = _check(rep, "A/B -> 1")
-    ok = region.passed and all(l.passed for l in laws) and ratio.passed
-    details = (_fmt_check(region),) + tuple(_fmt_law(l) for l in laws) + (_fmt_check(ratio),)
-    return CriterionResult(7, "sl2r generic blow-up laws", ok, details)
-
-
-def criterion_e2(runs: dict) -> CriterionResult:
-    flat = _report(runs, Geometry.E2, XCF_MINUS, (3.0, 3.0, 1.0), 10.0)
-    stat = _check(flat, "exactly stationary")
-    rep = _report(runs, Geometry.E2, XCF_MINUS, (2.0, 1.0, 1.0), 1.0e8)
-    gap_law = _law(rep, "A-B")
-    c_law = _law(rep, "C")
-    prod = _monotone(rep, "(A-B)^2*C")
-    settle = _check(rep, "(A-B)^2*C settles over the last decade")
-    rel = _check(rep, "C coefficient = (8 E2/E1) sqrt(6)")
-    ok = stat.passed and gap_law.passed and c_law.passed and prod.passed and settle.passed and rel.passed
-    details = (
-        "flat: " + _fmt_check(stat),
-        _fmt_law(gap_law),
-        _fmt_law(c_law),
-        _fmt_check(prod),
-        _fmt_check(settle),
-        _fmt_check(rel),
-    )
-    return CriterionResult(8, "e2 cigar laws", ok, details)
-
-
-def criterion_nxcf_volume(runs: dict) -> CriterionResult:
-    details = []
-    ok = True
-    for geom, init in _NXCF_SEEDS.items():
-        rep = _report(runs, geom, NXCF, init, 2.0)
-        vol = next((c for c in rep.conserved if c.name == "A*B*C"), None)
-        if vol is None:
-            ok = False
-            details.append(f"{geom.value}: volume row missing")
-            continue
-        ok = ok and vol.passed
-        details.append(f"{geom.value}: drift {vol.observed:.3e} (tol {CONSERVED_DRIFT_TOL:.0e})")
-    return CriterionResult(9, "normalized flow preserves volume", ok, tuple(details))
+# Each row's criterion is bound at module level under its __name__
+# (criterion_heisenberg_closed_form, ..., criterion_nxcf_volume).
+_TABLE_CRITERIA = tuple(map(_criterion, _TABLE))
+globals().update((fn.__name__, fn) for fn in _TABLE_CRITERIA)
 
 
 def _max_entry_gap(got, want) -> np.ndarray:
@@ -353,37 +340,17 @@ def criterion_scaling_law(runs: dict) -> CriterionResult:
     )
 
 
-ALL_CRITERIA = (
-    criterion_heisenberg_closed_form,
-    criterion_heisenberg_invariants,
-    criterion_sol_symmetric,
-    criterion_sol_generic,
-    criterion_su2,
-    criterion_sl2r_symmetric,
-    criterion_sl2r_generic,
-    criterion_e2,
-    criterion_nxcf_volume,
-    criterion_oracle_equivalence,
-    criterion_scaling_law,
-)
-
-_GEOMETRY_CRITERIA: dict[Geometry, tuple] = {
-    Geometry.HEISENBERG: (criterion_heisenberg_closed_form, criterion_heisenberg_invariants),
-    Geometry.SOL: (criterion_sol_symmetric, criterion_sol_generic),
-    Geometry.SU2: (criterion_su2,),
-    Geometry.SL2R: (criterion_sl2r_symmetric, criterion_sl2r_generic),
-    Geometry.E2: (criterion_e2,),
-    Geometry.TRIVIAL: (),
-}
+ALL_CRITERIA = (*_TABLE_CRITERIA, criterion_oracle_equivalence, criterion_scaling_law)
 
 
 def criteria_for_geometry(geometry: Geometry) -> tuple:
-    """Criteria specific to one geometry, plus the cross-geometry ones."""
-    return _GEOMETRY_CRITERIA[geometry] + (
-        criterion_nxcf_volume,
-        criterion_oracle_equivalence,
-        criterion_scaling_law,
-    )
+    """Criteria specific to one geometry, plus the cross-geometry ones.
+
+    Reads `ALL_CRITERIA` at call time and keeps the criteria whose table row
+    names the geometry or none; criteria 10-11 have no row and cover all.
+    """
+    rows = (row.geometry for row in _TABLE)
+    return tuple(fn for fn, geom in zip_longest(ALL_CRITERIA, rows) if geom in (geometry, None))
 
 
 def run_suite(criteria) -> tuple[list[CriterionResult], dict[str, dict]]:

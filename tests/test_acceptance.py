@@ -8,11 +8,16 @@ line per criterion.
 
 from __future__ import annotations
 
+import json
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from xcflow import acceptance
+from xcflow import acceptance, cli
 from xcflow.acceptance import CriterionResult
+from xcflow.analysis import verify
 from xcflow.flows import NXCF, XCF_MINUS, RhsTriple, flow_rhs
 from xcflow.geometry import (
     CrossDiag,
@@ -22,6 +27,7 @@ from xcflow.geometry import (
     cross_from_sectional,
     sectional_curvatures,
 )
+from xcflow.integrator import IntegratorOptions, TerminationKind, integrate
 
 
 @pytest.mark.parametrize(
@@ -59,6 +65,156 @@ def test_full_suite_is_green():
     for line in (r.line() for r in results):
         print(line)
     assert all(r.passed for r in results)
+
+
+# ---------------------------------------------------------------------------
+# Criteria 1-9 pass exactly when every entry they print passes.  Each entry of
+# each report a criterion reads is flipped in turn, in a wrapped `verify`: the
+# criterion must fail when it prints that entry and pass when it does not
+# (criterion 6 does not print the `A decreasing` entry of its run, say).  A
+# termination entry is flipped by changing the run's termination kind.
+
+
+def _entry_keys(report) -> list[tuple[str, str]]:
+    keys = [("termination", report.termination["kind"])]
+    keys += [("laws", law.variable) for law in report.laws]
+    for field in ("conserved", "monotone", "checks"):
+        keys += [(field, c.name) for c in getattr(report, field)]
+    return keys
+
+
+def _flipped(report, field: str, name: str):
+    if field == "termination":
+        return replace(report, termination={**report.termination, "kind": TerminationKind.STEP_BUDGET_EXHAUSTED.value})
+    attr = "variable" if field == "laws" else "name"
+    entries = tuple(replace(e, passed=False) if getattr(e, attr) == name else e for e in getattr(report, field))
+    assert entries != getattr(report, field), (field, name)
+    return replace(report, **{field: entries})
+
+
+@pytest.fixture(scope="module")
+def verified_runs() -> dict:
+    """Integrate-call arguments -> (trajectory, report), filled once for the whole module."""
+    return {}
+
+
+@pytest.mark.parametrize(
+    "criterion",
+    acceptance.ALL_CRITERIA[:9],
+    ids=[fn.__name__.removeprefix("criterion_") for fn in acceptance.ALL_CRITERIA[:9]],
+)
+def test_each_printed_entry_gates_its_criterion(monkeypatch, verified_runs, criterion):
+    real_integrate, real_verify = acceptance.integrate, acceptance.verify
+    used, flip = [], None  # flip: the trajectory, field and name of the entry to flip
+
+    def memo_integrate(*args):
+        if args not in verified_runs:
+            traj = real_integrate(*args)
+            verified_runs[args] = traj, real_verify(traj)
+        used.append(verified_runs[args])
+        return verified_runs[args][0]
+
+    def flipping_verify(traj):
+        report = next(rep for t, rep in verified_runs.values() if t is traj)
+        return _flipped(report, *flip[1:]) if flip and flip[0] is traj else report
+
+    monkeypatch.setattr(acceptance, "integrate", memo_integrate)
+    monkeypatch.setattr(acceptance, "verify", flipping_verify)
+    result = criterion({})
+    assert result.passed, result.line()
+    [row] = [row for row in acceptance._TABLE if row.number == result.number]
+    printed = {(e.run, e.field, e.name) for e in row.entries}
+    assert len(result.details) == len(row.entries)
+    flips = 0
+    for traj, report in used[:]:  # the runs of the first call; each flipped call appends its own
+        run = (traj.geometry, traj.spec, (traj.m0.A, traj.m0.B, traj.m0.C), traj.options.t_max)
+        for key in _entry_keys(report):
+            flip = (traj, *key)
+            flipped = criterion({})
+            assert flipped.passed is ((run, *key) not in printed), (key, flipped.line())
+            flips += not flipped.passed
+    assert flips == len(printed)
+
+
+def test_a_missing_entry_is_a_lookup_error():
+    geometry, flow, init, t_max = run = acceptance._TABLE[1].entries[0].run
+    report = verify(integrate(geometry, flow, MetricDiag(*init), IntegratorOptions(t_max=t_max)))
+    trimmed = replace(report, conserved=tuple(c for c in report.conserved if c.name != "B/C"))
+    with pytest.raises(LookupError, match=r"conserved.*'B/C'"):
+        acceptance.criterion_heisenberg_invariants({run: trimmed})
+
+
+# The shape of each `flow verify all` line and the order of its runs, with
+# every numeric token masked: changes to the stepper's output bits move the
+# numbers, never the shape.  The margin regexes of the benchmark parse these lines.
+
+_NUMBER = re.compile(r"(?<![\w^])[-+]?\d+(?:\.\d+)?(?:e[-+]?\d+)?(?!\w)")
+
+_MASKED_LINES = [
+    "[PASS] criterion  # nil closed form: closed form: # (tol #)",
+    "[PASS] criterion  # nil first integrals: A^3*B: # (tol #); A^3*C: # (tol #); B/C: # (tol #)",
+    "[PASS] criterion  # sol symmetric collapse: termination singular_time; singular time # vs #: "
+    "singular time = B0^2/#: # (tol #); A=C locked: # (tol #); closed form (t <= # T0): # (tol #)",
+    "[PASS] criterion  # sol generic blow-up laws: B: exponent # vs # (tol #), coeff # vs #; "
+    "A: exponent # vs # (tol #); C: exponent # vs # (tol #); A-C: exponent # vs # (tol #); "
+    "A-3C changes sign before the singular time: min(A-3C)=#",
+    "[PASS] criterion  # su2 collapse: round: closed form (t <= # T0): # (tol #); generic termination singular_time; "
+    "generic A/C -> #: # (tol #); generic A: exponent # vs # (tol #), coeff # vs #",
+    "[PASS] criterion  # sl2r symmetric pancake: B=C locked: # (tol #); B: exponent # vs # (tol #); "
+    "B coefficient = (# Ainf)^(#/#): # (tol #); #/A+#/B decreasing: # (tol #); "
+    "d/dt(A^9 B^3) = # A^10 (trapezoid): # (tol #)",
+    "[PASS] criterion  # sl2r generic blow-up laws: F1<# and F2<# entered and retained: entered at t=#; "
+    "C: exponent # vs # (tol #), coeff # vs #; A: exponent # vs # (tol #); B: exponent # vs # (tol #); "
+    "A/B -> #: # (tol #)",
+    "[PASS] criterion  # e2 cigar laws: flat: exactly stationary: # (tol #); A-B: exponent # vs # (tol #); "
+    "C: exponent # vs # (tol #); (A-B)^2*C increasing: # (tol #); "
+    "(A-B)^2*C settles over the last decade: # (tol #); C coefficient = (# E2/E1) sqrt(#): # (tol #)",
+    "[PASS] criterion  # normalized flow preserves volume: heisenberg: drift # (tol #); sol: drift # (tol #); "
+    "su2: drift # (tol #); sl2r: drift # (tol #); e2: drift # (tol #); trivial: drift # (tol #)",
+    "[PASS] criterion # product form matches principal-curvature oracle: "
+    "worst max-entry-relative gap # (sol) over # draws per geometry (tol #)",
+    "[PASS] criterion # velocity field scales inversely with the metric: "
+    "worst relative gap # (sl2r) over # (metric, scale) pairs per geometry and both flow kinds (tol #)",
+]
+
+_REPORT_LABELS = [
+    "heisenberg xcf- init=(1,1,1) t_max=100",
+    "sol xcf- init=(1,8,1) t_max=10",
+    "sol xcf- init=(2,4,1) t_max=10",
+    "sol xcf- init=(5,4,1) t_max=10",
+    "su2 xcf- init=(2,2,2) t_max=10",
+    "su2 xcf- init=(3,2,1) t_max=10",
+    "sl2r xcf- init=(1,1,1) t_max=1e+06",
+    "sl2r xcf- init=(1,2,1) t_max=10",
+    "e2 xcf- init=(3,3,1) t_max=10",
+    "e2 xcf- init=(2,1,1) t_max=1e+08",
+    "heisenberg nxcf init=(1,2,3) t_max=2",
+    "sol nxcf init=(2,4,1) t_max=2",
+    "su2 nxcf init=(3,2,1) t_max=2",
+    "sl2r nxcf init=(1,2,1) t_max=2",
+    "e2 nxcf init=(2,1,1) t_max=2",
+    "trivial nxcf init=(1,2,3) t_max=2",
+]
+
+_GEOMETRY_SUITES = {
+    Geometry.HEISENBERG: [1, 2, 9, 10, 11],
+    Geometry.SOL: [3, 4, 9, 10, 11],
+    Geometry.SU2: [5, 9, 10, 11],
+    Geometry.SL2R: [6, 7, 9, 10, 11],
+    Geometry.E2: [8, 9, 10, 11],
+    Geometry.TRIVIAL: [9, 10, 11],
+}
+
+
+def test_verify_all_line_shapes_run_order_and_suites(capsys, tmp_path):
+    out_path = tmp_path / "verify.json"
+    assert cli.main(["verify", "all", "--output", str(out_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [_NUMBER.sub("#", line) for line in lines] == _MASKED_LINES
+    assert list(json.loads(out_path.read_text())["reports"]) == _REPORT_LABELS
+    numbers = {fn: number for number, fn in enumerate(acceptance.ALL_CRITERIA, start=1)}
+    for geometry, want in _GEOMETRY_SUITES.items():
+        assert [numbers[fn] for fn in acceptance.criteria_for_geometry(geometry)] == want, geometry
 
 
 # ---------------------------------------------------------------------------
