@@ -18,11 +18,13 @@ covers all of them) and its ordered entries.  An `_Entry` names a run key, a
 report field (`checks`, `conserved`, `monotone`, `laws`, or `termination`
 for the run's termination kind), the entry's name within that field (a
 law's variable; for `termination`, the kind that passes) and the template
-its text is printed with.  The evaluator looks each entry up in its report,
-raising `LookupError` when the report has none, prints one detail per entry
-in row order, and passes the criterion exactly when every printed entry
-passes.  Reports enter the memo in the order the entries first name their
-runs, and that order is the key order of the reports `run_suite` returns.
+its text is printed with.  The evaluator looks each entry up in its report
+by name, raising `LookupError` when the report has none, prints one detail
+per entry in row order from the entry's own `text` (the text
+`VerificationReport.summary_lines` prints too), and passes the criterion
+exactly when every printed entry passes.  Reports enter the memo in the
+order the entries first name their runs, and that order is the key order of
+the reports `run_suite` returns.
 
 Criteria 10 and 11 integrate nothing.  They draw pseudo-random metrics (and
 criterion 11 its scales) from a fixed SplitMix64 counter stream, `_uniform`,
@@ -95,19 +97,6 @@ def _report(
     return runs[key]
 
 
-def _fmt_check(c) -> str:
-    if c.observed is None or c.threshold is None:
-        return c.detail or ("ok" if c.passed else "failed")
-    return f"{c.observed:.3e} (tol {c.threshold:.0e})"
-
-
-def _fmt_law(l) -> str:
-    s = f"exponent {l.fitted_exponent:+.5f} vs {l.expected_exponent:+.5f} (tol {l.exponent_tolerance})"
-    if l.expected_coefficient is not None and l.fitted_coefficient is not None:
-        s += f", coeff {l.fitted_coefficient:.5g} vs {l.expected_coefficient:.5g}"
-    return s
-
-
 class _Entry(NamedTuple):
     """One printed entry of a criterion.
 
@@ -141,11 +130,10 @@ def _evaluate(row: _Row, runs: dict) -> CriterionResult:
             value = rep.termination["kind"]
             flags.append(value == entry.name)
         else:
-            attr, fmt = ("variable", _fmt_law) if entry.field == "laws" else ("name", _fmt_check)
-            item = next((x for x in getattr(rep, entry.field) if getattr(x, attr) == entry.name), None)
+            item = next((x for x in getattr(rep, entry.field) if x.name == entry.name), None)
             if item is None:
                 raise LookupError(f"report has no {entry.field} entry {entry.name!r} for run {entry.run}")
-            value = fmt(item)
+            value = item.text
             flags.append(item.passed)
         details.append(entry.form.format(
             name=entry.name, value=value, geometry=entry.run[0].value, blowup_time=rep.blowup_time

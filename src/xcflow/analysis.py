@@ -8,8 +8,9 @@
 * `estimate_limit_plus_power` fits value ~ L + c * t^p for laws with a
   finite limit;
 * `verify` checks a trajectory against its conserved quantities and what
-  its branch record (`analytic.branch_record`) states, and returns a
-  structured report.
+  its branch record (`analytic.branch_record`) states, fitting through the
+  two fitters above (an unfittable entry fails with the refusing function's
+  message); each entry of its report formats the one `text` it prints.
 
 Every fit window comes from `_fit_window`, fixed for reproducibility:
 late-time fits use [t_max/10, t_max]; blow-up fits use u = T0 - t in
@@ -198,24 +199,6 @@ def _fit_window(
     return x, mask, (float(lo), float(hi))
 
 
-def _power_fit_core(
-    times: np.ndarray,
-    values: np.ndarray,
-    regime: str,
-    t0: float | None,
-    window: tuple[float, float] | None,
-    reached: bool,
-) -> PowerLawFit:
-    if regime == REGIME_INFINITY and not reached:
-        raise ValueError("late-time regime requires a run that reached its horizon")
-    x, mask, window = _fit_window(times, regime, t0, window)
-    v = values[mask]
-    if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
-        raise ValueError("fit window contains non-positive or non-finite values")
-    slope, intercept, r2 = _linefit(np.log(x[mask]), np.log(v))
-    return PowerLawFit(slope, float(np.exp(intercept)), r2, window, int(mask.sum()))
-
-
 def fit_power_law(
     trajectory: Trajectory,
     variable: str,
@@ -229,27 +212,14 @@ def fit_power_law(
     T0 - t for regime "blowup" (t0 required).  Windows with fewer than 32
     samples or non-positive values are rejected.
     """
-    values = series_values(trajectory.states, variable)
-    reached = trajectory.termination.kind is TerminationKind.REACHED_T_MAX
-    return _power_fit_core(trajectory.times, values, regime, t0, window, reached)
-
-
-def _limit_fit_core(
-    times: np.ndarray,
-    values: np.ndarray,
-    exponent: float,
-    window: tuple[float, float] | None,
-) -> LimitPowerFit:
-    _, mask, window = _fit_window(times, REGIME_INFINITY, window=window)
-    t = times[mask]
-    v = values[mask]
-    d = np.diff(v)
-    slack = 1e-12 * float(np.max(np.abs(v)))
-    if not (np.all(d >= -slack) or np.all(d <= slack)):
-        raise ValueError("series is not monotone on the fit window")
-    X = np.column_stack([np.ones_like(t), t**exponent])
-    (limit, coeff), *_ = np.linalg.lstsq(X, v, rcond=None)
-    return LimitPowerFit(float(limit), float(coeff), float(exponent), window, int(mask.sum()))
+    if regime == REGIME_INFINITY and trajectory.termination.kind is not TerminationKind.REACHED_T_MAX:
+        raise ValueError("late-time regime requires a run that reached its horizon")
+    x, mask, window = _fit_window(trajectory.times, regime, t0, window)
+    v = series_values(trajectory.states, variable)[mask]
+    if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
+        raise ValueError("fit window contains non-positive or non-finite values")
+    slope, intercept, r2 = _linefit(np.log(x[mask]), np.log(v))
+    return PowerLawFit(slope, float(np.exp(intercept)), r2, window, int(mask.sum()))
 
 
 def estimate_limit_plus_power(
@@ -265,8 +235,16 @@ def estimate_limit_plus_power(
     """
     if trajectory.termination.kind is not TerminationKind.REACHED_T_MAX:
         raise ValueError("limit fits require a run that reached its horizon")
-    values = series_values(trajectory.states, variable)
-    return _limit_fit_core(trajectory.times, values, float(exponent), window)
+    _, mask, window = _fit_window(trajectory.times, REGIME_INFINITY, window=window)
+    t = trajectory.times[mask]
+    v = series_values(trajectory.states, variable)[mask]
+    d = np.diff(v)
+    slack = 1e-12 * float(np.max(np.abs(v)))
+    if not (np.all(d >= -slack) or np.all(d <= slack)):
+        raise ValueError("series is not monotone on the fit window")
+    X = np.column_stack([np.ones_like(t), t ** float(exponent)])
+    (limit, coeff), *_ = np.linalg.lstsq(X, v, rcond=None)
+    return LimitPowerFit(float(limit), float(coeff), float(exponent), window, int(mask.sum()))
 
 
 def estimate_blowup_time(run: Trajectory | Termination) -> float:
@@ -296,6 +274,13 @@ class CheckResult:
     threshold: float | None = None
     detail: str = ""
 
+    @property
+    def text(self) -> str:
+        """The observed value against its tolerance, else the detail."""
+        if self.observed is None:
+            return self.detail
+        return f"{self.observed:.3e} (tol {self.threshold:.0e})"
+
     def to_dict(self) -> dict:
         return dict(self.__dict__)
 
@@ -314,6 +299,21 @@ class LawResult:
     r2: float | None = None
     passed: bool = False
     detail: str = ""
+    kind = "law"  # a class attribute, not a field
+
+    @property
+    def name(self) -> str:
+        return self.variable
+
+    @property
+    def text(self) -> str:
+        """The fitted exponent and coefficient against the expected ones, else the detail."""
+        if self.fitted_exponent is None:
+            return self.detail
+        s = f"exponent {self.fitted_exponent:+.5f} vs {self.expected_exponent:+.5f} (tol {self.exponent_tolerance})"
+        if self.expected_coefficient is not None and self.fitted_coefficient is not None:
+            s += f", coeff {self.fitted_coefficient:.5g} vs {self.expected_coefficient:.5g}"
+        return s
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -335,10 +335,13 @@ class VerificationReport:
     checks: tuple[CheckResult, ...]
 
     @property
+    def entries(self) -> tuple[CheckResult | LawResult, ...]:
+        return (*self.conserved, *self.monotone, *self.laws, *self.checks)
+
+    @property
     def passed(self) -> bool | None:
         """Whether every entry passed; None when the report has no entry, so nothing was checked."""
-        entries = (*self.conserved, *self.monotone, *self.laws, *self.checks)
-        return all(e.passed for e in entries) if entries else None
+        return all(e.passed for e in self.entries) if self.entries else None
 
     def to_dict(self) -> dict:
         return {
@@ -357,23 +360,12 @@ class VerificationReport:
         }
 
     def summary_lines(self) -> list[str]:
-        lines = [
+        """A header line, then `  <kind> <name>: <text> ok|FAIL` per entry in report order."""
+        header = (
             f"{self.geometry}/{self.flow} branch={self.branch} "
             f"termination={self.termination['kind']} passed={'unchecked' if self.passed is None else self.passed}"
-        ]
-        for c in self.conserved:
-            lines.append(f"  conserved {c.name}: drift={c.observed:.3e} (tol {c.threshold:.0e}) {'ok' if c.passed else 'FAIL'}")
-        for c in self.monotone:
-            lines.append(f"  monotone {c.name}: violation={c.observed:.3e} (tol {c.threshold:.0e}) {'ok' if c.passed else 'FAIL'}")
-        for l in self.laws:
-            got = "unfitted" if l.fitted_exponent is None else f"p={l.fitted_exponent:+.4f}"
-            lines.append(
-                f"  law {l.variable} ~ x^({l.expected_exponent:+.4f}) [{l.regime}]: "
-                f"{got} {'ok' if l.passed else 'FAIL'} {l.detail}".rstrip()
-            )
-        for c in self.checks:
-            lines.append(f"  check {c.name}: {'ok' if c.passed else 'FAIL'} {c.detail}".rstrip())
-        return lines
+        )
+        return [header, *(f"  {e.kind} {e.name}: {e.text} {'ok' if e.passed else 'FAIL'}" for e in self.entries)]
 
 
 def _gate(name: str, kind: str, value: float, tol: float, detail: str = "") -> CheckResult:
@@ -428,13 +420,10 @@ def verify(trajectory: Trajectory) -> VerificationReport:
     """
     geom, spec, m0 = trajectory.geometry, trajectory.spec, trajectory.m0
     S = trajectory.states
-    t = trajectory.times
     term = trajectory.termination
     record = branch_record(geom, spec, m0)
     perm = canonical_permutation(geom, m0)
-    Sc = S[:, perm]
-    singular = term.kind is TerminationKind.SINGULAR_TIME
-    reached = term.kind is TerminationKind.REACHED_T_MAX
+    canonical = replace(trajectory, states=S[:, perm])
 
     conserved = [
         _gate(name, "conserved", _max_rel_drift(series_values(S, name), v0), CONSERVED_DRIFT_TOL)
@@ -448,7 +437,7 @@ def verify(trajectory: Trajectory) -> VerificationReport:
         for name, direction in record.monotone
     ]
 
-    blowup_time = estimate_blowup_time(trajectory) if singular else None
+    blowup_time = estimate_blowup_time(trajectory) if term.kind is TerminationKind.SINGULAR_TIME else None
 
     laws: list[LawResult] = []
     fits: dict[str, PowerLawFit | LimitPowerFit] = {}  # by variable, which is unique within a record
@@ -458,24 +447,15 @@ def verify(trajectory: Trajectory) -> VerificationReport:
             law.variable, law.regime, expected_exp, law.exponent_tol,
             expected_coefficient=law.coefficient, coefficient_tolerance=law.coefficient_tol,
         )
-        values = series_values(Sc, law.variable)
         try:
             if law.limit_form:
-                if not reached:
-                    raise ValueError("run did not reach its horizon")
-                fit = fits[law.variable] = _limit_fit_core(t, values, expected_exp, None)
+                fit = fits[law.variable] = estimate_limit_plus_power(canonical, law.variable, expected_exp)
                 laws.append(replace(
                     unfitted, fitted_exponent=expected_exp, fitted_coefficient=fit.coefficient,
                     fitted_limit=fit.limit, passed=fit.limit > 0.0, detail=f"limit={fit.limit:.6g}",
                 ))
                 continue
-            if law.regime == REGIME_BLOWUP:
-                if blowup_time is None:
-                    raise ValueError("no usable singular event")
-                fit = _power_fit_core(t, values, REGIME_BLOWUP, blowup_time, None, reached)
-            else:
-                fit = _power_fit_core(t, values, REGIME_INFINITY, None, None, reached)
-            fits[law.variable] = fit
+            fit = fits[law.variable] = fit_power_law(canonical, law.variable, law.regime, blowup_time)
             ok = abs(fit.exponent - expected_exp) <= law.exponent_tol
             detail = f"coeff={fit.coefficient:.6g}"
             if law.coefficient_tol is not None:
@@ -499,7 +479,7 @@ def verify(trajectory: Trajectory) -> VerificationReport:
         conserved=tuple(conserved),
         monotone=tuple(monotone),
         laws=tuple(laws),
-        checks=tuple(_branch_checks(record, trajectory, Sc, blowup_time, fits)),
+        checks=tuple(_branch_checks(record, trajectory, canonical.states, blowup_time, fits)),
     )
 
 
@@ -547,13 +527,10 @@ def _branch_checks(
             else:
                 gate(name, abs(blowup_time - record.t0) / record.t0, BLOWUP_TIME_TOL)
         elif kind == "ratio_limit":
-            if blowup_time is None:
-                fail(name, "no singular-time estimate")
-                continue
             try:
                 _, mask, _ = _fit_window(t, REGIME_BLOWUP, blowup_time)
-            except ValueError:
-                fail(name, "window too thin")
+            except ValueError as e:
+                fail(name, str(e))
                 continue
             dev = float(np.mean(np.abs(series_values(Sc, check.series)[mask] - 1.0)))
             gate(name, dev, RATIO_LIMIT_TOL, f"mean |{check.series}-1| on the final window")

@@ -144,6 +144,20 @@ def test_a_missing_entry_is_a_lookup_error():
         acceptance.criterion_heisenberg_invariants({run: trimmed})
 
 
+def test_an_unfitted_law_prints_its_detail():
+    # a law whose fit was refused has no exponent to print: the criterion
+    # line and the report summary both print its detail and fail
+    geometry, flow, init, t_max = run = acceptance._SOL_GEN
+    report = verify(integrate(geometry, flow, MetricDiag(*init), IntegratorOptions(t_max=t_max)))
+    planted = replace(report, laws=tuple(
+        replace(l, fitted_exponent=None, passed=False, detail="planted: no fit") if l.variable == "B" else l
+        for l in report.laws
+    ))
+    line = acceptance.criterion_sol_generic({run: planted}).line()
+    assert line.startswith("[FAIL]") and "B: planted: no fit" in line
+    assert "  law B: planted: no fit FAIL" in planted.summary_lines()
+
+
 # The shape of each `flow verify all` line and the order of its runs, with
 # every numeric token masked: changes to the stepper's output bits move the
 # numbers, never the shape.  The margin regexes of the benchmark parse these lines.

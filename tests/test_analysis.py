@@ -14,6 +14,9 @@ from xcflow import (
     Geometry,
     IntegratorOptions,
     MetricDiag,
+    Termination,
+    TerminationKind,
+    Trajectory,
     XCF_MINUS,
     XCF_PLUS,
     estimate_blowup_time,
@@ -25,7 +28,7 @@ from xcflow import (
     verify,
 )
 from xcflow import analysis
-from xcflow.analysis import _SERIES, _limit_fit_core, _power_fit_core
+from xcflow.analysis import _SERIES
 from xcflow.analytic import (
     REGIME_BLOWUP,
     REGIME_INFINITY,
@@ -64,11 +67,22 @@ def test_series_values_accepts_trajectories(sol_symmetric_run):
 # Power-law fitter on synthetic data (exact model recovery)
 
 
+def _synthetic(t: np.ndarray, v: np.ndarray, kind: TerminationKind) -> Trajectory:
+    """A trajectory whose three coefficients all hold the series v at times t, stopped by `kind` at t[-1]."""
+    return Trajectory(
+        Geometry.SOL, XCF_MINUS, MetricDiag(1, 1, 1), IntegratorOptions(), t, np.column_stack([v, v, v]),
+        Termination(kind, float(t[-1])), None,
+    )
+
+
+_SINGULAR, _REACHED = TerminationKind.SINGULAR_TIME, TerminationKind.REACHED_T_MAX
+
+
 def test_fit_recovers_sqrt_collapse():
     t0 = 1.0
     t = t0 - np.geomspace(0.5, 1e-9, 400)
     v = 8.0 * np.sqrt(t0 - t)
-    fit = _power_fit_core(t, v, REGIME_BLOWUP, t0, None, reached=False)
+    fit = fit_power_law(_synthetic(t, v, _SINGULAR), "A", REGIME_BLOWUP, t0)
     assert fit.exponent == pytest.approx(0.5, abs=1e-9)
     assert fit.coefficient == pytest.approx(8.0, rel=1e-9)
     assert fit.r2 > 0.999999
@@ -84,10 +98,10 @@ def test_fit_recovers_synthetic_power_laws(coeff, p, blowup_mode):
     if blowup_mode:
         t0 = 2.0
         t = t0 - np.geomspace(1.0, 1e-8, 300)
-        fit = _power_fit_core(t, coeff * (t0 - t) ** p, REGIME_BLOWUP, t0, None, reached=False)
+        fit = fit_power_law(_synthetic(t, coeff * (t0 - t) ** p, _SINGULAR), "A", REGIME_BLOWUP, t0)
     else:
         t = np.geomspace(1e-3, 1e3, 300)
-        fit = _power_fit_core(t, coeff * t**p, REGIME_INFINITY, None, None, reached=True)
+        fit = fit_power_law(_synthetic(t, coeff * t**p, _REACHED), "A", REGIME_INFINITY)
     assert fit.exponent == pytest.approx(p, abs=max(1e-6, 1e-6 * abs(p)))
     assert fit.coefficient == pytest.approx(coeff, rel=1e-6)
 
@@ -96,13 +110,13 @@ def test_fit_rejects_bad_windows():
     t = np.geomspace(1e-3, 10.0, 200)
     v = np.sqrt(t)
     with pytest.raises(ValueError, match="insufficient samples"):
-        _power_fit_core(t, v, REGIME_INFINITY, None, (20.0, 30.0), reached=True)
+        fit_power_law(_synthetic(t, v, _REACHED), "A", REGIME_INFINITY, window=(20.0, 30.0))
     with pytest.raises(ValueError, match="non-positive"):
-        _power_fit_core(t, v - 2.0, REGIME_INFINITY, None, None, reached=True)
+        fit_power_law(_synthetic(t, v - 2.0, _REACHED), "A", REGIME_INFINITY)
     with pytest.raises(ValueError, match="unknown regime"):
-        _power_fit_core(t, v, "late", None, None, reached=True)
+        fit_power_law(_synthetic(t, v, _REACHED), "A", "late")
     with pytest.raises(ValueError, match="singular time"):
-        _power_fit_core(t, v, REGIME_BLOWUP, None, None, reached=False)
+        fit_power_law(_synthetic(t, v, _SINGULAR), "A", REGIME_BLOWUP)
 
 
 def test_fit_power_law_requires_matching_termination(sol_symmetric_run):
@@ -117,7 +131,7 @@ def test_fit_power_law_requires_matching_termination(sol_symmetric_run):
 def test_limit_fit_recovers_synthetic_model():
     t = np.geomspace(1.0, 1e4, 300)
     v = 2.0 + 0.5 * t ** (-1.0 / 3.0)
-    fit = _limit_fit_core(t, v, -1.0 / 3.0, None)
+    fit = estimate_limit_plus_power(_synthetic(t, v, _REACHED), "A", -1.0 / 3.0)
     assert fit.limit == pytest.approx(2.0, rel=1e-6)
     assert fit.coefficient == pytest.approx(0.5, rel=1e-6)
 
@@ -126,7 +140,7 @@ def test_limit_fit_rejects_non_monotone_window():
     t = np.geomspace(1.0, 1e4, 300)
     v = 2.0 + 0.5 * t ** (-1.0 / 3.0) + 0.01 * np.sin(t)
     with pytest.raises(ValueError, match="monotone"):
-        _limit_fit_core(t, v, -1.0 / 3.0, None)
+        estimate_limit_plus_power(_synthetic(t, v, _REACHED), "A", -1.0 / 3.0)
 
 
 def test_limit_fit_requires_completed_run(sol_symmetric_run):
@@ -214,6 +228,30 @@ def test_verify_heisenberg_all_green(heisenberg_unit_run):
     assert {c.name for c in report.conserved} == {"A^3*B", "A^3*C", "B/C"}
     assert all(c.observed <= 1e-9 for c in report.conserved)
     assert len(report.laws) == 3 and all(l.passed for l in report.laws)
+
+
+def test_unfittable_entries_give_the_refusing_functions_message():
+    # verify keeps no precondition of its own: a law or ratio check that
+    # cannot be fitted reports the message of the function that refused it
+    sol = verify(integrate(Geometry.SOL, XCF_MINUS, MetricDiag(1, 8, 1), IntegratorOptions(t_max=0.001)))
+    assert sol.termination["kind"] == "reached_t_max"
+    blowup = [l for l in sol.laws if l.regime == REGIME_BLOWUP]
+    assert blowup and all(not l.passed for l in blowup)
+    assert {l.detail for l in blowup} == {"blow-up regime requires the singular time t0"}
+
+    m0 = MetricDiag(1, 1, 1)
+    budget = verify(integrate(Geometry.SL2R, XCF_MINUS, m0, IntegratorOptions(t_max=1e6, max_steps=40)))
+    assert budget.termination["kind"] == "step_budget_exhausted"
+    limit_form = {law.variable for law in branch_record(Geometry.SL2R, XCF_MINUS, m0).laws if law.limit_form}
+    limits = [l for l in budget.laws if l.variable in limit_form]
+    assert limits and all(not l.passed for l in limits)
+    assert {l.detail for l in limits} == {"limit fits require a run that reached its horizon"}
+
+    traj = integrate(Geometry.SU2, XCF_MINUS, MetricDiag(3, 2, 1), IntegratorOptions(t_max=0.001))
+    with pytest.raises(ValueError) as refusal:
+        analysis._fit_window(traj.times, REGIME_BLOWUP, None)
+    [ratio] = [c for c in verify(traj).checks if c.name == "A/C -> 1"]
+    assert not ratio.passed and ratio.detail == str(refusal.value)
 
 
 def test_verify_is_idempotent(sol_generic_run):
