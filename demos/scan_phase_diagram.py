@@ -33,7 +33,7 @@ with redirect_stdout(buf):
     code = main([
         "scan", "--geometry", "sol",
         "--grid-A", grid, "--grid-B", "4", "--grid-C", grid,
-        "--t-max", "10", "--samples", "256",
+        "--t-max", "10",
     ])
 assert code == 0
 rows = list(csv.DictReader(io.StringIO(buf.getvalue())))

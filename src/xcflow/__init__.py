@@ -67,6 +67,7 @@ from .integrator import (
     Termination,
     TerminationKind,
     Trajectory,
+    accepted_states,
     integrate,
     sample_at,
     terminate,
@@ -96,6 +97,7 @@ __all__ = [
     "Trajectory",
     "integrate",
     "terminate",
+    "accepted_states",
     "sample_at",
     "exact_solution",
     "singular_time",

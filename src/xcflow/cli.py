@@ -9,7 +9,7 @@ criteria for one geometry or all of them and writes a JSON report.  `scan`
 integrates a grid of initial data and writes one classification row per
 grid point, ordered by grid index no matter how the work was scheduled;
 each point is integrated in the labels the catalogs assume, once for all
-the points that relabel to the same datum, and with only the samples its
+the points that relabel to the same datum, and keeping only the states its
 row reads: none, and so no step table, where the row reads only how the
 run ended.
 Every CSV text, trajectory or scan, goes through one writer, and every JSON
@@ -48,7 +48,7 @@ from .analysis import estimate_blowup_time, verify
 from .analytic import canonical_permutation, classify_branch, sl2r_trapping_entry
 from .flows import FLOWS, FlowSpec
 from .geometry import Geometry, MetricDiag, cross_curvature_diag, sectional_curvatures
-from .integrator import IntegratorOptions, TerminationKind, Trajectory, integrate, terminate
+from .integrator import IntegratorOptions, TerminationKind, Trajectory, accepted_states, integrate, terminate
 
 __all__ = [
     "RunConfig",
@@ -334,8 +334,11 @@ def _effective_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _integrator_options(settings) -> IntegratorOptions:
-    """`IntegratorOptions` from the like-named attributes of a `RunConfig` or of parsed scan flags."""
-    return IntegratorOptions(**{f.name: getattr(settings, f.name) for f in fields(IntegratorOptions)})
+    """`IntegratorOptions` from the like-named attributes of a `RunConfig` or of parsed scan flags.
+
+    An option `settings` lacks keeps its default: `flow scan` has no `--samples`.
+    """
+    return IntegratorOptions(**{f.name: getattr(settings, f.name, f.default) for f in fields(IntegratorOptions)})
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -436,22 +439,22 @@ def _scan_reads(geometry: Geometry, branch: str) -> str:
     what its flag reads (`_scan_flag`).  A branch with its own flag and
     every geometry but Sol and SL(2,R) read nothing; a generic Sol row
     compares 3C with A at its last state; a generic SL(2,R) row looks for
-    the trapping region along its samples.
+    the trapping region along the states of its run.
     """
     if branch in _OWN_FLAG_BRANCHES or geometry not in (Geometry.SOL, Geometry.SL2R):
         return "nothing"
     return "last" if geometry is Geometry.SOL else "path"
 
 
-def _scan_flag(geometry: Geometry, trajectory: Trajectory | None, branch: str) -> str:
-    """The flag cell of a canonical datum's run; `trajectory` may be None where the flag reads nothing."""
+def _scan_flag(geometry: Geometry, states: np.ndarray | None, branch: str) -> str:
+    """The flag cell of a canonical datum's run from the states (n, 3) it reads; None where it reads nothing."""
     reads = _scan_reads(geometry, branch)
     if reads == "nothing":
         return branch if branch in _OWN_FLAG_BRANCHES else ""
     if reads == "last":
-        A, _, C = trajectory.states[-1]
+        A, _, C = states[-1]
         return "3C>A" if 3.0 * C > A else ""
-    _, retained = sl2r_trapping_entry(trajectory.states)
+    _, retained = sl2r_trapping_entry(states)
     return "entered-region" if retained else "no-region"
 
 
@@ -461,11 +464,19 @@ def _scan_point(payload: tuple) -> list[str]:
     The point is relabeled to its canonical datum, and then scaled when a
     volume is given, so a point and its mirrored twin have the same cells.
     Every cell but the flag reads only the termination, m0 or the branch,
-    and `_scan_reads` says what the flag reads.  A row whose flag reads
-    nothing runs the bare stepper (`terminate`): no step table, no dense
-    output.  A generic Sol row is integrated with two samples, whose last
-    row has the same bits as at any sample count, since the dense output is
-    elementwise; a generic SL(2,R) row with `--samples`.
+    and `_scan_reads` says what the flag reads; no row reads
+    `options.samples`.
+
+    - nothing: the bare stepper (`terminate`), no step table and no dense
+      output;
+    - the last state (generic Sol): `integrate` with two samples, whose last
+      row has the same bits as at any sample count, since the dense output
+      is elementwise;
+    - the path (generic SL(2,R)): the stepper's accepted states
+      (`accepted_states`), no step table.  The stepper holds no state at
+      t_max, so a run that reached it also appends the last row of a
+      two-sample `integrate`, the same bits as the last row at any sample
+      count.
     """
     geometry, spec, a, b, c, options, volume = payload
     datum = _canonical(geometry, (a, b, c))
@@ -475,12 +486,17 @@ def _scan_point(payload: tuple) -> list[str]:
     branch = classify_branch(geometry, m0)
     reads = _scan_reads(geometry, branch)
     if reads == "nothing":
-        trajectory, term = None, terminate(geometry, spec, m0, options)
+        states, term = None, terminate(geometry, spec, m0, options)
+    elif reads == "last":
+        trajectory = integrate(geometry, spec, m0, replace(options, samples=2))
+        states, term = trajectory.states, trajectory.termination
     else:
-        trajectory = integrate(geometry, spec, m0, replace(options, samples=2) if reads == "last" else options)
-        term = trajectory.termination
+        term, states = accepted_states(geometry, spec, m0, options)
+        if term.kind is TerminationKind.REACHED_T_MAX:
+            last = integrate(geometry, spec, m0, replace(options, samples=2)).states[-1]
+            states = np.vstack([states, last])
     blowup = "%.17g" % estimate_blowup_time(term) if term.kind is TerminationKind.SINGULAR_TIME else ""
-    return [term.kind.value, "%.17g" % term.t_stop, blowup, branch, _scan_flag(geometry, trajectory, branch)]
+    return [term.kind.value, "%.17g" % term.t_stop, blowup, branch, _scan_flag(geometry, states, branch)]
 
 
 def _occurrences(geometry: Geometry, datum: tuple, counts: list[Counter]) -> int:
@@ -633,8 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--t-max", type=float, default=IntegratorOptions.t_max)
     scan.add_argument("--rtol", type=float, default=IntegratorOptions.rtol)
     scan.add_argument("--atol", type=float, default=IntegratorOptions.atol)
-    scan.add_argument("--samples", type=int, default=512,
-                      help="dense output of the rows whose flag reads the samples (generic sl2r)")
     scan.add_argument("--max-steps", type=int, default=IntegratorOptions.max_steps,
                       help="step-attempt budget of each grid point, counted as for run")
     scan.add_argument("--normalize-volume", type=float, default=None, metavar="V",

@@ -67,11 +67,12 @@ stage state is one tableau row written out component by component into
 locals, and each stage velocity is one call of `_velocity`, which evaluates
 the right-hand side, s and the finiteness guard.  One step loop, the
 generator `_steps`, holds the controller, the stop rules and the budget; it
-yields each accepted step and returns the stop record, and two functions
+yields each accepted step and returns the stop record, and three functions
 drain it.  `integrate` keeps the start state, size and stage velocities of
 every accepted step in flat arrays, for the step table and the dense
-output.  `terminate` keeps nothing and returns only the `Termination`,
-equal to `integrate`'s field for field, for callers that read nothing else.
+output.  `accepted_states` keeps only the accepted states, 24 bytes a step.
+`terminate` keeps nothing and returns only the `Termination`.  All three
+return the same `Termination` field for field.
 
 Step times are accumulated with compensated summation, which keeps
 (t_stop - t) accurate to one ulp of t near blow-up.
@@ -103,6 +104,7 @@ __all__ = [
     "Trajectory",
     "integrate",
     "terminate",
+    "accepted_states",
     "sample_at",
 ]
 
@@ -892,6 +894,35 @@ def terminate(
             next(steps)
     except StopIteration as end:
         return _termination(run, end.value)
+
+
+def accepted_states(
+    geometry: Geometry,
+    spec: FlowSpec,
+    m0: MetricDiag,
+    options: IntegratorOptions | None = None,
+) -> tuple[Termination, np.ndarray]:
+    """The `Termination` of `terminate` and the states (n, 3) the stepper accepted, in the caller's units.
+
+    The rows are the start state of every step `_steps` yields, m0 first
+    and bit for bit, then the last accepted state, except on a run that
+    reached t_max, whose last state lies past t_max.  Each row is the
+    stepper's own state times 2^k, which is exact.  It keeps 24 bytes a
+    step and builds no step table and no dense output, so `options.samples`
+    is not used.
+    """
+    opts = options if options is not None else IntegratorOptions()
+    run = _start(geometry, spec, m0, opts)
+    rows = array("d")
+    steps = _steps(run, opts)
+    try:
+        while True:
+            rows.extend(next(steps)[2])
+    except StopIteration as end:
+        stop = end.value
+    if stop.kind is not TerminationKind.REACHED_T_MAX:
+        rows.extend(stop.y)
+    return _termination(run, stop), np.ldexp(np.frombuffer(rows).reshape(-1, 3), run.k)
 
 
 def sample_at(trajectory: Trajectory, t: float) -> MetricDiag:

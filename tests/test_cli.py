@@ -3,18 +3,31 @@
 from __future__ import annotations
 
 import json
+import math
 import os
+import random
 import re
 import subprocess
 import sys
 import textwrap
-from dataclasses import fields
+from collections import Counter
+from dataclasses import fields, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from xcflow import Geometry, MetricDiag, IntegratorOptions, XCF_MINUS, canonical_permutation, integrate
+from xcflow import (
+    Geometry,
+    IntegratorOptions,
+    MetricDiag,
+    XCF_MINUS,
+    accepted_states,
+    canonical_permutation,
+    integrate,
+    terminate,
+)
 from xcflow.cli import (
     CSV_HEADER,
     EXIT_BUDGET,
@@ -61,9 +74,9 @@ def test_run_and_scan_defaults_are_the_integrator_defaults():
         want = getattr(defaults, field.name)
         got = getattr(run, field.name)
         assert got == want and type(got) is type(want), field.name
-        if field.name != "samples":  # a scan point keeps 512 samples
+        if field.name != "samples":  # no scan row reads samples, so scan has no --samples
             assert getattr(scan, field.name) == want, field.name
-    assert scan.samples == 512
+    assert not hasattr(scan, "samples")
 
 
 def test_run_config_merge_and_validation():
@@ -274,7 +287,7 @@ def test_scan_unwritable_output_is_a_usage_error(capsys, tmp_path):
     target = tmp_path / "missing" / "scan.csv"
     code, out, err = run_cli(
         capsys, "scan", "--geometry", "heisenberg", "--grid-A", "1", "--grid-B", "1", "--grid-C", "1",
-        "--samples", "8", "--t-max", "0.1", "--output", str(target),
+        "--t-max", "0.1", "--output", str(target),
     )
     _assert_one_line_usage_error(code, out, err, str(target))
 
@@ -429,7 +442,7 @@ def test_verify_rejects_unknown_suite(capsys):
 def test_scan_sol_grid_flags_and_order(capsys):
     code, out, _ = run_cli(
         capsys, "scan", "--geometry", "sol", "--grid-A", "1:5:3", "--grid-B", "4",
-        "--grid-C", "1", "--t-max", "10", "--samples", "128",
+        "--grid-C", "1", "--t-max", "10",
     )
     assert code == EXIT_OK
     lines = out.splitlines()
@@ -455,17 +468,16 @@ def test_scan_sol_grid_flags_and_order(capsys):
 def test_scan_flag_names_the_exact_branches(capsys, geometry, grid, want):
     code, out, _ = run_cli(
         capsys, "scan", "--geometry", geometry, "--grid-A", grid[0], "--grid-B", grid[1], "--grid-C", grid[2],
-        "--t-max", "1", "--samples", "64",
+        "--t-max", "1",
     )
     assert code == EXIT_OK
     assert [tuple(line.split(",")[7:]) for line in out.splitlines()[1:]] == want
 
 
 def test_scan_blowup_time_is_the_stop_time_at_few_samples(capsys):
-    # a small --samples still reports each row's singular time
+    # each singular row reports its stop time as its singular time, from no samples at all
     code, out, _ = run_cli(
         capsys, "scan", "--geometry", "sol", "--grid-A", "1", "--grid-B", "8", "--grid-C", "1:2:2",
-        "--samples", "48",
     )
     assert code == EXIT_OK
     rows = [line.split(",") for line in out.splitlines()[1:]]
@@ -476,7 +488,7 @@ def test_scan_blowup_time_is_the_stop_time_at_few_samples(capsys):
 def test_scan_heisenberg_grid_all_complete(capsys):
     code, out, _ = run_cli(
         capsys, "scan", "--geometry", "heisenberg", "--grid-A", "1:2:2", "--grid-B", "1",
-        "--grid-C", "1:2:2", "--t-max", "1", "--samples", "64",
+        "--grid-C", "1:2:2", "--t-max", "1",
     )
     assert code == EXIT_OK
     rows = [line.split(",") for line in out.splitlines()[1:]]
@@ -488,7 +500,7 @@ def test_scan_heisenberg_grid_all_complete(capsys):
 def test_scan_sl2r_fixed_volume_generic_rows_singular(capsys):
     code, out, _ = run_cli(
         capsys, "scan", "--geometry", "sl2r", "--grid-A", "1", "--grid-B", "1.01:4:3:log",
-        "--grid-C", "1", "--t-max", "20", "--samples", "128", "--normalize-volume", "1",
+        "--grid-C", "1", "--t-max", "20", "--normalize-volume", "1",
     )
     assert code == EXIT_OK
     rows = [line.split(",") for line in out.splitlines()[1:]]
@@ -562,7 +574,7 @@ def test_scan_non_finite_velocity_at_initial_metric_is_a_usage_error(capsys):
 def test_scan_is_deterministic_across_worker_counts(capsys):
     argv = [
         "scan", "--geometry", "su2", "--grid-A", "1:3:3", "--grid-B", "2", "--grid-C", "1",
-        "--t-max", "10", "--samples", "128",
+        "--t-max", "10",
     ]
     code, serial, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
@@ -607,7 +619,7 @@ def test_scan_rejects_bad_axis(capsys):
 
 
 @pytest.mark.parametrize(
-    "option", [("--samples", "1"), ("--rtol", "0"), ("--t-max", "inf"), ("--rtol", "nan")]
+    "option", [("--atol", "0"), ("--rtol", "0"), ("--t-max", "inf"), ("--rtol", "nan")]
 )
 def test_scan_rejects_bad_integrator_options_before_starting_workers(capsys, monkeypatch, tmp_path, option):
     from xcflow import cli
@@ -683,7 +695,7 @@ def test_sample_columns_match_row_by_row_evaluation(geometry, init, flow):
 
 
 # ---------------------------------------------------------------------------
-# scan rows read only the samples they need
+# scan rows read only the states they need
 
 
 def _scan_cells_at_full_samples(payload):
@@ -699,7 +711,7 @@ def _scan_cells_at_full_samples(payload):
     term = traj.termination
     blowup = "%.17g" % term.t_stop if term.kind.value == "singular_time" else ""
     branch = cli.classify_branch(geometry, m0)
-    return [term.kind.value, "%.17g" % term.t_stop, blowup, branch, cli._scan_flag(geometry, traj, branch)]
+    return [term.kind.value, "%.17g" % term.t_stop, blowup, branch, cli._scan_flag(geometry, traj.states, branch)]
 
 
 # every branch of every geometry, with rows that end on t_max, step_underflow and max_steps
@@ -722,6 +734,9 @@ _SCAN_CASES = [
     ("heisenberg", "xcf-", (1.0, 2.0, 3.0), {}, "global", "t_max"),
     ("heisenberg", "xcf-", (1.0, 2.0, 3.0), {"max_steps": 20}, "global", "max_steps"),
     ("trivial", "xcf-", (1.0, 2.0, 3.0), {}, "stationary", "t_max"),
+    # leaves the trapping region inside the step that crosses t_max: its flag needs the row at t_max
+    ("sl2r", "nxcf+", (4.461339964845096, 7.585750891443878, 2.5817376032949135), {"t_max": 0.29936595899534013},
+     "generic", "t_max"),
 ]
 
 
@@ -749,14 +764,42 @@ def test_scan_point_cells_equal_cells_from_the_full_sample_path(
     cells = cli._scan_point(payload)
     assert cells == _scan_cells_at_full_samples(payload)
     assert cells[3] == branch
-    # three ways: generic SL(2,R) rows read every sample, generic Sol rows the last state,
-    # and every other row only its termination, from the bare stepper with no `integrate` call
-    if branch == "generic" and geometry == "sl2r":
-        assert asked == [(samples, trigger)]
-    elif branch == "generic" and geometry == "sol":
+    # generic Sol rows read the last of two samples; generic SL(2,R) rows read the stepper's
+    # accepted states and, when the run reached t_max, the last of two samples; every other row
+    # reads only its termination, from the bare stepper
+    if branch == "generic" and (geometry == "sol" or geometry == "sl2r" and trigger == "t_max"):
         assert asked == [(2, trigger)]
     else:
         assert asked == []
+
+
+@pytest.mark.parametrize(
+    "geometry, flow, init, opts, branch, trigger", _SCAN_CASES,
+    ids=[f"{c[0]}-{c[1]}-{c[4]}-{c[5]}-{i}" for i, c in enumerate(_SCAN_CASES)],
+)
+def test_accepted_states_are_the_step_starts_then_the_last_state_before_t_max(
+    geometry, flow, init, opts, branch, trigger
+):
+    from xcflow.flows import FLOWS
+
+    geom, spec, m0 = Geometry.from_name(geometry), FLOWS[flow], MetricDiag(*init)
+    options = IntegratorOptions(samples=2, **opts)
+    term, states = accepted_states(geom, spec, m0, options)
+    assert term == terminate(geom, spec, m0, options) and term.trigger == trigger
+    assert states[0].tobytes() == np.array(init).tobytes()
+    # the start state of every step of integrate's table, each before t_max, then the last
+    # accepted state, which a run that reached t_max leaves out since it lies past t_max
+    table = integrate(geom, spec, m0, options)._table
+    n = len(table.t0)
+    assert states[:n].tobytes() == np.ldexp(table.y, table.k).tobytes()
+    assert len(states) == n + (trigger != "t_max")
+    assert np.ldexp(table.t0[-1], 2 * table.k) < options.t_max
+    # at 2^j m0 and 4^j t_max the rows are 2^j times these, bit for bit
+    for j in (-3, 5):
+        scaled = replace(options, t_max=options.t_max * 4.0**j)
+        term_j, states_j = accepted_states(geom, spec, MetricDiag(*np.ldexp(init, j)), scaled)
+        assert states_j.tobytes() == np.ldexp(states, j).tobytes()
+        assert (term_j.kind, term_j.t_stop, term_j.n_accepted) == (term.kind, term.t_stop * 4.0**j, term.n_accepted)
 
 
 @pytest.mark.parametrize(
@@ -766,9 +809,9 @@ def test_scan_point_cells_equal_cells_from_the_full_sample_path(
         ("sol", ("2", "1:4:3", "2"), 0, []),  # the A = C diagonal: symmetric
         ("sl2r", ("1:3:3", "2", "2"), 0, []),  # B = C: symmetric
         ("su2", ("1:2:2", "1:2:2", "1:2:2"), 0, []),  # round and generic
-        # a generic Sol row reads its last state, a generic SL(2,R) row every sample
+        # a generic Sol row reads its last sample, a generic SL(2,R) row the accepted states
         ("sol", ("2", "4", "1"), 1, [2]),
-        ("sl2r", ("1", "2", "1"), 1, [64]),
+        ("sl2r", ("1", "2", "1"), 0, []),
     ],
 )
 def test_scan_builds_a_step_table_only_for_rows_that_read_samples(capsys, monkeypatch, geometry, grid, tables, rows):
@@ -789,7 +832,7 @@ def test_scan_builds_a_step_table_only_for_rows_that_read_samples(capsys, monkey
     monkeypatch.setattr(integrator, "_step_table", counting_step_table)
     monkeypatch.setattr(integrator._StepTable, "eval", counting_eval)
     code, out, err = run_cli(capsys, "scan", "--geometry", geometry, "--grid-A", grid[0], "--grid-B", grid[1],
-                             "--grid-C", grid[2], "--samples", "64")
+                             "--grid-C", grid[2])
     assert (code, err) == (EXIT_OK, "")
     assert (len(built), evaluated) == (tables, rows)
 
@@ -812,18 +855,40 @@ def test_scan_point_with_volume_normalization_matches_the_full_sample_path():
         ("e2", ("1:2:2", "1:2:2", "3")),
         ("heisenberg", ("1:2:2", "1", "1:3:2")),
         ("trivial", ("1", "1:2:2", "1")),
+        ("sl2r", ("1", "0.5:2:4", "0.5:2:4")),  # generic and symmetric rows
     ],
 )
-def test_scan_file_does_not_depend_on_samples_off_the_generic_sl2r_rows(capsys, geometry, grid):
-    argv = ("scan", "--geometry", geometry, "--grid-A", grid[0], "--grid-B", grid[1], "--grid-C", grid[2],
-            "--t-max", "5")
-    texts = []
-    for samples in ("2", "512"):
-        code, out, err = run_cli(capsys, *argv, "--samples", samples)
-        assert (code, err) == (EXIT_OK, "")
-        texts.append(out)
-    assert texts[0] == texts[1]
-    assert "generic" not in texts[0] or geometry != "sl2r"
+def test_scan_point_cells_do_not_depend_on_samples(geometry, grid):
+    from xcflow import cli
+    from xcflow.flows import FLOWS
+
+    geom = Geometry.from_name(geometry)
+    axes = [cli._parse_axis(text).tolist() for text in grid]
+    for flow, point in product(("xcf-", "nxcf+"), product(*axes)):
+        rows = [cli._scan_point((geom, FLOWS[flow], *point, IntegratorOptions(t_max=5.0, samples=samples), None))
+                for samples in (2, 512)]
+        assert rows[0] == rows[1], (flow, point)
+
+
+def test_generic_sl2r_scan_flags_equal_the_flags_of_512_samples():
+    # seeded generic SL(2,R) data on every flow, t_max log-uniform in [1e-3, 3], so that runs stop at
+    # t_max as well as at their singular time
+    from xcflow import cli
+    from xcflow.flows import FLOWS
+
+    rng = random.Random("scan/sl2r/accepted-states")
+    triggers = Counter()
+    for i in range(100):
+        flow = list(FLOWS)[i % len(FLOWS)]
+        b, c = sorted((rng.uniform(0.2, 8.0), rng.uniform(0.2, 8.0)), reverse=True)
+        datum = (rng.uniform(0.2, 8.0), b, c)
+        options = IntegratorOptions(t_max=10.0 ** rng.uniform(-3.0, math.log10(3.0)), samples=512)
+        payload = (Geometry.SL2R, FLOWS[flow], *datum, options, None)
+        cells = cli._scan_point(payload)
+        assert cells[3] == "generic"
+        assert cells == _scan_cells_at_full_samples(payload), (flow, datum, options.t_max)
+        triggers[cells[0]] += 1
+    assert triggers["reached_t_max"] >= 10 and triggers["singular_time"] >= 10
 
 
 def test_commands_import_neither_the_process_pool_nor_numpy_ma_nor_numpy_random():
@@ -887,7 +952,7 @@ def test_scan_point_that_spends_its_budget_gets_a_budget_row(capsys):
     # attempts, (3,4,1) needs 58: a budget of 56 stops only the last point,
     # before its last step that advances t.
     argv = ["scan", "--geometry", "sol", "--grid-A", "1:3:3", "--grid-B", "4", "--grid-C", "1",
-            "--samples", "128", "--max-steps", "56"]
+            "--max-steps", "56"]
     code, serial, err = run_cli(capsys, *argv)
     assert code == EXIT_OK and err == ""
     rows = [line.split(",") for line in serial.splitlines()[1:]]
@@ -925,8 +990,7 @@ def test_scan_rejects_a_budget_below_one_before_starting_work(capsys, monkeypatc
 # scan rows are streamed
 
 
-_STREAM_ARGV = ("scan", "--geometry", "sol", "--grid-A", "1:3:4", "--grid-B", "4", "--grid-C", "1:2:2",
-                "--samples", "64")
+_STREAM_ARGV = ("scan", "--geometry", "sol", "--grid-A", "1:3:4", "--grid-B", "4", "--grid-C", "1:2:2")
 
 
 def test_streamed_scan_file_is_byte_identical_across_worker_counts(capsys, tmp_path):
@@ -977,7 +1041,7 @@ def test_scan_starts_no_more_workers_than_points_or_processors(capsys, monkeypat
     # a stand-in pool records (max_workers, chunksize) and maps in this process
     from xcflow import cli
 
-    argv = ("scan", "--geometry", "sol", "--grid-A", axis, "--grid-B", "4", "--grid-C", "1", "--samples", "64")
+    argv = ("scan", "--geometry", "sol", "--grid-A", axis, "--grid-B", "4", "--grid-C", "1")
     code, serial, err = run_cli(capsys, *argv, "--workers", "1")
     assert (code, err) == (EXIT_OK, "")
     pools = []
@@ -1035,7 +1099,7 @@ def test_scan_rows_of_a_datum_and_its_twins_are_the_canonical_run(capsys, monkey
 
     monkeypatch.setattr(cli, "_write_scan_rows", keeping_writer)
     argv = ["scan", "--geometry", geometry, "--grid-A", grid[0], "--grid-B", grid[1], "--grid-C", grid[2],
-            "--t-max", "5", "--samples", "64"]
+            "--t-max", "5"]
     if volume is not None:
         argv += ["--normalize-volume", str(volume)]
     code, out, err = run_cli(capsys, *argv)
@@ -1068,7 +1132,7 @@ def test_scan_with_shared_twins_is_byte_identical_across_worker_counts(capsys, t
         path = tmp_path / f"scan{workers}.csv"
         code, out, err = run_cli(
             capsys, "scan", "--geometry", "sol", "--grid-A", "0.5:3:4", "--grid-B", "4", "--grid-C", "0.5:3:4",
-            "--samples", "64", "--normalize-volume", "2.5", "--workers", workers, "--output", str(path),
+            "--normalize-volume", "2.5", "--workers", workers, "--output", str(path),
         )
         assert (code, out, err) == (EXIT_OK, "", "")
         texts.append(path.read_bytes())

@@ -925,6 +925,14 @@ def test_terminate_of_a_run_that_stops_before_its_first_accepted_step(max_steps)
     assert _bits(integrator.terminate(Geometry.SOL, XCF_MINUS, MetricDiag(2, 4, 1), opts)) == _bits(traj.termination)
 
 
+@pytest.mark.parametrize("max_steps", [3, 10_000_000])
+def test_accepted_states_of_a_run_that_stops_before_its_first_accepted_step_are_m0(max_steps):
+    opts = IntegratorOptions(rtol=1e-200, max_steps=max_steps, samples=2)
+    term, states = integrator.accepted_states(Geometry.SOL, XCF_MINUS, MetricDiag(2, 4, 1), opts)
+    assert _bits(term) == _bits(integrator.terminate(Geometry.SOL, XCF_MINUS, MetricDiag(2, 4, 1), opts))
+    assert states.tobytes() == np.array([[2.0, 4.0, 1.0]]).tobytes()
+
+
 def test_terminate_takes_the_default_options_and_rejects_what_integrate_rejects():
     m0 = MetricDiag(2, 4, 1)
     assert integrator.terminate(Geometry.SOL, XCF_MINUS, m0) == integrate(Geometry.SOL, XCF_MINUS, m0).termination
