@@ -61,7 +61,7 @@ print(f"  trapping region F1<0, F2<0 entered at t = {traj.times[entered]:.4f} "
       f"and never left: {retained}")
 
 for name, expected in (("C", "8 * u^+0.5"), ("A", "u^-0.5"), ("B", "u^-0.5")):
-    fit = fit_power_law(traj, name, regime=REGIME_BLOWUP, t0=t0)
+    fit = fit_power_law(traj, name, regime=REGIME_BLOWUP)
     print(f"  {name} ~ {fit.coefficient:.5f} * u^{fit.exponent:+.5f}   (expect {expected})")
 print(f"  A/B at the last sample: {A[-1]/B[-1]:.6f} (the two blow-up "
       f"coefficients agree)")

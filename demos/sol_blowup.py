@@ -59,7 +59,7 @@ for name, expected_p, expected_c in (
     ("C", -0.5, None),
     ("A-C", 0.5, None),
 ):
-    fit = fit_power_law(traj, name, regime=REGIME_BLOWUP, t0=t0)
+    fit = fit_power_law(traj, name, regime=REGIME_BLOWUP)
     coeff = "" if expected_c is None else f"  coeff {fit.coefficient:.4f} (expect {expected_c})"
     print(f"    {name:4s} ~ u^{fit.exponent:+.5f} (expect {expected_p:+.1f}){coeff}")
 

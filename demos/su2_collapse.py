@@ -52,6 +52,6 @@ for frac in (0.0, 0.5, 0.9, 0.99, 0.9999):
     print(f"    t/T0 ~ {frac:7.4f}:  A/C = {A[i]/C[i]:.9f}")
 
 for name in ("A", "B", "C"):
-    fit = fit_power_law(traj, name, regime=REGIME_BLOWUP, t0=t0)
+    fit = fit_power_law(traj, name, regime=REGIME_BLOWUP)
     print(f"  {name} ~ {fit.coefficient:.5f} * u^{fit.exponent:+.5f}   "
           f"(expect 2 * u^+0.5)")

@@ -12,13 +12,16 @@
   two fitters above (an unfittable entry fails with the refusing function's
   message); each entry of its report formats the one `text` it prints.
 
-Every fit window comes from `_fit_window`, fixed for reproducibility:
-late-time fits use [t_max/10, t_max]; blow-up fits use u = T0 - t in
-[1e-4, 1e-3] * T0.  That decade is deep enough that next-order corrections
-(relative size O(u/T0)) are far below the stated tolerances, yet shallow
-enough that difference series such as A - C, which shrink like u relative
-to their parents, stay several orders of magnitude above solver noise.  All
-windows must contain at least 32 samples.
+Every fit window comes from `_fit_window` and is a function of the run
+alone, fixed for reproducibility.  Late-time fits use [t_stop/10, t_stop] of
+a run that reached its horizon; blow-up fits use u = T0 - t in
+[1e-4, 1e-3] * T0, with T0 from `estimate_blowup_time`, of a run that
+stopped at a singular time.  Those are a window's two preconditions, and
+each refuses with one message.  The blow-up decade is deep enough that
+next-order corrections (relative size O(u/T0)) are far below the stated
+tolerances, yet shallow enough that difference series such as A - C, which
+shrink like u relative to their parents, stay several orders of magnitude
+above solver noise.  Every fit needs at least 32 samples in its window.
 """
 
 from __future__ import annotations
@@ -168,28 +171,25 @@ def _linefit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 
 
 def _fit_window(
-    times: np.ndarray,
-    regime: str,
-    t0: float | None = None,
-    window: tuple[float, float] | None = None,
-    min_samples: int = _MIN_WINDOW_SAMPLES,
+    run: Trajectory, regime: str, min_samples: int = _MIN_WINDOW_SAMPLES
 ) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
-    """Abscissa, sample mask and bounds of a fit window.
+    """Abscissa, sample mask and bounds of the run's fit window.
 
-    The abscissa is T0 - t for blow-up laws and t for late-time laws; the
-    default windows are T0 - t in [1e-4, 1e-3] * T0 and [t_max/10, t_max].
-    A window holding fewer than `min_samples` samples is rejected.
+    The abscissa is T0 - t on [1e-4, 1e-3] * T0 for blow-up laws, with T0
+    from `estimate_blowup_time`, and t on [t_stop/10, t_stop] for late-time
+    laws of a run that reached its horizon.  A window holding fewer than
+    `min_samples` samples is rejected.
     """
     if regime == REGIME_BLOWUP:
-        if t0 is None:
-            raise ValueError("blow-up regime requires the singular time t0")
-        x = t0 - times
-        lo, hi = window if window is not None else (_BLOWUP_WINDOW_DEPTH * t0, 10.0 * _BLOWUP_WINDOW_DEPTH * t0)
+        t0 = estimate_blowup_time(run)
+        x = t0 - run.times
+        lo, hi = _BLOWUP_WINDOW_DEPTH * t0, 10.0 * _BLOWUP_WINDOW_DEPTH * t0
         mask = (x >= lo) & (x <= hi) & (x > 0.0)
     elif regime == REGIME_INFINITY:
-        x = times
-        t_max = float(times[-1])
-        lo, hi = window if window is not None else (t_max / 10.0, t_max)
+        if run.termination.kind is not TerminationKind.REACHED_T_MAX:
+            raise ValueError("trajectory did not reach its horizon")
+        x = run.times
+        lo, hi = run.termination.t_stop / 10.0, run.termination.t_stop
         mask = (x >= lo) & (x <= hi)
     else:
         raise ValueError(f"unknown regime {regime!r}")
@@ -199,22 +199,13 @@ def _fit_window(
     return x, mask, (float(lo), float(hi))
 
 
-def fit_power_law(
-    trajectory: Trajectory,
-    variable: str,
-    regime: str,
-    t0: float | None = None,
-    window: tuple[float, float] | None = None,
-) -> PowerLawFit:
-    """Fit variable ~ coefficient * x^exponent on the default or given window.
+def fit_power_law(trajectory: Trajectory, variable: str, regime: str) -> PowerLawFit:
+    """Fit variable ~ coefficient * x^exponent on the run's fit window.
 
-    x is t for regime "infinity" (the run must have reached its horizon) and
-    T0 - t for regime "blowup" (t0 required).  Windows with fewer than 32
-    samples or non-positive values are rejected.
+    x is t for regime "infinity" and T0 - t for regime "blowup".  Windows
+    with fewer than 32 samples or non-positive values are rejected.
     """
-    if regime == REGIME_INFINITY and trajectory.termination.kind is not TerminationKind.REACHED_T_MAX:
-        raise ValueError("late-time regime requires a run that reached its horizon")
-    x, mask, window = _fit_window(trajectory.times, regime, t0, window)
+    x, mask, window = _fit_window(trajectory, regime)
     v = series_values(trajectory.states, variable)[mask]
     if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
         raise ValueError("fit window contains non-positive or non-finite values")
@@ -222,20 +213,13 @@ def fit_power_law(
     return PowerLawFit(slope, float(np.exp(intercept)), r2, window, int(mask.sum()))
 
 
-def estimate_limit_plus_power(
-    trajectory: Trajectory,
-    variable: str,
-    exponent: float,
-    window: tuple[float, float] | None = None,
-) -> LimitPowerFit:
-    """Fit variable ~ limit + coefficient * t^exponent on the late-time window.
+def estimate_limit_plus_power(trajectory: Trajectory, variable: str, exponent: float) -> LimitPowerFit:
+    """Fit variable ~ limit + coefficient * t^exponent on the run's late-time window.
 
-    The run must have reached its horizon and the series must be monotone on
-    the window; otherwise the fit is refused rather than silently degraded.
+    The series must be monotone on the window; otherwise the fit is refused
+    rather than silently degraded.
     """
-    if trajectory.termination.kind is not TerminationKind.REACHED_T_MAX:
-        raise ValueError("limit fits require a run that reached its horizon")
-    _, mask, window = _fit_window(trajectory.times, REGIME_INFINITY, window=window)
+    _, mask, window = _fit_window(trajectory, REGIME_INFINITY)
     t = trajectory.times[mask]
     v = series_values(trajectory.states, variable)[mask]
     d = np.diff(v)
@@ -437,8 +421,6 @@ def verify(trajectory: Trajectory) -> VerificationReport:
         for name, direction in record.monotone
     ]
 
-    blowup_time = estimate_blowup_time(trajectory) if term.kind is TerminationKind.SINGULAR_TIME else None
-
     laws: list[LawResult] = []
     fits: dict[str, PowerLawFit | LimitPowerFit] = {}  # by variable, which is unique within a record
     for law in record.laws:
@@ -455,7 +437,7 @@ def verify(trajectory: Trajectory) -> VerificationReport:
                     fitted_limit=fit.limit, passed=fit.limit > 0.0, detail=f"limit={fit.limit:.6g}",
                 ))
                 continue
-            fit = fits[law.variable] = fit_power_law(canonical, law.variable, law.regime, blowup_time)
+            fit = fits[law.variable] = fit_power_law(canonical, law.variable, law.regime)
             ok = abs(fit.exponent - expected_exp) <= law.exponent_tol
             detail = f"coeff={fit.coefficient:.6g}"
             if law.coefficient_tol is not None:
@@ -475,11 +457,11 @@ def verify(trajectory: Trajectory) -> VerificationReport:
         branch=classify_branch(geom, m0),
         relabeled=perm != (0, 1, 2),
         termination=term.to_dict(),
-        blowup_time=blowup_time,
+        blowup_time=estimate_blowup_time(trajectory) if term.kind is TerminationKind.SINGULAR_TIME else None,
         conserved=tuple(conserved),
         monotone=tuple(monotone),
         laws=tuple(laws),
-        checks=tuple(_branch_checks(record, trajectory, canonical.states, blowup_time, fits)),
+        checks=tuple(_branch_checks(record, trajectory, canonical.states, fits)),
     )
 
 
@@ -487,7 +469,6 @@ def _branch_checks(
     record: BranchRecord,
     trajectory: Trajectory,
     Sc: np.ndarray,
-    blowup_time: float | None,
     fits: dict[str, PowerLawFit | LimitPowerFit],
 ) -> list[CheckResult]:
     """The results of the record's branch checks in order, by kind; a check of unknown kind raises.
@@ -522,13 +503,13 @@ def _branch_checks(
             top = np.max(locked, axis=1)
             gate(name, float(np.max((top - np.min(locked, axis=1)) / top)), SYMMETRY_LOCK_TOL)
         elif kind == "singular_time":
-            if blowup_time is None:
-                fail(name, "no estimate")
-            else:
-                gate(name, abs(blowup_time - record.t0) / record.t0, BLOWUP_TIME_TOL)
+            try:
+                gate(name, abs(estimate_blowup_time(trajectory) - record.t0) / record.t0, BLOWUP_TIME_TOL)
+            except ValueError as e:
+                fail(name, str(e))
         elif kind == "ratio_limit":
             try:
-                _, mask, _ = _fit_window(t, REGIME_BLOWUP, blowup_time)
+                _, mask, _ = _fit_window(trajectory, REGIME_BLOWUP)
             except ValueError as e:
                 fail(name, str(e))
                 continue
@@ -570,10 +551,11 @@ def _branch_checks(
                 fail(name, "missing fits")
         elif kind == "e2_cigar":
             settle = "(A-B)^2*C settles over the last decade"
-            if stop is not TerminationKind.REACHED_T_MAX:
-                fail(settle, "run did not reach its horizon")
+            try:
+                _, mask, _ = _fit_window(trajectory, REGIME_INFINITY, min_samples=0)
+            except ValueError as e:
+                fail(settle, str(e))
                 continue
-            _, mask, _ = _fit_window(t, REGIME_INFINITY, min_samples=0)
             v = series_values(Sc, "(A-B)^2*C")[mask]
             gate(settle, abs(float(v[-1] - v[0])) / abs(float(v[-1])), PRODUCT_TAIL_TOL)
             afit = fits.get("A-B")

@@ -67,11 +67,11 @@ def test_series_values_accepts_trajectories(sol_symmetric_run):
 # Power-law fitter on synthetic data (exact model recovery)
 
 
-def _synthetic(t: np.ndarray, v: np.ndarray, kind: TerminationKind) -> Trajectory:
-    """A trajectory whose three coefficients all hold the series v at times t, stopped by `kind` at t[-1]."""
+def _synthetic(t: np.ndarray, v: np.ndarray, kind: TerminationKind, t_stop: float) -> Trajectory:
+    """A trajectory whose three coefficients all hold the series v at times t, stopped by `kind` at t_stop."""
     return Trajectory(
         Geometry.SOL, XCF_MINUS, MetricDiag(1, 1, 1), IntegratorOptions(), t, np.column_stack([v, v, v]),
-        Termination(kind, float(t[-1])), None,
+        Termination(kind, t_stop), None,
     )
 
 
@@ -82,7 +82,7 @@ def test_fit_recovers_sqrt_collapse():
     t0 = 1.0
     t = t0 - np.geomspace(0.5, 1e-9, 400)
     v = 8.0 * np.sqrt(t0 - t)
-    fit = fit_power_law(_synthetic(t, v, _SINGULAR), "A", REGIME_BLOWUP, t0)
+    fit = fit_power_law(_synthetic(t, v, _SINGULAR, t0), "A", REGIME_BLOWUP)
     assert fit.exponent == pytest.approx(0.5, abs=1e-9)
     assert fit.coefficient == pytest.approx(8.0, rel=1e-9)
     assert fit.r2 > 0.999999
@@ -98,10 +98,10 @@ def test_fit_recovers_synthetic_power_laws(coeff, p, blowup_mode):
     if blowup_mode:
         t0 = 2.0
         t = t0 - np.geomspace(1.0, 1e-8, 300)
-        fit = fit_power_law(_synthetic(t, coeff * (t0 - t) ** p, _SINGULAR), "A", REGIME_BLOWUP, t0)
+        fit = fit_power_law(_synthetic(t, coeff * (t0 - t) ** p, _SINGULAR, t0), "A", REGIME_BLOWUP)
     else:
         t = np.geomspace(1e-3, 1e3, 300)
-        fit = fit_power_law(_synthetic(t, coeff * t**p, _REACHED), "A", REGIME_INFINITY)
+        fit = fit_power_law(_synthetic(t, coeff * t**p, _REACHED, t[-1]), "A", REGIME_INFINITY)
     assert fit.exponent == pytest.approx(p, abs=max(1e-6, 1e-6 * abs(p)))
     assert fit.coefficient == pytest.approx(coeff, rel=1e-6)
 
@@ -110,13 +110,13 @@ def test_fit_rejects_bad_windows():
     t = np.geomspace(1e-3, 10.0, 200)
     v = np.sqrt(t)
     with pytest.raises(ValueError, match="insufficient samples"):
-        fit_power_law(_synthetic(t, v, _REACHED), "A", REGIME_INFINITY, window=(20.0, 30.0))
+        fit_power_law(_synthetic(t[-20:], v[-20:], _REACHED, t[-1]), "A", REGIME_INFINITY)
     with pytest.raises(ValueError, match="non-positive"):
-        fit_power_law(_synthetic(t, v - 2.0, _REACHED), "A", REGIME_INFINITY)
+        fit_power_law(_synthetic(t, v - 2.0, _REACHED, t[-1]), "A", REGIME_INFINITY)
     with pytest.raises(ValueError, match="unknown regime"):
-        fit_power_law(_synthetic(t, v, _REACHED), "A", "late")
+        fit_power_law(_synthetic(t, v, _REACHED, t[-1]), "A", "late")
     with pytest.raises(ValueError, match="singular time"):
-        fit_power_law(_synthetic(t, v, _SINGULAR), "A", REGIME_BLOWUP)
+        fit_power_law(_synthetic(t, v, _REACHED, t[-1]), "A", REGIME_BLOWUP)
 
 
 def test_fit_power_law_requires_matching_termination(sol_symmetric_run):
@@ -131,7 +131,7 @@ def test_fit_power_law_requires_matching_termination(sol_symmetric_run):
 def test_limit_fit_recovers_synthetic_model():
     t = np.geomspace(1.0, 1e4, 300)
     v = 2.0 + 0.5 * t ** (-1.0 / 3.0)
-    fit = estimate_limit_plus_power(_synthetic(t, v, _REACHED), "A", -1.0 / 3.0)
+    fit = estimate_limit_plus_power(_synthetic(t, v, _REACHED, t[-1]), "A", -1.0 / 3.0)
     assert fit.limit == pytest.approx(2.0, rel=1e-6)
     assert fit.coefficient == pytest.approx(0.5, rel=1e-6)
 
@@ -140,7 +140,7 @@ def test_limit_fit_rejects_non_monotone_window():
     t = np.geomspace(1.0, 1e4, 300)
     v = 2.0 + 0.5 * t ** (-1.0 / 3.0) + 0.01 * np.sin(t)
     with pytest.raises(ValueError, match="monotone"):
-        estimate_limit_plus_power(_synthetic(t, v, _REACHED), "A", -1.0 / 3.0)
+        estimate_limit_plus_power(_synthetic(t, v, _REACHED, t[-1]), "A", -1.0 / 3.0)
 
 
 def test_limit_fit_requires_completed_run(sol_symmetric_run):
@@ -206,13 +206,12 @@ def test_heisenberg_late_time_exponent(heisenberg_unit_run):
 
 
 def test_sol_generic_blowup_fits(sol_generic_run):
-    t0 = estimate_blowup_time(sol_generic_run)
-    bfit = fit_power_law(sol_generic_run, "B", REGIME_BLOWUP, t0=t0)
+    bfit = fit_power_law(sol_generic_run, "B", REGIME_BLOWUP)
     assert bfit.exponent == pytest.approx(0.5, abs=0.02)
     assert bfit.coefficient == pytest.approx(8.0, rel=0.02)
-    afit = fit_power_law(sol_generic_run, "A", REGIME_BLOWUP, t0=t0)
+    afit = fit_power_law(sol_generic_run, "A", REGIME_BLOWUP)
     assert afit.exponent == pytest.approx(-0.5, abs=0.02)
-    gap = fit_power_law(sol_generic_run, "A-C", REGIME_BLOWUP, t0=t0)
+    gap = fit_power_law(sol_generic_run, "A-C", REGIME_BLOWUP)
     assert gap.exponent == pytest.approx(0.5, abs=0.05)
 
 
@@ -231,13 +230,17 @@ def test_verify_heisenberg_all_green(heisenberg_unit_run):
 
 
 def test_unfittable_entries_give_the_refusing_functions_message():
-    # verify keeps no precondition of its own: a law or ratio check that
-    # cannot be fitted reports the message of the function that refused it
+    # verify keeps no precondition of its own: a law or check that cannot be
+    # fitted reports the message of the function that refused it, and each
+    # window precondition has one message
+    singular, horizon = "trajectory did not stop at a singular time", "trajectory did not reach its horizon"
     sol = verify(integrate(Geometry.SOL, XCF_MINUS, MetricDiag(1, 8, 1), IntegratorOptions(t_max=0.001)))
     assert sol.termination["kind"] == "reached_t_max"
     blowup = [l for l in sol.laws if l.regime == REGIME_BLOWUP]
     assert blowup and all(not l.passed for l in blowup)
-    assert {l.detail for l in blowup} == {"blow-up regime requires the singular time t0"}
+    assert {l.detail for l in blowup} == {singular}
+    [t0_check] = [c for c in sol.checks if c.name == "singular time = B0^2/64"]
+    assert not t0_check.passed and t0_check.detail == singular
 
     m0 = MetricDiag(1, 1, 1)
     budget = verify(integrate(Geometry.SL2R, XCF_MINUS, m0, IntegratorOptions(t_max=1e6, max_steps=40)))
@@ -245,13 +248,21 @@ def test_unfittable_entries_give_the_refusing_functions_message():
     limit_form = {law.variable for law in branch_record(Geometry.SL2R, XCF_MINUS, m0).laws if law.limit_form}
     limits = [l for l in budget.laws if l.variable in limit_form]
     assert limits and all(not l.passed for l in limits)
-    assert {l.detail for l in limits} == {"limit fits require a run that reached its horizon"}
+    assert {l.detail for l in limits} == {horizon}
+
+    e2 = verify(integrate(Geometry.E2, XCF_MINUS, MetricDiag(2, 1, 1), IntegratorOptions(t_max=1e8, max_steps=40)))
+    assert e2.termination["kind"] == "step_budget_exhausted"
+    late = [l for l in e2.laws if l.regime == REGIME_INFINITY]
+    assert late and all(not l.passed for l in late)
+    assert {l.detail for l in late} == {horizon}
+    [settle] = [c for c in e2.checks if c.name == "(A-B)^2*C settles over the last decade"]
+    assert not settle.passed and settle.detail == horizon
 
     traj = integrate(Geometry.SU2, XCF_MINUS, MetricDiag(3, 2, 1), IntegratorOptions(t_max=0.001))
     with pytest.raises(ValueError) as refusal:
-        analysis._fit_window(traj.times, REGIME_BLOWUP, None)
+        analysis._fit_window(traj, REGIME_BLOWUP)
     [ratio] = [c for c in verify(traj).checks if c.name == "A/C -> 1"]
-    assert not ratio.passed and ratio.detail == str(refusal.value)
+    assert not ratio.passed and ratio.detail == str(refusal.value) == singular
 
 
 def test_verify_is_idempotent(sol_generic_run):
