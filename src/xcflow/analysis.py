@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from math import sqrt
+from itertools import accumulate
+from math import ceil, sqrt
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .analytic import (
     conserved_quantities,
     sl2r_trapping_entry,
 )
-from .integrator import Termination, TerminationKind, Trajectory
+from .integrator import _DENSE, _H_MAX, _WEIGHTS, Termination, TerminationKind, Trajectory
 
 __all__ = [
     "PowerLawFit",
@@ -58,6 +59,7 @@ __all__ = [
     "verify",
     "CONSERVED_DRIFT_TOL",
     "MONOTONE_SLACK",
+    "ROUNDING_SPACINGS",
     "CLOSED_FORM_TOL",
     "SYMMETRY_LOCK_TOL",
     "BLOWUP_TIME_TOL",
@@ -364,19 +366,77 @@ def _max_rel_drift(values: np.ndarray, reference: float) -> float:
 _DIFFERENCE = re.compile(r"([ABC])-(3?)([ABC])")
 
 
+def _rounded_sum_size(weights: np.ndarray) -> float:
+    """sum |w_s| + sum over j >= 2 of |w_1 + ... + w_j|, over the nonzero weights in order.
+
+    The products and running sums at which a left-to-right sum of w_s * k_s
+    rounds, when every k_s is the same k with |k| <= 1.
+    """
+    w = [float(v) for v in weights if v]
+    return sum(map(abs, w)) + sum(map(abs, list(accumulate(w))[1:]))
+
+
+# The n of `_rounding_floor`, derived in its docstring: first a row value's
+# and a step join's rounding, in units of u = 2^-53 relative to the value
+_ROW_ROUNDING = _H_MAX * (
+    float(np.finfo(np.longdouble).eps / np.finfo(float).eps) * sum(map(_rounded_sum_size, _DENSE.T)) + 15
+) + 2 + 1
+_JOIN_ROUNDING = _H_MAX * (_rounded_sum_size(_WEIGHTS) + 1) + 2 + 1
+ROUNDING_SPACINGS = ceil(2 * (2 * _ROW_ROUNDING + _JOIN_ROUNDING) + 2)
+
+
 def _rounding_floor(states: np.ndarray, name: str) -> np.ndarray | None:
     """Per-step rounding floor of a difference series such as "C-A" or "A-3C", else None.
 
-    It is the spacing of the larger operand at either end of the step: the
-    difference of two rounded coefficients can step the wrong way by that
-    much while the exact difference is monotone.
+    It is `ROUNDING_SPACINGS` spacings of the larger operand at either end
+    of the step: the most by which the rows' rounding alone can make the
+    difference step the wrong way while the interpolant's is monotone.  A
+    relative error of e * u in a value v is less than e spacings of v, and
+    so of the larger operand.  A row is y * exp(x), x = h * theta * P(theta),
+    with y the start state of its step as the stepper held it
+    (`integrator._StepTable.eval`).
+
+    Assumption: the stage velocities of a step are nearly equal, so that
+    P(theta) is its constant term q_0 = k_1, |k_1| <= 1 (|dxi/dtau| <= 1),
+    and every product and running sum below is at most 1 in size.  That is
+    where a difference is tight: dxi/dtau is nearly constant across a step
+    near a self-similar singularity.  (On the 80 near-symmetric Sol runs of
+    the monotone sweep test, sum_p |q_p| exceeds 1 by at most 8e-11.)  Every
+    rounding is at most u relative, and np.exp is within one ulp, at most 2u
+    relative on [exp(-1/2), exp(1/2)].  Errors that are the same for every
+    component of equal velocity, such as those of the tableau's constants,
+    move both operands alike and are not counted, nor is the error of
+    theta, which is common to the row.
+
+    One row value, in u relative, with h <= `_H_MAX` = 1/2 (`_ROW_ROUNDING`):
+    - the long-double sum q_p = sum_s k_s M[s, p]: its rounding, 2^-11 of a
+      float's on x86-64, at the sizes of `_rounded_sum_size` of each column
+      of `integrator._DENSE` (22,785 in all), times h: 5.6;
+    - the cast of q to float, Horner's thirteen roundings for
+      theta * P(theta) (seven products by theta and six sums) and the
+      product by h: fifteen roundings of size at most 1, times h: 7.5;
+    - np.exp: 2;
+    - the product by y: 1.
+    That is 16.1.  Where the two rows of a check step lie in different steps
+    of the stepper, the second starts from the stepper's next state, which
+    carries the stepper's own rounding against the first step's
+    interpolant at its end (`_JOIN_ROUNDING`): its float sum
+    sum_s b_s k_s, of size 28.0 by `_rounded_sum_size`, and the product
+    by h, times h: 14.5; np.exp: 2; the product by y: 1.  That is 17.5.
+
+    Summed over the two operands, two row values and one join each:
+    2 * (2 * 16.1 + 17.5) = 99.3.  The difference itself and the product
+    3 * C each round by at most half a spacing per row: 2 more, 101.3,
+    rounded up to n = 102.
+    Measured on the 80 near-symmetric runs, the largest wrong-way step is 12
+    spacings, with median 3, and steps across a join reach 4.
     """
     match = _DIFFERENCE.fullmatch(name)
     if match is None:
         return None
     x, factor, y = match.groups()
     mag = np.maximum(np.abs(states[:, "ABC".index(x)]), (3.0 if factor else 1.0) * np.abs(states[:, "ABC".index(y)]))
-    return np.spacing(np.maximum(mag[:-1], mag[1:]))
+    return ROUNDING_SPACINGS * np.spacing(np.maximum(mag[:-1], mag[1:]))
 
 
 def _monotone_violation(values: np.ndarray, direction: str, floor: np.ndarray | None = None) -> float:
@@ -555,6 +615,7 @@ def _branch_checks(
                 _, mask, _ = _fit_window(trajectory, REGIME_INFINITY, min_samples=0)
             except ValueError as e:
                 fail(settle, str(e))
+                fail(name, str(e))
                 continue
             v = series_values(Sc, "(A-B)^2*C")[mask]
             gate(settle, abs(float(v[-1] - v[0])) / abs(float(v[-1])), PRODUCT_TAIL_TOL)

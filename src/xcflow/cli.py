@@ -473,10 +473,9 @@ def _scan_point(payload: tuple) -> list[str]:
       row has the same bits as at any sample count, since the dense output
       is elementwise;
     - the path (generic SL(2,R)): the stepper's accepted states
-      (`accepted_states`), no step table.  The stepper holds no state at
-      t_max, so a run that reached it also appends the last row of a
-      two-sample `integrate`, the same bits as the last row at any sample
-      count.
+      (`accepted_states`), whose last row on a run that reached t_max is
+      its dense output there, the same bits as the last row of `integrate`
+      at any sample count.
     """
     geometry, spec, a, b, c, options, volume = payload
     datum = _canonical(geometry, (a, b, c))
@@ -492,9 +491,6 @@ def _scan_point(payload: tuple) -> list[str]:
         states, term = trajectory.states, trajectory.termination
     else:
         term, states = accepted_states(geometry, spec, m0, options)
-        if term.kind is TerminationKind.REACHED_T_MAX:
-            last = integrate(geometry, spec, m0, replace(options, samples=2)).states[-1]
-            states = np.vstack([states, last])
     blowup = "%.17g" % estimate_blowup_time(term) if term.kind is TerminationKind.SINGULAR_TIME else ""
     return [term.kind.value, "%.17g" % term.t_stop, blowup, branch, _scan_flag(geometry, states, branch)]
 

@@ -58,9 +58,11 @@ no accuracy in t.  The first trial step is 0.01 in tau and no step exceeds
   one pass over the steps that hold a requested time, each step's from its
   own stored start state, size and stages, so a row has the same bits
   whatever else is sampled.  A sample time is mapped to tau by Newton's
-  method on its step's interpolant of t, and the state is y0 * exp(xi)
-  evaluated in long double and rounded once, so consecutive samples move
-  by at most one rounding.
+  method on its step's interpolant of t, and the state is
+  y * exp(h * theta * P(theta)) in float, y the step's start state as the
+  stepper held it: the form of a stage state, evaluated in working
+  precision as `dop853.f`'s `contd8` is.  Only the coefficients of P are
+  summed in long double, since they cancel.
 
 The step runs on Python floats, so an attempt makes no numpy call.  Each
 stage state is one tableau row written out component by component into
@@ -70,9 +72,9 @@ generator `_steps`, holds the controller, the stop rules and the budget; it
 yields each accepted step and returns the stop record, and three functions
 drain it.  `integrate` keeps the start state, size and stage velocities of
 every accepted step in flat arrays, for the step table and the dense
-output.  `accepted_states` keeps only the accepted states, 24 bytes a step.
-`terminate` keeps nothing and returns only the `Termination`.  All three
-return the same `Termination` field for field.
+output.  `accepted_states` keeps only the accepted states, 24 bytes a step,
+and the last step.  `terminate` keeps nothing and returns only the
+`Termination`.  All three return the same `Termination` field for field.
 
 Step times are accumulated with compensated summation, which keeps
 (t_stop - t) accurate to one ulp of t near blow-up.
@@ -349,37 +351,34 @@ class _StepTable:
     h: np.ndarray  # (m,) step sizes in tau
     y: np.ndarray  # (m, 3) scaled states at step starts, as the stepper held them
     K: np.ndarray  # (m, 13, 4) stage velocities of each step, stage 13 at its end
-    x0: np.ndarray  # (m, 3) long double log states xi = log(y / y(0)) at step starts
     w0: np.ndarray  # (m,) dt/dtau at step starts
     a: np.ndarray  # (m,) log of dt/dtau at the start over dt/dtau at the end
-    base: np.ndarray  # (3,) long double scaled initial metric
     k: int  # binary exponent of the scale: y = 2^k * scaled y, t = 4^k * scaled t
     rhs: object  # the run's right-hand side, for the stages of the continuous extension
     smin: float  # the run's floor of s
-    # interpolant coefficients, filled step by step as steps are sampled
-    q: np.ndarray = field(init=False, repr=False)  # (m, 3, 7) long double, of xi
-    qt: np.ndarray = field(init=False, repr=False)  # (m, 7), of the non-exponential part of dt/dtau
-    ready: np.ndarray = field(init=False, repr=False)  # (m,) whether q and qt hold the step
+    # interpolant coefficients, filled step by step as steps are sampled: (m, 4, 7), of xi_A, xi_B, xi_C
+    # and of the non-exponential part of dt/dtau
+    q: np.ndarray = field(init=False, repr=False)
+    ready: np.ndarray = field(init=False, repr=False)  # (m,) whether q holds the step
 
     def __post_init__(self) -> None:
-        m = len(self.h)
-        object.__setattr__(self, "q", np.zeros((m, 3, 7), dtype=np.longdouble))
-        object.__setattr__(self, "qt", np.zeros((m, 7)))
-        object.__setattr__(self, "ready", np.zeros(m, dtype=bool))
+        object.__setattr__(self, "q", np.zeros((len(self.h), 4, 7)))
+        object.__setattr__(self, "ready", np.zeros(len(self.h), dtype=bool))
 
     def _build(self, idx: np.ndarray) -> None:
         """Interpolant coefficients of every step in idx that has none yet.
 
         `_extra_stages` gives the new steps, in one pass, the three extra
         stages of the extension, each step's from its own start state, size
-        and stages.  q = K^T M is summed stage by stage in long double, the
-        same operations for every step and component: a step's coefficients
-        do not depend on which other steps are built with it, and exactly
-        equal stage velocities give exactly equal coefficients.  For t, M is
-        applied to the stage values of dt/dtau less the exponential
-        w0 * exp(-a c) through its two ends.  A step whose extra stage raises
-        ArithmeticError keeps its row: it gets the cubic Hermite interpolant
-        through its two ends (`_HERMITE`), which needs no extra stage.
+        and stages.  q = K^T M is summed stage by stage in long double and
+        rounded to float once, the same operations for every step and
+        component: a step's coefficients do not depend on which other steps
+        are built with it, and exactly equal stage velocities give exactly
+        equal coefficients.  For t, M is applied to the stage values of
+        dt/dtau less the exponential w0 * exp(-a c) through its two ends.  A
+        step whose extra stage raises ArithmeticError keeps its row: it gets
+        the cubic Hermite interpolant through its two ends (`_HERMITE`), which
+        needs no extra stage.
         """
         mark = np.zeros(len(self.h), dtype=bool)
         mark[idx] = True
@@ -391,8 +390,7 @@ class _StepTable:
         q = _coefficients(K, _DENSE)
         if not extended.all():
             q[~extended] = _coefficients(K[~extended, :13], _HERMITE)
-        self.q[new] = q[:, :3]
-        self.qt[new] = q[:, 3]
+        self.q[new] = q
         self.ready[new] = True
 
     def eval(self, t: np.ndarray) -> np.ndarray:
@@ -404,15 +402,18 @@ class _StepTable:
         degree-6 Pt of the continuous extension for the rest.  theta solves it
         for the sample time by a fixed number of Newton steps in
         v = E(theta)/E(1), in which the time is nearly linear even where it is
-        flat in theta, clipped to [0, 1].  Then xi is x0 + h * theta * P(theta),
-        P the degree-6 polynomial of the seventh-order extension, and the state
-        is y(0) * exp(xi), both in long double and rounded to float once.
+        flat in theta, clipped to [0, 1].  Then the state is
+        y * exp(h * theta * P(theta)) in float, y the step's start state as
+        the stepper held it and P the degree-6 polynomial of the
+        seventh-order extension by Horner's rule: the form of a stage state,
+        so theta = 0 gives y exactly and a row depends on its own step alone.
         Everything is elementwise, so a time gives the same bits in any stack
         of times (`sample_at` evaluates a stack of one).
         """
         idx = np.searchsorted(self.t0, t, side="right") - 1  # t0[0] = 0, so idx >= 0
         self._build(idx)
-        h, w0, a, c = self.h[idx], self.w0[idx], self.a[idx], self.qt[idx].T
+        h, w0, a, q = self.h[idx], self.w0[idx], self.a[idx], self.q[idx]
+        c = q[:, 3].T
         flat = a == 0.0
         a_div = np.where(flat, 1.0, a)
         m = np.expm1(-a)
@@ -438,18 +439,16 @@ class _StepTable:
             dtheta = np.where(flat, 1.0, e1 / (1.0 + vm))
             v = np.clip(v - (lin * v + p - d) / (lin + dp * dtheta), 0.0, 1.0)
             vm, theta = theta_of(v)
-        # x0 + h * theta * P(theta), in place
-        theta = theta.astype(np.longdouble)[:, None]
-        q = self.q[idx]
-        x = q[:, :, 6] * theta
+        # y * exp(h * theta * P(theta)), in place
+        theta = theta[:, None]
+        x = q[:, :3, 6] * theta
         for j in range(5, -1, -1):
-            x += q[:, :, j]
+            x += q[:, :3, j]
             x *= theta
-        x *= h.astype(np.longdouble)[:, None]
-        x += self.x0[idx]
+        x *= h[:, None]
         np.exp(x, out=x)
-        x *= self.base
-        return np.ldexp(x.astype(float), self.k)
+        x *= self.y[idx]
+        return np.ldexp(x, self.k)
 
 
 @dataclass(frozen=True)
@@ -660,21 +659,12 @@ def _coefficients(K, M):
     return np.einsum("nsc,sp->ncp", K.astype(np.longdouble), M)
 
 
-def _step_table(rows_t, rows_h, rows_y, rows_k, base, k, rhs, smin) -> _StepTable:
-    """Table of the accepted steps; the interpolant of a step is built when it is first sampled.
-
-    xi at the step starts is the running sum of the steps' increments
-    h * sum_i b_i k_i, in long double.
-    """
-    K = np.frombuffer(rows_k).reshape(-1, 13, 4)
+def _step_table(t0, h, y, stages, k, rhs, smin) -> _StepTable:
+    """Table of accepted steps from their start times, sizes, start states and stages, each flat."""
+    K = np.asarray(stages, dtype=float).reshape(-1, 13, 4)
     w0 = K[:, 0, 3]
-    a = np.log(w0 / K[:, 12, 3])
-    t0, h = np.frombuffer(rows_t), np.frombuffer(rows_h)
-    increments = h.astype(np.longdouble)[:, None] * _coefficients(K[:, :, :3], _WEIGHTS[:13, None])[:, :, 0]
-    x1 = np.cumsum(increments, axis=0)
-    x0 = np.concatenate([np.zeros((1, 3), dtype=np.longdouble), x1[:-1]])
-    y = np.frombuffer(rows_y).reshape(-1, 3)
-    return _StepTable(t0, h, y, K, x0, w0, a, np.array(base, dtype=np.longdouble), k, rhs, smin)
+    t0, h, y = np.asarray(t0, dtype=float), np.asarray(h, dtype=float), np.asarray(y, dtype=float).reshape(-1, 3)
+    return _StepTable(t0, h, y, K, w0, np.log(w0 / K[:, 12, 3]), k, rhs, smin)
 
 
 def _diagnose(y_stop, y_init):
@@ -856,7 +846,7 @@ def integrate(
     grid = _sample_times(stop.kind, stop.t_stop, opts.samples)
     times = np.ldexp(grid, 2 * run.k)
     if rows_t:
-        table = _step_table(rows_t, rows_h, rows_y, rows_k, run.base, run.k, run.rhs, run.smin)
+        table = _step_table(rows_t, rows_h, rows_y, rows_k, run.k, run.rhs, run.smin)
         states = table.eval(grid)
     else:  # stopped before the first accepted step, so t_stop = 0 and times = [0]
         table, states = None, np.array([m0.as_tuple()])
@@ -905,11 +895,12 @@ def accepted_states(
     """The `Termination` of `terminate` and the states (n, 3) the stepper accepted, in the caller's units.
 
     The rows are the start state of every step `_steps` yields, m0 first
-    and bit for bit, then the last accepted state, except on a run that
-    reached t_max, whose last state lies past t_max.  Each row is the
-    stepper's own state times 2^k, which is exact.  It keeps 24 bytes a
-    step and builds no step table and no dense output, so `options.samples`
-    is not used.
+    and bit for bit, then the last accepted state.  Each is the stepper's
+    own state times 2^k, which is exact.  A run that reached t_max holds no
+    state there, since its last step crosses it: its last row is the dense
+    output at t_max of that step alone, bit for bit the last row of
+    `integrate`.  It keeps 24 bytes a step and builds no step table but
+    that one-step one, so `options.samples` is not used.
     """
     opts = options if options is not None else IntegratorOptions()
     run = _start(geometry, spec, m0, opts)
@@ -917,12 +908,16 @@ def accepted_states(
     steps = _steps(run, opts)
     try:
         while True:
-            rows.extend(next(steps)[2])
+            last = next(steps)
+            rows.extend(last[2])
     except StopIteration as end:
         stop = end.value
-    if stop.kind is not TerminationKind.REACHED_T_MAX:
-        rows.extend(stop.y)
-    return _termination(run, stop), np.ldexp(np.frombuffer(rows).reshape(-1, 3), run.k)
+    if stop.kind is TerminationKind.REACHED_T_MAX:
+        t, h, y, stages = last
+        last_row = _step_table([t], [h], y, stages, run.k, run.rhs, run.smin).eval(np.array([stop.t_stop]))
+    else:
+        last_row = np.ldexp(np.array([stop.y]), run.k)
+    return _termination(run, stop), np.vstack([np.ldexp(np.frombuffer(rows).reshape(-1, 3), run.k), last_row])
 
 
 def sample_at(trajectory: Trajectory, t: float) -> MetricDiag:

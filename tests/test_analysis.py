@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 from itertools import product
+from math import log10
 
 import numpy as np
 import pytest
@@ -255,8 +257,12 @@ def test_unfittable_entries_give_the_refusing_functions_message():
     late = [l for l in e2.laws if l.regime == REGIME_INFINITY]
     assert late and all(not l.passed for l in late)
     assert {l.detail for l in late} == {horizon}
-    [settle] = [c for c in e2.checks if c.name == "(A-B)^2*C settles over the last decade"]
+    checks = {c.name: c for c in e2.checks}
+    settle = checks["(A-B)^2*C settles over the last decade"]
     assert not settle.passed and settle.detail == horizon
+    # the record's own check fails with the refusal too, it does not vanish
+    named = checks["C coefficient = (8 E2/E1) sqrt(6)"]
+    assert not named.passed and named.detail == horizon
 
     traj = integrate(Geometry.SU2, XCF_MINUS, MetricDiag(3, 2, 1), IntegratorOptions(t_max=0.001))
     with pytest.raises(ValueError) as refusal:
@@ -491,25 +497,55 @@ def test_branch_facts_are_bitwise_the_inline_expressions(geom, init, t_max):
 _NEAR_SYMMETRIC_SOL = MetricDiag(2.5, 2.001, 2.523)
 
 
-def test_difference_steps_within_one_spacing_of_the_operands_are_ignored():
-    big = 2.0**20  # spacing 2^-32
-    states = np.array([[big, 1.0, big + 2.0**-28], [big, 1.0, big + 2.0**-29], [big, 1.0, big + 2.0**-29 + 2.0**-32]])
+def test_difference_steps_within_the_rounding_floor_are_ignored():
+    n = analysis.ROUNDING_SPACINGS
+    big, spacing = 2.0**20, 2.0**-32  # every operand below lies in [2^20, 2^21)
+    c = [big + 2.0**-20, big + 2.0**-21, big + 2.0**-21 + n * spacing]  # C-A falls, then rises by n spacings
+    states = np.array([[big, 1.0, ci] for ci in c])
     values = series_values(states, "C-A")
     floor = analysis._rounding_floor(states, "C-A")
-    assert floor.tolist() == [2.0**-32, 2.0**-32]
+    assert floor.tolist() == [n * spacing, n * spacing]
     assert analysis._monotone_violation(values, "decreasing") > 0.0
-    assert analysis._monotone_violation(values, "decreasing", floor) == 0.0
-    states[2, 2] += 2.0**-32  # now two spacings the wrong way
+    assert analysis._monotone_violation(values, "decreasing", floor) == 0.0  # n spacings the wrong way
+    states[2, 2] += spacing  # now n + 1
     assert analysis._monotone_violation(series_values(states, "C-A"), "decreasing", floor) > 0.0
-    assert analysis._rounding_floor(states, "A-3C").tolist() == np.spacing(3.0 * states[1:, 2]).tolist()
+    assert analysis._rounding_floor(states, "A-3C").tolist() == [2 * n * spacing, 2 * n * spacing]
     assert analysis._rounding_floor(states, "A/C") is None and analysis._rounding_floor(states, "C") is None
 
 
+def test_np_exp_is_within_one_ulp_as_the_rounding_floor_assumes():
+    # against the long-double exp, on the exponents a row can take: |h * theta * P(theta)| <= 1/2
+    x = np.linspace(-0.5, 0.5, 100_001)
+    got = np.exp(x)
+    err = np.abs(got.astype(np.longdouble) - np.exp(x.astype(np.longdouble))) / np.spacing(got)
+    assert float(err.max()) < 1.0
+
+
 def test_near_symmetric_sol_passes_its_monotone_checks():
-    # C-A steps the wrong way by one ulp of A ~ 1e6 near the singular time
+    # C-A steps the wrong way by a few spacings of A ~ 1e6 near the singular time, inside the floor
     report = verify(integrate(Geometry.SOL, XCF_MINUS, _NEAR_SYMMETRIC_SOL, IntegratorOptions(t_max=10.0)))
     assert report.passed
     assert [c.observed for c in report.monotone if c.name == "C-A decreasing"] == [0.0]
+
+
+def _near_symmetric_sol_data(count):
+    """Seeded Sol data with C just below A: A, B uniform in [1, 4], C = A/(1+g), g log-uniform in [1e-4, 3e-2]."""
+    rng = random.Random(7)
+    data = []
+    for _ in range(count):
+        a, b, g = rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0), 10.0 ** rng.uniform(-4.0, log10(3e-2))
+        data.append((a, b, a / (1.0 + g)))
+    return data
+
+
+def test_near_symmetric_sol_sweep_passes_its_difference_checks():
+    # the floor covers the rows' rounding: every difference stays monotone, in both labels
+    for datum in _near_symmetric_sol_data(40):
+        for m0 in (datum, datum[::-1]):
+            report = verify(integrate(Geometry.SOL, XCF_MINUS, MetricDiag(*m0), IntegratorOptions(t_max=10.0)))
+            differences = [c for c in report.monotone if c.name in ("C-A decreasing", "A-C decreasing")]
+            assert len(differences) == 1 and differences[0].passed, (m0, differences)
+            assert report.passed, m0
 
 
 def _c_minus_a_check(traj, states):

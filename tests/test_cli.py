@@ -734,6 +734,10 @@ _SCAN_CASES = [
     ("heisenberg", "xcf-", (1.0, 2.0, 3.0), {}, "global", "t_max"),
     ("heisenberg", "xcf-", (1.0, 2.0, 3.0), {"max_steps": 20}, "global", "max_steps"),
     ("trivial", "xcf-", (1.0, 2.0, 3.0), {}, "stationary", "t_max"),
+    # generic SL(2,R) rows that reach t_max under every flow: the last row comes from the last step alone
+    ("sl2r", "xcf-", (1.0, 2.0, 1.5), {"t_max": 1e-3}, "generic", "t_max"),
+    ("sl2r", "xcf+", (0.7, 3.0, 0.9), {"t_max": 2e-3}, "generic", "t_max"),
+    ("sl2r", "nxcf", (1.0, 2.0, 1.5), {"t_max": 1e-3}, "generic", "t_max"),
     # leaves the trapping region inside the step that crosses t_max: its flag needs the row at t_max
     ("sl2r", "nxcf+", (4.461339964845096, 7.585750891443878, 2.5817376032949135), {"t_max": 0.29936595899534013},
      "generic", "t_max"),
@@ -765,9 +769,9 @@ def test_scan_point_cells_equal_cells_from_the_full_sample_path(
     assert cells == _scan_cells_at_full_samples(payload)
     assert cells[3] == branch
     # generic Sol rows read the last of two samples; generic SL(2,R) rows read the stepper's
-    # accepted states and, when the run reached t_max, the last of two samples; every other row
+    # accepted states, with the row at t_max from `accepted_states` itself; every other row
     # reads only its termination, from the bare stepper
-    if branch == "generic" and (geometry == "sol" or geometry == "sl2r" and trigger == "t_max"):
+    if branch == "generic" and geometry == "sol":
         assert asked == [(2, trigger)]
     else:
         assert asked == []
@@ -777,7 +781,7 @@ def test_scan_point_cells_equal_cells_from_the_full_sample_path(
     "geometry, flow, init, opts, branch, trigger", _SCAN_CASES,
     ids=[f"{c[0]}-{c[1]}-{c[4]}-{c[5]}-{i}" for i, c in enumerate(_SCAN_CASES)],
 )
-def test_accepted_states_are_the_step_starts_then_the_last_state_before_t_max(
+def test_accepted_states_are_the_step_starts_then_the_last_state_or_the_t_max_row(
     geometry, flow, init, opts, branch, trigger
 ):
     from xcflow.flows import FLOWS
@@ -788,12 +792,15 @@ def test_accepted_states_are_the_step_starts_then_the_last_state_before_t_max(
     assert term == terminate(geom, spec, m0, options) and term.trigger == trigger
     assert states[0].tobytes() == np.array(init).tobytes()
     # the start state of every step of integrate's table, each before t_max, then the last
-    # accepted state, which a run that reached t_max leaves out since it lies past t_max
-    table = integrate(geom, spec, m0, options)._table
+    # accepted state, or on a run that reached t_max, whose last state lies past it, the row at t_max
+    trajectory = integrate(geom, spec, m0, options)
+    table = trajectory._table
     n = len(table.t0)
     assert states[:n].tobytes() == np.ldexp(table.y, table.k).tobytes()
-    assert len(states) == n + (trigger != "t_max")
+    assert len(states) == n + 1
     assert np.ldexp(table.t0[-1], 2 * table.k) < options.t_max
+    if trigger == "t_max":
+        assert states[-1].tobytes() == trajectory.states[-1].tobytes()
     # at 2^j m0 and 4^j t_max the rows are 2^j times these, bit for bit
     for j in (-3, 5):
         scaled = replace(options, t_max=options.t_max * 4.0**j)
