@@ -21,13 +21,15 @@ each refuses with one message.  The blow-up decade is deep enough that
 next-order corrections (relative size O(u/T0)) are far below the stated
 tolerances, yet shallow enough that difference series such as A - C, which
 shrink like u relative to their parents, stay several orders of magnitude
-above solver noise.  Every fit needs at least 32 samples in its window.
+above solver noise.  A window's 64 rows are drawn from the run's dense
+output at log-spaced abscissae, so no fit depends on the emitted samples.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import accumulate
 from math import ceil, sqrt
 
@@ -44,7 +46,7 @@ from .analytic import (
     conserved_quantities,
     sl2r_trapping_entry,
 )
-from .integrator import _DENSE, _H_MAX, _WEIGHTS, Termination, TerminationKind, Trajectory
+from .integrator import _DENSE, _H_MAX, _WEIGHTS, Termination, TerminationKind, Trajectory, _rows_at
 
 __all__ = [
     "PowerLawFit",
@@ -71,7 +73,7 @@ __all__ = [
     "SL2R_TAIL_RATE_TOL",
 ]
 
-_MIN_WINDOW_SAMPLES = 32
+_WINDOW_ROWS = 64  # rows drawn from the dense output per fit window
 _BLOWUP_WINDOW_DEPTH = 1e-4  # default blow-up fit window: u in [depth, 10*depth]*T0
 
 # Gate thresholds used by `verify`; the acceptance suite reuses them.
@@ -134,7 +136,6 @@ class PowerLawFit:
     coefficient: float
     r2: float
     window: tuple[float, float]
-    n_samples: int
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,6 @@ class LimitPowerFit:
     coefficient: float
     exponent: float
     window: tuple[float, float]
-    n_samples: int
 
 
 def _linefit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -155,15 +155,13 @@ def _linefit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     few reductions and no SVD per fit, and the abscissa mean is removed
     before any product, so a window that is narrow next to its offset (log t
     over the last decade of a long run) keeps its slope.  Every fitted
-    exponent in a report is these bits.
+    exponent in a report is these bits; x spans a fit window's decade, so sxx > 0.
     """
     x_mean = float(np.mean(x))
     y_mean = float(np.mean(y))
     dx = x - x_mean
     dy = y - y_mean
     sxx = float(np.dot(dx, dx))
-    if sxx == 0.0:
-        raise ValueError("degenerate abscissa in linear fit")
     slope = float(np.dot(dx, dy)) / sxx
     intercept = y_mean - slope * x_mean
     ss_res = float(np.sum((dy - slope * dx) ** 2))
@@ -172,65 +170,62 @@ def _linefit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return slope, intercept, r2
 
 
-def _fit_window(
-    run: Trajectory, regime: str, min_samples: int = _MIN_WINDOW_SAMPLES
-) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
-    """Abscissa, sample mask and bounds of the run's fit window.
+def _fit_window(run: Trajectory, regime: str) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+    """Abscissae (64,), the rows (64, 3) drawn there in the run's labels, and the bounds of its fit window.
 
     The abscissa is T0 - t on [1e-4, 1e-3] * T0 for blow-up laws, with T0
-    from `estimate_blowup_time`, and t on [t_stop/10, t_stop] for late-time
-    laws of a run that reached its horizon.  A window holding fewer than
-    `min_samples` samples is rejected.
+    from `estimate_blowup_time` (0 if no step was accepted), and t on
+    [t_stop/10, t_stop] for late-time laws of a run that reached its
+    horizon; it is log-spaced, with the rows in increasing t.
     """
     if regime == REGIME_BLOWUP:
         t0 = estimate_blowup_time(run)
-        x = t0 - run.times
+        if t0 == 0.0:
+            raise ValueError("trajectory stopped at t = 0: its fit window is empty")
         lo, hi = _BLOWUP_WINDOW_DEPTH * t0, 10.0 * _BLOWUP_WINDOW_DEPTH * t0
-        mask = (x >= lo) & (x <= hi) & (x > 0.0)
+        times = t0 - np.geomspace(hi, lo, _WINDOW_ROWS)
+        x = t0 - times
     elif regime == REGIME_INFINITY:
         if run.termination.kind is not TerminationKind.REACHED_T_MAX:
             raise ValueError("trajectory did not reach its horizon")
-        x = run.times
         lo, hi = run.termination.t_stop / 10.0, run.termination.t_stop
-        mask = (x >= lo) & (x <= hi)
+        times = x = np.geomspace(lo, hi, _WINDOW_ROWS)
     else:
         raise ValueError(f"unknown regime {regime!r}")
-    n = int(mask.sum())
-    if n < min_samples:
-        raise ValueError(f"insufficient samples in fit window [{lo:g}, {hi:g}]: {n} < {min_samples}")
-    return x, mask, (float(lo), float(hi))
+    return x, _rows_at(run, times), (float(lo), float(hi))
+
+
+def _power_fit(window: tuple, variable: str) -> PowerLawFit:
+    """`fit_power_law` on a window as `_fit_window` returns it."""
+    x, rows, bounds = window
+    v = series_values(rows, variable)
+    if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
+        raise ValueError("fit window contains non-positive or non-finite values")
+    slope, intercept, r2 = _linefit(np.log(x), np.log(v))
+    return PowerLawFit(slope, float(np.exp(intercept)), r2, bounds)
 
 
 def fit_power_law(trajectory: Trajectory, variable: str, regime: str) -> PowerLawFit:
-    """Fit variable ~ coefficient * x^exponent on the run's fit window.
-
-    x is t for regime "infinity" and T0 - t for regime "blowup".  Windows
-    with fewer than 32 samples or non-positive values are rejected.
-    """
-    x, mask, window = _fit_window(trajectory, regime)
-    v = series_values(trajectory.states, variable)[mask]
-    if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
-        raise ValueError("fit window contains non-positive or non-finite values")
-    slope, intercept, r2 = _linefit(np.log(x[mask]), np.log(v))
-    return PowerLawFit(slope, float(np.exp(intercept)), r2, window, int(mask.sum()))
+    """Fit variable ~ coefficient * x^exponent, x = t or T0 - t by regime; refuse non-positive or non-finite values."""
+    return _power_fit(_fit_window(trajectory, regime), variable)
 
 
-def estimate_limit_plus_power(trajectory: Trajectory, variable: str, exponent: float) -> LimitPowerFit:
-    """Fit variable ~ limit + coefficient * t^exponent on the run's late-time window.
-
-    The series must be monotone on the window; otherwise the fit is refused
-    rather than silently degraded.
-    """
-    _, mask, window = _fit_window(trajectory, REGIME_INFINITY)
-    t = trajectory.times[mask]
-    v = series_values(trajectory.states, variable)[mask]
+def _limit_fit(window: tuple, variable: str, exponent: float) -> LimitPowerFit:
+    """`estimate_limit_plus_power` on a late-time window as `_fit_window` returns it."""
+    t, rows, bounds = window
+    v = series_values(rows, variable)
     d = np.diff(v)
     slack = 1e-12 * float(np.max(np.abs(v)))
     if not (np.all(d >= -slack) or np.all(d <= slack)):
         raise ValueError("series is not monotone on the fit window")
     X = np.column_stack([np.ones_like(t), t ** float(exponent)])
     (limit, coeff), *_ = np.linalg.lstsq(X, v, rcond=None)
-    return LimitPowerFit(float(limit), float(coeff), float(exponent), window, int(mask.sum()))
+    return LimitPowerFit(float(limit), float(coeff), float(exponent), bounds)
+
+
+def estimate_limit_plus_power(trajectory: Trajectory, variable: str, exponent: float) -> LimitPowerFit:
+    """Fit variable ~ limit + coefficient * t^exponent on the late-time window; refuse a series not monotone there."""
+    return _limit_fit(_fit_window(trajectory, REGIME_INFINITY), variable, exponent)
 
 
 def estimate_blowup_time(run: Trajectory | Termination) -> float:
@@ -467,7 +462,11 @@ def verify(trajectory: Trajectory) -> VerificationReport:
     term = trajectory.termination
     record = branch_record(geom, spec, m0)
     perm = canonical_permutation(geom, m0)
-    canonical = replace(trajectory, states=S[:, perm])
+
+    @cache  # each window drawn once, in the record's canonical labels; a refusal raises before any row
+    def window(regime: str) -> tuple:
+        x, rows, bounds = _fit_window(trajectory, regime)
+        return x, rows[:, perm], bounds
 
     conserved = [
         _gate(name, "conserved", _max_rel_drift(series_values(S, name), v0), CONSERVED_DRIFT_TOL)
@@ -491,13 +490,13 @@ def verify(trajectory: Trajectory) -> VerificationReport:
         )
         try:
             if law.limit_form:
-                fit = fits[law.variable] = estimate_limit_plus_power(canonical, law.variable, expected_exp)
+                fit = fits[law.variable] = _limit_fit(window(REGIME_INFINITY), law.variable, expected_exp)
                 laws.append(replace(
                     unfitted, fitted_exponent=expected_exp, fitted_coefficient=fit.coefficient,
                     fitted_limit=fit.limit, passed=fit.limit > 0.0, detail=f"limit={fit.limit:.6g}",
                 ))
                 continue
-            fit = fits[law.variable] = fit_power_law(canonical, law.variable, law.regime)
+            fit = fits[law.variable] = _power_fit(window(law.regime), law.variable)
             ok = abs(fit.exponent - expected_exp) <= law.exponent_tol
             detail = f"coeff={fit.coefficient:.6g}"
             if law.coefficient_tol is not None:
@@ -521,7 +520,7 @@ def verify(trajectory: Trajectory) -> VerificationReport:
         conserved=tuple(conserved),
         monotone=tuple(monotone),
         laws=tuple(laws),
-        checks=tuple(_branch_checks(record, trajectory, canonical.states, fits)),
+        checks=tuple(_branch_checks(record, trajectory, S[:, perm], window, fits)),
     )
 
 
@@ -529,13 +528,14 @@ def _branch_checks(
     record: BranchRecord,
     trajectory: Trajectory,
     Sc: np.ndarray,
+    window,
     fits: dict[str, PowerLawFit | LimitPowerFit],
 ) -> list[CheckResult]:
     """The results of the record's branch checks in order, by kind; a check of unknown kind raises.
 
-    `Sc` holds the states in canonical labels.  Around its own result,
-    "sl2r_pancake" reports the A^9 B^3 quadrature and the A tail rate, and
-    "e2_cigar" the settling of (A-B)^2*C.
+    `Sc` holds the states, and `window(regime)` the fit windows, in canonical
+    labels.  Around its own result, "sl2r_pancake" reports the A^9 B^3
+    quadrature and the A tail rate, and "e2_cigar" the settling of (A-B)^2*C.
     """
     t, S = trajectory.times, trajectory.states
     stop = trajectory.termination.kind
@@ -569,11 +569,11 @@ def _branch_checks(
                 fail(name, str(e))
         elif kind == "ratio_limit":
             try:
-                _, mask, _ = _fit_window(trajectory, REGIME_BLOWUP)
+                _, rows, _ = window(REGIME_BLOWUP)
             except ValueError as e:
                 fail(name, str(e))
                 continue
-            dev = float(np.mean(np.abs(series_values(Sc, check.series)[mask] - 1.0)))
+            dev = float(np.mean(np.abs(series_values(rows, check.series) - 1.0)))
             gate(name, dev, RATIO_LIMIT_TOL, f"mean |{check.series}-1| on the final window")
         elif kind == "sign_change":
             values = series_values(Sc, check.series)
@@ -612,12 +612,12 @@ def _branch_checks(
         elif kind == "e2_cigar":
             settle = "(A-B)^2*C settles over the last decade"
             try:
-                _, mask, _ = _fit_window(trajectory, REGIME_INFINITY, min_samples=0)
+                _, rows, _ = window(REGIME_INFINITY)
             except ValueError as e:
                 fail(settle, str(e))
                 fail(name, str(e))
                 continue
-            v = series_values(Sc, "(A-B)^2*C")[mask]
+            v = series_values(rows, "(A-B)^2*C")
             gate(settle, abs(float(v[-1] - v[0])) / abs(float(v[-1])), PRODUCT_TAIL_TOL)
             afit = fits.get("A-B")
             cfit = fits.get("C")

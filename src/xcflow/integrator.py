@@ -680,11 +680,11 @@ def _sample_times(kind: TerminationKind, t_end: float, n: int) -> np.ndarray:
     Singular runs get an eighth of the rows uniformly over the first half of
     the run and the m = n - n/8 - 1 others geometrically spaced in
     u = t_stop - t from half the run down to a floor f * t_stop, so that
-    every decade of the approach is covered at equal density in log(u): 512
-    rows put at least 32 in each decade of u within [1e-12, 1e-1] * t_stop.
-    The two shares meet at no row, since the uniform one stops short of
-    half the run.  Completed runs are sampled geometrically in t.  Two rows
-    are the two ends of the run.
+    the output covers every decade of the approach at equal density in
+    log(u), though no fit reads it: 512 rows put at least 32 in each decade
+    of u within [1e-12, 1e-1] * t_stop.  The two shares meet at no row, since
+    the uniform one stops short of half the run.  Completed runs are sampled
+    geometrically in t.  Two rows are the two ends of the run.
 
     The floor f is the stepper's resolution `_T_RESOLUTION`, raised to
     (m - 1) * eps / 16 where that is larger, which is above about 8200 rows.
@@ -920,14 +920,17 @@ def accepted_states(
     return _termination(run, stop), np.vstack([np.ldexp(np.frombuffer(rows).reshape(-1, 3), run.k), last_row])
 
 
+def _rows_at(trajectory: Trajectory, times: np.ndarray) -> np.ndarray:
+    """Dense output (n, 3) at flow times (n,) in [0, t_end], with the emitted rows' bits; needs an accepted step."""
+    table = trajectory._table
+    return table.eval(np.ldexp(times, -2 * table.k))
+
+
 def sample_at(trajectory: Trajectory, t: float) -> MetricDiag:
-    """Interpolated metric at flow time t, consistent with the dense output."""
+    """Interpolated metric at flow time t, consistent with the dense output: `_rows_at` of one row."""
     t = float(t)
     if not (0.0 <= t <= trajectory.t_end):
-        raise ValueError(
-            f"t={t!r} outside the valid range [0, {trajectory.t_end!r}] of this trajectory"
-        )
+        raise ValueError(f"t={t!r} outside the valid range [0, {trajectory.t_end!r}] of this trajectory")
     if t == 0.0:
         return trajectory.m0
-    table = trajectory._table
-    return MetricDiag.from_array(table.eval(np.ldexp(np.array([t]), -2 * table.k))[0])
+    return MetricDiag.from_array(_rows_at(trajectory, np.array([t]))[0])

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import replace
 from itertools import product
 from math import log10
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -69,11 +71,27 @@ def test_series_values_accepts_trajectories(sol_symmetric_run):
 # Power-law fitter on synthetic data (exact model recovery)
 
 
-def _synthetic(t: np.ndarray, v: np.ndarray, kind: TerminationKind, t_stop: float) -> Trajectory:
-    """A trajectory whose three coefficients all hold the series v at times t, stopped by `kind` at t_stop."""
+class _ModelTable(NamedTuple):
+    """A stand-in step table: scale exponent k = 0, and `eval` gives the model's rows at the times asked for."""
+
+    model: Callable[[np.ndarray], np.ndarray]
+    k: int = 0
+
+    def eval(self, t: np.ndarray) -> np.ndarray:
+        v = self.model(t)
+        return np.column_stack([v, v, v])
+
+
+def _synthetic(model: Callable[[np.ndarray], np.ndarray], kind: TerminationKind, t_stop: float) -> Trajectory:
+    """A run whose three coefficients all follow the series model(t), stopped by `kind` at t_stop.
+
+    Fit windows draw their rows from the run's step table, so the model is
+    that table; the emitted grid is one placeholder row at t_stop, which no
+    fit reads.
+    """
     return Trajectory(
-        Geometry.SOL, XCF_MINUS, MetricDiag(1, 1, 1), IntegratorOptions(), t, np.column_stack([v, v, v]),
-        Termination(kind, t_stop), None,
+        Geometry.SOL, XCF_MINUS, MetricDiag(1, 1, 1), IntegratorOptions(), np.array([t_stop]), np.ones((1, 3)),
+        Termination(kind, t_stop), _ModelTable(model),
     )
 
 
@@ -82,9 +100,7 @@ _SINGULAR, _REACHED = TerminationKind.SINGULAR_TIME, TerminationKind.REACHED_T_M
 
 def test_fit_recovers_sqrt_collapse():
     t0 = 1.0
-    t = t0 - np.geomspace(0.5, 1e-9, 400)
-    v = 8.0 * np.sqrt(t0 - t)
-    fit = fit_power_law(_synthetic(t, v, _SINGULAR, t0), "A", REGIME_BLOWUP)
+    fit = fit_power_law(_synthetic(lambda t: 8.0 * np.sqrt(t0 - t), _SINGULAR, t0), "A", REGIME_BLOWUP)
     assert fit.exponent == pytest.approx(0.5, abs=1e-9)
     assert fit.coefficient == pytest.approx(8.0, rel=1e-9)
     assert fit.r2 > 0.999999
@@ -99,26 +115,20 @@ def test_fit_recovers_sqrt_collapse():
 def test_fit_recovers_synthetic_power_laws(coeff, p, blowup_mode):
     if blowup_mode:
         t0 = 2.0
-        t = t0 - np.geomspace(1.0, 1e-8, 300)
-        fit = fit_power_law(_synthetic(t, coeff * (t0 - t) ** p, _SINGULAR, t0), "A", REGIME_BLOWUP)
+        fit = fit_power_law(_synthetic(lambda t: coeff * (t0 - t) ** p, _SINGULAR, t0), "A", REGIME_BLOWUP)
     else:
-        t = np.geomspace(1e-3, 1e3, 300)
-        fit = fit_power_law(_synthetic(t, coeff * t**p, _REACHED, t[-1]), "A", REGIME_INFINITY)
+        fit = fit_power_law(_synthetic(lambda t: coeff * t**p, _REACHED, 1e3), "A", REGIME_INFINITY)
     assert fit.exponent == pytest.approx(p, abs=max(1e-6, 1e-6 * abs(p)))
     assert fit.coefficient == pytest.approx(coeff, rel=1e-6)
 
 
 def test_fit_rejects_bad_windows():
-    t = np.geomspace(1e-3, 10.0, 200)
-    v = np.sqrt(t)
-    with pytest.raises(ValueError, match="insufficient samples"):
-        fit_power_law(_synthetic(t[-20:], v[-20:], _REACHED, t[-1]), "A", REGIME_INFINITY)
     with pytest.raises(ValueError, match="non-positive"):
-        fit_power_law(_synthetic(t, v - 2.0, _REACHED, t[-1]), "A", REGIME_INFINITY)
+        fit_power_law(_synthetic(lambda t: np.sqrt(t) - 2.0, _REACHED, 10.0), "A", REGIME_INFINITY)
     with pytest.raises(ValueError, match="unknown regime"):
-        fit_power_law(_synthetic(t, v, _REACHED, t[-1]), "A", "late")
+        fit_power_law(_synthetic(np.sqrt, _REACHED, 10.0), "A", "late")
     with pytest.raises(ValueError, match="singular time"):
-        fit_power_law(_synthetic(t, v, _REACHED, t[-1]), "A", REGIME_BLOWUP)
+        fit_power_law(_synthetic(np.sqrt, _REACHED, 10.0), "A", REGIME_BLOWUP)
 
 
 def test_fit_power_law_requires_matching_termination(sol_symmetric_run):
@@ -131,18 +141,18 @@ def test_fit_power_law_requires_matching_termination(sol_symmetric_run):
 
 
 def test_limit_fit_recovers_synthetic_model():
-    t = np.geomspace(1.0, 1e4, 300)
-    v = 2.0 + 0.5 * t ** (-1.0 / 3.0)
-    fit = estimate_limit_plus_power(_synthetic(t, v, _REACHED, t[-1]), "A", -1.0 / 3.0)
+    run = _synthetic(lambda t: 2.0 + 0.5 * t ** (-1.0 / 3.0), _REACHED, 1e4)
+    fit = estimate_limit_plus_power(run, "A", -1.0 / 3.0)
     assert fit.limit == pytest.approx(2.0, rel=1e-6)
     assert fit.coefficient == pytest.approx(0.5, rel=1e-6)
 
 
 def test_limit_fit_rejects_non_monotone_window():
-    t = np.geomspace(1.0, 1e4, 300)
-    v = 2.0 + 0.5 * t ** (-1.0 / 3.0) + 0.01 * np.sin(t)
+    def wavy(t):
+        return 2.0 + 0.5 * t ** (-1.0 / 3.0) + 0.01 * np.sin(t)
+
     with pytest.raises(ValueError, match="monotone"):
-        estimate_limit_plus_power(_synthetic(t, v, _REACHED, t[-1]), "A", -1.0 / 3.0)
+        estimate_limit_plus_power(_synthetic(wavy, _REACHED, 1e4), "A", -1.0 / 3.0)
 
 
 def test_limit_fit_requires_completed_run(sol_symmetric_run):
@@ -269,6 +279,45 @@ def test_unfittable_entries_give_the_refusing_functions_message():
         analysis._fit_window(traj, REGIME_BLOWUP)
     [ratio] = [c for c in verify(traj).checks if c.name == "A/C -> 1"]
     assert not ratio.passed and ratio.detail == str(refusal.value) == singular
+
+    # a run that stops before its first accepted step has T0 = 0 and an empty blow-up window
+    traj = integrate(Geometry.SOL, XCF_MINUS, MetricDiag(2, 4, 1), IntegratorOptions(rtol=1e-200))
+    assert traj.termination.kind is TerminationKind.SINGULAR_TIME and traj.termination.t_stop == 0.0
+    with pytest.raises(ValueError) as refusal:
+        analysis._fit_window(traj, REGIME_BLOWUP)
+    empty = verify(traj).laws
+    assert len(empty) == 4 and all(not l.passed for l in empty)
+    assert {l.detail for l in empty} == {str(refusal.value)}
+
+
+# The checks that read a fit window or a fit: every other check reads the emitted grid.
+_WINDOW_CHECKS = {
+    "A/C -> 1", "A/B -> 1", "B coefficient = (24 Ainf)^(1/3)", "A tail rate = Ainf^(5/3)/(8*3^(1/3))",
+    "(A-B)^2*C settles over the last decade", "C coefficient = (8 E2/E1) sqrt(6)",
+}
+
+
+def test_window_entries_do_not_depend_on_samples():
+    # fit windows draw their own rows from the run's dense output, so every
+    # law and every check on a window has the same bits, and passes, at any
+    # number of emitted samples
+    runs = [
+        (Geometry.SOL, (2, 4, 1), 10.0), (Geometry.SOL, (1, 4, 2), 10.0), (Geometry.SU2, (3, 2, 1), 10.0),
+        (Geometry.SL2R, (1, 2, 1), 10.0), (Geometry.SL2R, (1, 1, 1), 1e6), (Geometry.E2, (2, 1, 1), 1e8),
+        (Geometry.HEISENBERG, (1, 1, 1), 100.0),
+    ]
+    seen = set()
+    for geom, init, t_max in runs:
+        entries = {}
+        for samples in (2, 64, 448, 2048, 8192):
+            options = IntegratorOptions(t_max=t_max, samples=samples)
+            report = verify(integrate(geom, XCF_MINUS, MetricDiag(*init), options))
+            window = [*report.laws, *(c for c in report.checks if c.name in _WINDOW_CHECKS)]
+            assert window and all(e.passed for e in window), (geom, init, samples)
+            entries[samples] = [e.to_dict() for e in window]
+        assert all(e == entries[2] for e in entries.values()), (geom, init)
+        seen |= {e["name"] for e in entries[2] if "name" in e}
+    assert seen == _WINDOW_CHECKS
 
 
 def test_verify_is_idempotent(sol_generic_run):

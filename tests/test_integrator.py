@@ -204,7 +204,8 @@ def test_sample_at_agrees_with_emitted_grid(heisenberg_short_run, sol_generic_ru
 
 
 def test_512_singular_rows_cover_every_decade_of_the_approach():
-    # blow-up fits need 32 rows in their decade of u = t_stop - t
+    # the output grid's density: 512 rows put 32 in each decade of u = t_stop - t
+    # (no fit reads the grid; fit windows draw their own rows)
     traj = integrate(Geometry.SOL, XCF_MINUS, MetricDiag(2, 4, 1), IntegratorOptions(samples=512))
     t_stop = traj.termination.t_stop
     u = (t_stop - traj.times) / t_stop
