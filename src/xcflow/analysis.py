@@ -46,7 +46,8 @@ from .analytic import (
     conserved_quantities,
     sl2r_trapping_entry,
 )
-from .integrator import _DENSE, _H_MAX, _WEIGHTS, Termination, TerminationKind, Trajectory, _rows_at
+from .integrator import _H_MAX, _INCREMENT, IntegratorOptions, Termination, TerminationKind, Trajectory
+from .integrator import _grid_rows, _rows_at
 
 __all__ = [
     "PowerLawFit",
@@ -371,13 +372,12 @@ def _rounded_sum_size(weights: np.ndarray) -> float:
     return sum(map(abs, w)) + sum(map(abs, list(accumulate(w))[1:]))
 
 
-# The n of `_rounding_floor`, derived in its docstring: first a row value's
-# and a step join's rounding, in units of u = 2^-53 relative to the value
-_ROW_ROUNDING = _H_MAX * (
-    float(np.finfo(np.longdouble).eps / np.finfo(float).eps) * sum(map(_rounded_sum_size, _DENSE.T)) + 15
-) + 2 + 1
-_JOIN_ROUNDING = _H_MAX * (_rounded_sum_size(_WEIGHTS) + 1) + 2 + 1
-ROUNDING_SPACINGS = ceil(2 * (2 * _ROW_ROUNDING + _JOIN_ROUNDING) + 2)
+# The n of `_rounding_floor`, derived in its docstring: the roundings of a row value, of a
+# step's increment and of a step join, in units of u = 2^-53 relative to the value
+_ROW_ROUNDING = _H_MAX * 3 + 2 + 1
+_INCREMENT_ROUNDING = _H_MAX * _rounded_sum_size(_INCREMENT[1].ravel())
+_JOIN_ROUNDING = _H_MAX * 1 + 2 + 1
+ROUNDING_SPACINGS = ceil(2 * (2 * _ROW_ROUNDING + 2 * _INCREMENT_ROUNDING + _JOIN_ROUNDING) + 2)
 
 
 def _rounding_floor(states: np.ndarray, name: str) -> np.ndarray | None:
@@ -387,44 +387,44 @@ def _rounding_floor(states: np.ndarray, name: str) -> np.ndarray | None:
     of the step: the most by which the rows' rounding alone can make the
     difference step the wrong way while the interpolant's is monotone.  A
     relative error of e * u in a value v is less than e spacings of v, and
-    so of the larger operand.  A row is y * exp(x), x = h * theta * P(theta),
-    with y the start state of its step as the stepper held it
-    (`integrator._StepTable.eval`).
+    so of the larger operand.  A row is y * exp(h * theta * P(theta)), y the
+    start state of its step as the stepper held it and P in the nested form
+    of `dop853.f` (`integrator._StepTable.eval`).
 
-    Assumption: the stage velocities of a step are nearly equal, so that
-    P(theta) is its constant term q_0 = k_1, |k_1| <= 1 (|dxi/dtau| <= 1),
-    and every product and running sum below is at most 1 in size.  That is
+    Assumption: the stage velocities k_s of a step are nearly equal, so that
+    F0 is about k_1, |k_1| <= 1 (|dxi/dtau| <= 1), and F1-F6, which weigh
+    their differences, are near 0: every level of the nested form is at
+    most 1 in size, F1 = k_1 - F0 and F0 - k_13 are exact, and the
+    roundings of F1-F6 and of the inner levels are far below u.  That is
     where a difference is tight: dxi/dtau is nearly constant across a step
     near a self-similar singularity.  (On the 80 near-symmetric Sol runs of
-    the monotone sweep test, sum_p |q_p| exceeds 1 by at most 8e-11.)  Every
-    rounding is at most u relative, and np.exp is within one ulp, at most 2u
-    relative on [exp(-1/2), exp(1/2)].  Errors that are the same for every
-    component of equal velocity, such as those of the tableau's constants,
-    move both operands alike and are not counted, nor is the error of
-    theta, which is common to the row.
+    the monotone sweep test, |F0| + ... + |F6| exceeds 1 by at most
+    1.2e-11.)  Every other rounding is at most u relative, and np.exp and
+    math.exp are within one ulp, at most 2u relative on [exp(-1/2),
+    exp(1/2)].  Errors that are the same for every component of equal
+    velocity, such as those of the tableau's constants, move both operands
+    alike and are not counted, nor is the error of theta, which is common
+    to the row.
 
-    One row value, in u relative, with h <= `_H_MAX` = 1/2 (`_ROW_ROUNDING`):
-    - the long-double sum q_p = sum_s k_s M[s, p]: its rounding, 2^-11 of a
-      float's on x86-64, at the sizes of `_rounded_sum_size` of each column
-      of `integrator._DENSE` (22,785 in all), times h: 5.6;
-    - the cast of q to float, Horner's thirteen roundings for
-      theta * P(theta) (seven products by theta and six sums) and the
-      product by h: fifteen roundings of size at most 1, times h: 7.5;
-    - np.exp: 2;
-    - the product by y: 1.
-    That is 16.1.  Where the two rows of a check step lie in different steps
-    of the stepper, the second starts from the stepper's next state, which
-    carries the stepper's own rounding against the first step's
-    interpolant at its end (`_JOIN_ROUNDING`): its float sum
-    sum_s b_s k_s, of size 28.0 by `_rounded_sum_size`, and the product
-    by h, times h: 14.5; np.exp: 2; the product by y: 1.  That is 17.5.
-
-    Summed over the two operands, two row values and one join each:
-    2 * (2 * 16.1 + 17.5) = 99.3.  The difference itself and the product
-    3 * C each round by at most half a spacing per row: 2 more, 101.3,
-    rounded up to n = 102.
-    Measured on the 80 near-symmetric runs, the largest wrong-way step is 12
-    spacings, with median 3, and steps across a join reach 4.
+    Per operand, in u relative, with h <= `_H_MAX` = 1/2:
+    - a row value (`_ROW_ROUNDING`): the outer sum F0 + (1 - theta) * (...)
+      and the products by theta and by h, of size at most 1, times h: 1.5;
+      np.exp: 2; the product by y: 1.  That is 4.5, and 9 for two rows;
+    - a step's increment (`_INCREMENT_ROUNDING`): the float sum
+      F0 = sum_s b_s k_s, of size 28.02 by `_rounded_sum_size`, times h:
+      14.01.  An error e in F0 (so -e in F1 and 2e in F2) moves the step's
+      exponent by h * e * theta^2 (3 - 2 theta), from 0 at its start to
+      h * e at its end, where the next step starts.  So it moves two rows
+      apart by at most h * e within a step and 2 h * e across a join: 28.02;
+    - a join (`_JOIN_ROUNDING`): the second step starts from the stepper's
+      next state y * exp(h * F0), with the same F0.  Against the first
+      step's interpolant at its end it carries the product by h, times h:
+      0.5; exp: 2; the product by y: 1.  That is 3.5.
+    Summed over the two operands: 2 * (9 + 28.02 + 3.5) = 81.04.  The
+    difference itself and the product 3 * C each round by at most half a
+    spacing per row: 2 more, 83.04, rounded up to n = 84.
+    Measured on the 80 near-symmetric runs, the largest wrong-way step is 10
+    spacings, with median 1, and steps across a join reach 2.
     """
     match = _DIFFERENCE.fullmatch(name)
     if match is None:
@@ -535,7 +535,8 @@ def _branch_checks(
 
     `Sc` holds the states, and `window(regime)` the fit windows, in canonical
     labels.  Around its own result, "sl2r_pancake" reports the A^9 B^3
-    quadrature and the A tail rate, and "e2_cigar" the settling of (A-B)^2*C.
+    quadrature, on the default run's rows drawn from the run at any
+    `samples`, and the A tail rate, and "e2_cigar" the settling of (A-B)^2*C.
     """
     t, S = trajectory.times, trajectory.states
     stop = trajectory.termination.kind
@@ -586,9 +587,10 @@ def _branch_checks(
         elif kind == "stationary":
             gate(name, float(np.max(np.abs(S - S[0]))), 0.0)
         elif kind == "sl2r_pancake":
-            lhs = S[:, 0] ** 9 * S[:, 1] ** 3
+            tq, Sq = _grid_rows(trajectory, IntegratorOptions().samples)
+            lhs = Sq[:, 0] ** 9 * Sq[:, 1] ** 3
             rhs = lhs[0] + np.concatenate(
-                [[0.0], np.cumsum(0.5 * np.diff(t) * (24.0 * S[:-1, 0] ** 10 + 24.0 * S[1:, 0] ** 10))]
+                [[0.0], np.cumsum(0.5 * np.diff(tq) * (24.0 * Sq[:-1, 0] ** 10 + 24.0 * Sq[1:, 0] ** 10))]
             )
             qerr = abs(float(lhs[-1] - rhs[-1])) / abs(float(lhs[-1]))
             gate("d/dt(A^9 B^3) = 24 A^10 (trapezoid)", qerr, QUADRATURE_TOL)

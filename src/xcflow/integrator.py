@@ -60,9 +60,9 @@ no accuracy in t.  The first trial step is 0.01 in tau and no step exceeds
   whatever else is sampled.  A sample time is mapped to tau by Newton's
   method on its step's interpolant of t, and the state is
   y * exp(h * theta * P(theta)) in float, y the step's start state as the
-  stepper held it: the form of a stage state, evaluated in working
-  precision as `dop853.f`'s `contd8` is.  Only the coefficients of P are
-  summed in long double, since they cancel.
+  stepper held it: the form of a stage state, with P in `dop853.f`'s nested
+  form (`contd8`), in float64.  P weighs differences of stages, so nothing
+  cancels, and at theta = 1 the exponent is the stepper's h * F0 to the bit.
 
 The step runs on Python floats, so an attempt makes no numpy call.  Each
 stage state is one tableau row written out component by component into
@@ -210,66 +210,42 @@ _EXTRA = (
 )
 # each row of _EXTRA as its stage indices and its weight column, for the column sums of `_extra_stages`
 _EXTRA_COLUMNS = [([j for j, _ in row], np.array([[a] for _, a in row])) for row in _EXTRA]
-# Continuous extension: xi(theta) = x0 + theta * (F0 + (1 - theta) * (F1 + theta * (F2
-# + (1 - theta) * (F3 + theta * (F4 + (1 - theta) * (F5 + theta * F6)))))), with F0 the
-# step's increment h * sum b_i k_i, F1 = h k_1 - F0, F2 = 2 F0 - h (k_1 + k_13), and
-# F3-F6 = h * sum_i d_i k_i over the rows of _D, which weigh stages 1 and 6-16.
+# Continuous extension, in the nested form of `dop853.f`'s `contd8`: over a step,
+# xi(theta) = x0 + h * theta * P(theta) with P(theta) = F0 + (1 - theta) * (F1 + theta
+# * (F2 + (1 - theta) * (F3 + theta * (F4 + (1 - theta) * (F5 + theta * F6))))), where
+# F0 is the step's increment sum b_i k_i, F1 = k_1 - F0, F2 = F0 - k_13 - F1 and
+# F3-F6 = sum_i d_i (k_i - k_1) over the rows of _D, which weigh stages 6-16.
+# `dop853.f` gives stage 1 minus the sum of the others, to rounding, so the
+# differences k_i - k_1 apply its rows exactly as rows that sum to 0.
 _D = (
     (
-        -0.84289382761090128651353491142e1, 0.56671495351937776962531783590, -0.30689499459498916912797304727e1,
-        0.23846676565120698287728149680e1, 0.21170345824450282767155149946e1, -0.87139158377797299206789907490,
-        0.22404374302607882758541771650e1, 0.63157877876946881815570249290, -0.88990336451333310820698117400e-1,
-        0.18148505520854727256656404962e2, -0.91946323924783554000451984436e1, -0.44360363875948939664310572000e1,
+        0.56671495351937776962531783590, -0.30689499459498916912797304727e1, 0.23846676565120698287728149680e1,
+        0.21170345824450282767155149946e1, -0.87139158377797299206789907490, 0.22404374302607882758541771650e1,
+        0.63157877876946881815570249290, -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e2,
+        -0.91946323924783554000451984436e1, -0.44360363875948939664310572000e1,
     ),
     (
-        0.10427508642579134603413151009e2, 0.24228349177525818288430175319e3, 0.16520045171727028198505394887e3,
-        -0.37454675472269020279518312152e3, -0.22113666853125306036270938578e2, 0.77334326684722638389603898808e1,
-        -0.30674084731089398182061213626e2, -0.93321305264302278729567221706e1, 0.15697238121770843886131091075e2,
-        -0.31139403219565177677282850411e2, -0.93529243588444783865713862664e1, 0.35816841486394083752465898540e2,
+        0.24228349177525818288430175319e3, 0.16520045171727028198505394887e3, -0.37454675472269020279518312152e3,
+        -0.22113666853125306036270938578e2, 0.77334326684722638389603898808e1, -0.30674084731089398182061213626e2,
+        -0.93321305264302278729567221706e1, 0.15697238121770843886131091075e2, -0.31139403219565177677282850411e2,
+        -0.93529243588444783865713862664e1, 0.35816841486394083752465898540e2,
     ),
     (
-        0.19985053242002433820987653617e2, -0.38703730874935176555105901742e3, -0.18917813819516756882830838328e3,
-        0.52780815920542364900561016686e3, -0.11573902539959630126141871134e2, 0.68812326946963000169666922661e1,
-        -0.10006050966910838403183860980e1, 0.77771377980534432092869265740, -0.27782057523535084065932004339e1,
-        -0.60196695231264120758267380846e2, 0.84320405506677161018159903784e2, 0.11992291136182789328035130030e2,
+        -0.38703730874935176555105901742e3, -0.18917813819516756882830838328e3, 0.52780815920542364900561016686e3,
+        -0.11573902539959630126141871134e2, 0.68812326946963000169666922661e1, -0.10006050966910838403183860980e1,
+        0.77771377980534432092869265740, -0.27782057523535084065932004339e1, -0.60196695231264120758267380846e2,
+        0.84320405506677161018159903784e2, 0.11992291136182789328035130030e2,
     ),
     (
-        -0.25693933462703749003312586129e2, -0.15418974869023643374053993627e3, -0.23152937917604549567536039109e3,
-        0.35763911791061412378285349910e3, 0.93405324183624310003907691704e2, -0.37458323136451633156875139351e2,
-        0.10409964950896230045147246184e3, 0.29840293426660503123344363579e2, -0.43533456590011143754432175058e2,
-        0.96324553959188282948394950600e2, -0.39177261675615439165231486172e2, -0.14972683625798562581422125276e3,
+        -0.15418974869023643374053993627e3, -0.23152937917604549567536039109e3, 0.35763911791061412378285349910e3,
+        0.93405324183624310003907691704e2, -0.37458323136451633156875139351e2, 0.10409964950896230045147246184e3,
+        0.29840293426660503123344363579e2, -0.43533456590011143754432175058e2, 0.96324553959188282948394950600e2,
+        -0.39177261675615439165231486172e2, -0.14972683625798562581422125276e3,
     ),
 )
-_WEIGHTS = np.zeros(16, dtype=np.longdouble)  # the _Bi of stages 1-16, in long double
-_WEIGHTS[[0, 5, 6, 7, 8, 9, 10, 11]] = (_B1, _B6, _B7, _B8, _B9, _B10, _B11, _B12)
-
-
-def _monomial_matrix(with_extension: bool) -> np.ndarray:
-    """M[s, p]: the coefficient of theta^p in P(theta) from stage s, xi = x0 + h theta P(theta).
-
-    Expands the nested form above in long double.  Without the extension
-    (F3-F6 dropped) it is the cubic Hermite interpolant through the two ends
-    of the step, which needs no extra stage.
-    """
-    rows = np.zeros((7, 16), dtype=np.longdouble)
-    rows[0] = _WEIGHTS
-    rows[1] = -_WEIGHTS
-    rows[1, 0] += 1.0
-    rows[2] = 2.0 * _WEIGHTS
-    rows[2, [0, 12]] -= 1.0
-    if with_extension:
-        rows[3:, [0, *range(5, 16)]] = _D
-    # theta^p coefficients of 1, 1-x, x(1-x), x(1-x)^2, x^2(1-x)^2, x^2(1-x)^3, x^3(1-x)^3
-    basis = np.array([
-        (1, 0, 0, 0, 0, 0, 0), (1, -1, 0, 0, 0, 0, 0), (0, 1, -1, 0, 0, 0, 0), (0, 1, -2, 1, 0, 0, 0),
-        (0, 0, 1, -2, 1, 0, 0), (0, 0, 1, -3, 3, -1, 0), (0, 0, 0, 1, -3, 3, -1),
-    ], dtype=np.longdouble)
-    m = rows.T @ basis
-    return m if with_extension else m[:13]
-
-
-_DENSE = _monomial_matrix(True)  # (16, 7): the seventh-order extension
-_HERMITE = _monomial_matrix(False)  # (13, 7): its cubic part, for a step whose extra stages fail
+# the stage indices and weight column of the increment's sum, and _D as (row, stage, 1), for `_coefficients`
+_INCREMENT = ([0, 5, 6, 7, 8, 9, 10, 11], np.array([[_B1], [_B6], [_B7], [_B8], [_B9], [_B10], [_B11], [_B12]]))
+_D_WEIGHTS = np.array(_D)[:, :, None]
 _INF = float("inf")
 
 _SAFETY = 0.9
@@ -356,13 +332,13 @@ class _StepTable:
     k: int  # binary exponent of the scale: y = 2^k * scaled y, t = 4^k * scaled t
     rhs: object  # the run's right-hand side, for the stages of the continuous extension
     smin: float  # the run's floor of s
-    # interpolant coefficients, filled step by step as steps are sampled: (m, 4, 7), of xi_A, xi_B, xi_C
-    # and of the non-exponential part of dt/dtau
+    # interpolant coefficients F0-F6, filled step by step as steps are sampled: (m, 7, 4), of xi_A, xi_B,
+    # xi_C and of the non-exponential part of dt/dtau
     q: np.ndarray = field(init=False, repr=False)
     ready: np.ndarray = field(init=False, repr=False)  # (m,) whether q holds the step
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q", np.zeros((len(self.h), 4, 7)))
+        object.__setattr__(self, "q", np.zeros((len(self.h), 7, 4)))
         object.__setattr__(self, "ready", np.zeros(len(self.h), dtype=bool))
 
     def _build(self, idx: np.ndarray) -> None:
@@ -370,15 +346,14 @@ class _StepTable:
 
         `_extra_stages` gives the new steps, in one pass, the three extra
         stages of the extension, each step's from its own start state, size
-        and stages.  q = K^T M is summed stage by stage in long double and
-        rounded to float once, the same operations for every step and
-        component: a step's coefficients do not depend on which other steps
-        are built with it, and exactly equal stage velocities give exactly
-        equal coefficients.  For t, M is applied to the stage values of
-        dt/dtau less the exponential w0 * exp(-a c) through its two ends.  A
-        step whose extra stage raises ArithmeticError keeps its row: it gets
-        the cubic Hermite interpolant through its two ends (`_HERMITE`), which
-        needs no extra stage.
+        and stages.  `_coefficients` forms F0-F6 in float by the same
+        operations for every step and component: a step's coefficients do
+        not depend on which other steps are built with it, and exactly equal
+        stage velocities give exactly equal coefficients.  For t they are
+        formed from the stage values of dt/dtau less the exponential
+        w0 * exp(-a c) through its two ends.  A step whose extra stage raises
+        ArithmeticError keeps its rows: it gets F3-F6 = 0, the cubic Hermite
+        interpolant through its two ends, which needs no extra stage.
         """
         mark = np.zeros(len(self.h), dtype=bool)
         mark[idx] = True
@@ -387,10 +362,7 @@ class _StepTable:
             return
         K, extended = _extra_stages(self.rhs, self.y[new], self.K[new], self.h[new], self.smin)
         K[:, :, 3] -= self.w0[new, None] * np.exp(-self.a[new, None] * _C)
-        q = _coefficients(K, _DENSE)
-        if not extended.all():
-            q[~extended] = _coefficients(K[~extended, :13], _HERMITE)
-        self.q[new] = q
+        self.q[new] = _coefficients(K, extended)
         self.ready[new] = True
 
     def eval(self, t: np.ndarray) -> np.ndarray:
@@ -405,7 +377,7 @@ class _StepTable:
         flat in theta, clipped to [0, 1].  Then the state is
         y * exp(h * theta * P(theta)) in float, y the step's start state as
         the stepper held it and P the degree-6 polynomial of the
-        seventh-order extension by Horner's rule: the form of a stage state,
+        seventh-order extension in its nested form: the form of a stage state,
         so theta = 0 gives y exactly and a row depends on its own step alone.
         Everything is elementwise, so a time gives the same bits in any stack
         of times (`sample_at` evaluates a stack of one).
@@ -413,7 +385,7 @@ class _StepTable:
         idx = np.searchsorted(self.t0, t, side="right") - 1  # t0[0] = 0, so idx >= 0
         self._build(idx)
         h, w0, a, q = self.h[idx], self.w0[idx], self.a[idx], self.q[idx]
-        c = q[:, 3].T
+        c = q[:, :, 3].T
         flat = a == 0.0
         a_div = np.where(flat, 1.0, a)
         m = np.expm1(-a)
@@ -425,12 +397,15 @@ class _StepTable:
             vm = np.maximum(v * m, _VM_FLOOR)  # 1 + vm = exp(-a theta) > 0
             return vm, np.where(flat, v, np.minimum(-np.log1p(vm) / a_div, 1.0))
 
-        def pt(theta):  # theta * Pt(theta) and its derivative, by Horner's rule
-            p, dp = c[6], 7.0 * c[6]
+        def pt(theta):  # theta * Pt(theta) and its derivative, Pt in the nested form
+            s1 = 1.0 - theta
+            p, dp = c[6], 0.0
             for j in range(5, -1, -1):
-                p = p * theta + c[j]
-                dp = dp * theta + (j + 1.0) * c[j]
-            return p * theta, dp
+                if j % 2:  # F_j + theta * p
+                    p, dp = c[j] + theta * p, p + theta * dp
+                else:  # F_j + (1 - theta) * p
+                    p, dp = c[j] + s1 * p, s1 * dp - p
+            return theta * p, p + theta * dp
 
         v = np.clip(d / (lin + pt(1.0)[0]), 0.0, 1.0)
         vm, theta = theta_of(v)
@@ -439,12 +414,13 @@ class _StepTable:
             dtheta = np.where(flat, 1.0, e1 / (1.0 + vm))
             v = np.clip(v - (lin * v + p - d) / (lin + dp * dtheta), 0.0, 1.0)
             vm, theta = theta_of(v)
-        # y * exp(h * theta * P(theta)), in place
+        # y * exp(h * theta * P(theta)), in place: after F_j, the factor of the next level out
         theta = theta[:, None]
-        x = q[:, :3, 6] * theta
+        s1 = 1.0 - theta
+        x = q[:, 6, :3] * theta
         for j in range(5, -1, -1):
-            x += q[:, :3, j]
-            x *= theta
+            x += q[:, j, :3]
+            x *= s1 if j % 2 else theta
         x *= h[:, None]
         np.exp(x, out=x)
         x *= self.y[idx]
@@ -654,9 +630,18 @@ def _extra_stages(rhs, y, K, h, smin):
     return K, np.array(ok)
 
 
-def _coefficients(K, M):
-    """q[n, c, p] = sum_s K[n, s, c] M[s, p], summed over the stages in order, in long double."""
-    return np.einsum("nsc,sp->ncp", K.astype(np.longdouble), M)
+def _coefficients(K, extended):
+    """F0-F6 (n, 7, 4) of the nested form, from the stages K (n, 16, 4); F3-F6 = 0 where not `extended`.
+
+    Each sum runs left to right (`cumsum`), as the same sum on floats does,
+    so F0 of a xi component has the bits of the stepper's increment `ba`.
+    """
+    k1 = K[:, 0]
+    f0 = (K[:, _INCREMENT[0]] * _INCREMENT[1]).cumsum(axis=1)[:, -1]
+    f1 = k1 - f0
+    fd = ((K[:, None, 5:] - k1[:, None, None]) * _D_WEIGHTS).cumsum(axis=2)[:, :, -1]
+    fd[~extended] = 0.0
+    return np.concatenate([f0[:, None], f1[:, None], (f0 - K[:, 12] - f1)[:, None], fd], axis=1)
 
 
 def _step_table(t0, h, y, stages, k, rhs, smin) -> _StepTable:
@@ -924,6 +909,15 @@ def _rows_at(trajectory: Trajectory, times: np.ndarray) -> np.ndarray:
     """Dense output (n, 3) at flow times (n,) in [0, t_end], with the emitted rows' bits; needs an accepted step."""
     table = trajectory._table
     return table.eval(np.ldexp(times, -2 * table.k))
+
+
+def _grid_rows(trajectory: Trajectory, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """The times and rows `integrate` emits on this run at `samples` rows, bit for bit."""
+    table = trajectory._table
+    if table is None or trajectory.options.samples == samples:  # its own rows; with no step, m0 at t = 0 alone
+        return trajectory.times, trajectory.states
+    grid = _sample_times(trajectory.termination.kind, ldexp(trajectory.termination.t_stop, -2 * table.k), samples)
+    return np.ldexp(grid, 2 * table.k), table.eval(grid)
 
 
 def sample_at(trajectory: Trajectory, t: float) -> MetricDiag:

@@ -7,6 +7,7 @@ from collections.abc import Callable
 from dataclasses import replace
 from itertools import product
 from math import log10
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -288,19 +289,25 @@ def test_unfittable_entries_give_the_refusing_functions_message():
     empty = verify(traj).laws
     assert len(empty) == 4 and all(not l.passed for l in empty)
     assert {l.detail for l in empty} == {str(refusal.value)}
+    # with no accepted step the SL(2,R) quadrature still runs, on the run's one row
+    traj = integrate(Geometry.SL2R, XCF_MINUS, m0, IntegratorOptions(t_max=1e6, rtol=1e-200))
+    assert traj._table is None
+    [quadrature] = [c for c in verify(traj).checks if c.name == "d/dt(A^9 B^3) = 24 A^10 (trapezoid)"]
+    assert quadrature.passed and quadrature.observed == 0.0
 
 
 # The checks that read a fit window or a fit: every other check reads the emitted grid.
 _WINDOW_CHECKS = {
     "A/C -> 1", "A/B -> 1", "B coefficient = (24 Ainf)^(1/3)", "A tail rate = Ainf^(5/3)/(8*3^(1/3))",
     "(A-B)^2*C settles over the last decade", "C coefficient = (8 E2/E1) sqrt(6)",
+    "d/dt(A^9 B^3) = 24 A^10 (trapezoid)",
 }
 
 
 def test_window_entries_do_not_depend_on_samples():
-    # fit windows draw their own rows from the run's dense output, so every
-    # law and every check on a window has the same bits, and passes, at any
-    # number of emitted samples
+    # fit windows, and the A^9 B^3 quadrature, draw their own rows from the
+    # run's dense output, so every law and every check on them has the same
+    # bits, and passes, at any number of emitted samples
     runs = [
         (Geometry.SOL, (2, 4, 1), 10.0), (Geometry.SOL, (1, 4, 2), 10.0), (Geometry.SU2, (3, 2, 1), 10.0),
         (Geometry.SL2R, (1, 2, 1), 10.0), (Geometry.SL2R, (1, 1, 1), 1e6), (Geometry.E2, (2, 1, 1), 1e8),
@@ -547,6 +554,8 @@ _NEAR_SYMMETRIC_SOL = MetricDiag(2.5, 2.001, 2.523)
 
 
 def test_difference_steps_within_the_rounding_floor_are_ignored():
+    # the floor's derivation, by hand: 2 * (2 * 4.5 + 2 * 14.01 + 3.5) + 2 = 83.04 spacings, rounded up
+    assert analysis.ROUNDING_SPACINGS == 84
     n = analysis.ROUNDING_SPACINGS
     big, spacing = 2.0**20, 2.0**-32  # every operand below lies in [2^20, 2^21)
     c = [big + 2.0**-20, big + 2.0**-21, big + 2.0**-21 + n * spacing]  # C-A falls, then rises by n spacings
@@ -560,6 +569,12 @@ def test_difference_steps_within_the_rounding_floor_are_ignored():
     assert analysis._monotone_violation(series_values(states, "C-A"), "decreasing", floor) > 0.0
     assert analysis._rounding_floor(states, "A-3C").tolist() == [2 * n * spacing, 2 * n * spacing]
     assert analysis._rounding_floor(states, "A/C") is None and analysis._rounding_floor(states, "C") is None
+
+
+def test_no_source_file_names_long_double():
+    # the rows, and the floor derived from their operations, are float64 on every platform
+    sources = sorted(Path(analysis.__file__).parent.glob("*.py"))
+    assert sources and [p.name for p in sources if "longdouble" in p.read_text()] == []
 
 
 def test_np_exp_is_within_one_ulp_as_the_rounding_floor_assumes():

@@ -251,21 +251,26 @@ def test_singular_run_returns_the_asked_rows(samples):
 
 
 def _row_state(table, t):
-    """The dense output at one scaled time, in numpy scalars: the reference for `_StepTable.eval`."""
+    """The dense output at one scaled time, in numpy scalars: the reference for `_StepTable.eval`.
+
+    P(theta) is written out in `dop853.f`'s nested form; theta * Pt(theta)
+    and its derivative go through the same levels by the product rule.
+    """
     i = int(np.searchsorted(table.t0, t, side="right")) - 1
-    h, w0, a = table.h[i], table.w0[i], table.a[i]
-    c = table.q[i][3]
+    h, w0, a, F = table.h[i], table.w0[i], table.a[i], table.q[i]
+    c = F[:, 3]
     m = np.expm1(-a)
     e1 = 1.0 if a == 0.0 else -m / a
     lin = w0 * e1
     d = (t - table.t0[i]) / h
 
     def pt(theta):
-        p, dp = c[6], 7.0 * c[6]
+        s1 = 1.0 - theta
+        p, dp = c[6], 0.0
         for j in range(5, -1, -1):
-            p = p * theta + c[j]
-            dp = dp * theta + (j + 1.0) * c[j]
-        return p * theta, dp
+            g, dg = (theta, 1.0) if j % 2 else (s1, -1.0)
+            p, dp = c[j] + g * p, dg * p + g * dp
+        return theta * p, p + theta * dp
 
     v = min(max(d / (lin + pt(1.0)[0]), 0.0), 1.0)
     for n in range(integrator._NEWTON_STEPS + 1):
@@ -276,10 +281,9 @@ def _row_state(table, t):
         p, dp = pt(theta)
         dtheta = 1.0 if a == 0.0 else e1 / (1.0 + vm)
         v = min(max(v - (lin * v + p - d) / (lin + dp * dtheta), 0.0), 1.0)
-    x = table.q[i][:3, 6] * theta
-    for j in range(5, -1, -1):
-        x = (x + table.q[i][:3, j]) * theta
-    return np.ldexp(table.y[i] * np.exp(h * x), table.k)
+    s1 = 1.0 - theta
+    P = F[0] + s1 * (F[1] + theta * (F[2] + s1 * (F[3] + theta * (F[4] + s1 * (F[5] + theta * F[6])))))
+    return np.ldexp(table.y[i] * np.exp(h * (theta * P[:3])), table.k)
 
 
 def test_dense_grid_matches_per_row_interpolant(heisenberg_short_run, sol_generic_run, su2_round_run):
@@ -438,13 +442,24 @@ def test_tableau_is_the_reference_copy_and_meets_the_order_conditions():
 
 @pytest.mark.parametrize("theta", [0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
 def test_dense_weights_meet_the_quadrature_conditions_of_their_order(theta):
-    # the weights b_i(theta) = theta * sum_p M[i, p] theta^p of the continuous
-    # extension integrate c^(q-1) exactly up to q = 7, and those of its cubic
-    # Hermite part up to q = 3; at theta = 1 both are the b_i
-    for M, order in ((integrator._DENSE, 7), (integrator._HERMITE, 3)):
-        th = np.longdouble(theta)
-        weights = th * (M * th ** np.arange(7)).sum(axis=1)
-        c = integrator._C[: len(M)].astype(np.longdouble)
+    # the weights b_i(theta) of xi = x0 + h * sum_i b_i(theta) k_i, built in
+    # long double from the stage weights of F0-F6 by the nested form, integrate
+    # c^(q-1) exactly up to q = 7, and with F3-F6 = 0 (the cubic Hermite part)
+    # up to q = 3; at theta = 1 both are the b_i
+    ld = np.longdouble
+    b = np.zeros(16, dtype=ld)
+    b[integrator._INCREMENT[0]] = integrator._INCREMENT[1].ravel()
+    one, end = np.eye(16, dtype=ld)[[0, 12]]
+    d = np.zeros((4, 16), dtype=ld)
+    d[:, 5:] = integrator._D
+    d[:, 0] = -d.sum(axis=1)  # the differences k_i - k_1 give stage 1 the weight that makes each row sum to 0
+    th, s1 = ld(theta), 1 - ld(theta)
+    c = integrator._C.astype(ld)
+    for F, order in (((b, one - b, 2 * b - one - end, *d), 7), ((b, one - b, 2 * b - one - end, *(0 * d)), 3)):
+        p = F[6]
+        for j in range(5, -1, -1):
+            p = F[j] + (th if j % 2 else s1) * p
+        weights = th * p
         for q in range(1, order + 1):
             assert abs(float((weights * c ** (q - 1)).sum() - th**q / q)) <= 1e-14, (order, q)
         if theta < 1.0:  # and no further inside the step
@@ -470,14 +485,16 @@ def test_a_built_step_table_holds_float_arrays_with_the_same_bytes_on_every_run(
 
 
 def test_dense_output_at_theta_1_reproduces_each_step_end(sol_generic_run, su2_generic_run, e2_generic_run):
+    # at theta = 1 the nested form is F0, the stepper's own increment, so the
+    # stepper's y * exp(h * F0) is its next state to the bit
     for traj in (sol_generic_run, su2_generic_run, e2_generic_run):
         table = _built(traj)
-        h = table.h[:-1]
-        y1 = table.y[:-1] * np.exp(h[:, None] * table.q[:-1, :3].sum(axis=2))
-        assert np.max(np.abs(y1 - table.y[1:]) / table.y[1:]) <= 1e-15
+        h, F0 = table.h[:-1], table.q[:-1, 0]
+        y1 = [[y * exp(hi * f) for y, f in zip(yi, fi)] for yi, hi, fi in zip(table.y.tolist(), h.tolist(), F0[:, :3].tolist())]
+        assert np.array(y1).tobytes() == table.y[1:].tobytes()
         a = table.a[:-1]
         e1 = np.where(a == 0.0, 1.0, -np.expm1(-a) / np.where(a == 0.0, 1.0, a))
-        t1 = table.t0[:-1] + h * (table.w0[:-1] * e1 + table.q[:-1, 3].sum(axis=1))
+        t1 = table.t0[:-1] + h * (table.w0[:-1] * e1 + F0[:, 3])
         assert np.max(np.abs(t1 - table.t0[1:]) / table.t0[1:]) <= 1e-14
 
 
