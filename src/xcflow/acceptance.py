@@ -39,7 +39,6 @@ A NaN gap fails the criterion and names its geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
 from math import isnan
 from types import SimpleNamespace
@@ -47,6 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._record import Record
 from .analysis import VerificationReport, verify
 from .flows import NXCF, XCF_MINUS, FlowSpec, flow_rhs
 from .geometry import (
@@ -76,8 +76,7 @@ _NXCF_SEEDS: dict[Geometry, tuple[float, float, float]] = {
 }
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(Record):
     number: int
     name: str
     passed: bool

@@ -28,13 +28,13 @@ output at log-spaced abscissae, so no fit depends on the emitted samples.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from functools import cache
 from itertools import accumulate
 from math import ceil, sqrt
 
 import numpy as np
 
+from ._record import Record
 from .analytic import (
     DECREASING,
     REGIME_BLOWUP,
@@ -129,8 +129,7 @@ def series_values(states, name: str) -> np.ndarray:
     return fn(np.asarray(states))
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(Record):
     """Result of a log-log regression value ~ coefficient * x^exponent."""
 
     exponent: float
@@ -139,8 +138,7 @@ class PowerLawFit:
     window: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class LimitPowerFit:
+class LimitPowerFit(Record):
     """Result of a linear fit value ~ limit + coefficient * t^exponent."""
 
     limit: float
@@ -247,8 +245,7 @@ def estimate_blowup_time(run: Trajectory | Termination) -> float:
 # Verification report.
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     kind: str  # "conserved" | "monotone" | "check"
     passed: bool
@@ -267,8 +264,7 @@ class CheckResult:
         return dict(self.__dict__)
 
 
-@dataclass(frozen=True)
-class LawResult:
+class LawResult(Record):
     variable: str
     regime: str
     expected_exponent: float
@@ -301,8 +297,7 @@ class LawResult:
         return dict(self.__dict__)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Everything `verify` measured on one trajectory, with verdicts."""
 
     geometry: str
@@ -491,8 +486,8 @@ def verify(trajectory: Trajectory) -> VerificationReport:
         try:
             if law.limit_form:
                 fit = fits[law.variable] = _limit_fit(window(REGIME_INFINITY), law.variable, expected_exp)
-                laws.append(replace(
-                    unfitted, fitted_exponent=expected_exp, fitted_coefficient=fit.coefficient,
+                laws.append(unfitted._replace(
+                    fitted_exponent=expected_exp, fitted_coefficient=fit.coefficient,
                     fitted_limit=fit.limit, passed=fit.limit > 0.0, detail=f"limit={fit.limit:.6g}",
                 ))
                 continue
@@ -503,12 +498,12 @@ def verify(trajectory: Trajectory) -> VerificationReport:
                 coeff_err = abs(fit.coefficient - law.coefficient) / abs(law.coefficient)
                 ok = ok and coeff_err <= law.coefficient_tol
                 detail += f" (rel err {coeff_err:.2e})"
-            laws.append(replace(
-                unfitted, fitted_exponent=fit.exponent, fitted_coefficient=fit.coefficient, r2=fit.r2,
+            laws.append(unfitted._replace(
+                fitted_exponent=fit.exponent, fitted_coefficient=fit.coefficient, r2=fit.r2,
                 passed=ok, detail=detail,
             ))
         except ValueError as e:
-            laws.append(replace(unfitted, detail=str(e)))
+            laws.append(unfitted._replace(detail=str(e)))
 
     return VerificationReport(
         geometry=geom.value,

@@ -25,12 +25,12 @@ symmetric, see `canonical_permutation`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
+from ._record import Record
 from .flows import XCF_MINUS, FlowSpec
 from .geometry import Geometry, MetricDiag, _sl2r_f
 
@@ -54,8 +54,7 @@ REGIME_INFINITY = "infinity"  # law holds as t -> infinity
 REGIME_BLOWUP = "blowup"  # law holds as t -> T0 from below
 
 
-@dataclass(frozen=True)
-class AsymptoticLaw:
+class AsymptoticLaw(Record):
     """One power law: variable ~ coefficient * x^exponent.
 
     `regime` fixes the clock: x = t for "infinity", x = T0 - t for "blowup".
@@ -77,8 +76,7 @@ class AsymptoticLaw:
     coefficient_tol: float | None = None
 
 
-@dataclass(frozen=True)
-class BranchCheck:
+class BranchCheck(Record):
     """One branch check: the `kind` that `analysis.verify` dispatches on and the name it reports.
 
     A "lock" compares the canonical columns `columns`; a "ratio_limit" or a
@@ -91,8 +89,7 @@ class BranchCheck:
     series: str = ""
 
 
-@dataclass(frozen=True)
-class BranchRecord:
+class BranchRecord(Record):
     """What the negative flow promises on one branch.
 
     `laws` are stated in the canonical labels of `canonical_permutation`,

@@ -35,7 +35,6 @@ import os
 import sys
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass, fields, replace
 from itertools import permutations, product
 from math import isfinite
 from types import SimpleNamespace
@@ -44,6 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from . import acceptance
+from ._record import Record
 from .analysis import estimate_blowup_time, verify
 from .analytic import canonical_permutation, classify_branch, sl2r_trapping_entry
 from .flows import FLOWS, FlowSpec
@@ -82,8 +82,7 @@ class ConfigError(ValueError):
     """Invalid configuration input (bad key, value, or file)."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Effective settings for a single `run`; mirrors the CLI flags."""
 
     geometry: str = "heisenberg"
@@ -104,7 +103,7 @@ class RunConfig:
 
     def merged(self, overrides: dict) -> "RunConfig":
         """A copy with overrides applied (None means unset), each converted to its field's type."""
-        convert = {f.name: type(f.default) for f in fields(self)}
+        convert = {name: type(default) for name, default in self._field_defaults.items()}
         convert["init"] = _parse_init
         clean: dict = {}
         for raw_key, value in overrides.items():
@@ -121,7 +120,7 @@ class RunConfig:
                     clean[key] = kind(value)
                 except TypeError:  # a list or object for a number, or a number for init
                     raise ConfigError(f"{raw_key} has the wrong type, got {value!r}") from None
-        cfg = replace(self, **clean)
+        cfg = self._replace(**clean)
         if cfg.geometry not in _GEOMETRY_NAMES:
             raise ConfigError(f"unknown geometry {cfg.geometry!r}; expected one of {', '.join(_GEOMETRY_NAMES)}")
         if cfg.flow not in FLOWS:
@@ -244,8 +243,7 @@ def trajectory_csv_text(trajectory: Trajectory, config: RunConfig | None = None)
     return _csv_text(comment, CSV_HEADER, _float_lines(_sample_columns(trajectory).values()))
 
 
-@dataclass(frozen=True)
-class ParsedCsv:
+class ParsedCsv(Record):
     comment: str | None
     columns: dict
 
@@ -328,7 +326,7 @@ def _load_config_file(explicit_path: str | None) -> dict:
 def _effective_run_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig().merged(_load_config_file(args.config))
     # every field has a flag of the same name, except `analysis` (--no-analysis)
-    flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    flags = {name: getattr(args, name, None) for name in RunConfig._fields}
     flags["analysis"] = False if args.no_analysis else None
     return cfg.merged(flags)
 
@@ -338,7 +336,8 @@ def _integrator_options(settings) -> IntegratorOptions:
 
     An option `settings` lacks keeps its default: `flow scan` has no `--samples`.
     """
-    return IntegratorOptions(**{f.name: getattr(settings, f.name, f.default) for f in fields(IntegratorOptions)})
+    return IntegratorOptions(**{name: getattr(settings, name, default)
+                                for name, default in IntegratorOptions._field_defaults.items()})
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -390,29 +389,41 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _parse_axis(text: str) -> np.ndarray:
+    """A grid axis from VALUE or MIN:MAX:COUNT[:log].
+
+    Every number in the text is checked before numpy builds the axis, which
+    then holds only finite positive values: linspace and geomspace stay
+    between two such endpoints.
+    """
     parts = str(text).split(":")
-    if len(parts) == 1:
-        return np.array([float(parts[0])])
-    if len(parts) not in (3, 4):
+    if len(parts) not in (1, 3, 4):
         raise ConfigError(f"bad grid axis {text!r}; expected VALUE or MIN:MAX:COUNT[:log]")
-    lo, hi = float(parts[0]), float(parts[1])
-    count = int(parts[2])
-    log = False
-    if len(parts) == 4:
-        if parts[3] != "log":
-            raise ConfigError(f"bad grid axis suffix {parts[3]!r}; only 'log' is understood")
-        log = True
+    ends = [_axis_value(text, part) for part in parts[:2]]
+    if len(parts) == 1:
+        return np.array(ends)
+    try:
+        count = int(parts[2])
+    except ValueError:
+        raise ConfigError(f"grid axis {text!r}: the count must be a whole number, got {parts[2]!r}") from None
+    if len(parts) == 4 and parts[3] != "log":
+        raise ConfigError(f"bad grid axis suffix {parts[3]!r}; only 'log' is understood")
     if count < 1:
         raise ConfigError("grid axis count must be at least 1")
-    if count > GRID_LIMIT:  # checked before numpy is asked for the axis
+    if count > GRID_LIMIT:
         raise ConfigError(f"grid axis {text!r} has {count} points; the limit is {GRID_LIMIT}")
     if count == 1:
-        return np.array([lo])
-    if log:
-        if lo <= 0.0 or hi <= 0.0:
-            raise ConfigError("log-spaced axes need positive endpoints")
-        return np.geomspace(lo, hi, count)
-    return np.linspace(lo, hi, count)
+        return np.array(ends[:1])
+    return (np.geomspace if len(parts) == 4 else np.linspace)(*ends, count)
+
+
+def _axis_value(text: str, part: str) -> float:
+    try:
+        value = float(part)
+    except ValueError:
+        raise ConfigError(f"grid axis {text!r} holds {part!r}, which is not a number") from None
+    if not (isfinite(value) and value > 0.0):
+        raise ConfigError(f"grid axis {text!r} holds {value!r}; values must be finite and positive")
+    return value
 
 
 def _canonical(geometry: Geometry, point: tuple) -> tuple[float, float, float]:
@@ -487,7 +498,7 @@ def _scan_point(payload: tuple) -> list[str]:
     if reads == "nothing":
         states, term = None, terminate(geometry, spec, m0, options)
     elif reads == "last":
-        trajectory = integrate(geometry, spec, m0, replace(options, samples=2))
+        trajectory = integrate(geometry, spec, m0, options._replace(samples=2))
         states, term = trajectory.states, trajectory.termination
     else:
         term, states = accepted_states(geometry, spec, m0, options)
@@ -547,12 +558,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     volume = args.normalize_volume
     if volume is not None and not (isfinite(volume) and volume > 0.0):
         raise ConfigError(f"--normalize-volume must be finite and positive, got {volume!r}")
-    texts = (args.grid_A, args.grid_B, args.grid_C)
-    axes = [_parse_axis(text) for text in texts]
-    for text, axis in zip(texts, axes):
-        bad = axis[~(np.isfinite(axis) & (axis > 0.0))]
-        if bad.size:
-            raise ConfigError(f"grid axis {text!r} holds {float(bad[0])!r}; values must be finite and positive")
+    axes = [_parse_axis(text) for text in (args.grid_A, args.grid_B, args.grid_C)]
     total = len(axes[0]) * len(axes[1]) * len(axes[2])
     if total > GRID_LIMIT:
         raise ConfigError(f"grid has {total} points; the limit is {GRID_LIMIT}")

@@ -17,10 +17,10 @@ of the right-hand side, dA/A + dB/B + dC/C, vanishes identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
+from ._record import Record
 from .geometry import _CROSS, Geometry, MetricDiag
 
 __all__ = [
@@ -42,8 +42,7 @@ class FlowDirection(Enum):
     POSITIVE = "positive"
 
 
-@dataclass(frozen=True)
-class FlowSpec:
+class FlowSpec(Record):
     """Which flow to run: time direction and whether to normalize volume."""
 
     direction: FlowDirection = FlowDirection.NEGATIVE

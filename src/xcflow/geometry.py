@@ -46,12 +46,13 @@ TRIVIAL returns scalar zeros in that case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import isfinite
 from typing import NamedTuple
 
 import numpy as np
+
+from ._record import Record
 
 __all__ = [
     "Geometry",
@@ -88,8 +89,7 @@ class Geometry(Enum):
             raise ValueError(f"unknown geometry {name!r}; expected one of: {valid}") from None
 
 
-@dataclass(frozen=True)
-class MetricDiag:
+class MetricDiag(Record):
     """Diagonal left-invariant metric, the positive coefficients (A, B, C)."""
 
     A: float

@@ -89,13 +89,13 @@ rather than to a tolerance.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from enum import Enum
 from math import exp, expm1, frexp, isfinite, ldexp, log, sqrt
 from typing import Generator, NamedTuple
 
 import numpy as np
 
+from ._record import Record
 from .flows import FlowSpec, rhs_function
 from .geometry import Geometry, MetricDiag
 
@@ -276,8 +276,7 @@ class TerminationKind(Enum):
     STEP_BUDGET_EXHAUSTED = "step_budget_exhausted"
 
 
-@dataclass(frozen=True)
-class Termination:
+class Termination(Record):
     """Why and where the integration stopped."""
 
     kind: TerminationKind
@@ -293,8 +292,7 @@ class Termination:
                 "exploding": list(self.exploding)}
 
 
-@dataclass(frozen=True)
-class IntegratorOptions:
+class IntegratorOptions(Record):
     """Tolerances, horizon, step budget and sample count for `integrate`.
 
     `atol` bounds the error of the time component in the run's scaled units
@@ -319,8 +317,7 @@ class IntegratorOptions:
             raise ValueError("samples must be at least 2")
 
 
-@dataclass(frozen=True)
-class _StepTable:
+class _StepTable(Record):
     """Accepted steps in scaled units, with the interpolant of each step built when first sampled."""
 
     t0: np.ndarray  # (m,) scaled step start times
@@ -332,12 +329,10 @@ class _StepTable:
     k: int  # binary exponent of the scale: y = 2^k * scaled y, t = 4^k * scaled t
     rhs: object  # the run's right-hand side, for the stages of the continuous extension
     smin: float  # the run's floor of s
-    # interpolant coefficients F0-F6, filled step by step as steps are sampled: (m, 7, 4), of xi_A, xi_B,
-    # xi_C and of the non-exponential part of dt/dtau
-    q: np.ndarray = field(init=False, repr=False)
-    ready: np.ndarray = field(init=False, repr=False)  # (m,) whether q holds the step
 
     def __post_init__(self) -> None:
+        # not fields: the interpolant coefficients F0-F6, filled step by step as steps are sampled, (m, 7, 4),
+        # of xi_A, xi_B, xi_C and of the non-exponential part of dt/dtau; and (m,) whether q holds the step
         object.__setattr__(self, "q", np.zeros((len(self.h), 7, 4)))
         object.__setattr__(self, "ready", np.zeros(len(self.h), dtype=bool))
 
@@ -427,8 +422,7 @@ class _StepTable:
         return np.ldexp(x, self.k)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Dense-sampled solution of one flow run.
 
     `times` starts at 0 and increases strictly to the final valid time;

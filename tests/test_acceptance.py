@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,11 +84,11 @@ def _entry_keys(report) -> list[tuple[str, str]]:
 
 def _flipped(report, field: str, name: str):
     if field == "termination":
-        return replace(report, termination={**report.termination, "kind": TerminationKind.STEP_BUDGET_EXHAUSTED.value})
+        return report._replace(termination={**report.termination, "kind": TerminationKind.STEP_BUDGET_EXHAUSTED.value})
     attr = "variable" if field == "laws" else "name"
-    entries = tuple(replace(e, passed=False) if getattr(e, attr) == name else e for e in getattr(report, field))
+    entries = tuple(e._replace(passed=False) if getattr(e, attr) == name else e for e in getattr(report, field))
     assert entries != getattr(report, field), (field, name)
-    return replace(report, **{field: entries})
+    return report._replace(**{field: entries})
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +138,7 @@ def test_each_printed_entry_gates_its_criterion(monkeypatch, verified_runs, crit
 def test_a_missing_entry_is_a_lookup_error():
     geometry, flow, init, t_max = run = acceptance._TABLE[1].entries[0].run
     report = verify(integrate(geometry, flow, MetricDiag(*init), IntegratorOptions(t_max=t_max)))
-    trimmed = replace(report, conserved=tuple(c for c in report.conserved if c.name != "B/C"))
+    trimmed = report._replace(conserved=tuple(c for c in report.conserved if c.name != "B/C"))
     with pytest.raises(LookupError, match=r"conserved.*'B/C'"):
         acceptance.criterion_heisenberg_invariants({run: trimmed})
 
@@ -149,8 +148,8 @@ def test_an_unfitted_law_prints_its_detail():
     # line and the report summary both print its detail and fail
     geometry, flow, init, t_max = run = acceptance._SOL_GEN
     report = verify(integrate(geometry, flow, MetricDiag(*init), IntegratorOptions(t_max=t_max)))
-    planted = replace(report, laws=tuple(
-        replace(l, fitted_exponent=None, passed=False, detail="planted: no fit") if l.variable == "B" else l
+    planted = report._replace(laws=tuple(
+        l._replace(fitted_exponent=None, passed=False, detail="planted: no fit") if l.variable == "B" else l
         for l in report.laws
     ))
     line = acceptance.criterion_sol_generic({run: planted}).line()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from dataclasses import replace
 from itertools import product
 from math import log10
 from pathlib import Path
@@ -435,7 +434,7 @@ def test_a_check_of_unknown_kind_raises(sol_symmetric_run, monkeypatch):
 
     def with_unknown_kind(geometry, spec, m0):
         record = real(geometry, spec, m0)
-        return replace(record, checks=record.checks + (BranchCheck("no_such_kind", "bogus check"),))
+        return record._replace(checks=record.checks + (BranchCheck("no_such_kind", "bogus check"),))
 
     monkeypatch.setattr(analysis, "branch_record", with_unknown_kind)
     with pytest.raises(ValueError, match="unknown branch check kind 'no_such_kind'"):
@@ -456,7 +455,7 @@ def test_a_planted_lock_break_fails_the_lock(geom, init, column, name):
     assert lock.passed and lock.observed == 0.0
     states = traj.states.copy()
     states[len(states) // 2, column] *= 1.0 + 1e-8  # one entry off by 1e-8 relative
-    broken = {c.name: c for c in verify(replace(traj, states=states)).checks}[name]
+    broken = {c.name: c for c in verify(traj._replace(states=states)).checks}[name]
     assert not broken.passed
     assert broken.observed == pytest.approx(1e-8, rel=1e-6)
 
@@ -613,7 +612,7 @@ def test_near_symmetric_sol_sweep_passes_its_difference_checks():
 
 
 def _c_minus_a_check(traj, states):
-    report = verify(replace(traj, states=states))
+    report = verify(traj._replace(states=states))
     return next(c for c in report.monotone if c.name == "C-A decreasing")
 
 

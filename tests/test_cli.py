@@ -11,7 +11,6 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
-from dataclasses import fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -70,12 +69,12 @@ def test_run_and_scan_defaults_are_the_integrator_defaults():
     defaults = IntegratorOptions()
     run = RunConfig()
     scan = build_parser().parse_args(["scan", "--geometry", "sol", "--grid-A", "1", "--grid-B", "1", "--grid-C", "1"])
-    for field in fields(IntegratorOptions):
-        want = getattr(defaults, field.name)
-        got = getattr(run, field.name)
-        assert got == want and type(got) is type(want), field.name
-        if field.name != "samples":  # no scan row reads samples, so scan has no --samples
-            assert getattr(scan, field.name) == want, field.name
+    for name in IntegratorOptions._fields:
+        want = getattr(defaults, name)
+        got = getattr(run, name)
+        assert got == want and type(got) is type(want), name
+        if name != "samples":  # no scan row reads samples, so scan has no --samples
+            assert getattr(scan, name) == want, name
     assert not hasattr(scan, "samples")
 
 
@@ -618,7 +617,29 @@ def test_scan_rejects_bad_axis(capsys):
         capsys, "scan", "--geometry", "sol", "--grid-A=-1:2:4:log", "--grid-B", "1",
         "--grid-C", "1",
     )
-    assert code == EXIT_USAGE and "positive endpoints" in err
+    assert code == EXIT_USAGE and "holds -1.0; values must be finite and positive" in err
+
+
+@pytest.mark.parametrize(
+    "spec, fragment",
+    [
+        ("1:inf:2", "holds inf; values must be finite and positive"),
+        ("-1e308:1e308:3", "holds -1e+308; values must be finite and positive"),
+        ("1:2:x", "the count must be a whole number, got 'x'"),
+        ("1:2:2.5", "the count must be a whole number, got '2.5'"),
+        ("x:2:3", "holds 'x', which is not a number"),
+        ("y", "holds 'y', which is not a number"),
+    ],
+)
+def test_a_bad_axis_number_is_one_error_line_in_the_clis_words(spec, fragment):
+    # a fresh interpreter, so that stderr shows any numpy warning as a user would see it
+    done = subprocess.run(
+        [sys.executable, "-m", "xcflow.cli", "scan", "--geometry", "sol", f"--grid-A={spec}", "--grid-B", "4",
+         "--grid-C", "1"],
+        env=_child_env(), capture_output=True, text=True, timeout=60,
+    )
+    _assert_one_line_usage_error(done.returncode, done.stdout, done.stderr, fragment)
+    assert done.stderr.startswith(f"error: grid axis {spec!r}"), done.stderr
 
 
 @pytest.mark.parametrize(
@@ -806,7 +827,7 @@ def test_accepted_states_are_the_step_starts_then_the_last_state_or_the_t_max_ro
         assert states[-1].tobytes() == trajectory.states[-1].tobytes()
     # at 2^j m0 and 4^j t_max the rows are 2^j times these, bit for bit
     for j in (-3, 5):
-        scaled = replace(options, t_max=options.t_max * 4.0**j)
+        scaled = options._replace(t_max=options.t_max * 4.0**j)
         term_j, states_j = accepted_states(geom, spec, MetricDiag(*np.ldexp(init, j)), scaled)
         assert states_j.tobytes() == np.ldexp(states, j).tobytes()
         assert (term_j.kind, term_j.t_stop, term_j.n_accepted) == (term.kind, term.t_stop * 4.0**j, term.n_accepted)
@@ -907,7 +928,9 @@ def test_commands_import_neither_the_process_pool_nor_numpy_ma_nor_numpy_random(
         """
         import contextlib, io, sys
         from xcflow import cli
-        loaded = [m for m in ("concurrent.futures.process", "multiprocessing", "numpy.random") if m in sys.modules]
+        # records are no dataclasses: generating their methods cost most of the package's import
+        loaded = [m for m in ("concurrent.futures.process", "multiprocessing", "numpy.random", "dataclasses")
+                  if m in sys.modules]
         assert loaded == [], loaded
         commands = [
             ["scan", "--geometry", "sol", "--grid-A", "1:2:2", "--grid-B", "4", "--grid-C", "1:2:2",
@@ -921,7 +944,8 @@ def test_commands_import_neither_the_process_pool_nor_numpy_ma_nor_numpy_random(
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 assert cli.main(argv) == 0, argv
         # scipy is no dependency: importing it would cost more than a command's whole start-up
-        loaded = [m for m in ("numpy.ma", "concurrent.futures.process", "multiprocessing", "scipy") if m in sys.modules]
+        loaded = [m for m in ("numpy.ma", "concurrent.futures.process", "multiprocessing", "scipy", "dataclasses")
+                  if m in sys.modules]
         assert loaded == [], loaded
         # `verify sol` runs criteria 10 and 11, whose draws need no numpy.random (nor its secrets import)
         loaded = [m for m in ("numpy.random", "secrets") if m in sys.modules]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import fields, replace
 from math import exp, expm1, fsum, inf, ldexp, log, sqrt
 
 import numpy as np
@@ -468,7 +467,7 @@ def test_dense_weights_meet_the_quadrature_conditions_of_their_order(theta):
 
 def _built(traj):
     """A fresh copy of a trajectory's step table with the interpolant of every step built."""
-    table = replace(traj._table)
+    table = traj._table._replace()
     table._build(np.arange(len(table.h)))
     return table
 
@@ -477,7 +476,7 @@ def test_a_built_step_table_holds_float_arrays_with_the_same_bytes_on_every_run(
     # no long-double field, whose padding bytes numpy leaves uninitialised
     runs = [integrate(Geometry.SOL, XCF_MINUS, MetricDiag(2, 4, 1), IntegratorOptions(samples=64)) for _ in range(2)]
     first, second = (_built(traj) for traj in runs)
-    names = [f.name for f in fields(first) if isinstance(getattr(first, f.name), np.ndarray)]
+    names = [name for name, value in vars(first).items() if isinstance(value, np.ndarray)]
     assert sorted(names) == sorted(["t0", "h", "y", "K", "w0", "a", "q", "ready"])
     for name in names:
         assert getattr(first, name).dtype == (np.bool_ if name == "ready" else np.float64), name
@@ -504,7 +503,7 @@ def test_a_row_has_the_same_bits_whatever_else_is_sampled(sol_generic_run, heise
     for traj in (sol_generic_run, heisenberg_unit_run):
         grid = np.ldexp(traj.times, -2 * traj._table.k)
         for i in np.linspace(0, len(grid) - 1, 9).round().astype(int):
-            alone = replace(traj._table).eval(grid[i : i + 1])
+            alone = traj._table._replace().eval(grid[i : i + 1])
             assert alone.tobytes() == traj.states[i : i + 1].tobytes()
 
 
@@ -518,7 +517,7 @@ def test_a_step_whose_extra_stage_fails_keeps_its_rows(sol_generic_run, su2_gene
         return (float("nan"),) * 3
 
     for traj in (sol_generic_run, su2_generic_run):
-        table = replace(traj._table, rhs=faulty)
+        table = traj._table._replace(rhs=faulty)
         got = table.eval(np.ldexp(traj.times, -2 * table.k))
         assert got.shape == traj.states.shape and np.all(np.isfinite(got)) and np.all(got > 0.0)
         assert np.max(np.abs(got - traj.states) / traj.states) <= 1e-4
@@ -809,7 +808,7 @@ def test_a_step_whose_stage_14_raises_stops_there_and_moves_no_other_step(sol_ge
     others = np.arange(n) != bad
     assert K[others].tobytes() == clean[others].tobytes()
     assert K[bad, :13].tobytes() == table.K[bad].tobytes()
-    faulty, full = replace(table, rhs=rhs), _built(sol_generic_run)
+    faulty, full = table._replace(rhs=rhs), _built(sol_generic_run)
     faulty._build(np.arange(n))
     assert faulty.q[others].tobytes() == full.q[others].tobytes()
     assert faulty.q[bad].tobytes() != full.q[bad].tobytes()
@@ -1105,11 +1104,11 @@ def test_power_of_two_scaling_is_bitwise(geom, flow):
     base = integrate(geom, FLOWS[flow], MetricDiag(*m0), opts)
     for k in _SCALE_EXPONENTS:
         run = integrate(
-            geom, FLOWS[flow], MetricDiag(*(ldexp(v, k) for v in m0)), replace(opts, t_max=ldexp(10.0, 2 * k))
+            geom, FLOWS[flow], MetricDiag(*(ldexp(v, k) for v in m0)), opts._replace(t_max=ldexp(10.0, 2 * k))
         )
         assert np.ldexp(run.times, -2 * k).tobytes() == base.times.tobytes()
         assert np.ldexp(run.states, -k).tobytes() == base.states.tobytes()
-        assert run.termination == replace(base.termination, t_stop=ldexp(base.termination.t_stop, 2 * k))
+        assert run.termination == base.termination._replace(t_stop=ldexp(base.termination.t_stop, 2 * k))
 
 
 @pytest.mark.parametrize("scale", [1e-8, 1e-60, 1e60])

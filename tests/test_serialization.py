@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from hypothesis import strategies as st
 
 from xcflow import Geometry, IntegratorOptions, MetricDiag, acceptance, integrate, verify
 from xcflow import cli
+from xcflow._record import Record
 from xcflow.analysis import VerificationReport
 from xcflow.cli import CSV_HEADER, ConfigError, ParsedCsv, RunConfig, emit_parsed_csv, main, parse_trajectory_csv
 from xcflow.flows import FLOWS
@@ -193,18 +193,29 @@ def test_verify_all_output_equals_indented_dumps(capsys, monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# to_dict: field by field, equal to the recursive `dataclasses.asdict` copy it
-# replaced, and sharing no mutable part with the object
+# to_dict: field by field, equal to the recursive copy `dataclasses.asdict`
+# made when records were dataclasses, and sharing no mutable part with the object
+
+
+def _asdict(value):
+    """A record as a dict of its fields, recursively, with every list, tuple and dict copied."""
+    if isinstance(value, Record):
+        return {name: _asdict(getattr(value, name)) for name in value._fields}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_asdict(item) for item in value)
+    if isinstance(value, dict):
+        return {_asdict(key): _asdict(item) for key, item in value.items()}
+    return value
 
 
 def _asdict_reference(obj) -> dict:
     if isinstance(obj, VerificationReport):
-        d = asdict(obj)
+        d = _asdict(obj)
         return {**d, "passed": obj.passed, **{key: list(d[key]) for key in ("conserved", "monotone", "laws", "checks")}}
     if isinstance(obj, Termination):
-        return {**asdict(obj), "kind": obj.kind.value, "vanishing": list(obj.vanishing),
+        return {**_asdict(obj), "kind": obj.kind.value, "vanishing": list(obj.vanishing),
                 "exploding": list(obj.exploding)}
-    return asdict(obj)
+    return _asdict(obj)
 
 
 def _mutate(value) -> None:
