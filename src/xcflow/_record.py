@@ -17,11 +17,11 @@ so every record type in the package is listed and copied the same way; but a
 record is no tuple: it does not iterate, and it equals only a record of its
 own class.
 
-An instance keeps its fields in its `__dict__`, in field order, so
-`dict(record.__dict__)` lists them as declared.  `__post_init__` runs after
+`to_dict` lists the fields by name, as declared; a subclass whose fields
+do not serialize as they are overrides it.  `__post_init__` runs after
 every construction, `_replace` included, and may set attributes of its own
 through `object.__setattr__`; those are no fields: they take no part in
-equality, hashing or `repr`.
+equality, hashing, `repr` or `to_dict`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ _set_field = object.__setattr__
 
 
 class Record:
-    """Frozen fields with value equality, a hash, the dataclass `repr` and `_replace`."""
+    """Frozen fields with value equality, a hash, the dataclass `repr`, `_replace` and `to_dict`."""
 
     _fields: tuple[str, ...] = ()
     _field_defaults: dict = {}
@@ -106,3 +106,7 @@ class Record:
     def _replace(self, **changes):
         """A new record of the same class with `changes` applied; `__post_init__` runs on it."""
         return type(self)(**(dict(zip(self._fields, self._values(self))) | changes))
+
+    def to_dict(self) -> dict:
+        """The fields by name, in declaration order."""
+        return dict(zip(self._fields, self._values(self)))

@@ -10,7 +10,8 @@
 * `verify` checks a trajectory against its conserved quantities and what
   its branch record (`analytic.branch_record`) states, fitting through the
   two fitters above (an unfittable entry fails with the refusing function's
-  message); each entry of its report formats the one `text` it prints.
+  message), one entry per law and per branch check; each entry of its
+  report formats the one `text` it prints.
 
 Every fit window comes from `_fit_window` and is a function of the run
 alone, fixed for reproducibility.  Late-time fits use [t_stop/10, t_stop] of
@@ -22,7 +23,9 @@ next-order corrections (relative size O(u/T0)) are far below the stated
 tolerances, yet shallow enough that difference series such as A - C, which
 shrink like u relative to their parents, stay several orders of magnitude
 above solver noise.  A window's 64 rows are drawn from the run's dense
-output at log-spaced abscissae, so no fit depends on the emitted samples.
+output at log-spaced abscissae, and every other row `verify` reads is one of
+the run's default 2,048-row grid, drawn the same way: no entry of a report
+depends on the emitted samples.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .analytic import (
     DECREASING,
     REGIME_BLOWUP,
     REGIME_INFINITY,
+    BranchCheck,
     BranchRecord,
     branch_record,
     canonical_permutation,
@@ -46,7 +50,7 @@ from .analytic import (
     conserved_quantities,
     sl2r_trapping_entry,
 )
-from .integrator import _H_MAX, _INCREMENT, IntegratorOptions, Termination, TerminationKind, Trajectory
+from .integrator import _H_MAX, _INCREMENT, Termination, TerminationKind, Trajectory
 from .integrator import _grid_rows, _rows_at
 
 __all__ = [
@@ -260,9 +264,6 @@ class CheckResult(Record):
             return self.detail
         return f"{self.observed:.3e} (tol {self.threshold:.0e})"
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 class LawResult(Record):
     variable: str
@@ -293,9 +294,6 @@ class LawResult(Record):
             s += f", coeff {self.fitted_coefficient:.5g} vs {self.expected_coefficient:.5g}"
         return s
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 class VerificationReport(Record):
     """Everything `verify` measured on one trajectory, with verdicts."""
@@ -321,20 +319,11 @@ class VerificationReport(Record):
         return all(e.passed for e in self.entries) if self.entries else None
 
     def to_dict(self) -> dict:
-        return {
-            "geometry": self.geometry,
-            "flow": self.flow,
-            "branch": self.branch,
-            "relabeled": self.relabeled,
-            # the termination dict holds scalars and lists of coefficient names
-            "termination": {k: list(v) if isinstance(v, list) else v for k, v in self.termination.items()},
-            "blowup_time": self.blowup_time,
-            "conserved": [c.to_dict() for c in self.conserved],
-            "monotone": [c.to_dict() for c in self.monotone],
-            "laws": [l.to_dict() for l in self.laws],
-            "checks": [c.to_dict() for c in self.checks],
-            "passed": self.passed,
-        }
+        """The fields in order, each entry as its own dict, then `passed`."""
+        # the termination dict holds scalars and lists of coefficient names
+        termination = {k: list(v) if isinstance(v, list) else v for k, v in self.termination.items()}
+        groups = {name: [e.to_dict() for e in getattr(self, name)] for name in ("conserved", "monotone", "laws", "checks")}
+        return {**super().to_dict(), "termination": termination, **groups, "passed": self.passed}
 
     def summary_lines(self) -> list[str]:
         """A header line, then `  <kind> <name>: <text> ok|FAIL` per entry in report order."""
@@ -439,29 +428,35 @@ def _monotone_violation(values: np.ndarray, direction: str, floor: np.ndarray | 
     return float(np.max(wrong, initial=0.0) / (scale if scale > 0.0 else 1.0))
 
 
-
-
 def verify(trajectory: Trajectory) -> VerificationReport:
     """Measure every structural property a trajectory's branch record promises.
 
-    Pure function of the trajectory: conserved-quantity drift, then what
+    Pure function of the run: conserved-quantity drift, then what
     `branch_record` states for its flow and initial datum: the monotone
-    list, the asymptotic laws fitted at their own tolerances, and the branch
-    checks (closed-form agreement, symmetry locking, singular-time values,
-    ratio limits, invariant curvature-sign regions, quadrature identities).
-    A flow without a catalog has the empty record and is checked for its
-    conserved quantities only.
+    list, the asymptotic laws fitted at their own tolerances, and one entry
+    per branch check.  Every row an entry reads is a fit window's or one of
+    the run's default grid (`_grid_rows`), so the report is the same at any
+    `samples`.  A flow without a catalog has the empty record and is checked
+    for its conserved quantities only.
     """
     geom, spec, m0 = trajectory.geometry, trajectory.spec, trajectory.m0
-    S = trajectory.states
     term = trajectory.termination
     record = branch_record(geom, spec, m0)
     perm = canonical_permutation(geom, m0)
+    t, S = _grid_rows(trajectory)
+    law_of = {law.variable: law for law in record.laws}  # a variable is unique within a record
 
     @cache  # each window drawn once, in the record's canonical labels; a refusal raises before any row
     def window(regime: str) -> tuple:
         x, rows, bounds = _fit_window(trajectory, regime)
         return x, rows[:, perm], bounds
+
+    @cache  # the fit of the law on `variable`; a refusal raises
+    def fit(variable: str) -> PowerLawFit | LimitPowerFit:
+        law = law_of[variable]
+        if law.limit_form:
+            return _limit_fit(window(REGIME_INFINITY), variable, float(law.exponent))
+        return _power_fit(window(law.regime), variable)
 
     conserved = [
         _gate(name, "conserved", _max_rel_drift(series_values(S, name), v0), CONSERVED_DRIFT_TOL)
@@ -476,7 +471,6 @@ def verify(trajectory: Trajectory) -> VerificationReport:
     ]
 
     laws: list[LawResult] = []
-    fits: dict[str, PowerLawFit | LimitPowerFit] = {}  # by variable, which is unique within a record
     for law in record.laws:
         expected_exp = float(law.exponent)
         unfitted = LawResult(
@@ -484,26 +478,24 @@ def verify(trajectory: Trajectory) -> VerificationReport:
             expected_coefficient=law.coefficient, coefficient_tolerance=law.coefficient_tol,
         )
         try:
-            if law.limit_form:
-                fit = fits[law.variable] = _limit_fit(window(REGIME_INFINITY), law.variable, expected_exp)
-                laws.append(unfitted._replace(
-                    fitted_exponent=expected_exp, fitted_coefficient=fit.coefficient,
-                    fitted_limit=fit.limit, passed=fit.limit > 0.0, detail=f"limit={fit.limit:.6g}",
-                ))
-                continue
-            fit = fits[law.variable] = _power_fit(window(law.regime), law.variable)
-            ok = abs(fit.exponent - expected_exp) <= law.exponent_tol
-            detail = f"coeff={fit.coefficient:.6g}"
-            if law.coefficient_tol is not None:
-                coeff_err = abs(fit.coefficient - law.coefficient) / abs(law.coefficient)
-                ok = ok and coeff_err <= law.coefficient_tol
-                detail += f" (rel err {coeff_err:.2e})"
-            laws.append(unfitted._replace(
-                fitted_exponent=fit.exponent, fitted_coefficient=fit.coefficient, r2=fit.r2,
-                passed=ok, detail=detail,
-            ))
+            f = fit(law.variable)
         except ValueError as e:
             laws.append(unfitted._replace(detail=str(e)))
+            continue
+        if law.limit_form:  # the exponent is imposed, not fitted
+            laws.append(unfitted._replace(
+                fitted_coefficient=f.coefficient, fitted_limit=f.limit, passed=f.limit > 0.0, detail=f"limit={f.limit:.6g}",
+            ))
+            continue
+        ok = abs(f.exponent - expected_exp) <= law.exponent_tol
+        detail = f"coeff={f.coefficient:.6g}"
+        if law.coefficient_tol is not None:
+            coeff_err = abs(f.coefficient - law.coefficient) / abs(law.coefficient)
+            ok = ok and coeff_err <= law.coefficient_tol
+            detail += f" (rel err {coeff_err:.2e})"
+        laws.append(unfitted._replace(
+            fitted_exponent=f.exponent, fitted_coefficient=f.coefficient, r2=f.r2, passed=ok, detail=detail,
+        ))
 
     return VerificationReport(
         geometry=geom.value,
@@ -515,62 +507,78 @@ def verify(trajectory: Trajectory) -> VerificationReport:
         conserved=tuple(conserved),
         monotone=tuple(monotone),
         laws=tuple(laws),
-        checks=tuple(_branch_checks(record, trajectory, S[:, perm], window, fits)),
+        checks=tuple(_branch_checks(record, t, S, S[:, perm], term, window, fit)),
     )
 
 
 def _branch_checks(
-    record: BranchRecord,
-    trajectory: Trajectory,
-    Sc: np.ndarray,
-    window,
-    fits: dict[str, PowerLawFit | LimitPowerFit],
+    record: BranchRecord, t: np.ndarray, S: np.ndarray, Sc: np.ndarray, termination: Termination, window, fit,
 ) -> list[CheckResult]:
-    """The results of the record's branch checks in order, by kind; a check of unknown kind raises.
+    """One result per branch check of the record, in its order; a check of unknown kind raises.
 
-    `Sc` holds the states, and `window(regime)` the fit windows, in canonical
-    labels.  Around its own result, "sl2r_pancake" reports the A^9 B^3
-    quadrature, on the default run's rows drawn from the run at any
-    `samples`, and the A tail rate, and "e2_cigar" the settling of (A-B)^2*C.
+    `t` and `S` are the run's default grid rows, `Sc` those rows in
+    canonical labels, `window(regime)` a fit window and `fit(variable)` the
+    fit of a record's law, both in canonical labels.  "termination",
+    "sign_change" and "trapping" pass or fail with a detail; every other
+    kind measures a value against its tolerance, and fails with the message
+    of the window, the fit or the singular time that refused it.
     """
-    t, S = trajectory.times, trajectory.states
-    stop = trajectory.termination.kind
+    stop = termination.kind
     singular = stop is TerminationKind.SINGULAR_TIME
+
+    def a_inf() -> LimitPowerFit:  # the limit fit of A; an A-infinity that is not positive refuses with A's detail
+        a = fit("A")
+        if a.limit <= 0.0:
+            raise ValueError(f"limit={a.limit:.6g}")
+        return a
+
+    def measure(check: BranchCheck) -> tuple[float, float, str] | None:
+        """The value, tolerance and detail of a gated check; None for an unknown kind."""
+        kind = check.kind
+        if kind == "closed_form":
+            keep = slice(None) if record.t0 is None else t <= 0.99 * record.t0
+            exact = record.closed_form(t[keep])
+            return float(np.max(np.abs(S[keep] - exact) / exact)), CLOSED_FORM_TOL, ""
+        if kind == "lock":
+            locked = Sc[:, check.columns]
+            top = np.max(locked, axis=1)
+            return float(np.max((top - np.min(locked, axis=1)) / top)), SYMMETRY_LOCK_TOL, ""
+        if kind == "singular_time":
+            return abs(estimate_blowup_time(termination) - record.t0) / record.t0, BLOWUP_TIME_TOL, ""
+        if kind == "ratio_limit":
+            dev = float(np.mean(np.abs(series_values(window(REGIME_BLOWUP)[1], check.series) - 1.0)))
+            return dev, RATIO_LIMIT_TOL, f"mean |{check.series}-1| on the final window"
+        if kind == "stationary":
+            return float(np.max(np.abs(S - S[0]))), 0.0, ""
+        if kind == "quadrature":
+            lhs = Sc[:, 0] ** 9 * Sc[:, 1] ** 3
+            area = np.cumsum(np.concatenate([[0.0], 0.5 * np.diff(t) * (24.0 * Sc[:-1, 0] ** 10 + 24.0 * Sc[1:, 0] ** 10)]))
+            return abs(float(lhs[-1] - (lhs[0] + area[-1]))) / abs(float(lhs[-1])), QUADRATURE_TOL, ""
+        if kind == "pancake_coefficient":
+            a_limit, b = a_inf().limit, fit("B").coefficient
+            target = (24.0 * a_limit) ** (1.0 / 3.0)
+            return abs(b - target) / target, SL2R_COEFF_RELATION_TOL, f"fit {b:.6g} vs {target:.6g} (Ainf={a_limit:.6g})"
+        if kind == "pancake_tail_rate":
+            a = a_inf()
+            rate = 1.0 / (8.0 * 3.0 ** (1.0 / 3.0))
+            got = a.coefficient / a.limit ** (5.0 / 3.0)
+            return abs(got - rate) / rate, SL2R_TAIL_RATE_TOL, f"fit rate {got:.6g} vs {rate:.6g}"
+        if kind == "settle":
+            v = series_values(window(REGIME_INFINITY)[1], check.series)
+            return abs(float(v[-1] - v[0])) / abs(float(v[-1])), PRODUCT_TAIL_TOL, ""
+        if kind == "cigar_coefficient":
+            e1, e2, c = fit("A+B").limit / 2.0, fit("A-B").coefficient / 2.0, fit("C").coefficient
+            target = (8.0 * e2 / e1) * sqrt(6.0)
+            return abs(c - target) / target, E2_COEFF_RELATION_TOL, f"fit {c:.6g} vs {target:.6g} (E1={e1:.6g}, E2={e2:.6g})"
+        return None
+
     out: list[CheckResult] = []
-
-    def gate(name: str, value: float, tol: float, detail: str = "") -> None:
-        out.append(_gate(name, "check", value, tol, detail))
-
-    def fail(name: str, detail: str) -> None:
-        out.append(CheckResult(name, "check", False, detail=detail))
-
     for check in record.checks:
         kind, name = check.kind, check.name
         if kind == "termination":
             passed = (singular == record.singular) and stop is not TerminationKind.STEP_BUDGET_EXHAUSTED
             expected = "singular" if record.singular else "complete"
             out.append(CheckResult(name, "check", passed, detail=f"expected {expected}, got {stop.value}"))
-        elif kind == "closed_form":
-            keep = slice(None) if record.t0 is None else t <= 0.99 * record.t0
-            exact = record.closed_form(t[keep])
-            gate(name, float(np.max(np.abs(S[keep] - exact) / exact)), CLOSED_FORM_TOL)
-        elif kind == "lock":
-            locked = Sc[:, check.columns]
-            top = np.max(locked, axis=1)
-            gate(name, float(np.max((top - np.min(locked, axis=1)) / top)), SYMMETRY_LOCK_TOL)
-        elif kind == "singular_time":
-            try:
-                gate(name, abs(estimate_blowup_time(trajectory) - record.t0) / record.t0, BLOWUP_TIME_TOL)
-            except ValueError as e:
-                fail(name, str(e))
-        elif kind == "ratio_limit":
-            try:
-                _, rows, _ = window(REGIME_BLOWUP)
-            except ValueError as e:
-                fail(name, str(e))
-                continue
-            dev = float(np.mean(np.abs(series_values(rows, check.series) - 1.0)))
-            gate(name, dev, RATIO_LIMIT_TOL, f"mean |{check.series}-1| on the final window")
         elif kind == "sign_change":
             values = series_values(Sc, check.series)
             crossed = bool(np.any(values < 0.0))
@@ -579,56 +587,13 @@ def _branch_checks(
             i0, retained = sl2r_trapping_entry(Sc)
             detail = "never entered" if i0 is None else f"entered at t={float(t[i0]):.6g}"
             out.append(CheckResult(name, "check", retained, detail=detail))
-        elif kind == "stationary":
-            gate(name, float(np.max(np.abs(S - S[0]))), 0.0)
-        elif kind == "sl2r_pancake":
-            tq, Sq = _grid_rows(trajectory, IntegratorOptions().samples)
-            lhs = Sq[:, 0] ** 9 * Sq[:, 1] ** 3
-            rhs = lhs[0] + np.concatenate(
-                [[0.0], np.cumsum(0.5 * np.diff(tq) * (24.0 * Sq[:-1, 0] ** 10 + 24.0 * Sq[1:, 0] ** 10))]
-            )
-            qerr = abs(float(lhs[-1] - rhs[-1])) / abs(float(lhs[-1]))
-            gate("d/dt(A^9 B^3) = 24 A^10 (trapezoid)", qerr, QUADRATURE_TOL)
-            bfit = fits.get("B")
-            afit = fits.get("A")
-            if bfit is not None and afit is not None and afit.limit > 0.0:
-                a_inf = afit.limit
-                target = (24.0 * a_inf) ** (1.0 / 3.0)
-                gate(
-                    name, abs(bfit.coefficient - target) / target,
-                    SL2R_COEFF_RELATION_TOL, f"fit {bfit.coefficient:.6g} vs {target:.6g} (Ainf={a_inf:.6g})",
-                )
-                rate = 1.0 / (8.0 * 3.0 ** (1.0 / 3.0))
-                got = afit.coefficient / a_inf ** (5.0 / 3.0)
-                gate(
-                    "A tail rate = Ainf^(5/3)/(8*3^(1/3))", abs(got - rate) / rate,
-                    SL2R_TAIL_RATE_TOL, f"fit rate {got:.6g} vs {rate:.6g}",
-                )
-            else:
-                fail(name, "missing fits")
-        elif kind == "e2_cigar":
-            settle = "(A-B)^2*C settles over the last decade"
-            try:
-                _, rows, _ = window(REGIME_INFINITY)
-            except ValueError as e:
-                fail(settle, str(e))
-                fail(name, str(e))
-                continue
-            v = series_values(rows, "(A-B)^2*C")
-            gate(settle, abs(float(v[-1] - v[0])) / abs(float(v[-1])), PRODUCT_TAIL_TOL)
-            afit = fits.get("A-B")
-            cfit = fits.get("C")
-            sfit = fits.get("A+B")
-            if afit is not None and cfit is not None and sfit is not None:
-                e1 = sfit.limit / 2.0
-                e2 = afit.coefficient / 2.0
-                target = (8.0 * e2 / e1) * sqrt(6.0)
-                gate(
-                    name, abs(cfit.coefficient - target) / target,
-                    E2_COEFF_RELATION_TOL, f"fit {cfit.coefficient:.6g} vs {target:.6g} (E1={e1:.6g}, E2={e2:.6g})",
-                )
-            else:
-                fail(name, "missing fits")
         else:
-            raise ValueError(f"unknown branch check kind {kind!r}")
+            try:
+                measured = measure(check)
+            except ValueError as e:  # a refused window, fit or singular time
+                out.append(CheckResult(name, "check", False, detail=str(e)))
+                continue
+            if measured is None:
+                raise ValueError(f"unknown branch check kind {kind!r}")
+            out.append(_gate(name, "check", *measured))
     return out

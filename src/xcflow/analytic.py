@@ -8,7 +8,8 @@ the one `BranchRecord` of the branch the datum lies on, which holds
   tolerance of each;
 * the quantities monotone along the flow, and the first integrals;
 * the closed form and the exact singular time T0, where they exist;
-* the branch checks `analysis.verify` runs, in report order.
+* the branch checks `analysis.verify` runs, in report order: each check is
+  exactly one entry of the report, under the check's own name.
 
 Only the unnormalized negative flow has a catalog; every other flow gets the
 empty record.  `exact_solution`, `singular_time` and `conserved_quantities`
@@ -77,10 +78,10 @@ class AsymptoticLaw(Record):
 
 
 class BranchCheck(Record):
-    """One branch check: the `kind` that `analysis.verify` dispatches on and the name it reports.
+    """One branch check: the `kind` that `analysis.verify` dispatches on and the name of its one report entry.
 
-    A "lock" compares the canonical columns `columns`; a "ratio_limit" or a
-    "sign_change" reads the named series `series`.
+    A "lock" compares the canonical columns `columns`; a "ratio_limit", a
+    "sign_change" or a "settle" reads the named series `series`.
     """
 
     kind: str
@@ -232,7 +233,9 @@ def branch_record(geometry: Geometry, spec: FlowSpec, m0: MetricDiag) -> BranchR
                 checks=(
                     _TERMINATION,
                     BranchCheck("lock", "B=C locked", columns=(1, 2)),
-                    BranchCheck("sl2r_pancake", "B coefficient = (24 Ainf)^(1/3)"),
+                    BranchCheck("quadrature", "d/dt(A^9 B^3) = 24 A^10 (trapezoid)"),
+                    BranchCheck("pancake_coefficient", "B coefficient = (24 Ainf)^(1/3)"),
+                    BranchCheck("pancake_tail_rate", "A tail rate = Ainf^(5/3)/(8*3^(1/3))"),
                 ),
             )
         hi, lo = ("B", "C") if m0.B > m0.C else ("C", "B")
@@ -267,7 +270,11 @@ def branch_record(geometry: Geometry, spec: FlowSpec, m0: MetricDiag) -> BranchR
                 (f"({hi}-{lo})^2*C", INCREASING), (hi, DECREASING), (lo, INCREASING), ("C", INCREASING),
                 (f"{hi}-{lo}", DECREASING),
             ),
-            checks=(_TERMINATION, BranchCheck("e2_cigar", "C coefficient = (8 E2/E1) sqrt(6)")),
+            checks=(
+                _TERMINATION,
+                BranchCheck("settle", "(A-B)^2*C settles over the last decade", series="(A-B)^2*C"),
+                BranchCheck("cigar_coefficient", "C coefficient = (8 E2/E1) sqrt(6)"),
+            ),
         )
 
     return BranchRecord(checks=(_TERMINATION,))

@@ -129,9 +129,6 @@ class RunConfig(Record):
             raise ConfigError(f"unknown format {cfg.format!r}; expected csv or json")
         return cfg
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def _parse_init(value) -> tuple[float, float, float]:
     parts = value.split(",") if isinstance(value, str) else list(value)

@@ -288,7 +288,7 @@ class Termination(Record):
     n_rejected: int = 0
 
     def to_dict(self) -> dict:
-        return {**self.__dict__, "kind": self.kind.value, "vanishing": list(self.vanishing),
+        return {**super().to_dict(), "kind": self.kind.value, "vanishing": list(self.vanishing),
                 "exploding": list(self.exploding)}
 
 
@@ -905,9 +905,9 @@ def _rows_at(trajectory: Trajectory, times: np.ndarray) -> np.ndarray:
     return table.eval(np.ldexp(times, -2 * table.k))
 
 
-def _grid_rows(trajectory: Trajectory, samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """The times and rows `integrate` emits on this run at `samples` rows, bit for bit."""
-    table = trajectory._table
+def _grid_rows(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """The times and rows `integrate` emits on this run at the default `IntegratorOptions.samples`, bit for bit."""
+    table, samples = trajectory._table, IntegratorOptions.samples
     if table is None or trajectory.options.samples == samples:  # its own rows; with no step, m0 at t = 0 alone
         return trajectory.times, trajectory.states
     grid = _sample_times(trajectory.termination.kind, ldexp(trajectory.termination.t_stop, -2 * table.k), samples)

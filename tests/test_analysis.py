@@ -173,6 +173,22 @@ def test_sl2r_limit_extraction(sl2r_symmetric_run):
     assert bfit.coefficient == pytest.approx((24.0 * a_inf) ** (1.0 / 3.0), rel=0.02)
 
 
+def test_a_limit_law_reports_its_limit_and_no_fitted_exponent(sl2r_symmetric_run, monkeypatch):
+    # the exponent of a limit-form law is imposed, so the report states none
+    [law] = [l for l in verify(sl2r_symmetric_run).laws if l.variable == "A"]
+    assert law.passed and law.fitted_exponent is None and law.r2 is None
+    assert law.fitted_limit > 0.0 and law.text == law.detail == f"limit={law.fitted_limit:.6g}"
+
+    # an A-infinity that is not positive fails the law and both relations that read it, with A's detail
+    real = analysis._limit_fit
+    monkeypatch.setattr(analysis, "_limit_fit", lambda *args: real(*args)._replace(limit=-0.5))
+    report = verify(sl2r_symmetric_run)
+    [law] = [l for l in report.laws if l.variable == "A"]
+    relations = [c for c in report.checks if "Ainf" in c.name]
+    assert len(relations) == 2
+    assert all(not e.passed and e.detail == "limit=-0.5" for e in (law, *relations))
+
+
 # ---------------------------------------------------------------------------
 # Singular-time estimation
 
@@ -261,6 +277,8 @@ def test_unfittable_entries_give_the_refusing_functions_message():
     limits = [l for l in budget.laws if l.variable in limit_form]
     assert limits and all(not l.passed for l in limits)
     assert {l.detail for l in limits} == {horizon}
+    relations = [c for c in budget.checks if "Ainf" in c.name]
+    assert len(relations) == 2 and all(not c.passed and c.detail == horizon for c in relations)
 
     e2 = verify(integrate(Geometry.E2, XCF_MINUS, MetricDiag(2, 1, 1), IntegratorOptions(t_max=1e8, max_steps=40)))
     assert e2.termination["kind"] == "step_budget_exhausted"
@@ -295,35 +313,22 @@ def test_unfittable_entries_give_the_refusing_functions_message():
     assert quadrature.passed and quadrature.observed == 0.0
 
 
-# The checks that read a fit window or a fit: every other check reads the emitted grid.
-_WINDOW_CHECKS = {
-    "A/C -> 1", "A/B -> 1", "B coefficient = (24 Ainf)^(1/3)", "A tail rate = Ainf^(5/3)/(8*3^(1/3))",
-    "(A-B)^2*C settles over the last decade", "C coefficient = (8 E2/E1) sqrt(6)",
-    "d/dt(A^9 B^3) = 24 A^10 (trapezoid)",
-}
-
-
 def test_window_entries_do_not_depend_on_samples():
-    # fit windows, and the A^9 B^3 quadrature, draw their own rows from the
-    # run's dense output, so every law and every check on them has the same
-    # bits, and passes, at any number of emitted samples
+    # fit windows draw their own rows from the run's dense output, and every
+    # other entry reads the run's default grid drawn the same way, so the
+    # whole report has the same bits, and passes, at any number of emitted samples
     runs = [
         (Geometry.SOL, (2, 4, 1), 10.0), (Geometry.SOL, (1, 4, 2), 10.0), (Geometry.SU2, (3, 2, 1), 10.0),
         (Geometry.SL2R, (1, 2, 1), 10.0), (Geometry.SL2R, (1, 1, 1), 1e6), (Geometry.E2, (2, 1, 1), 1e8),
         (Geometry.HEISENBERG, (1, 1, 1), 100.0),
     ]
-    seen = set()
     for geom, init, t_max in runs:
-        entries = {}
+        reports = {}
         for samples in (2, 64, 448, 2048, 8192):
             options = IntegratorOptions(t_max=t_max, samples=samples)
-            report = verify(integrate(geom, XCF_MINUS, MetricDiag(*init), options))
-            window = [*report.laws, *(c for c in report.checks if c.name in _WINDOW_CHECKS)]
-            assert window and all(e.passed for e in window), (geom, init, samples)
-            entries[samples] = [e.to_dict() for e in window]
-        assert all(e == entries[2] for e in entries.values()), (geom, init)
-        seen |= {e["name"] for e in entries[2] if "name" in e}
-    assert seen == _WINDOW_CHECKS
+            reports[samples] = verify(integrate(geom, XCF_MINUS, MetricDiag(*init), options)).to_dict()
+            assert reports[samples]["passed"], (geom, init, samples)
+        assert all(r == reports[2] for r in reports.values()), (geom, init)
 
 
 def test_verify_is_idempotent(sol_generic_run):
@@ -416,16 +421,17 @@ def test_every_catalog_series_name_resolves():
 
 
 def test_every_check_kind_a_record_states_has_a_handler():
+    # each check gives exactly one report entry, also when the step budget
+    # runs out and every window refuses
     kinds = set()
     for geometry, spec, m0, record in _records():
-        if not record.checks:
-            continue
         kinds.update(check.kind for check in record.checks)
-        report = verify(integrate(geometry, spec, m0, IntegratorOptions(t_max=0.01, samples=64)))  # raises on an unhandled kind
-        assert len(report.checks) >= len(record.checks)  # every check reports at least once
+        for options in (IntegratorOptions(t_max=0.01, samples=64), IntegratorOptions(t_max=1e6, max_steps=20, samples=64)):
+            report = verify(integrate(geometry, spec, m0, options))  # raises on an unhandled kind
+            assert [c.name for c in report.checks] == [c.name for c in record.checks], (geometry, spec.name, m0)
     assert kinds == {
         "termination", "closed_form", "lock", "singular_time", "ratio_limit", "sign_change", "trapping",
-        "stationary", "sl2r_pancake", "e2_cigar",
+        "stationary", "quadrature", "pancake_coefficient", "pancake_tail_rate", "settle", "cigar_coefficient",
     }
 
 
