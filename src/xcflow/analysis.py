@@ -7,11 +7,11 @@
   where x is t for late-time laws and T0 - t for blow-up laws;
 * `estimate_limit_plus_power` fits value ~ L + c * t^p for laws with a
   finite limit;
-* `verify` checks a trajectory against its conserved quantities and what
-  its branch record (`analytic.branch_record`) states, fitting through the
-  two fitters above (an unfittable entry fails with the refusing function's
-  message), one entry per law and per branch check; each entry of its
-  report formats the one `text` it prints.
+* `verify` checks a trajectory against what its branch record
+  (`analytic.branch_record`) states, in the record's canonical labels,
+  fitting through the two fitters above (an unfittable entry fails with the
+  refusing function's message), one entry per law and per branch check; each
+  entry of its report formats the one `text` it prints.
 
 Every fit window comes from `_fit_window` and is a function of the run
 alone, fixed for reproducibility.  Late-time fits use [t_stop/10, t_stop] of
@@ -47,7 +47,6 @@ from .analytic import (
     branch_record,
     canonical_permutation,
     classify_branch,
-    conserved_quantities,
     sl2r_trapping_entry,
 )
 from .integrator import _H_MAX, _INCREMENT, Termination, TerminationKind, Trajectory
@@ -109,9 +108,7 @@ def _build_series_map():
                 m[f"{x}/{y}"] = lambda S, i=i, j=j: S[:, i] / S[:, j]
     m["A+B"] = lambda S: S[:, 0] + S[:, 1]
     m["A-3C"] = lambda S: S[:, 0] - 3.0 * S[:, 2]
-    m["C-3A"] = lambda S: S[:, 2] - 3.0 * S[:, 0]
     m["(A-B)^2*C"] = lambda S: (S[:, 0] - S[:, 1]) ** 2 * S[:, 2]
-    m["(B-A)^2*C"] = lambda S: (S[:, 1] - S[:, 0]) ** 2 * S[:, 2]
     m["4/A+1/B"] = lambda S: 4.0 / S[:, 0] + 1.0 / S[:, 1]
     m["A^3*B"] = lambda S: S[:, 0] ** 3 * S[:, 1]
     m["A^3*C"] = lambda S: S[:, 0] ** 3 * S[:, 2]
@@ -365,7 +362,7 @@ ROUNDING_SPACINGS = ceil(2 * (2 * _ROW_ROUNDING + 2 * _INCREMENT_ROUNDING + _JOI
 
 
 def _rounding_floor(states: np.ndarray, name: str) -> np.ndarray | None:
-    """Per-step rounding floor of a difference series such as "C-A" or "A-3C", else None.
+    """Per-step rounding floor of a difference series such as "A-C" or "A-3C", else None.
 
     It is `ROUNDING_SPACINGS` spacings of the larger operand at either end
     of the step: the most by which the rows' rounding alone can make the
@@ -431,19 +428,21 @@ def _monotone_violation(values: np.ndarray, direction: str, floor: np.ndarray | 
 def verify(trajectory: Trajectory) -> VerificationReport:
     """Measure every structural property a trajectory's branch record promises.
 
-    Pure function of the run: conserved-quantity drift, then what
-    `branch_record` states for its flow and initial datum: the monotone
-    list, the asymptotic laws fitted at their own tolerances, and one entry
-    per branch check.  Every row an entry reads is a fit window's or one of
-    the run's default grid (`_grid_rows`), so the report is the same at any
-    `samples`.  A flow without a catalog has the empty record and is checked
-    for its conserved quantities only.
+    Pure function of the run, in the order of `branch_record` for its flow
+    and initial datum: the first integrals' drift, the monotone list, the
+    asymptotic laws fitted at their own tolerances, and one entry per branch
+    check.  The record and every row an entry reads are in the canonical
+    labels of `canonical_permutation`, so mirrored twins get the same entry
+    names.  Every row is a fit window's or one of the run's default grid
+    (`_grid_rows`), so the report is the same at any `samples`.  A flow
+    without a catalog is checked for its first integrals only.
     """
     geom, spec, m0 = trajectory.geometry, trajectory.spec, trajectory.m0
     term = trajectory.termination
     record = branch_record(geom, spec, m0)
     perm = canonical_permutation(geom, m0)
-    t, S = _grid_rows(trajectory)
+    t, rows = _grid_rows(trajectory)
+    S = rows[:, perm]
     law_of = {law.variable: law for law in record.laws}  # a variable is unique within a record
 
     @cache  # each window drawn once, in the record's canonical labels; a refusal raises before any row
@@ -460,7 +459,7 @@ def verify(trajectory: Trajectory) -> VerificationReport:
 
     conserved = [
         _gate(name, "conserved", _max_rel_drift(series_values(S, name), v0), CONSERVED_DRIFT_TOL)
-        for name, v0 in conserved_quantities(geom, spec, m0)
+        for name, v0 in record.first_integrals
     ]
     monotone = [
         _gate(
@@ -507,21 +506,21 @@ def verify(trajectory: Trajectory) -> VerificationReport:
         conserved=tuple(conserved),
         monotone=tuple(monotone),
         laws=tuple(laws),
-        checks=tuple(_branch_checks(record, t, S, S[:, perm], term, window, fit)),
+        checks=tuple(_branch_checks(record, t, S, term, window, fit)),
     )
 
 
 def _branch_checks(
-    record: BranchRecord, t: np.ndarray, S: np.ndarray, Sc: np.ndarray, termination: Termination, window, fit,
+    record: BranchRecord, t: np.ndarray, S: np.ndarray, termination: Termination, window, fit,
 ) -> list[CheckResult]:
     """One result per branch check of the record, in its order; a check of unknown kind raises.
 
-    `t` and `S` are the run's default grid rows, `Sc` those rows in
-    canonical labels, `window(regime)` a fit window and `fit(variable)` the
-    fit of a record's law, both in canonical labels.  "termination",
-    "sign_change" and "trapping" pass or fail with a detail; every other
-    kind measures a value against its tolerance, and fails with the message
-    of the window, the fit or the singular time that refused it.
+    `t` and `S` are the run's default grid rows, `window(regime)` a fit
+    window and `fit(variable)` the fit of a record's law, all in canonical
+    labels.  "termination", "sign_change" and "trapping" pass or fail with a
+    detail; every other kind measures a value against its tolerance, and
+    fails with the message of the window, the fit or the singular time that
+    refused it.
     """
     stop = termination.kind
     singular = stop is TerminationKind.SINGULAR_TIME
@@ -540,7 +539,7 @@ def _branch_checks(
             exact = record.closed_form(t[keep])
             return float(np.max(np.abs(S[keep] - exact) / exact)), CLOSED_FORM_TOL, ""
         if kind == "lock":
-            locked = Sc[:, check.columns]
+            locked = S[:, check.columns]
             top = np.max(locked, axis=1)
             return float(np.max((top - np.min(locked, axis=1)) / top)), SYMMETRY_LOCK_TOL, ""
         if kind == "singular_time":
@@ -551,8 +550,8 @@ def _branch_checks(
         if kind == "stationary":
             return float(np.max(np.abs(S - S[0]))), 0.0, ""
         if kind == "quadrature":
-            lhs = Sc[:, 0] ** 9 * Sc[:, 1] ** 3
-            area = np.cumsum(np.concatenate([[0.0], 0.5 * np.diff(t) * (24.0 * Sc[:-1, 0] ** 10 + 24.0 * Sc[1:, 0] ** 10)]))
+            lhs = S[:, 0] ** 9 * S[:, 1] ** 3
+            area = np.cumsum(np.concatenate([[0.0], 0.5 * np.diff(t) * (24.0 * S[:-1, 0] ** 10 + 24.0 * S[1:, 0] ** 10)]))
             return abs(float(lhs[-1] - (lhs[0] + area[-1]))) / abs(float(lhs[-1])), QUADRATURE_TOL, ""
         if kind == "pancake_coefficient":
             a_limit, b = a_inf().limit, fit("B").coefficient
@@ -580,11 +579,11 @@ def _branch_checks(
             expected = "singular" if record.singular else "complete"
             out.append(CheckResult(name, "check", passed, detail=f"expected {expected}, got {stop.value}"))
         elif kind == "sign_change":
-            values = series_values(Sc, check.series)
+            values = series_values(S, check.series)
             crossed = bool(np.any(values < 0.0))
             out.append(CheckResult(name, "check", crossed and singular, detail=f"min({check.series})={float(values.min()):.3g}"))
         elif kind == "trapping":
-            i0, retained = sl2r_trapping_entry(Sc)
+            i0, retained = sl2r_trapping_entry(S)
             detail = "never entered" if i0 is None else f"entered at t={float(t[i0]):.6g}"
             out.append(CheckResult(name, "check", retained, detail=detail))
         else:

@@ -11,17 +11,19 @@ the one `BranchRecord` of the branch the datum lies on, which holds
 * the branch checks `analysis.verify` runs, in report order: each check is
   exactly one entry of the report, under the check's own name.
 
-Only the unnormalized negative flow has a catalog; every other flow gets the
-empty record.  `exact_solution`, `singular_time` and `conserved_quantities`
-read the record.  `sl2r_trapping_entry` is the SL(2,R) trapping region
-F1 < 0, F2 < 0.
+Only the unnormalized negative flow has a catalog.  A normalized flow's
+record holds the volume density A*B*C as its one first integral, and the
+positive flow gets the empty record.  `exact_solution`, `singular_time` and
+`conserved_quantities` read the record.  `sl2r_trapping_entry` is the
+SL(2,R) trapping region F1 < 0, F2 < 0.
 
 Branches are decided by exact equality of the relevant coefficients
 (symmetric reductions are preserved bitwise by the integrator, so exact
-comparison is the correct test).  The generic-branch analyses assume a fixed
-ordering (Sol: A0 > C0, SL(2,R): B0 > C0, E(2): A0 > B0); mirrored initial
-data are handled by the label swap under which the ODE systems are exactly
-symmetric, see `canonical_permutation`.
+comparison is the correct test).  Every record is stated in the canonical
+labels of `canonical_permutation`, the fixed ordering the generic-branch
+analyses assume (Sol: A0 > C0, SL(2,R): B0 > C0, E(2): A0 > B0): mirrored
+initial data are relabeled by the swap under which the ODE systems are
+exactly symmetric, so twins get the same record.
 """
 
 from __future__ import annotations
@@ -91,14 +93,13 @@ class BranchCheck(Record):
 
 
 class BranchRecord(Record):
-    """What the negative flow promises on one branch.
+    """What a flow promises on one branch, every name and row in the canonical labels of `canonical_permutation`.
 
-    `laws` are stated in the canonical labels of `canonical_permutation`,
-    `monotone` as (series, direction) pairs in the labels of m0, and
-    `first_integrals` as (series, value at m0) pairs.  `closed_form` maps a
+    `laws` are power laws, `monotone` (series, direction) pairs,
+    `first_integrals` (series, value at m0) pairs, and `checks` come in
+    report order, "termination matches branch" first.  `closed_form` maps a
     time column to the exact (A, B, C) rows where the branch is solvable, for
-    0 <= t < T0 with `t0` the exact singular time where it has one.  `checks`
-    come in report order, "termination matches branch" first.
+    0 <= t < T0 with `t0` the exact singular time where it has one.
     """
 
     laws: tuple[AsymptoticLaw, ...] = ()
@@ -118,17 +119,18 @@ _TERMINATION = BranchCheck("termination", "termination matches branch")
 
 
 def branch_record(geometry: Geometry, spec: FlowSpec, m0: MetricDiag) -> BranchRecord:
-    """The record of the branch the flow `spec` from m0 lies on.
+    """The record of the branch the flow `spec` from m0 lies on, in canonical labels.
 
-    Only the unnormalized negative flow has a catalog: every other `spec`
-    gets the empty record.
+    Only the unnormalized negative flow has a catalog.  A normalized flow's
+    record holds the volume density ("A*B*C", its value at m0) as its one
+    first integral; the positive flow gets the empty record.
     """
-    if spec != XCF_MINUS:
-        return BranchRecord()
-    branch = classify_branch(geometry, m0)
     perm = canonical_permutation(geometry, m0)
     coeffs = m0.as_tuple()
     a0, b0, c0 = (coeffs[perm[0]], coeffs[perm[1]], coeffs[perm[2]])
+    if spec != XCF_MINUS:
+        return BranchRecord(first_integrals=(("A*B*C", a0 * b0 * c0),) if spec.normalized else ())
+    branch = classify_branch(geometry, m0)
 
     if geometry is Geometry.HEISENBERG:
         r0 = -2.0 * a0 / (b0 * c0)  # the scalar curvature at t = 0
@@ -177,7 +179,6 @@ def branch_record(geometry: Geometry, spec: FlowSpec, m0: MetricDiag) -> BranchR
                     BranchCheck("singular_time", "singular time = B0^2/64"),
                 ),
             )
-        hi, lo = ("A", "C") if m0.A > m0.C else ("C", "A")
         sign_change = BranchCheck("sign_change", "A-3C changes sign before the singular time", series="A-3C")
         return BranchRecord(
             laws=(
@@ -187,9 +188,7 @@ def branch_record(geometry: Geometry, spec: FlowSpec, m0: MetricDiag) -> BranchR
                 AsymptoticLaw("A-C", REGIME_BLOWUP, Fraction(1, 2), exponent_tol=0.05,
                               description="anisotropy gap closes like sqrt(T0-t)"),
             ),
-            monotone=(
-                (f"{hi}-{lo}", DECREASING), (f"{hi}/{lo}", DECREASING), (f"{hi}-3{lo}", DECREASING), (lo, INCREASING),
-            ),
+            monotone=(("A-C", DECREASING), ("A/C", DECREASING), ("A-3C", DECREASING), ("C", INCREASING)),
             checks=(_TERMINATION, sign_change) if a0 >= 3.0 * c0 else (_TERMINATION,),
         )
 
@@ -238,7 +237,6 @@ def branch_record(geometry: Geometry, spec: FlowSpec, m0: MetricDiag) -> BranchR
                     BranchCheck("pancake_tail_rate", "A tail rate = Ainf^(5/3)/(8*3^(1/3))"),
                 ),
             )
-        hi, lo = ("B", "C") if m0.B > m0.C else ("C", "B")
         entered, _ = sl2r_trapping_entry(np.array([[a0, b0, c0]], dtype=float))
         return BranchRecord(
             laws=(
@@ -247,7 +245,7 @@ def branch_record(geometry: Geometry, spec: FlowSpec, m0: MetricDiag) -> BranchR
                 AsymptoticLaw("C", REGIME_BLOWUP, Fraction(1, 2), 8.0, coefficient_tol=0.03,
                               description="collapsing direction, C ~ 8 sqrt(T0-t)"),
             ),
-            monotone=(("A", INCREASING), (hi, INCREASING), (lo, DECREASING)) if entered is not None else (),
+            monotone=(("A", INCREASING), ("B", INCREASING), ("C", DECREASING)) if entered is not None else (),
             checks=(
                 _TERMINATION,
                 BranchCheck("trapping", "F1<0 and F2<0 entered and retained"),
@@ -258,7 +256,6 @@ def branch_record(geometry: Geometry, spec: FlowSpec, m0: MetricDiag) -> BranchR
     if geometry is Geometry.E2:
         if branch == "flat":
             return BranchRecord(checks=(_TERMINATION, BranchCheck("stationary", "exactly stationary")))
-        hi, lo = ("A", "B") if m0.A > m0.B else ("B", "A")
         return BranchRecord(
             laws=(
                 AsymptoticLaw("A-B", REGIME_INFINITY, Fraction(-1, 6), description="anisotropy decays like 2 E2 t^(-1/6)"),
@@ -267,8 +264,7 @@ def branch_record(geometry: Geometry, spec: FlowSpec, m0: MetricDiag) -> BranchR
                               description="A+B tends to 2 E1 with a t^(-1/3) tail"),
             ),
             monotone=(
-                (f"({hi}-{lo})^2*C", INCREASING), (hi, DECREASING), (lo, INCREASING), ("C", INCREASING),
-                (f"{hi}-{lo}", DECREASING),
+                ("(A-B)^2*C", INCREASING), ("A", DECREASING), ("B", INCREASING), ("C", INCREASING), ("A-B", DECREASING),
             ),
             checks=(
                 _TERMINATION,
@@ -319,14 +315,13 @@ def exact_solution(geometry: Geometry, m0: MetricDiag, t) -> np.ndarray | None:
 def conserved_quantities(
     geometry: Geometry, spec: FlowSpec, m: MetricDiag
 ) -> list[tuple[str, float]]:
-    """Quantities constant along the flow, with their values at m.
+    """Quantities constant along the flow, with their values at m: the first integrals of its branch record.
 
-    The first integrals of the branch record (A^3 B, A^3 C and B/C of the
-    unnormalized negative flow on Heisenberg), then the volume density A*B*C,
-    which every normalized flow conserves.
+    They are A^3 B, A^3 C and B/C of the unnormalized negative flow on
+    Heisenberg, and the volume density A*B*C of every normalized flow, in
+    canonical labels.
     """
-    volume = [("A*B*C", m.A * m.B * m.C)] if spec.normalized else []
-    return list(branch_record(geometry, spec, m).first_integrals) + volume
+    return list(branch_record(geometry, spec, m).first_integrals)
 
 
 def sl2r_trapping_entry(states: np.ndarray) -> tuple[int | None, bool]:

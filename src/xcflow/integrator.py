@@ -307,6 +307,11 @@ class IntegratorOptions(Record):
     samples: int = 2048
 
     def __post_init__(self) -> None:
+        for name, value in self.to_dict().items():  # a bool is an int, but no horizon, tolerance or count
+            integral = name in ("max_steps", "samples")
+            kinds = (int, np.integer) if integral else (int, float, np.integer, np.floating)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"{name} must be {'an integer' if integral else 'a real number'}, got {value!r}")
         if not (isfinite(self.t_max) and self.t_max > 0.0):
             raise ValueError("t_max must be finite and positive")
         if not (isfinite(self.rtol) and self.rtol > 0.0 and isfinite(self.atol) and self.atol > 0.0):

@@ -361,6 +361,22 @@ def test_verify_relabels_mirrored_data():
     assert report.passed
 
 
+@pytest.mark.parametrize(
+    "geometry, datum, twin, t_max",
+    [  # a datum in canonical labels, its mirrored twin, and a horizon at which both reports pass
+        (Geometry.SOL, (2.0, 4.0, 1.0), (1.0, 4.0, 2.0), 10.0),
+        (Geometry.SL2R, (1.0, 2.0, 1.0), (1.0, 1.0, 2.0), 10.0),
+        (Geometry.E2, (2.0, 1.0, 1.0), (1.0, 2.0, 1.0), 1e8),
+    ],
+    ids=lambda v: getattr(v, "value", None),
+)
+def test_mirrored_twins_get_reports_with_the_same_entries(geometry, datum, twin, t_max):
+    reports = [verify(integrate(geometry, XCF_MINUS, MetricDiag(*m0), IntegratorOptions(t_max=t_max))) for m0 in (datum, twin)]
+    assert [r.relabeled for r in reports] == [False, True]
+    assert [e.name for e in reports[1].entries] == [e.name for e in reports[0].entries]
+    assert reports[0].passed and reports[1].passed
+
+
 def test_verify_normalized_flow_checks_volume_only(nxcf_heisenberg_run):
     report = verify(nxcf_heisenberg_run)
     assert report.passed
@@ -591,10 +607,11 @@ def test_np_exp_is_within_one_ulp_as_the_rounding_floor_assumes():
 
 
 def test_near_symmetric_sol_passes_its_monotone_checks():
-    # C-A steps the wrong way by a few spacings of A ~ 1e6 near the singular time, inside the floor
+    # C0 > A0, so the difference A-C of the canonical labels is C-A in the run's; it steps the
+    # wrong way by a few spacings of A ~ 1e6 near the singular time, inside the floor
     report = verify(integrate(Geometry.SOL, XCF_MINUS, _NEAR_SYMMETRIC_SOL, IntegratorOptions(t_max=10.0)))
     assert report.passed
-    assert [c.observed for c in report.monotone if c.name == "C-A decreasing"] == [0.0]
+    assert [c.observed for c in report.monotone if c.name == "A-C decreasing"] == [0.0]
 
 
 def _near_symmetric_sol_data(count):
@@ -608,18 +625,19 @@ def _near_symmetric_sol_data(count):
 
 
 def test_near_symmetric_sol_sweep_passes_its_difference_checks():
-    # the floor covers the rows' rounding: every difference stays monotone, in both labels
+    # the floor covers the rows' rounding: every difference stays monotone, in both labels, under one name
     for datum in _near_symmetric_sol_data(40):
         for m0 in (datum, datum[::-1]):
             report = verify(integrate(Geometry.SOL, XCF_MINUS, MetricDiag(*m0), IntegratorOptions(t_max=10.0)))
-            differences = [c for c in report.monotone if c.name in ("C-A decreasing", "A-C decreasing")]
-            assert len(differences) == 1 and differences[0].passed, (m0, differences)
+            differences = [c for c in report.monotone if c.name.startswith(("A-C ", "C-A "))]
+            assert [c.name for c in differences] == ["A-C decreasing"] and differences[0].passed, (m0, differences)
             assert report.passed, m0
 
 
-def _c_minus_a_check(traj, states):
+def _difference_check(traj, states):
+    """The entry "A-C decreasing" of a run with C0 > A0, whose A-C is C-A in the run's labels."""
     report = verify(traj._replace(states=states))
-    return next(c for c in report.monotone if c.name == "C-A decreasing")
+    return next(c for c in report.monotone if c.name == "A-C decreasing")
 
 
 def test_planted_wrong_way_step_of_a_difference_still_fails():
@@ -629,9 +647,9 @@ def test_planted_wrong_way_step_of_a_difference_still_fails():
     states = np.array(traj.states)
     i = int(np.argmax(states[:, 0] > 10.0))
     states[i + 1:, 2] += (v[i] - v[i + 1]) + 2e-9 * np.max(np.abs(v))
-    check = _c_minus_a_check(traj, states)
+    check = _difference_check(traj, states)
     assert not check.passed and check.observed == pytest.approx(2e-9, rel=1e-3)
     # at the last sample, where A ~ 7e6 and the floor is largest: C rises by 1e-9 of itself
     states = np.array(traj.states)
     states[-1, 2] *= 1.0 + 1e-9
-    assert not _c_minus_a_check(traj, states).passed
+    assert not _difference_check(traj, states).passed

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -170,13 +170,7 @@ def test_monotone_catalog_sol():
         ("A-3C", DECREASING),
         ("C", INCREASING),
     ]
-    mirrored = _monotone(Geometry.SOL, MetricDiag(1, 4, 2))
-    assert mirrored == [
-        ("C-A", DECREASING),
-        ("C/A", DECREASING),
-        ("C-3A", DECREASING),
-        ("A", INCREASING),
-    ]
+    assert _monotone(Geometry.SOL, MetricDiag(1, 4, 2)) == got  # mirrored: the same canonical names
     assert _monotone(Geometry.SOL, MetricDiag(3, 4, 3)) == []
 
 
@@ -201,14 +195,13 @@ def test_monotone_catalog_sl2r():
 
 
 def _inline_sl2r_monotone(m0):
-    """The SL(2,R) monotone list as it was stated before it called `sl2r_trapping_entry`."""
+    """The SL(2,R) monotone list as it was stated before it called `sl2r_trapping_entry`, in canonical labels."""
     a0, b0, c0 = m0.A, m0.B, m0.C
     if b0 == c0:
         return [("4/A+1/B", DECREASING), ("A", DECREASING), ("B", INCREASING), ("C", INCREASING)]
-    hi, lo = ("B", "C") if b0 > c0 else ("C", "B")
     f1, f2, _ = _sl2r_f(a0, max(b0, c0), min(b0, c0))
     if f1 < 0.0 and f2 < 0.0:
-        return [("A", INCREASING), (hi, INCREASING), (lo, DECREASING)]
+        return [("A", INCREASING), ("B", INCREASING), ("C", DECREASING)]
     return []
 
 
@@ -295,8 +288,8 @@ def _law(laws, variable):
 
 
 def test_asymptotics_requires_the_unnormalized_negative_flow():
-    # every other flow gets the empty record: no laws, no monotone list, no checks
-    assert branch_record(Geometry.SOL, NXCF, MetricDiag(2, 4, 1)) == BranchRecord()
+    # a normalized flow's record holds the volume alone; the positive flow's is empty
+    assert branch_record(Geometry.SOL, NXCF, MetricDiag(2, 4, 1)) == BranchRecord(first_integrals=(("A*B*C", 8.0),))
     assert branch_record(Geometry.SOL, XCF_PLUS, MetricDiag(2, 4, 1)) == BranchRecord()
     assert _laws(Geometry.SOL, NXCF, MetricDiag(2, 4, 1)) == []
 
@@ -366,11 +359,41 @@ def test_asymptotics_mirrored_data_share_the_canonical_catalog():
     assert mirrored == canon
 
 
+# a datum in the canonical labels of `canonical_permutation` and its mirrored twin
+MIRRORED_TWINS = [
+    (Geometry.SOL, (2.0, 4.0, 1.0), (1.0, 4.0, 2.0)),
+    (Geometry.SL2R, (1.0, 2.0, 1.0), (1.0, 1.0, 2.0)),
+    (Geometry.E2, (2.0, 1.0, 1.0), (1.0, 2.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("geometry, datum, twin", MIRRORED_TWINS, ids=lambda v: getattr(v, "value", None))
+def test_mirrored_twins_get_a_record_with_the_same_names(geometry, datum, twin):
+    def names(m0):
+        record = branch_record(geometry, XCF_MINUS, MetricDiag(*m0))
+        return (
+            [law.variable for law in record.laws], list(record.monotone),
+            [name for name, _ in record.first_integrals], [check.name for check in record.checks],
+        )
+
+    assert names(datum)[1]  # the generic branch, with a monotone list
+    assert names(twin) == names(datum)
+
+
+@pytest.mark.parametrize("geometry", list(Geometry), ids=lambda g: g.value)
+def test_conserved_quantities_are_the_records_first_integrals(geometry):
+    # every flow and every ordering of distinct coefficients, none of whose products is exact
+    for spec, m0 in product(FLOWS.values(), permutations((0.7, 1.3, 2.9))):
+        record = branch_record(geometry, spec, MetricDiag(*m0))
+        assert conserved_quantities(geometry, spec, MetricDiag(*m0)) == list(record.first_integrals), (spec, m0)
+
+
 # ---------------------------------------------------------------------------
 # The branch record is bitwise the catalog it replaced.  The four functions
 # below are the catalog as it was stated before the record, kept as the
 # reference: the laws, their tolerances (then set by `verify`), the monotone
-# lists and the conserved quantities.
+# lists (renamed to the canonical labels the record states them in) and the
+# conserved quantities.
 
 
 def _ref_expected_asymptotics(geometry, spec, m0):
@@ -480,10 +503,8 @@ def _ref_law_tolerances(geometry, branch, law):
 def _ref_monotone_quantities(geometry, m0):
     a0, b0, c0 = m0.A, m0.B, m0.C
     if geometry is Geometry.SOL:
-        if a0 > c0:
+        if a0 != c0:
             return [("A-C", DECREASING), ("A/C", DECREASING), ("A-3C", DECREASING), ("C", INCREASING)]
-        if c0 > a0:
-            return [("C-A", DECREASING), ("C/A", DECREASING), ("C-3A", DECREASING), ("A", INCREASING)]
         return []
     if geometry is Geometry.SU2:
         order = sorted(zip((a0, b0, c0), "ABC"), key=lambda p: (-p[0], p[1]))
@@ -499,14 +520,7 @@ def _ref_monotone_quantities(geometry, m0):
     if geometry is Geometry.E2:
         if a0 == b0:
             return []
-        hi, lo = ("A", "B") if a0 > b0 else ("B", "A")
-        return [
-            (f"({hi}-{lo})^2*C", INCREASING),
-            (hi, DECREASING),
-            (lo, INCREASING),
-            ("C", INCREASING),
-            (f"{hi}-{lo}", DECREASING),
-        ]
+        return [("(A-B)^2*C", INCREASING), ("A", DECREASING), ("B", INCREASING), ("C", INCREASING), ("A-B", DECREASING)]
     return []
 
 
@@ -532,9 +546,8 @@ def test_branch_record_is_bitwise_the_old_catalog():
         got = [(name, v.hex()) for name, v in conserved_quantities(geometry, spec, m0)]
         want = [(name, v.hex()) for name, v in _ref_conserved_quantities(geometry, spec, m0)]
         assert got == want, (geometry, spec, m0)
-        assert [name for name, _ in record.first_integrals] == [name for name, _ in want if name != "A*B*C"]
         if spec != XCF_MINUS:
-            assert record == BranchRecord()
+            assert record._replace(first_integrals=()) == BranchRecord()
             with pytest.raises(ValueError):
                 _ref_expected_asymptotics(geometry, spec, m0)
             continue

@@ -1212,3 +1212,25 @@ def test_a_fault_planted_at_every_attempt_ends_the_run_in_bounded_cost(monkeypat
     )
     assert term.n_rejected <= 40  # 0.01 halved below 1e-12
     assert traj.times.tolist() == [0.0] and np.array_equal(traj.states, [[2.0, 4.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("samples", 100.5), ("samples", 64.0), ("samples", "64"), ("samples", True), ("samples", None),
+        ("max_steps", 1e6), ("max_steps", np.float64(10.0)), ("max_steps", False),
+        ("t_max", True), ("t_max", "10"), ("rtol", None), ("atol", np.True_),
+    ],
+)
+def test_options_reject_a_value_of_the_wrong_type_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        IntegratorOptions(**{field: value})
+
+
+def test_options_take_numpy_integers_as_counts():
+    counts = IntegratorOptions(t_max=1, samples=np.int64(64), max_steps=np.int32(10_000))
+    plain = IntegratorOptions(t_max=1.0, samples=64, max_steps=10_000)
+    got, want = (integrate(Geometry.SOL, XCF_MINUS, MetricDiag(2, 4, 1), opts) for opts in (counts, plain))
+    assert got.states.shape == (64, 3)
+    assert got.times.tobytes() == want.times.tobytes() and got.states.tobytes() == want.states.tobytes()
+    assert got.termination == want.termination
