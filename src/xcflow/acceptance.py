@@ -258,13 +258,15 @@ def _oracle_gaps() -> dict[Geometry, np.ndarray]:
 
     The k-th geometry draws its metrics with seed `_ORACLE_SEED + k`.
     """
-    gaps = {}
-    for k, geom in enumerate(Geometry):
-        m = _random_metrics(_ORACLE_SEED + k, _ORACLE_DRAWS)
-        direct = cross_curvature_diag(geom, m)
-        via_k = cross_from_sectional(m, sectional_curvatures(geom, m))
-        gaps[geom] = _max_entry_gap(via_k, direct)
-    return gaps
+    return {geom: _oracle_gap(geom, _ORACLE_SEED + k) for k, geom in enumerate(Geometry)}
+
+
+def _oracle_gap(geom: Geometry, seed: int) -> np.ndarray:
+    """One geometry's `_oracle_gaps` entry; its draws are freed on return, before the next geometry draws."""
+    m = _random_metrics(seed, _ORACLE_DRAWS)
+    direct = cross_curvature_diag(geom, m)
+    via_k = cross_from_sectional(m, sectional_curvatures(geom, m))
+    return _max_entry_gap(via_k, direct)
 
 
 def _scaling_gaps() -> dict[Geometry, np.ndarray]:

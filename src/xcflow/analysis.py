@@ -6,7 +6,7 @@
 * `fit_power_law` fits value ~ coeff * x^p by linear regression of logs,
   where x is t for late-time laws and T0 - t for blow-up laws;
 * `estimate_limit_plus_power` fits value ~ L + c * t^p for laws with a
-  finite limit;
+  finite limit, by linear regression of the value on t^p;
 * `verify` checks a trajectory against what its branch record
   (`analytic.branch_record`) states, in the record's canonical labels,
   fitting through the two fitters above (an unfittable entry fails with the
@@ -152,10 +152,12 @@ def _linefit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Least-squares slope, intercept and r^2.
 
     Computed from the centered closed form rather than a generic lstsq: a
-    few reductions and no SVD per fit, and the abscissa mean is removed
-    before any product, so a window that is narrow next to its offset (log t
-    over the last decade of a long run) keeps its slope.  Every fitted
-    exponent in a report is these bits; x spans a fit window's decade, so sxx > 0.
+    few reductions, no SVD and no LAPACK workspace, and the abscissa mean is
+    removed before any product, so a window that is narrow next to its offset
+    (log t over the last decade of a long run) keeps its slope.  Every fit in
+    a report is these bits, of both forms: a power law fits log v against
+    log x, and a limit-form law fits v against x = t^p.  So sxx > 0: log x
+    spans a window's decade, and t^p a factor of 10^|p| on a late-time window.
     """
     x_mean = float(np.mean(x))
     y_mean = float(np.mean(y))
@@ -218,9 +220,8 @@ def _limit_fit(window: tuple, variable: str, exponent: float) -> LimitPowerFit:
     slack = 1e-12 * float(np.max(np.abs(v)))
     if not (np.all(d >= -slack) or np.all(d <= slack)):
         raise ValueError("series is not monotone on the fit window")
-    X = np.column_stack([np.ones_like(t), t ** float(exponent)])
-    (limit, coeff), *_ = np.linalg.lstsq(X, v, rcond=None)
-    return LimitPowerFit(float(limit), float(coeff), float(exponent), bounds)
+    coeff, limit, _ = _linefit(t ** float(exponent), v)
+    return LimitPowerFit(limit, coeff, float(exponent), bounds)
 
 
 def estimate_limit_plus_power(trajectory: Trajectory, variable: str, exponent: float) -> LimitPowerFit:

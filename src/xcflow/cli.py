@@ -12,8 +12,11 @@ each point is integrated in the labels the catalogs assume, once for all
 the points that relabel to the same datum, and keeping only the states its
 row reads: none, and so no step table, where the row reads only how the
 run ended.
-Every CSV text, trajectory or scan, goes through one writer, and every JSON
-text through another, which gives the bytes of `json.dumps(doc, indent=2)`.
+A trajectory's CSV, and the text `emit_parsed_csv` gives back from a parsed
+one, are built by one writer, `_csv_text`; scan rows are not, since each is
+written to the output as soon as it is known, in `_write_scan_rows`.  Every
+JSON document goes through `_json_text`, which gives the bytes of
+`json.dumps(doc, indent=2)`.
 
 Configuration precedence for `run`: built-in defaults, then the JSON config
 file (--config, or the path in $XFLOW_CONFIG), then explicit flags.  Config

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -369,6 +370,30 @@ def test_a_300_draw_call_is_a_prefix_of_the_full_size_call(monkeypatch, column_g
         assert np.array_equal(short[geom].view(np.int64), full[geom][..., :300].view(np.int64)), geom
     for seed in (acceptance._ORACLE_SEED, acceptance._SCALING_SEED + 1):
         assert np.array_equal(acceptance._uniform(seed, 300), acceptance._uniform(seed, 30_000)[:300])
+
+
+def test_oracle_draws_of_a_geometry_are_freed_before_the_next_geometry_draws(monkeypatch):
+    # criterion 10 holds one geometry's 10,000 draws at a time; two
+    # geometries' draws alive at once would set the peak memory of `flow verify all`
+    real = acceptance._random_metrics
+    draws = []
+    alive_at_each_call = []
+
+    def tracked(seed, n):
+        alive_at_each_call.append([ref() is not None for ref in draws])
+        m = real(seed, n)
+        owner = m.A
+        while owner.base is not None:  # the array that holds all 3n draws
+            owner = owner.base
+        assert owner.size == 3 * n
+        draws.append(weakref.ref(owner))
+        return m
+
+    monkeypatch.setattr(acceptance, "_random_metrics", tracked)
+    gaps = acceptance._oracle_gaps()
+    assert list(gaps) == list(Geometry) and len(draws) == len(Geometry)
+    assert alive_at_each_call == [[False] * k for k in range(len(Geometry))]
+    assert all(ref() is None for ref in draws)
 
 
 # Planted defects: one entry of one draw is wrong by a relative 1e-9 (a

@@ -189,6 +189,37 @@ def test_a_limit_law_reports_its_limit_and_no_fitted_exponent(sl2r_symmetric_run
     assert all(not e.passed and e.detail == "limit=-0.5" for e in (law, *relations))
 
 
+def _lstsq_limit_fit(run: Trajectory, variable: str, exponent: float) -> tuple[float, float]:
+    """Limit and coefficient of the late-time limit-form fit by a generic least-squares solve."""
+    t, rows, _ = analysis._fit_window(run, REGIME_INFINITY)
+    design = np.column_stack([np.ones_like(t), t**exponent])
+    (limit, coeff), *_ = np.linalg.lstsq(design, series_values(rows, variable), rcond=None)
+    return float(limit), float(coeff)
+
+
+@pytest.mark.parametrize(
+    "run_name, variable", [("sl2r_symmetric_run", "A"), ("e2_generic_run", "A+B")], ids=["sl2r", "e2"]
+)
+def test_limit_fits_are_the_closed_form_line_fit(run_name, variable, request, monkeypatch):
+    # the two limit-form runs of `flow verify all` fit and pass without any LAPACK call
+    run = request.getfixturevalue(run_name)
+    reference = _lstsq_limit_fit(run, variable, -1.0 / 3.0)
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    report = verify(run)
+    assert report.passed
+    [law] = [l for l in report.laws if l.variable == variable]
+    assert law.passed and law.fitted_limit > 0.0
+    fit = estimate_limit_plus_power(run, variable, -1.0 / 3.0)
+    assert law.fitted_limit == fit.limit
+    # the same least-squares problem, solved two ways: the limit to rounding
+    assert fit.limit == pytest.approx(reference[0], rel=1e-14, abs=0.0)
+    assert fit.coefficient == pytest.approx(reference[1], rel=1e-9, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Singular-time estimation
 
