@@ -15,7 +15,9 @@ makes `@dataclass` cost about a millisecond a class at import.  The names
 `_fields`, `_field_defaults` and `_replace` are those of `typing.NamedTuple`,
 so every record type in the package is listed and copied the same way; but a
 record is no tuple: it does not iterate, and it equals only a record of its
-own class.
+own class.  A class holding arrays, whose `==` gives no bool, is declared
+`class T(Record, eq=False)`: like a dataclass with `eq=False`, each instance
+equals only itself and hashes by identity.
 
 `to_dict` lists the fields by name, as declared; a subclass whose fields
 do not serialize as they are overrides it.  `__post_init__` runs after
@@ -39,8 +41,10 @@ class Record:
     _fields: tuple[str, ...] = ()
     _field_defaults: dict = {}
 
-    def __init_subclass__(cls, **kwargs) -> None:
+    def __init_subclass__(cls, eq: bool = True, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
         names = tuple(cls.__annotations__)  # since Python 3.10, the class's own annotations only
         defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
         for name, value in defaults.items():

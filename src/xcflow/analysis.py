@@ -94,33 +94,28 @@ SL2R_COEFF_RELATION_TOL = 0.02
 SL2R_TAIL_RATE_TOL = 0.10
 
 
-def _build_series_map():
-    # Only the names the catalogs in `analytic` and the ratio checks in
-    # `verify` ask for: the coefficients, their pairwise differences and
-    # ratios, and the few combinations the catalogs state.
-    m = {}
-    idx = {"A": 0, "B": 1, "C": 2}
-    for x, i in idx.items():
-        m[x] = lambda S, i=i: S[:, i]
-        for y, j in idx.items():
-            if i != j:
-                m[f"{x}-{y}"] = lambda S, i=i, j=j: S[:, i] - S[:, j]
-                m[f"{x}/{y}"] = lambda S, i=i, j=j: S[:, i] / S[:, j]
-    m["A+B"] = lambda S: S[:, 0] + S[:, 1]
-    m["A-3C"] = lambda S: S[:, 0] - 3.0 * S[:, 2]
-    m["(A-B)^2*C"] = lambda S: (S[:, 0] - S[:, 1]) ** 2 * S[:, 2]
-    m["4/A+1/B"] = lambda S: 4.0 / S[:, 0] + 1.0 / S[:, 1]
-    m["A^3*B"] = lambda S: S[:, 0] ** 3 * S[:, 1]
-    m["A^3*C"] = lambda S: S[:, 0] ** 3 * S[:, 2]
-    m["A*B*C"] = lambda S: S[:, 0] * S[:, 1] * S[:, 2]
-    return m
-
-
-_SERIES = _build_series_map()
+# The series the branch records and the first integrals name, and no other.
+_SERIES = {
+    "A": lambda S: S[:, 0],
+    "B": lambda S: S[:, 1],
+    "C": lambda S: S[:, 2],
+    "A-B": lambda S: S[:, 0] - S[:, 1],
+    "A-C": lambda S: S[:, 0] - S[:, 2],
+    "A/B": lambda S: S[:, 0] / S[:, 1],
+    "A/C": lambda S: S[:, 0] / S[:, 2],
+    "B/C": lambda S: S[:, 1] / S[:, 2],
+    "A+B": lambda S: S[:, 0] + S[:, 1],
+    "A-3C": lambda S: S[:, 0] - 3.0 * S[:, 2],
+    "(A-B)^2*C": lambda S: (S[:, 0] - S[:, 1]) ** 2 * S[:, 2],
+    "4/A+1/B": lambda S: 4.0 / S[:, 0] + 1.0 / S[:, 1],
+    "A^3*B": lambda S: S[:, 0] ** 3 * S[:, 1],
+    "A^3*C": lambda S: S[:, 0] ** 3 * S[:, 2],
+    "A*B*C": lambda S: S[:, 0] * S[:, 1] * S[:, 2],
+}
 
 
 def series_values(states, name: str) -> np.ndarray:
-    """Evaluate a named scalar series (e.g. "A", "A-C", "A^3*B") on states."""
+    """Evaluate a named scalar series on states: a coefficient ("A") or a combination a branch record names ("A-C", "A/B", "A^3*B")."""
     if isinstance(states, Trajectory):
         states = states.states
     try:
@@ -433,7 +428,7 @@ def verify(trajectory: Trajectory) -> VerificationReport:
     and initial datum: the first integrals' drift, the monotone list, the
     asymptotic laws fitted at their own tolerances, and one entry per branch
     check.  The record and every row an entry reads are in the canonical
-    labels of `canonical_permutation`, so mirrored twins get the same entry
+    labels of `canonical_permutation`, so reordered twins get the same entry
     names.  Every row is a fit window's or one of the run's default grid
     (`_grid_rows`), so the report is the same at any `samples`.  A flow
     without a catalog is checked for its first integrals only.

@@ -17,13 +17,14 @@ positive flow gets the empty record.  `exact_solution`, `singular_time` and
 `conserved_quantities` read the record.  `sl2r_trapping_entry` is the
 SL(2,R) trapping region F1 < 0, F2 < 0.
 
-Branches are decided by exact equality of the relevant coefficients
-(symmetric reductions are preserved bitwise by the integrator, so exact
-comparison is the correct test).  Every record is stated in the canonical
-labels of `canonical_permutation`, the fixed ordering the generic-branch
-analyses assume (Sol: A0 > C0, SL(2,R): B0 > C0, E(2): A0 > B0): mirrored
-initial data are relabeled by the swap under which the ODE systems are
-exactly symmetric, so twins get the same record.
+`SYMMETRIC_BRANCHES` states each geometry's symmetric axes once; a datum is
+on the symmetric branch exactly when their coefficients are equal (the
+integrator preserves symmetric reductions bitwise, so exact comparison is the
+correct test).  Every record is stated in the canonical labels of
+`canonical_permutation`, which puts those coefficients in decreasing order:
+A0 >= C0 on Sol, B0 >= C0 on SL(2,R), A0 >= B0 on E(2) and A0 >= B0 >= C0 on
+SU(2); Heisenberg and the trivial geometry are not relabeled.  Each ODE system
+is exactly symmetric under those reorderings, so a datum's twins get its record.
 """
 
 from __future__ import annotations
@@ -55,6 +56,17 @@ DECREASING = "decreasing"
 
 REGIME_INFINITY = "infinity"  # law holds as t -> infinity
 REGIME_BLOWUP = "blowup"  # law holds as t -> T0 from below
+
+# Per geometry: the axes (0, 1, 2 for A, B, C) whose equal coefficients select
+# its symmetric branch, that branch's name and every other datum's.
+SYMMETRIC_BRANCHES: dict[Geometry, tuple[tuple[int, ...], str, str]] = {
+    Geometry.SOL: ((0, 2), "symmetric", "generic"),
+    Geometry.SL2R: ((1, 2), "symmetric", "generic"),
+    Geometry.E2: ((0, 1), "flat", "generic"),
+    Geometry.SU2: ((0, 1, 2), "round", "generic"),
+    Geometry.HEISENBERG: ((), "global", "global"),
+    Geometry.TRIVIAL: ((), "stationary", "stationary"),
+}
 
 
 class AsymptoticLaw(Record):
@@ -126,11 +138,12 @@ def branch_record(geometry: Geometry, spec: FlowSpec, m0: MetricDiag) -> BranchR
     first integral; the positive flow gets the empty record.
     """
     perm = canonical_permutation(geometry, m0)
-    coeffs = m0.as_tuple()
-    a0, b0, c0 = (coeffs[perm[0]], coeffs[perm[1]], coeffs[perm[2]])
+    a0, b0, c0 = map(m0.as_tuple().__getitem__, perm)
     if spec != XCF_MINUS:
         return BranchRecord(first_integrals=(("A*B*C", a0 * b0 * c0),) if spec.normalized else ())
-    branch = classify_branch(geometry, m0)
+    axes, symmetric, _ = SYMMETRIC_BRANCHES[geometry]
+    on_symmetric = classify_branch(geometry, m0) == symmetric
+    lock = BranchCheck("lock", "=".join(["ABC"[i] for i in axes]) + " locked", columns=axes)
 
     if geometry is Geometry.HEISENBERG:
         r0 = -2.0 * a0 / (b0 * c0)  # the scalar curvature at t = 0
@@ -156,7 +169,7 @@ def branch_record(geometry: Geometry, spec: FlowSpec, m0: MetricDiag) -> BranchR
     if geometry is Geometry.SOL:
         b_law = AsymptoticLaw("B", REGIME_BLOWUP, Fraction(1, 2), 8.0, coefficient_tol=0.02,
                               description="collapsing middle direction, B ~ sqrt(64 (T0-t))")
-        if branch == "symmetric":
+        if on_symmetric:
             k = a0 * b0 / 8.0
 
             def sol_symmetric(ts):
@@ -175,7 +188,7 @@ def branch_record(geometry: Geometry, spec: FlowSpec, m0: MetricDiag) -> BranchR
                 checks=(
                     _TERMINATION,
                     BranchCheck("closed_form", "closed form (t <= 0.99 T0)"),
-                    BranchCheck("lock", "A=C locked", columns=(0, 2)),
+                    lock,
                     BranchCheck("singular_time", "singular time = B0^2/64"),
                 ),
             )
@@ -193,16 +206,13 @@ def branch_record(geometry: Geometry, spec: FlowSpec, m0: MetricDiag) -> BranchR
         )
 
     if geometry is Geometry.SU2:
-        hi, mid, lo = (label for _, label in sorted(zip(coeffs, "ABC"), key=lambda p: (-p[0], p[1])))
         laws = tuple(
             AsymptoticLaw(v, REGIME_BLOWUP, Fraction(1, 2), 2.0, coefficient_tol=0.02,
                           description="round collapse, every direction ~ 2 sqrt(T0-t)")
             for v in ("A", "B", "C")
         )
-        monotone = (
-            (f"{hi}-{mid}", DECREASING), (f"{hi}-{lo}", DECREASING), (f"{hi}/{mid}", DECREASING), (f"{hi}/{lo}", DECREASING),
-        )
-        if branch == "round":
+        monotone = (("A-B", DECREASING), ("A-C", DECREASING), ("A/B", DECREASING), ("A/C", DECREASING))
+        if on_symmetric:
 
             def su2_round(ts):
                 s = np.sqrt(a0 * a0 - 4.0 * ts)
@@ -213,14 +223,14 @@ def branch_record(geometry: Geometry, spec: FlowSpec, m0: MetricDiag) -> BranchR
                 checks=(
                     _TERMINATION,
                     BranchCheck("closed_form", "closed form (t <= 0.99 T0)"),
-                    BranchCheck("lock", "A=B=C locked", columns=(0, 1, 2)),
+                    lock,
                     BranchCheck("singular_time", "singular time = s0^2/4"),
                 ),
             )
         return BranchRecord(laws, monotone, checks=(_TERMINATION, BranchCheck("ratio_limit", "A/C -> 1", series="A/C")))
 
     if geometry is Geometry.SL2R:
-        if branch == "symmetric":
+        if on_symmetric:
             return BranchRecord(
                 laws=(
                     AsymptoticLaw("B", REGIME_INFINITY, Fraction(1, 3), exponent_tol=0.01,
@@ -231,7 +241,7 @@ def branch_record(geometry: Geometry, spec: FlowSpec, m0: MetricDiag) -> BranchR
                 monotone=(("4/A+1/B", DECREASING), ("A", DECREASING), ("B", INCREASING), ("C", INCREASING)),
                 checks=(
                     _TERMINATION,
-                    BranchCheck("lock", "B=C locked", columns=(1, 2)),
+                    lock,
                     BranchCheck("quadrature", "d/dt(A^9 B^3) = 24 A^10 (trapezoid)"),
                     BranchCheck("pancake_coefficient", "B coefficient = (24 Ainf)^(1/3)"),
                     BranchCheck("pancake_tail_rate", "A tail rate = Ainf^(5/3)/(8*3^(1/3))"),
@@ -254,7 +264,7 @@ def branch_record(geometry: Geometry, spec: FlowSpec, m0: MetricDiag) -> BranchR
         )
 
     if geometry is Geometry.E2:
-        if branch == "flat":
+        if on_symmetric:
             return BranchRecord(checks=(_TERMINATION, BranchCheck("stationary", "exactly stationary")))
         return BranchRecord(
             laws=(
@@ -340,32 +350,21 @@ def sl2r_trapping_entry(states: np.ndarray) -> tuple[int | None, bool]:
 
 
 def classify_branch(geometry: Geometry, m0: MetricDiag) -> str:
-    """Dynamical branch of the negative flow from m0, by exact equality."""
-    a0, b0, c0 = m0.A, m0.B, m0.C
-    if geometry is Geometry.HEISENBERG:
-        return "global"
-    if geometry is Geometry.SOL:
-        return "symmetric" if a0 == c0 else "generic"
-    if geometry is Geometry.SU2:
-        return "round" if a0 == b0 == c0 else "generic"
-    if geometry is Geometry.SL2R:
-        return "symmetric" if b0 == c0 else "generic"
-    if geometry is Geometry.E2:
-        return "flat" if a0 == b0 else "generic"
-    return "stationary"
+    """Dynamical branch of the negative flow from m0: the symmetric one when its `SYMMETRIC_BRANCHES` axes hold equal coefficients."""
+    axes, symmetric, generic = SYMMETRIC_BRANCHES[geometry]
+    y = m0.as_tuple()
+    return symmetric if len({y[i] for i in axes}) < 2 else generic
 
 
 def canonical_permutation(geometry: Geometry, m0: MetricDiag) -> tuple[int, int, int]:
     """Index permutation taking m0 to the ordering the catalogs assume.
 
-    Sol analyses assume A0 >= C0, SL(2,R) assumes B0 >= C0, E(2) assumes
-    A0 >= B0; each ODE system is exactly symmetric under the corresponding
-    swap, so mirrored data are handled by relabeling.  Identity otherwise.
+    The coefficients on the geometry's `SYMMETRIC_BRANCHES` axes go in
+    decreasing order, ties keeping theirs; the ODE system is exactly
+    symmetric under their permutations.  Every other axis stays.
     """
-    if geometry is Geometry.SOL and m0.C > m0.A:
-        return (2, 1, 0)
-    if geometry is Geometry.SL2R and m0.C > m0.B:
-        return (0, 2, 1)
-    if geometry is Geometry.E2 and m0.B > m0.A:
-        return (1, 0, 2)
-    return (0, 1, 2)
+    axes = SYMMETRIC_BRANCHES[geometry][0]
+    perm = [0, 1, 2]
+    for i, j in zip(axes, sorted(axes, key=m0.as_tuple().__getitem__, reverse=True)):
+        perm[i] = j
+    return tuple(perm)

@@ -48,7 +48,7 @@ import numpy as np
 from . import acceptance
 from ._record import Record
 from .analysis import estimate_blowup_time, verify
-from .analytic import canonical_permutation, classify_branch, sl2r_trapping_entry
+from .analytic import SYMMETRIC_BRANCHES, canonical_permutation, classify_branch, sl2r_trapping_entry
 from .flows import FLOWS, FlowSpec
 from .geometry import Geometry, MetricDiag, cross_curvature_diag, sectional_curvatures
 from .integrator import IntegratorOptions, TerminationKind, Trajectory, accepted_states, integrate, terminate
@@ -243,7 +243,7 @@ def trajectory_csv_text(trajectory: Trajectory, config: RunConfig | None = None)
     return _csv_text(comment, CSV_HEADER, _float_lines(_sample_columns(trajectory).values()))
 
 
-class ParsedCsv(Record):
+class ParsedCsv(Record, eq=False):
     comment: str | None
     columns: dict
 
@@ -427,20 +427,20 @@ def _axis_value(text: str, part: str) -> float:
 
 
 def _canonical(geometry: Geometry, point: tuple) -> tuple[float, float, float]:
-    """A grid point relabeled by `canonical_permutation`: mirrored twins give the same triple."""
+    """A grid point relabeled by `canonical_permutation`: every ordering of a datum on its symmetric axes gives the same triple."""
     return tuple([point[i] for i in canonical_permutation(geometry, MetricDiag(*point))])
 
 
 def _volume_factor(datum: tuple, volume: float) -> float:
     """The factor that scales a canonical datum to `A*B*C = volume`.
 
-    It is computed in the canonical labels, so mirrored twins get the same
+    It is computed in the canonical labels, so reordered twins get the same
     factor and so the same scaled datum bit for bit.
     """
     return (volume / (datum[0] * datum[1] * datum[2])) ** (1.0 / 3.0)
 
 
-_OWN_FLAG_BRANCHES = ("symmetric", "round", "flat")  # branches whose scan flag is the branch name
+_OWN_FLAG_BRANCHES = {name for axes, name, _ in SYMMETRIC_BRANCHES.values() if axes}  # symmetric: the flag is the name
 
 
 def _scan_reads(geometry: Geometry, branch: str) -> str:
@@ -473,7 +473,7 @@ def _scan_point(payload: tuple) -> list[str]:
     """The SCAN_HEADER cells after `C0` for one grid point.
 
     The point is relabeled to its canonical datum, and then scaled when a
-    volume is given, so a point and its mirrored twin have the same cells.
+    volume is given, so a point and a reordered twin have the same cells.
     Every cell but the flag reads only the termination, m0 or the branch,
     and `_scan_reads` says what the flag reads; no row reads
     `options.samples`.
@@ -509,9 +509,9 @@ def _scan_point(payload: tuple) -> list[str]:
 def _occurrences(geometry: Geometry, datum: tuple, counts: list[Counter]) -> int:
     """How many grid points relabel to a canonical datum.
 
-    They are the distinct permutations of the datum that relabel to it (the
-    datum and its mirrored twin), each as often as the product of the counts
-    of its values on the three axes.
+    They are the distinct permutations of the datum that relabel to it (its
+    orderings on the geometry's symmetric axes), each as often as the
+    product of the counts of its values on the three axes.
     """
     total = 0
     for point in set(permutations(datum)):
@@ -524,7 +524,7 @@ def _occurrences(geometry: Geometry, datum: tuple, counts: list[Counter]) -> int
 def _grid_data(geometry: Geometry, axes: list[list[float]]):
     """(point, datum, first, later) for each grid point in grid order, A outermost and C innermost.
 
-    `datum` is the point's canonical datum: mirrored twins share it, and so
+    `datum` is the point's canonical datum: reordered twins share it, and so
     do the points that duplicate axis values repeat.  `first` marks the
     datum's first point in grid order and `later` counts its points still to
     come.  Only data that recur have an entry in the table of open counts,

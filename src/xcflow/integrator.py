@@ -322,7 +322,7 @@ class IntegratorOptions(Record):
             raise ValueError("samples must be at least 2")
 
 
-class _StepTable(Record):
+class _StepTable(Record, eq=False):
     """Accepted steps in scaled units, with the interpolant of each step built when first sampled."""
 
     t0: np.ndarray  # (m,) scaled step start times
@@ -427,7 +427,7 @@ class _StepTable(Record):
         return np.ldexp(x, self.k)
 
 
-class Trajectory(Record):
+class Trajectory(Record, eq=False):
     """Dense-sampled solution of one flow run.
 
     `times` starts at 0 and increases strictly to the final valid time;

@@ -610,15 +610,15 @@ def test_difference_steps_within_the_rounding_floor_are_ignored():
     assert analysis.ROUNDING_SPACINGS == 84
     n = analysis.ROUNDING_SPACINGS
     big, spacing = 2.0**20, 2.0**-32  # every operand below lies in [2^20, 2^21)
-    c = [big + 2.0**-20, big + 2.0**-21, big + 2.0**-21 + n * spacing]  # C-A falls, then rises by n spacings
-    states = np.array([[big, 1.0, ci] for ci in c])
-    values = series_values(states, "C-A")
-    floor = analysis._rounding_floor(states, "C-A")
+    a = [big + 2.0**-20, big + 2.0**-21, big + 2.0**-21 + n * spacing]  # A-C falls, then rises by n spacings
+    states = np.array([[ai, 1.0, big] for ai in a])
+    values = series_values(states, "A-C")
+    floor = analysis._rounding_floor(states, "A-C")
     assert floor.tolist() == [n * spacing, n * spacing]
     assert analysis._monotone_violation(values, "decreasing") > 0.0
     assert analysis._monotone_violation(values, "decreasing", floor) == 0.0  # n spacings the wrong way
-    states[2, 2] += spacing  # now n + 1
-    assert analysis._monotone_violation(series_values(states, "C-A"), "decreasing", floor) > 0.0
+    states[2, 0] += spacing  # now n + 1
+    assert analysis._monotone_violation(series_values(states, "A-C"), "decreasing", floor) > 0.0
     assert analysis._rounding_floor(states, "A-3C").tolist() == [2 * n * spacing, 2 * n * spacing]
     assert analysis._rounding_floor(states, "A/C") is None and analysis._rounding_floor(states, "C") is None
 

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xcflow import (
     BranchRecord,
@@ -24,7 +26,8 @@ from xcflow import (
     flow_rhs,
     singular_time,
 )
-from xcflow.analytic import DECREASING, INCREASING, REGIME_BLOWUP, REGIME_INFINITY, sl2r_trapping_entry
+from xcflow.analytic import DECREASING, INCREASING, REGIME_BLOWUP, REGIME_INFINITY, SYMMETRIC_BRANCHES
+from xcflow.analytic import sl2r_trapping_entry
 from xcflow.flows import FLOWS
 from xcflow.geometry import _sl2r_f
 
@@ -182,9 +185,9 @@ def test_monotone_catalog_su2():
         ("A/B", DECREASING),
         ("A/C", DECREASING),
     ]
-    # ordering follows the sorted initial coefficients
-    got = _monotone(Geometry.SU2, MetricDiag(1, 3, 2))
-    assert got[0] == ("B-C", DECREASING)
+    # every ordering of the datum: the same canonical names, largest against the others
+    for m0 in set(permutations((3.0, 2.0, 1.0))):
+        assert _monotone(Geometry.SU2, MetricDiag(*m0)) == got, m0
 
 
 def test_monotone_catalog_sl2r():
@@ -270,6 +273,74 @@ def test_canonical_permutation():
     assert canonical_permutation(Geometry.SL2R, MetricDiag(1, 1, 2)) == (0, 2, 1)
     assert canonical_permutation(Geometry.E2, MetricDiag(1, 2, 1)) == (1, 0, 2)
     assert canonical_permutation(Geometry.HEISENBERG, MetricDiag(3, 2, 1)) == (0, 1, 2)
+    assert canonical_permutation(Geometry.HEISENBERG, MetricDiag(1, 2, 3)) == (0, 1, 2)
+    assert canonical_permutation(Geometry.SU2, MetricDiag(3, 2, 1)) == (0, 1, 2)
+    assert canonical_permutation(Geometry.SU2, MetricDiag(1, 3, 2)) == (1, 2, 0)
+    assert canonical_permutation(Geometry.SU2, MetricDiag(2, 1, 3)) == (2, 0, 1)
+    assert canonical_permutation(Geometry.SU2, MetricDiag(1, 2, 2)) == (1, 2, 0)  # ties keep their order
+    assert canonical_permutation(Geometry.SU2, MetricDiag(2, 2, 2)) == (0, 1, 2)
+
+
+def test_symmetric_branches_are_the_invariant_reductions():
+    assert SYMMETRIC_BRANCHES == {
+        Geometry.SOL: ((0, 2), "symmetric", "generic"),  # A = C
+        Geometry.SL2R: ((1, 2), "symmetric", "generic"),  # B = C
+        Geometry.E2: ((0, 1), "flat", "generic"),  # A = B
+        Geometry.SU2: ((0, 1, 2), "round", "generic"),  # A = B = C
+        Geometry.HEISENBERG: ((), "global", "global"),
+        Geometry.TRIVIAL: ((), "stationary", "stationary"),
+    }
+
+
+def _reorderings(geometry, datum):
+    """Every ordering of the datum's coefficients on the geometry's symmetric axes, the other axes kept."""
+    axes = SYMMETRIC_BRANCHES[geometry][0]
+    points = set()
+    for values in permutations([datum[i] for i in axes]):
+        point = list(datum)
+        for i, value in zip(axes, values):
+            point[i] = value
+        points.add(tuple(point))
+    return points
+
+
+def _record_names(geometry, spec, m0):
+    """Every name the record of the flow `spec` from m0 states: laws, monotone list, first integrals, checks."""
+    record = branch_record(geometry, spec, MetricDiag(*m0))
+    return (
+        tuple(law.variable for law in record.laws), record.monotone,
+        tuple(name for name, _ in record.first_integrals), tuple(check.name for check in record.checks),
+    )
+
+
+# few values, so ties are frequent, and any value
+_COEFF = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(0.1, 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(geometry=st.sampled_from(list(Geometry)), datum=st.tuples(_COEFF, _COEFF, _COEFF))
+def test_every_reordering_on_the_symmetric_axes_relabels_to_one_datum_and_one_record(geometry, datum):
+    axes = SYMMETRIC_BRANCHES[geometry][0]
+    data, records = set(), set()
+    for point in _reorderings(geometry, datum):
+        perm = canonical_permutation(geometry, MetricDiag(*point))
+        canon = tuple(point[i] for i in perm)
+        assert sorted(perm) == [0, 1, 2] and all(perm[i] == i for i in range(3) if i not in axes), (point, perm)
+        assert [canon[i] for i in axes] == sorted([point[i] for i in axes], reverse=True), point
+        assert all(perm[i] < perm[j] for i, j in combinations(axes, 2) if canon[i] == canon[j]), point  # ties keep order
+        assert canonical_permutation(geometry, MetricDiag(*canon)) == (0, 1, 2), canon
+        data.add(canon)
+        records.add((classify_branch(geometry, MetricDiag(*point)), *(_record_names(geometry, spec, point) for spec in FLOWS.values())))
+    assert len(data) == 1
+    assert len(records) == 1
+
+
+def test_an_ordering_off_the_symmetric_axes_is_another_datum():
+    # Sol is symmetric under A <-> C only: (4, 2, 1) has A >= 3C and so the sign-change check, (2, 4, 1) has not
+    sign_change = "A-3C changes sign before the singular time"
+    assert sign_change in _record_names(SOL, XCF_MINUS, (4.0, 2.0, 1.0))[3]
+    assert sign_change in _record_names(SOL, XCF_MINUS, (1.0, 2.0, 4.0))[3]
+    assert sign_change not in _record_names(SOL, XCF_MINUS, (2.0, 4.0, 1.0))[3]
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +435,8 @@ MIRRORED_TWINS = [
     (Geometry.SOL, (2.0, 4.0, 1.0), (1.0, 4.0, 2.0)),
     (Geometry.SL2R, (1.0, 2.0, 1.0), (1.0, 1.0, 2.0)),
     (Geometry.E2, (2.0, 1.0, 1.0), (1.0, 2.0, 1.0)),
+    (Geometry.SU2, (3.0, 2.0, 1.0), (1.0, 3.0, 2.0)),
+    (Geometry.SU2, (2.0, 2.0, 1.0), (1.0, 2.0, 2.0)),
 ]
 
 
@@ -507,14 +580,7 @@ def _ref_monotone_quantities(geometry, m0):
             return [("A-C", DECREASING), ("A/C", DECREASING), ("A-3C", DECREASING), ("C", INCREASING)]
         return []
     if geometry is Geometry.SU2:
-        order = sorted(zip((a0, b0, c0), "ABC"), key=lambda p: (-p[0], p[1]))
-        hi, mid, lo = (label for _, label in order)
-        return [
-            (f"{hi}-{mid}", DECREASING),
-            (f"{hi}-{lo}", DECREASING),
-            (f"{hi}/{mid}", DECREASING),
-            (f"{hi}/{lo}", DECREASING),
-        ]
+        return [("A-B", DECREASING), ("A-C", DECREASING), ("A/B", DECREASING), ("A/C", DECREASING)]
     if geometry is Geometry.SL2R:
         return _inline_sl2r_monotone(m0)
     if geometry is Geometry.E2:

@@ -1113,8 +1113,8 @@ _TWIN_GRIDS = [
     ("sl2r", ("1:1:2", "1:2:2", "1:2:2")),
     ("e2", ("1:2:3", "1:2:3", "2")),
     ("e2", ("1:2:2", "1.5:2:2", "2:2:2")),
-    ("su2", ("1:2:2", "2:1:2", "1:1:2")),  # no relabeling on SU(2), Heisenberg and TRIVIAL
-    ("heisenberg", ("1:2:2", "2:2:2", "1:2:2")),
+    ("su2", ("1:2:2", "2:1:2", "1:1:2")),  # every ordering of a datum shares its run on SU(2)
+    ("heisenberg", ("1:2:2", "2:2:2", "1:2:2")),  # no relabeling on Heisenberg and TRIVIAL
     ("trivial", ("1", "1:2:2", "3:3:2")),
 ]
 
@@ -1147,7 +1147,7 @@ def test_scan_rows_of_a_datum_and_its_twins_are_the_canonical_run(capsys, monkey
     by_datum = {}
     for point, row in zip(points, rows):
         datum = tuple(point[i] for i in canonical_permutation(geom, MetricDiag(*point)))
-        if geometry in ("su2", "heisenberg", "trivial"):
+        if geometry in ("heisenberg", "trivial"):
             assert datum == point
         # A0,B0,C0 are the point's own, scaled by the factor of its canonical datum
         factor = 1.0 if volume is None else (volume / (datum[0] * datum[1] * datum[2])) ** (1.0 / 3.0)
@@ -1193,6 +1193,47 @@ def test_readme_scan_grid_integrates_each_canonical_datum_once(capsys, monkeypat
     assert len(out.splitlines()) == 1 + 81
     assert len(data) == len(set(data)) == 45
     assert all(a >= c for a, _, c in data)
+
+
+def test_su2_scan_integrates_each_sorted_datum_once(capsys, monkeypatch, tmp_path):
+    # SU(2) is symmetric under every permutation: the 125 points of a 5x5x5 grid are 35 sorted data
+    from xcflow import cli
+
+    data, memos = [], []
+
+    def recorded_terminate(geometry, spec, m0, options):
+        data.append(m0.as_tuple())
+        return terminate(geometry, spec, m0, options)
+
+    def refused(*args):
+        raise AssertionError("an SU(2) row reads no states")
+
+    writer = cli._write_scan_rows
+
+    def keeping_writer(out, points, cells, volume, memo):
+        memos.append(memo)
+        writer(out, points, cells, volume, memo)
+
+    monkeypatch.setattr(cli, "terminate", recorded_terminate)
+    monkeypatch.setattr(cli, "integrate", refused)
+    monkeypatch.setattr(cli, "accepted_states", refused)
+    monkeypatch.setattr(cli, "_write_scan_rows", keeping_writer)
+    grid = ["--grid-A", "0.5:3:5", "--grid-B", "0.5:3:5", "--grid-C", "0.5:3:5", "--t-max", "5"]
+    code, out, err = run_cli(capsys, "scan", "--geometry", "su2", *grid)
+    assert (code, err) == (EXIT_OK, "")
+    assert memos == [{}]
+    assert len(data) == len(set(data)) == 35 and all(a >= b >= c for a, b, c in data)
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 125
+    options = IntegratorOptions(t_max=5.0, samples=64)
+    cells = {datum: _scan_cells_at_full_samples((Geometry.SU2, XCF_MINUS, *datum, options, None)) for datum in data}
+    for row in rows:
+        assert row[4:] == cells[tuple(sorted(map(float, row[1:4]), reverse=True))], row
+    monkeypatch.undo()
+    path = tmp_path / "scan.csv"
+    code, out2, err = run_cli(capsys, "scan", "--geometry", "su2", *grid, "--workers", "2", "--output", str(path))
+    assert (code, out2, err) == (EXIT_OK, "", "")
+    assert path.read_text() == out
 
 
 class _RecordingMemo(dict):

@@ -2,9 +2,10 @@
 
 Each class is frozen, equal by value within its own class only, hashed as
 its field tuple, printed as the frozen dataclass it replaced was printed,
-and lists its fields in the order of its `__dict__` and its `to_dict`.  The
-reference texts and hashes come from a `dataclasses.make_dataclass` twin of
-each class.
+and lists its fields in the order of its `__dict__` and its `to_dict`.  A
+class that holds arrays is equal only to itself and hashed by identity, as a
+dataclass with `eq=False` is.  The reference texts and hashes come from a
+`dataclasses.make_dataclass` twin of each class.
 """
 
 from __future__ import annotations
@@ -59,8 +60,10 @@ _VALUES = {
     ParsedCsv: ("# flow run", {"t": _T}),
 }
 
-# a dict or an array among the fields: no hash, as the dataclasses had none
-_UNHASHABLE = {_StepTable, Trajectory, VerificationReport, ParsedCsv}
+# arrays among the fields, whose `==` gives no bool: equal only to itself and hashed by identity
+_IDENTITY = {_StepTable, Trajectory, ParsedCsv}
+# a dict of scalars among the fields: equal by value but no hash, as the dataclass had none
+_UNHASHABLE = {VerificationReport}
 _CLASSES = list(_VALUES)
 _IDS = [cls.__name__ for cls in _CLASSES]
 
@@ -89,6 +92,10 @@ def test_a_record_is_frozen(cls):
 def test_equal_values_give_equal_records_with_the_field_tuple_hash(cls):
     values = _VALUES[cls]
     record, same = cls(*values), cls(**dict(zip(cls._fields, values)))
+    if cls in _IDENTITY:  # as a dataclass with eq=False
+        assert record == record and record != same and not record == same
+        assert hash(record) == object.__hash__(record)
+        return
     assert record == same and not record != same
     twin = make_dataclass(cls.__name__, cls._fields, frozen=True)(*values)
     if cls in _UNHASHABLE:
@@ -190,3 +197,13 @@ def test_a_record_of_one_field_still_has_a_field_tuple():
 def test_an_unhashable_default_is_rejected(default):
     with pytest.raises(ValueError, match="unhashable default"):
         type("Bad", (Record,), {"__annotations__": {"x": "list"}, "x": default})
+
+
+def test_records_of_arrays_compare_and_hash_by_identity():
+    # the value comparison of two runs' arrays would raise: "truth value of an array ... is ambiguous"
+    run, again = (integrator.integrate(Geometry.SOL, XCF_MINUS, MetricDiag(2.0, 4.0, 1.0)) for _ in range(2))
+    parsed, reparsed = (cli.parse_trajectory_csv(cli.trajectory_csv_text(run)) for _ in range(2))
+    for record, other in ((run, again), (run._table, again._table), (parsed, reparsed)):
+        assert (record == other) is False and (record != other) is True
+        assert record == record and record in {record}
+        assert hash(record) == object.__hash__(record)
