@@ -9,10 +9,12 @@ a 9 x 9 slice of Sol initial data (B0 fixed): 81 points, but only 45 runs,
 since the scan integrates a point with C0 > A0 as its mirror image A0 <-> C0
 and shares that run with the mirrored grid point.
 
-On Sol the flag records whether 3C > A held at some point of the run.  The
-claim worth checking is that this happens for *every* generic datum -- even
-ones that start deep in the A >= 3C wedge, where A - 3C must cross zero on
-the way to the singularity.  The diagram marks that wedge separately.
+On Sol the flag records whether 3C > A holds at the last state of the run.
+Since A - 3C only decreases, that is the same as 3C > A holding at some
+point of the run.  The claim worth checking is that this happens for
+*every* generic datum -- even ones that start deep in the A >= 3C wedge,
+where A - 3C must cross zero on the way to the singularity.  The diagram
+marks that wedge separately.
 
 Legend:  '=' symmetric collapse (A0 = C0)
          '*' started with A0 >= 3 C0, yet still ended with 3C > A

@@ -30,10 +30,8 @@ depends on the emitted samples.
 
 from __future__ import annotations
 
-import re
 from functools import cache
-from itertools import accumulate
-from math import ceil, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -49,8 +47,8 @@ from .analytic import (
     classify_branch,
     sl2r_trapping_entry,
 )
-from .integrator import _H_MAX, _INCREMENT, Termination, TerminationKind, Trajectory
-from .integrator import _grid_rows, _rows_at
+from .integrator import _ROUNDING_SPACINGS as ROUNDING_SPACINGS
+from .integrator import Termination, TerminationKind, Trajectory, _grid_rows, _rows_at
 
 __all__ = [
     "PowerLawFit",
@@ -94,18 +92,29 @@ SL2R_COEFF_RELATION_TOL = 0.02
 SL2R_TAIL_RATE_TOL = 0.10
 
 
+class _Difference(Record):
+    """The series S[:, first] - factor * S[:, second]: its operands, which `_rounding_floor` reads."""
+
+    first: int
+    factor: float
+    second: int
+
+    def __call__(self, S: np.ndarray) -> np.ndarray:
+        return S[:, self.first] - self.factor * S[:, self.second]
+
+
 # The series the branch records and the first integrals name, and no other.
 _SERIES = {
     "A": lambda S: S[:, 0],
     "B": lambda S: S[:, 1],
     "C": lambda S: S[:, 2],
-    "A-B": lambda S: S[:, 0] - S[:, 1],
-    "A-C": lambda S: S[:, 0] - S[:, 2],
+    "A-B": _Difference(0, 1.0, 1),
+    "A-C": _Difference(0, 1.0, 2),
     "A/B": lambda S: S[:, 0] / S[:, 1],
     "A/C": lambda S: S[:, 0] / S[:, 2],
     "B/C": lambda S: S[:, 1] / S[:, 2],
     "A+B": lambda S: S[:, 0] + S[:, 1],
-    "A-3C": lambda S: S[:, 0] - 3.0 * S[:, 2],
+    "A-3C": _Difference(0, 3.0, 2),
     "(A-B)^2*C": lambda S: (S[:, 0] - S[:, 1]) ** 2 * S[:, 2],
     "4/A+1/B": lambda S: 4.0 / S[:, 0] + 1.0 / S[:, 1],
     "A^3*B": lambda S: S[:, 0] ** 3 * S[:, 1],
@@ -336,78 +345,18 @@ def _max_rel_drift(values: np.ndarray, reference: float) -> float:
     return float(np.max(np.abs(values - reference)) / abs(reference))
 
 
-_DIFFERENCE = re.compile(r"([ABC])-(3?)([ABC])")
-
-
-def _rounded_sum_size(weights: np.ndarray) -> float:
-    """sum |w_s| + sum over j >= 2 of |w_1 + ... + w_j|, over the nonzero weights in order.
-
-    The products and running sums at which a left-to-right sum of w_s * k_s
-    rounds, when every k_s is the same k with |k| <= 1.
-    """
-    w = [float(v) for v in weights if v]
-    return sum(map(abs, w)) + sum(map(abs, list(accumulate(w))[1:]))
-
-
-# The n of `_rounding_floor`, derived in its docstring: the roundings of a row value, of a
-# step's increment and of a step join, in units of u = 2^-53 relative to the value
-_ROW_ROUNDING = _H_MAX * 3 + 2 + 1
-_INCREMENT_ROUNDING = _H_MAX * _rounded_sum_size(_INCREMENT[1].ravel())
-_JOIN_ROUNDING = _H_MAX * 1 + 2 + 1
-ROUNDING_SPACINGS = ceil(2 * (2 * _ROW_ROUNDING + 2 * _INCREMENT_ROUNDING + _JOIN_ROUNDING) + 2)
-
-
 def _rounding_floor(states: np.ndarray, name: str) -> np.ndarray | None:
     """Per-step rounding floor of a difference series such as "A-C" or "A-3C", else None.
 
     It is `ROUNDING_SPACINGS` spacings of the larger operand at either end
     of the step: the most by which the rows' rounding alone can make the
-    difference step the wrong way while the interpolant's is monotone.  A
-    relative error of e * u in a value v is less than e spacings of v, and
-    so of the larger operand.  A row is y * exp(h * theta * P(theta)), y the
-    start state of its step as the stepper held it and P in the nested form
-    of `dop853.f` (`integrator._StepTable.eval`).
-
-    Assumption: the stage velocities k_s of a step are nearly equal, so that
-    F0 is about k_1, |k_1| <= 1 (|dxi/dtau| <= 1), and F1-F6, which weigh
-    their differences, are near 0: every level of the nested form is at
-    most 1 in size, F1 = k_1 - F0 and F0 - k_13 are exact, and the
-    roundings of F1-F6 and of the inner levels are far below u.  That is
-    where a difference is tight: dxi/dtau is nearly constant across a step
-    near a self-similar singularity.  (On the 80 near-symmetric Sol runs of
-    the monotone sweep test, |F0| + ... + |F6| exceeds 1 by at most
-    1.2e-11.)  Every other rounding is at most u relative, and np.exp and
-    math.exp are within one ulp, at most 2u relative on [exp(-1/2),
-    exp(1/2)].  Errors that are the same for every component of equal
-    velocity, such as those of the tableau's constants, move both operands
-    alike and are not counted, nor is the error of theta, which is common
-    to the row.
-
-    Per operand, in u relative, with h <= `_H_MAX` = 1/2:
-    - a row value (`_ROW_ROUNDING`): the outer sum F0 + (1 - theta) * (...)
-      and the products by theta and by h, of size at most 1, times h: 1.5;
-      np.exp: 2; the product by y: 1.  That is 4.5, and 9 for two rows;
-    - a step's increment (`_INCREMENT_ROUNDING`): the float sum
-      F0 = sum_s b_s k_s, of size 28.02 by `_rounded_sum_size`, times h:
-      14.01.  An error e in F0 (so -e in F1 and 2e in F2) moves the step's
-      exponent by h * e * theta^2 (3 - 2 theta), from 0 at its start to
-      h * e at its end, where the next step starts.  So it moves two rows
-      apart by at most h * e within a step and 2 h * e across a join: 28.02;
-    - a join (`_JOIN_ROUNDING`): the second step starts from the stepper's
-      next state y * exp(h * F0), with the same F0.  Against the first
-      step's interpolant at its end it carries the product by h, times h:
-      0.5; exp: 2; the product by y: 1.  That is 3.5.
-    Summed over the two operands: 2 * (9 + 28.02 + 3.5) = 81.04.  The
-    difference itself and the product 3 * C each round by at most half a
-    spacing per row: 2 more, 83.04, rounded up to n = 84.
-    Measured on the 80 near-symmetric runs, the largest wrong-way step is 10
-    spacings, with median 1, and steps across a join reach 2.
+    difference step the wrong way while the interpolant's is monotone,
+    derived beside the row formula it bounds (`integrator._StepTable.eval`).
     """
-    match = _DIFFERENCE.fullmatch(name)
-    if match is None:
+    series = _SERIES[name]
+    if not isinstance(series, _Difference):
         return None
-    x, factor, y = match.groups()
-    mag = np.maximum(np.abs(states[:, "ABC".index(x)]), (3.0 if factor else 1.0) * np.abs(states[:, "ABC".index(y)]))
+    mag = np.maximum(np.abs(states[:, series.first]), series.factor * np.abs(states[:, series.second]))
     return ROUNDING_SPACINGS * np.spacing(np.maximum(mag[:-1], mag[1:]))
 
 

@@ -509,15 +509,17 @@ def _scan_point(payload: tuple) -> list[str]:
 def _occurrences(geometry: Geometry, datum: tuple, counts: list[Counter]) -> int:
     """How many grid points relabel to a canonical datum.
 
-    They are the distinct permutations of the datum that relabel to it (its
-    orderings on the geometry's symmetric axes), each as often as the
+    They are the distinct orderings of its values on the geometry's
+    `SYMMETRIC_BRANCHES` axes, the other axes fixed, each as often as the
     product of the counts of its values on the three axes.
     """
+    axes = SYMMETRIC_BRANCHES[geometry][0]
+    point = list(datum)
     total = 0
-    for point in set(permutations(datum)):
-        n = counts[0][point[0]] * counts[1][point[1]] * counts[2][point[2]]
-        if n and _canonical(geometry, point) == datum:
-            total += n
+    for values in set(permutations([datum[i] for i in axes])):
+        for i, value in zip(axes, values):
+            point[i] = value
+        total += counts[0][point[0]] * counts[1][point[1]] * counts[2][point[2]]
     return total
 
 
@@ -573,8 +575,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
                 for point, _, first, _ in _grid_data(geometry, axes) if first)
     points = _grid_data(geometry, axes)
     # the pool starts all its workers at once, so it gets no more than there
-    # are points and processors; the rows do not depend on the count
-    workers = min(args.workers, total, os.cpu_count() or 1)
+    # are points and processors this process may run on; the rows do not depend on the count
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(args.workers, total, cpus)
     # each row is written in grid order as soon as it is done, so an
     # interrupted scan leaves the header and a prefix of valid rows
     with _open_output(args.output) as out:

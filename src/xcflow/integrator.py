@@ -90,7 +90,8 @@ from __future__ import annotations
 
 from array import array
 from enum import Enum
-from math import exp, expm1, frexp, isfinite, ldexp, log, sqrt
+from itertools import accumulate
+from math import ceil, exp, expm1, frexp, isfinite, ldexp, log, sqrt
 from typing import Generator, NamedTuple
 
 import numpy as np
@@ -425,6 +426,54 @@ class _StepTable(Record, eq=False):
         np.exp(x, out=x)
         x *= self.y[idx]
         return np.ldexp(x, self.k)
+
+
+def _rounded_sum_size(weights: np.ndarray) -> float:
+    """sum |w_s| + sum over j >= 2 of |w_1 + ... + w_j|, over the nonzero weights in order.
+
+    The products and running sums at which a left-to-right sum of w_s * k_s
+    rounds, when every k_s is the same k with |k| <= 1.
+    """
+    w = [float(v) for v in weights if v]
+    return sum(map(abs, w)) + sum(map(abs, list(accumulate(w))[1:]))
+
+
+# `_ROUNDING_SPACINGS`, n: the rounding of `_StepTable.eval`'s rows alone makes a difference such as
+# A - C or A - 3C step the wrong way, where the interpolant's is monotone, by at most n spacings of the
+# larger operand at either end of the step; `analysis`'s monotone checks ignore such steps.  A relative
+# error of e * u in a value v (u = 2^-53) is less than e spacings of v, and so of the larger operand.
+#
+# Assumption: the stage velocities k_s of a step are nearly equal, so that F0 is about k_1,
+# |k_1| <= 1 (|dxi/dtau| <= 1), and F1-F6, which weigh their differences, are near 0: every level
+# of the nested form is at most 1 in size, F1 = k_1 - F0 and F0 - k_13 are exact, and the roundings
+# of F1-F6 and of the inner levels are far below u.  That is where a difference is tight: dxi/dtau
+# is nearly constant across a step near a self-similar singularity.  (On the 80 near-symmetric Sol
+# runs of the monotone sweep test, |F0| + ... + |F6| exceeds 1 by at most 1.2e-11.)  Every other
+# rounding is at most u relative, and np.exp and math.exp are within one ulp, at most 2u relative on
+# [exp(-1/2), exp(1/2)].  Errors that are the same for every component of equal velocity, such as
+# those of the tableau's constants, move both operands alike and are not counted, nor is the error
+# of theta, which is common to the row.
+#
+# Per operand, in u relative, with h <= `_H_MAX` = 1/2:
+# - a row value (`_ROW_ROUNDING`): the outer sum F0 + (1 - theta) * (...) and the products by theta
+#   and by h, of size at most 1, times h: 1.5; np.exp: 2; the product by y: 1.  That is 4.5, and 9
+#   for two rows;
+# - a step's increment (`_INCREMENT_ROUNDING`): the float sum F0 = sum_s b_s k_s, of size 28.02 by
+#   `_rounded_sum_size`, times h: 14.01.  An error e in F0 (so -e in F1 and 2e in F2) moves the
+#   step's exponent by h * e * theta^2 (3 - 2 theta), from 0 at its start to h * e at its end, where
+#   the next step starts.  So it moves two rows apart by at most h * e within a step and 2 h * e
+#   across a join: 28.02;
+# - a join (`_JOIN_ROUNDING`): the second step starts from the stepper's next state
+#   y * exp(h * F0), with the same F0.  Against the first step's interpolant at its end it carries
+#   the product by h, times h: 0.5; exp: 2; the product by y: 1.  That is 3.5.
+# Summed over the two operands: 2 * (9 + 28.02 + 3.5) = 81.04.  The difference itself and the
+# product 3 * C each round by at most half a spacing per row: 2 more, 83.04, rounded up to n = 84.
+# Measured on the 80 near-symmetric runs, the largest wrong-way step is 10 spacings, with median 1,
+# and steps across a join reach 2.
+_ROW_ROUNDING = _H_MAX * 3 + 2 + 1
+_INCREMENT_ROUNDING = _H_MAX * _rounded_sum_size(_INCREMENT[1].ravel())
+_JOIN_ROUNDING = _H_MAX * 1 + 2 + 1
+_ROUNDING_SPACINGS = ceil(2 * (2 * _ROW_ROUNDING + 2 * _INCREMENT_ROUNDING + _JOIN_ROUNDING) + 2)
 
 
 class Trajectory(Record, eq=False):

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xcflow import (
     Geometry,
@@ -623,6 +625,41 @@ def test_scan_rejects_bad_axis(capsys):
 @pytest.mark.parametrize(
     "spec, fragment",
     [
+        ("1:2:1.5", "grid axis '1:2:1.5': the count must be a whole number, got '1.5'"),
+        ("1:2:3:lin", "bad grid axis suffix 'lin'; only 'log' is understood"),
+        ("1:2:0", "grid axis count must be at least 1"),
+        ("x", "grid axis 'x' holds 'x', which is not a number"),
+    ],
+)
+def test_scan_names_a_bad_axis_count_suffix_or_value(capsys, spec, fragment):
+    code, out, err = run_cli(capsys, "scan", "--geometry", "sol", f"--grid-A={spec}", "--grid-B", "4", "--grid-C", "1")
+    _assert_one_line_usage_error(code, out, err, fragment)
+
+
+def test_scan_axis_of_one_point_is_its_min(capsys):
+    code, out, err = run_cli(capsys, "scan", "--geometry", "sol", "--grid-A", "1:2:1", "--grid-B", "4", "--grid-C", "1")
+    assert (code, err) == (EXIT_OK, "")
+    header, *rows = out.splitlines()
+    assert header == SCAN_HEADER
+    assert [row.split(",")[:4] for row in rows] == [["0", "1", "4", "1"]]
+
+
+def test_scan_rejects_zero_workers(capsys):
+    code, out, err = run_cli(capsys, "scan", "--geometry", "sol", "--grid-A", "1", "--grid-B", "4", "--grid-C", "1",
+                             "--workers", "0")
+    _assert_one_line_usage_error(code, out, err, "--workers must be at least 1")
+
+
+def test_config_file_holding_an_array_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps([{"geometry": "sol"}]))
+    code, out, err = run_cli(capsys, "run", "--config", str(path))
+    _assert_one_line_usage_error(code, out, err, f"config file {path} must hold a JSON object")
+
+
+@pytest.mark.parametrize(
+    "spec, fragment",
+    [
         ("1:inf:2", "holds inf; values must be finite and positive"),
         ("-1e308:1e308:3", "holds -1e+308; values must be finite and positive"),
         ("1:2:x", "the count must be a whole number, got 'x'"),
@@ -1095,9 +1132,27 @@ def test_scan_starts_no_more_workers_than_points_or_processors(capsys, monkeypat
             return map(fn, iterable)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)  # a platform without affinity masks
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     assert run_cli(capsys, *argv, "--workers", "100000") == (EXIT_OK, serial, "")
     assert pools == started
+
+
+def test_scan_starts_no_workers_beyond_the_processors_it_may_run_on(capsys, monkeypatch):
+    # one processor in the affinity mask of a 64-processor host: the scan runs in this process
+    from xcflow import cli
+
+    argv = ("scan", "--geometry", "sol", "--grid-A", "1:2:2", "--grid-B", "4", "--grid-C", "1:3:3")
+    code, serial, err = run_cli(capsys, *argv, "--workers", "1")
+    assert (code, err) == (EXIT_OK, "")
+
+    def no_pool(max_workers):
+        raise AssertionError(f"started a pool of {max_workers}")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert run_cli(capsys, *argv, "--workers", "4") == (EXIT_OK, serial, "")
 
 
 # ---------------------------------------------------------------------------
@@ -1234,6 +1289,38 @@ def test_su2_scan_integrates_each_sorted_datum_once(capsys, monkeypatch, tmp_pat
     code, out2, err = run_cli(capsys, "scan", "--geometry", "su2", *grid, "--workers", "2", "--output", str(path))
     assert (code, out2, err) == (EXIT_OK, "", "")
     assert path.read_text() == out
+
+
+_SMALL_AXIS = st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=1, max_size=4)  # repeats within and across axes
+
+
+@settings(max_examples=300, deadline=None)
+@given(geometry=st.sampled_from(list(Geometry)), axes=st.tuples(_SMALL_AXIS, _SMALL_AXIS, _SMALL_AXIS))
+def test_occurrences_count_the_grid_points_that_relabel_to_the_datum(geometry, axes):
+    from xcflow import cli
+
+    brute = Counter(cli._canonical(geometry, point) for point in product(*axes))
+    counts = [Counter(axis) for axis in axes]
+    assert {datum: cli._occurrences(geometry, datum, counts) for datum in brute} == brute
+
+
+def test_occurrences_read_the_symmetric_axes_and_relabel_nothing(monkeypatch):
+    from xcflow import cli
+
+    axes = [[1.0, 2.0, 2.0], [1.0, 2.0], [2.0, 1.0, 3.0]]
+    counts = [Counter(axis) for axis in axes]
+    data = {geometry: {cli._canonical(geometry, point) for point in product(*axes)} for geometry in Geometry}
+    calls = []
+
+    def counting(geometry, m0):
+        calls.append(geometry)
+        return canonical_permutation(geometry, m0)
+
+    monkeypatch.setattr(cli, "canonical_permutation", counting)
+    for geometry, datums in data.items():
+        for datum in datums:
+            assert cli._occurrences(geometry, datum, counts) > 0
+    assert calls == []
 
 
 class _RecordingMemo(dict):

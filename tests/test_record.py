@@ -20,7 +20,7 @@ from xcflow import FlowDirection, FlowSpec, Geometry, MetricDiag, XCF_MINUS
 from xcflow import acceptance, analysis, analytic, cli, geometry, integrator
 from xcflow._record import Record
 from xcflow.acceptance import CriterionResult
-from xcflow.analysis import CheckResult, LawResult, LimitPowerFit, PowerLawFit, VerificationReport
+from xcflow.analysis import CheckResult, LawResult, LimitPowerFit, PowerLawFit, VerificationReport, _Difference
 from xcflow.analytic import AsymptoticLaw, BranchCheck, BranchRecord
 from xcflow.cli import ParsedCsv, RunConfig
 from xcflow.integrator import IntegratorOptions, Termination, TerminationKind, Trajectory, _StepTable
@@ -55,6 +55,7 @@ _VALUES = {
     LawResult: ("A", "blowup", 0.5, 0.02, 0.5001, None, None, 2.0, None, 0.999, True, "coeff=2"),
     VerificationReport: ("sol", "xcf-", "generic", False, {"kind": "singular_time", "t_stop": 0.5}, 0.5,
                          (_CHECK,), (), (), ()),
+    _Difference: (0, 3.0, 2),
     CriterionResult: (1, "heisenberg invariants", True, ("B/C 1.000e-14 (tol 1e-10)",)),
     RunConfig: ("sol", "xcf-", (2.0, 4.0, 1.0), 10.0, 1e-10, 1e-13, 512, 1000, "-", "json", False),
     ParsedCsv: ("# flow run", {"t": _T}),
@@ -73,7 +74,7 @@ def test_every_record_class_of_the_package_is_pinned_here():
     found = {cls for module in modules for cls in vars(module).values()
              if isinstance(cls, type) and issubclass(cls, Record) and cls is not Record}
     assert found == set(_VALUES)
-    assert len(found) == 17
+    assert len(found) == 18
 
 
 @pytest.mark.parametrize("cls", _CLASSES, ids=_IDS)
