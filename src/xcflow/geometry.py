@@ -255,25 +255,16 @@ def _cross_sol(A, B, C):
     return (h11, h22, h33)
 
 
-def _cross_su2(A, B, C):
-    v = A * B * C
-    den = v * v
-    x, y, z = _su2_xyz(A, B, C)
-    return (A * (y * z) / den, B * (z * x) / den, C * (x * y) / den)
+def _product_cross(xyz):
+    """The kernel (A yz, B zx, C xy) / (ABC)^2 of the quadratic kernel (x, y, z) = xyz(A, B, C)."""
 
+    def cross(A, B, C):
+        v = A * B * C
+        den = v * v
+        x, y, z = xyz(A, B, C)
+        return (A * (y * z) / den, B * (z * x) / den, C * (x * y) / den)
 
-def _cross_sl2r(A, B, C):
-    v = A * B * C
-    den = v * v
-    f1, f2, f3 = _sl2r_f(A, B, C)
-    return (A * (f2 * f3) / den, B * (f3 * f1) / den, C * (f1 * f2) / den)
-
-
-def _cross_e2(A, B, C):
-    v = A * B * C
-    den = v * v
-    x, y, z = _e2_xyz(A, B, C)
-    return (A * (y * z) / den, B * (z * x) / den, C * (x * y) / den)
+    return cross
 
 
 def _cross_trivial(A, B, C):
@@ -283,9 +274,9 @@ def _cross_trivial(A, B, C):
 _CROSS = {
     Geometry.HEISENBERG: _cross_heisenberg,
     Geometry.SOL: _cross_sol,
-    Geometry.SU2: _cross_su2,
-    Geometry.SL2R: _cross_sl2r,
-    Geometry.E2: _cross_e2,
+    Geometry.SU2: _product_cross(_su2_xyz),
+    Geometry.SL2R: _product_cross(_sl2r_f),
+    Geometry.E2: _product_cross(_e2_xyz),
     Geometry.TRIVIAL: _cross_trivial,
 }
 

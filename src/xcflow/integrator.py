@@ -67,14 +67,16 @@ no accuracy in t.  The first trial step is 0.01 in tau and no step exceeds
 The step runs on Python floats, so an attempt makes no numpy call.  Each
 stage state is one tableau row written out component by component into
 locals, and each stage velocity is one call of `_velocity`, which evaluates
-the right-hand side, s and the finiteness guard.  One step loop, the
-generator `_steps`, holds the controller, the stop rules and the budget; it
-yields each accepted step and returns the stop record, and three functions
-drain it.  `integrate` keeps the start state, size and stage velocities of
-every accepted step in flat arrays, for the step table and the dense
-output.  `accepted_states` keeps only the accepted states, 24 bytes a step,
-and the last step.  `terminate` keeps nothing and returns only the
-`Termination`.  All three return the same `Termination` field for field.
+the right-hand side, s and the finiteness guard.  Every run has one
+lifecycle: `_start` applies the default options, scales the run and
+evaluates its first velocity; the one step loop, `_steps`, holds the
+controller, the stop rules and the budget, hands each accepted step to the
+caller's consumer, and after its loop builds the run's one `Termination`.
+The consumer of `integrate` keeps the start state, size and stage velocities
+of every accepted step in flat arrays, for the step table and the dense
+output.  That of `accepted_states` keeps only the accepted states, 24 bytes
+a step, and the last step.  `terminate` passes none.  So all three return
+the same `Termination` field for field.
 
 Step times are accumulated with compensated summation, which keeps
 (t_stop - t) accurate to one ulp of t near blow-up.
@@ -92,7 +94,7 @@ from array import array
 from enum import Enum
 from itertools import accumulate
 from math import ceil, exp, expm1, frexp, isfinite, ldexp, log, sqrt
-from typing import Generator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -260,10 +262,11 @@ _EXPO = 1 / 8 - 0.75 * _BETA  # the error estimate behaves like order 8
 # the closed forms near the tolerance itself instead of orders above it.
 _ERR_TARGET = 0.05
 _H_START = 0.01  # first trial step in tau; dimensionless, since |dxi/dtau| <= 1
-_H_MAX = 0.5  # largest step in tau: longer steps let sampled differences such as C - A step the wrong way
+_H_MAX = 0.5  # largest step in tau: longer steps let sampled differences such as A - C step the wrong way
 _T_RESOLUTION = 1e-13  # an accepted step advancing t by at most this fraction of t ends the run
 _EPS = 2.0**-52  # float spacing at 1: one ulp of t is at most _EPS * t
 _H_FLOOR = 1e-12  # a retry step in tau below this ends the run
+_SAMPLES_LIMIT = 1_000_000  # rows of a dense output, so that every sample grid fits in memory
 _NEWTON_STEPS = 2  # fixed, so a time maps to the same tau in any stack of times
 _VM_FLOOR = np.nextafter(-1.0, 0.0)
 _VANISH_RATIO = 1e-4  # diagnostic classification of the last accepted state
@@ -319,8 +322,8 @@ class IntegratorOptions(Record):
             raise ValueError("rtol and atol must be finite and positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-        if self.samples < 2:
-            raise ValueError("samples must be at least 2")
+        if not 2 <= self.samples <= _SAMPLES_LIMIT:
+            raise ValueError(f"samples must be between 2 and {_SAMPLES_LIMIT}, got {self.samples!r}")
 
 
 class _StepTable(Record, eq=False):
@@ -700,13 +703,6 @@ def _step_table(t0, h, y, stages, k, rhs, smin) -> _StepTable:
     return _StepTable(t0, h, y, K, w0, np.log(w0 / K[:, 12, 3]), k, rhs, smin)
 
 
-def _diagnose(y_stop, y_init):
-    ratios = [a / b for a, b in zip(y_stop, y_init)]
-    vanishing = tuple(_LABELS[i] for i in range(3) if ratios[i] <= _VANISH_RATIO)
-    exploding = tuple(_LABELS[i] for i in range(3) if ratios[i] >= _EXPLODE_RATIO)
-    return vanishing, exploding
-
-
 def _sample_times(kind: TerminationKind, t_end: float, n: int) -> np.ndarray:
     """Deterministic dense-output grid of n rows: starts at 0, increases strictly and ends at t_end.
 
@@ -747,7 +743,7 @@ def _sample_times(kind: TerminationKind, t_end: float, n: int) -> np.ndarray:
 
 
 class _Run(NamedTuple):
-    """The scaled start of a run, for `_steps` and for the consumers that build on its steps."""
+    """The scaled start of a run, for `_steps` and for the consumers of its steps."""
 
     rhs: object  # the right-hand side, from `rhs_function` at call time
     k: int  # binary exponent of the scale: y = 2^k * scaled y, t = 4^k * scaled t
@@ -755,21 +751,12 @@ class _Run(NamedTuple):
     t_max: float  # the scaled horizon
     smin: float  # the floor of s, 1 / t_max
     f: tuple  # the velocity at the initial metric
+    opts: IntegratorOptions  # the caller's options, or the defaults
 
 
-class _Stop(NamedTuple):
-    """How the step loop ended, in scaled units."""
-
-    kind: TerminationKind
-    t_stop: float
-    trigger: str
-    y: tuple  # the last accepted state
-    n_accepted: int
-    n_rejected: int
-
-
-def _start(geometry: Geometry, spec: FlowSpec, m0: MetricDiag, opts: IntegratorOptions) -> _Run:
+def _start(geometry: Geometry, spec: FlowSpec, m0: MetricDiag, options: IntegratorOptions | None) -> _Run:
     """Scale the run and evaluate its first velocity; ValueError if it cannot start."""
+    opts = options if options is not None else IntegratorOptions()
     rhs = rhs_function(geometry, spec)
     y0 = m0.as_tuple()
     # scaled units: y = 2^k * scaled y and t = 4^k * scaled t, exactly
@@ -786,19 +773,20 @@ def _start(geometry: Geometry, spec: FlowSpec, m0: MetricDiag, opts: IntegratorO
         f = _velocity(rhs, base, smin)
     except ArithmeticError:
         raise ValueError("flow right-hand side is not finite at the initial metric") from None
-    return _Run(rhs, k, base, t_max, smin, f)
+    return _Run(rhs, k, base, t_max, smin, f, opts)
 
 
-def _steps(run: _Run, opts: IntegratorOptions) -> Generator[tuple, None, _Stop]:
-    """Yield (t, h, y, stages) for each accepted step of a run; return its `_Stop`.
+def _steps(run: _Run, keep=None) -> tuple[Termination, tuple]:
+    """Step a run to its end; return its `Termination` and its last accepted state, scaled.
 
-    t, h and y are the step's scaled start time, size in tau and scaled
-    start state, and `stages` the 52-tuple of `_attempt_step`.  An accepted
-    step that ends the run on `step_underflow` is not yielded: its state is
-    only the last one of the `_Stop`.  The step that reaches t_max is.
+    Each accepted step is handed to `keep(t, h, y, stages)`, if given: the
+    step's scaled start time, size in tau and scaled start state, and the
+    52-tuple of `_attempt_step`.  An accepted step that ends the run on
+    `step_underflow` is not handed on: its state is only the last one
+    returned.  The step that reaches t_max is.
     """
     rhs, smin, t_max, f = run.rhs, run.smin, run.t_max, run.f
-    rtol, atol, max_steps = opts.rtol, opts.atol, opts.max_steps
+    rtol, atol, max_steps = run.opts.rtol, run.opts.atol, run.opts.max_steps
     y = run.base
     t = 0.0
     comp = 0.0  # compensated-summation carry for t
@@ -809,7 +797,8 @@ def _steps(run: _Run, opts: IntegratorOptions) -> Generator[tuple, None, _Stop]:
 
     while True:
         if n_acc + n_rej >= max_steps:
-            return _Stop(TerminationKind.STEP_BUDGET_EXHAUSTED, t, "max_steps", y, n_acc, n_rej)
+            kind, t_stop, trigger = TerminationKind.STEP_BUDGET_EXHAUSTED, t, "max_steps"
+            break
 
         out = _attempt_step(rhs, y, f, h, t, smin, rtol, atol)
         if out is None or not out[3] <= 1.0:  # an err that overflowed to NaN is rejected too
@@ -821,7 +810,8 @@ def _steps(run: _Run, opts: IntegratorOptions) -> Generator[tuple, None, _Stop]:
                 h = h * max(_MIN_FACTOR, _SAFETY * max(out[3] / _ERR_TARGET, 1e-300) ** (-_EXPO))
             growth_locked = True
             if h < _H_FLOOR:  # the solver can no longer make progress
-                return _Stop(TerminationKind.SINGULAR_TIME, t, "step_underflow", y, n_acc, n_rej)
+                kind, t_stop, trigger = TerminationKind.SINGULAR_TIME, t, "step_underflow"
+                break
             continue
 
         y_new, dt, f_new, err, stages = out
@@ -829,12 +819,15 @@ def _steps(run: _Run, opts: IntegratorOptions) -> Generator[tuple, None, _Stop]:
         carry = dt + comp
         t_new = t + carry
         if dt <= _T_RESOLUTION * t:  # the approach to the singular time is resolved
-            return _Stop(TerminationKind.SINGULAR_TIME, t, "step_underflow", y_new, n_acc, n_rej)
+            kind, t_stop, trigger, y = TerminationKind.SINGULAR_TIME, t, "step_underflow", y_new
+            break
         comp = carry - (t_new - t)
-        yield t, h, y, stages
+        if keep is not None:
+            keep(t, h, y, stages)
         t, y, f = t_new, y_new, f_new
         if t >= t_max:
-            return _Stop(TerminationKind.REACHED_T_MAX, t_max, "t_max", y, n_acc, n_rej)
+            kind, t_stop, trigger = TerminationKind.REACHED_T_MAX, t_max, "t_max"
+            break
 
         factor = _SAFETY * max(err / _ERR_TARGET, 1e-300) ** (-_EXPO) * facold**_BETA
         factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
@@ -844,12 +837,20 @@ def _steps(run: _Run, opts: IntegratorOptions) -> Generator[tuple, None, _Stop]:
         h = min(h * factor, _H_MAX)
         facold = max(err / _ERR_TARGET, 1e-4)
 
+    vanishing = exploding = ()
+    if kind is TerminationKind.SINGULAR_TIME:  # diagnose the last accepted state against the initial one
+        ratios = [a / b for a, b in zip(y, run.base)]
+        vanishing = tuple(_LABELS[i] for i in range(3) if ratios[i] <= _VANISH_RATIO)
+        exploding = tuple(_LABELS[i] for i in range(3) if ratios[i] >= _EXPLODE_RATIO)
+    term = Termination(kind, ldexp(t_stop, 2 * run.k), vanishing, exploding, trigger,
+                       n_accepted=n_acc, n_rejected=n_rej)
+    return term, y
 
-def _termination(run: _Run, stop: _Stop) -> Termination:
-    """The `Termination` of a run that ended on `stop`, in the caller's units."""
-    van, exp_ = _diagnose(stop.y, run.base) if stop.kind is TerminationKind.SINGULAR_TIME else ((), ())
-    return Termination(stop.kind, ldexp(stop.t_stop, 2 * run.k), van, exp_, stop.trigger,
-                       n_accepted=stop.n_accepted, n_rejected=stop.n_rejected)
+
+def _sampled(table: _StepTable, termination: Termination, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-row grid of the run that `table` holds and ended on `termination`, and its rows, in the caller's units."""
+    grid = _sample_times(termination.kind, ldexp(termination.t_stop, -2 * table.k), n)
+    return np.ldexp(grid, 2 * table.k), table.eval(grid)
 
 
 def integrate(
@@ -859,43 +860,26 @@ def integrate(
     options: IntegratorOptions | None = None,
 ) -> Trajectory:
     """Run the flow from m0 until t_max, a singular time, or the step budget."""
-    opts = options if options is not None else IntegratorOptions()
-    run = _start(geometry, spec, m0, opts)
+    run = _start(geometry, spec, m0, options)
     # accepted steps, flat: start time, size in tau, start state, stage velocities (13 x 4);
     # a step's interpolant is built when it is sampled
     rows_t, rows_h, rows_y, rows_k = array("d"), array("d"), array("d"), array("d")
-    steps = _steps(run, opts)
-    while True:
-        try:
-            t, h, y, stages = next(steps)
-        except StopIteration as end:
-            stop = end.value
-            break
+
+    def keep(t, h, y, stages):
         rows_t.append(t)
         rows_h.append(h)
         rows_y.extend(y)
         rows_k.extend(stages)
 
-    grid = _sample_times(stop.kind, stop.t_stop, opts.samples)
-    times = np.ldexp(grid, 2 * run.k)
+    termination = _steps(run, keep)[0]
     if rows_t:
         table = _step_table(rows_t, rows_h, rows_y, rows_k, run.k, run.rhs, run.smin)
-        states = table.eval(grid)
-    else:  # stopped before the first accepted step, so t_stop = 0 and times = [0]
-        table, states = None, np.array([m0.as_tuple()])
+        times, states = _sampled(table, termination, run.opts.samples)
+    else:  # stopped before the first accepted step, so t_stop = 0
+        table, times, states = None, np.array([0.0]), np.array([m0.as_tuple()])
     for arr in (times, states):
         arr.setflags(write=False)
-
-    return Trajectory(
-        geometry=geometry,
-        spec=spec,
-        m0=m0,
-        options=opts,
-        times=times,
-        states=states,
-        termination=_termination(run, stop),
-        _table=table,
-    )
+    return Trajectory(geometry, spec, m0, run.opts, times, states, termination, table)
 
 
 def terminate(
@@ -909,14 +893,7 @@ def terminate(
     It builds no step table and no dense output, so `options.samples` is
     not used.
     """
-    opts = options if options is not None else IntegratorOptions()
-    run = _start(geometry, spec, m0, opts)
-    steps = _steps(run, opts)
-    try:
-        while True:
-            next(steps)
-    except StopIteration as end:
-        return _termination(run, end.value)
+    return _steps(_start(geometry, spec, m0, options))[0]
 
 
 def accepted_states(
@@ -927,7 +904,7 @@ def accepted_states(
 ) -> tuple[Termination, np.ndarray]:
     """The `Termination` of `terminate` and the states (n, 3) the stepper accepted, in the caller's units.
 
-    The rows are the start state of every step `_steps` yields, m0 first
+    The rows are the start state of every step `_steps` hands on, m0 first
     and bit for bit, then the last accepted state.  Each is the stepper's
     own state times 2^k, which is exact.  A run that reached t_max holds no
     state there, since its last step crosses it: its last row is the dense
@@ -935,22 +912,20 @@ def accepted_states(
     `integrate`.  It keeps 24 bytes a step and builds no step table but
     that one-step one, so `options.samples` is not used.
     """
-    opts = options if options is not None else IntegratorOptions()
-    run = _start(geometry, spec, m0, opts)
-    rows = array("d")
-    steps = _steps(run, opts)
-    try:
-        while True:
-            last = next(steps)
-            rows.extend(last[2])
-    except StopIteration as end:
-        stop = end.value
-    if stop.kind is TerminationKind.REACHED_T_MAX:
-        t, h, y, stages = last
-        last_row = _step_table([t], [h], y, stages, run.k, run.rhs, run.smin).eval(np.array([stop.t_stop]))
+    run = _start(geometry, spec, m0, options)
+    rows, last = array("d"), []
+
+    def keep(*step):
+        rows.extend(step[2])
+        last[:] = step
+
+    termination, y = _steps(run, keep)
+    if termination.kind is TerminationKind.REACHED_T_MAX:
+        t, h, y0, stages = last
+        last_row = _step_table([t], [h], y0, stages, run.k, run.rhs, run.smin).eval(np.array([run.t_max]))
     else:
-        last_row = np.ldexp(np.array([stop.y]), run.k)
-    return _termination(run, stop), np.vstack([np.ldexp(np.frombuffer(rows).reshape(-1, 3), run.k), last_row])
+        last_row = np.ldexp(np.array([y]), run.k)
+    return termination, np.vstack([np.ldexp(np.frombuffer(rows).reshape(-1, 3), run.k), last_row])
 
 
 def _rows_at(trajectory: Trajectory, times: np.ndarray) -> np.ndarray:
@@ -964,8 +939,7 @@ def _grid_rows(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     table, samples = trajectory._table, IntegratorOptions.samples
     if table is None or trajectory.options.samples == samples:  # its own rows; with no step, m0 at t = 0 alone
         return trajectory.times, trajectory.states
-    grid = _sample_times(trajectory.termination.kind, ldexp(trajectory.termination.t_stop, -2 * table.k), samples)
-    return np.ldexp(grid, 2 * table.k), table.eval(grid)
+    return _sampled(table, trajectory.termination, samples)
 
 
 def sample_at(trajectory: Trajectory, t: float) -> MetricDiag:

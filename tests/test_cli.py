@@ -261,6 +261,22 @@ def _assert_one_line_usage_error(code, out, err, fragment):
     assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
 
 
+@pytest.mark.parametrize("samples", ["1000001", "1000000000000000"])
+def test_run_refuses_samples_above_the_limit_before_integrating(capsys, monkeypatch, tmp_path, samples):
+    from xcflow import cli
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before --samples was checked")
+
+    monkeypatch.setattr(cli, "integrate", no_integration)
+    target = tmp_path / "run.csv"
+    code, out, err = run_cli(
+        capsys, "run", "--geometry", "sol", "--init", "2,4,1", "--samples", samples, "--output", str(target),
+    )
+    _assert_one_line_usage_error(code, out, err, f"samples must be between 2 and 1000000, got {samples}")
+    assert not target.exists()
+
+
 def test_run_unwritable_output_is_a_usage_error(capsys, tmp_path):
     target = tmp_path / "no" / "such" / "dir" / "x.csv"
     code, out, err = run_cli(capsys, "run", "--samples", "8", "--t-max", "0.1", "--output", str(target))

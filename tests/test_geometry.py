@@ -19,7 +19,7 @@ from xcflow import (
     cross_from_sectional,
     sectional_curvatures,
 )
-from xcflow.geometry import _cross_heisenberg, _cross_sol, _sl2r_f, _su2_xyz
+from xcflow.geometry import _CROSS, _cross_heisenberg, _cross_sol, _sl2r_f, _su2_xyz
 
 ALL_GEOMETRIES = tuple(Geometry)
 
@@ -235,10 +235,36 @@ def _cross_sol_reference(A, B, C):
     return (h11, h22, h33)
 
 
+def _cross_su2_reference(A, B, C):
+    v = A * B * C
+    den = v * v
+    x, y, z = _su2_xyz(A, B, C)
+    return (A * (y * z) / den, B * (z * x) / den, C * (x * y) / den)
+
+
+def _cross_sl2r_reference(A, B, C):
+    v = A * B * C
+    den = v * v
+    f1, f2, f3 = _sl2r_f(A, B, C)
+    return (A * (f2 * f3) / den, B * (f3 * f1) / den, C * (f1 * f2) / den)
+
+
+def _cross_e2_reference(A, B, C):
+    v = A * B * C
+    den = v * v
+    d = A - B
+    x, y, z = d * (3.0 * A + B), -d * (3.0 * B + A), -(d * d)
+    return (A * (y * z) / den, B * (z * x) / den, C * (x * y) / den)
+
+
+# SU(2), SL(2,R) and E(2) share one product kernel over their quadratic kernels
 _KERNEL_REFERENCES = {
     "sl2r_f": (_sl2r_f, _sl2r_f_reference),
     "cross_heisenberg": (_cross_heisenberg, _cross_heisenberg_reference),
     "cross_sol": (_cross_sol, _cross_sol_reference),
+    "cross_su2": (_CROSS[Geometry.SU2], _cross_su2_reference),
+    "cross_sl2r": (_CROSS[Geometry.SL2R], _cross_sl2r_reference),
+    "cross_e2": (_CROSS[Geometry.E2], _cross_e2_reference),
 }
 
 
@@ -280,7 +306,7 @@ def test_kernel_is_bitwise_its_reference_on_columns(name):
     assert not np.all(np.isfinite(got))  # the overflow and underflow cases are there
 
 
-@pytest.mark.parametrize("name", ["cross_heisenberg", "cross_sol"])
+@pytest.mark.parametrize("name", ["cross_heisenberg", "cross_sol", "cross_su2", "cross_sl2r", "cross_e2"])
 @pytest.mark.parametrize("triple", [(2e-100, 4e-100, 1e-100), (1e-120, 1e-150, 2e-100), (1.0, 1e-170, 1e-170)])
 def test_kernel_and_reference_both_raise_where_the_denominator_underflows(name, triple):
     kernel, reference = _KERNEL_REFERENCES[name]

@@ -905,7 +905,7 @@ def test_wrapped_rhs_function_changes_no_bit_and_counts_the_fsal_budget(monkeypa
 
 
 # ---------------------------------------------------------------------------
-# `terminate` drains the same step loop as `integrate` and keeps nothing
+# `terminate` runs the same step loop as `integrate` and keeps nothing
 
 
 def _bits(term):
@@ -927,7 +927,8 @@ def test_terminate_is_the_termination_of_integrate(geom, flow):
         opts = IntegratorOptions(t_max=t_max, samples=2)
         want = integrate(geom, FLOWS[flow], m0, opts).termination
         got = integrator.terminate(geom, FLOWS[flow], m0, opts)
-        assert _bits(got) == _bits(want)
+        kept = integrator.accepted_states(geom, FLOWS[flow], m0, opts)[0]
+        assert _bits(got) == _bits(kept) == _bits(want)
 
 
 @pytest.mark.parametrize("geom", list(Geometry), ids=lambda g: g.value)
@@ -936,8 +937,9 @@ def test_terminate_spends_the_step_budget_as_integrate_does(geom):
     m0 = _seeded_datum(geom, "xcf-")
     want = integrate(geom, XCF_MINUS, m0, opts).termination
     got = integrator.terminate(geom, XCF_MINUS, m0, opts)
+    kept = integrator.accepted_states(geom, XCF_MINUS, m0, opts)[0]
     assert got.trigger == "max_steps" and got.n_accepted + got.n_rejected == 3
-    assert _bits(got) == _bits(want)
+    assert _bits(got) == _bits(kept) == _bits(want)
 
 
 @pytest.mark.parametrize("max_steps", [3, 10_000_000])
@@ -1225,6 +1227,15 @@ def test_a_fault_planted_at_every_attempt_ends_the_run_in_bounded_cost(monkeypat
 def test_options_reject_a_value_of_the_wrong_type_by_name(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         IntegratorOptions(**{field: value})
+
+
+def test_options_refuse_more_samples_than_the_limit():
+    # the limit bounds the memory of a sample grid; the limit itself is accepted
+    assert integrator._SAMPLES_LIMIT == 1_000_000
+    assert IntegratorOptions(samples=integrator._SAMPLES_LIMIT).samples == integrator._SAMPLES_LIMIT
+    for samples in (integrator._SAMPLES_LIMIT + 1, 10**15, np.int64(10**15)):
+        with pytest.raises(ValueError, match="^samples must be between 2 and 1000000, got "):
+            IntegratorOptions(samples=samples)
 
 
 def test_options_take_numpy_integers_as_counts():
