@@ -12,9 +12,10 @@ run, so a run shared by several criteria of one suite is integrated once.
 Each `run_suite` call starts an empty memo, so its report dicts hold only the
 runs of that call and nothing is kept between calls.
 
-Criteria 1-9 are rows of one table, `_TABLE`, read by one evaluator.  A row
-gives the criterion's number, name and geometry (None for criterion 9, which
-covers all of them) and its ordered entries.  An `_Entry` names a run key, a
+All eleven criteria are rows of one table, `_TABLE`, read by one
+evaluator.  A row gives the criterion's number, name and geometry (None for
+criteria 9-11, which cover all of them) and either its ordered report
+entries or its gap function.  An `_Entry` names a run key, a
 report field (`checks`, `conserved`, `monotone`, `laws`, or `termination`
 for the run's termination kind), the entry's name within that field (a
 law's variable; for `termination`, the kind that passes) and the template
@@ -26,23 +27,24 @@ exactly when every printed entry passes.  Reports enter the memo in the
 order the entries first name their runs, and that order is the key order of
 the reports `run_suite` returns.
 
-Criteria 10 and 11 integrate nothing.  They draw pseudo-random metrics (and
-criterion 11 its scales) from a fixed SplitMix64 counter stream, `_uniform`,
-which needs only numpy integer arithmetic: no `numpy.random`.  Each draw call
-has its own seed, so the first k draws of a geometry do not depend on the
-draw count.  The criteria evaluate the curvature kernels and `flow_rhs` on
-whole columns of draws, one call per geometry (and per flow kind), then take
-a gap per draw with `_max_entry_gap`.  The kernels use only elementwise
-+ - * /, so each draw's gap has the same bits as evaluating that draw alone.
-A NaN gap fails the criterion and names its geometry.
+Criteria 10 and 11 integrate nothing: their rows hold a gap function and the
+template of their one detail, formatted when the criterion runs, and they
+pass when the worst gap is within `_ORACLE_TOL`.  They draw pseudo-random
+metrics (and criterion 11 its scales) from a fixed SplitMix64 counter stream,
+`_uniform`, which needs only numpy integer arithmetic: no `numpy.random`.
+Each draw call has its own seed, so the first k draws of a geometry do not
+depend on the draw count.  The gap functions evaluate the curvature kernels
+and `flow_rhs` on whole columns of draws, one call per geometry (and per
+flow kind), then take a gap per draw with `_max_entry_gap`.  The kernels use
+only elementwise + - * /, so each draw's gap has the same bits as evaluating
+that draw alone.  A NaN gap fails the criterion and names its geometry.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
 from math import isnan
 from types import SimpleNamespace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -118,10 +120,17 @@ class _Row(NamedTuple):
     number: int
     name: str
     geometry: Geometry | None
-    entries: tuple[_Entry, ...]
+    entries: tuple[_Entry, ...] = ()
+    gaps: Callable[[], dict[Geometry, np.ndarray]] | None = None  # else the criterion prints its entries
+    detail: str = ""  # the gaps' one detail, formatted with worst, geometry, oracle_draws, scaling_draws and tol
 
 
 def _evaluate(row: _Row, runs: dict) -> CriterionResult:
+    if row.gaps is not None:
+        worst, worst_geom = _worst_gap(row.gaps())
+        detail = row.detail.format(worst=worst, geometry=worst_geom or "all zero", oracle_draws=_ORACLE_DRAWS,
+                                   scaling_draws=_SCALING_DRAWS, tol=_ORACLE_TOL)
+        return CriterionResult(row.number, row.name, worst <= _ORACLE_TOL, (detail,))
     flags, details = [], []
     for entry in row.entries:
         rep = _report(runs, *entry.run)
@@ -138,74 +147,6 @@ def _evaluate(row: _Row, runs: dict) -> CriterionResult:
             name=entry.name, value=value, geometry=entry.run[0].value, blowup_time=rep.blowup_time
         ))
     return CriterionResult(row.number, row.name, all(flags), tuple(details))
-
-
-_SINGULAR = TerminationKind.SINGULAR_TIME.value
-_CLOSED = "closed form (t <= 0.99 T0)"
-_NIL = (Geometry.HEISENBERG, XCF_MINUS, (1.0, 1.0, 1.0), 100.0)
-_SOL_SYM = (Geometry.SOL, XCF_MINUS, (1.0, 8.0, 1.0), 10.0)
-_SOL_GEN = (Geometry.SOL, XCF_MINUS, (2.0, 4.0, 1.0), 10.0)
-_SU2_GEN = (Geometry.SU2, XCF_MINUS, (3.0, 2.0, 1.0), 10.0)
-_SL2R_SYM = (Geometry.SL2R, XCF_MINUS, (1.0, 1.0, 1.0), 1.0e6)
-_SL2R_GEN = (Geometry.SL2R, XCF_MINUS, (1.0, 2.0, 1.0), 10.0)
-_E2_GEN = (Geometry.E2, XCF_MINUS, (2.0, 1.0, 1.0), 1.0e8)
-
-_TABLE = (
-    _Row("heisenberg_closed_form", 1, "nil closed form", Geometry.HEISENBERG, _each(_NIL, "checks", "closed form")),
-    _Row("heisenberg_invariants", 2, "nil first integrals", Geometry.HEISENBERG,
-         _each(_NIL, "conserved", "A^3*B", "A^3*C", "B/C")),
-    _Row("sol_symmetric", 3, "sol symmetric collapse", Geometry.SOL, (
-        _Entry(_SOL_SYM, "termination", _SINGULAR, "termination {value}"),
-        _Entry(_SOL_SYM, "checks", "singular time = B0^2/64", "singular time {blowup_time!r} vs 1.0: {name}: {value}"),
-        *_each(_SOL_SYM, "checks", "A=C locked", _CLOSED),
-    )),
-    _Row("sol_generic", 4, "sol generic blow-up laws", Geometry.SOL, (
-        *_each(_SOL_GEN, "laws", "B", "A", "C", "A-C"),
-        _Entry((Geometry.SOL, XCF_MINUS, (5.0, 4.0, 1.0), 10.0), "checks", "A-3C changes sign before the singular time"),
-    )),
-    _Row("su2", 5, "su2 collapse", Geometry.SU2, (
-        _Entry((Geometry.SU2, XCF_MINUS, (2.0, 2.0, 2.0), 10.0), "checks", _CLOSED, "round: {name}: {value}"),
-        _Entry(_SU2_GEN, "termination", _SINGULAR, "generic termination {value}"),
-        _Entry(_SU2_GEN, "checks", "A/C -> 1", "generic {name}: {value}"),
-        _Entry(_SU2_GEN, "laws", "A", "generic {name}: {value}"),
-    )),
-    _Row("sl2r_symmetric", 6, "sl2r symmetric pancake", Geometry.SL2R, (
-        _Entry(_SL2R_SYM, "checks", "B=C locked"),
-        _Entry(_SL2R_SYM, "laws", "B"),
-        _Entry(_SL2R_SYM, "checks", "B coefficient = (24 Ainf)^(1/3)"),
-        _Entry(_SL2R_SYM, "monotone", "4/A+1/B decreasing"),
-        _Entry(_SL2R_SYM, "checks", "d/dt(A^9 B^3) = 24 A^10 (trapezoid)"),
-    )),
-    _Row("sl2r_generic", 7, "sl2r generic blow-up laws", Geometry.SL2R, (
-        _Entry(_SL2R_GEN, "checks", "F1<0 and F2<0 entered and retained"),
-        *_each(_SL2R_GEN, "laws", "C", "A", "B"),
-        _Entry(_SL2R_GEN, "checks", "A/B -> 1"),
-    )),
-    _Row("e2", 8, "e2 cigar laws", Geometry.E2, (
-        _Entry((Geometry.E2, XCF_MINUS, (3.0, 3.0, 1.0), 10.0), "checks", "exactly stationary", "flat: {name}: {value}"),
-        *_each(_E2_GEN, "laws", "A-B", "C"),
-        _Entry(_E2_GEN, "monotone", "(A-B)^2*C increasing"),
-        *_each(_E2_GEN, "checks", "(A-B)^2*C settles over the last decade", "C coefficient = (8 E2/E1) sqrt(6)"),
-    )),
-    _Row("nxcf_volume", 9, "normalized flow preserves volume", None, tuple(
-        _Entry((geom, NXCF, init, 2.0), "conserved", "A*B*C", "{geometry}: drift {value}")
-        for geom, init in _NXCF_SEEDS.items()
-    )),
-)
-
-
-def _criterion(row: _Row):
-    def criterion(runs: dict) -> CriterionResult:
-        return _evaluate(row, runs)
-
-    criterion.__name__ = criterion.__qualname__ = f"criterion_{row.key}"
-    return criterion
-
-
-# Each row's criterion is bound at module level under its __name__
-# (criterion_heisenberg_closed_form, ..., criterion_nxcf_volume).
-_TABLE_CRITERIA = tuple(map(_criterion, _TABLE))
-globals().update((fn.__name__, fn) for fn in _TABLE_CRITERIA)
 
 
 def _max_entry_gap(got, want) -> np.ndarray:
@@ -305,41 +246,87 @@ def _worst_gap(gaps: dict[Geometry, np.ndarray]) -> tuple[float, str]:
     return worst, worst_geom
 
 
-def criterion_oracle_equivalence(runs: dict) -> CriterionResult:
-    worst, worst_geom = _worst_gap(_oracle_gaps())
-    ok = worst <= _ORACLE_TOL
-    return CriterionResult(
-        10,
-        "product form matches principal-curvature oracle",
-        ok,
-        (f"worst max-entry-relative gap {worst:.3e} ({worst_geom or 'all zero'}) over "
-         f"{_ORACLE_DRAWS} draws per geometry (tol {_ORACLE_TOL:.0e})",),
-    )
+_SINGULAR = TerminationKind.SINGULAR_TIME.value
+_CLOSED = "closed form (t <= 0.99 T0)"
+_NIL = (Geometry.HEISENBERG, XCF_MINUS, (1.0, 1.0, 1.0), 100.0)
+_SOL_SYM = (Geometry.SOL, XCF_MINUS, (1.0, 8.0, 1.0), 10.0)
+_SOL_GEN = (Geometry.SOL, XCF_MINUS, (2.0, 4.0, 1.0), 10.0)
+_SU2_GEN = (Geometry.SU2, XCF_MINUS, (3.0, 2.0, 1.0), 10.0)
+_SL2R_SYM = (Geometry.SL2R, XCF_MINUS, (1.0, 1.0, 1.0), 1.0e6)
+_SL2R_GEN = (Geometry.SL2R, XCF_MINUS, (1.0, 2.0, 1.0), 10.0)
+_E2_GEN = (Geometry.E2, XCF_MINUS, (2.0, 1.0, 1.0), 1.0e8)
+
+_TABLE = (
+    _Row("heisenberg_closed_form", 1, "nil closed form", Geometry.HEISENBERG, _each(_NIL, "checks", "closed form")),
+    _Row("heisenberg_invariants", 2, "nil first integrals", Geometry.HEISENBERG,
+         _each(_NIL, "conserved", "A^3*B", "A^3*C", "B/C")),
+    _Row("sol_symmetric", 3, "sol symmetric collapse", Geometry.SOL, (
+        _Entry(_SOL_SYM, "termination", _SINGULAR, "termination {value}"),
+        _Entry(_SOL_SYM, "checks", "singular time = B0^2/64", "singular time {blowup_time!r} vs 1.0: {name}: {value}"),
+        *_each(_SOL_SYM, "checks", "A=C locked", _CLOSED),
+    )),
+    _Row("sol_generic", 4, "sol generic blow-up laws", Geometry.SOL, (
+        *_each(_SOL_GEN, "laws", "B", "A", "C", "A-C"),
+        _Entry((Geometry.SOL, XCF_MINUS, (5.0, 4.0, 1.0), 10.0), "checks", "A-3C changes sign before the singular time"),
+    )),
+    _Row("su2", 5, "su2 collapse", Geometry.SU2, (
+        _Entry((Geometry.SU2, XCF_MINUS, (2.0, 2.0, 2.0), 10.0), "checks", _CLOSED, "round: {name}: {value}"),
+        _Entry(_SU2_GEN, "termination", _SINGULAR, "generic termination {value}"),
+        _Entry(_SU2_GEN, "checks", "A/C -> 1", "generic {name}: {value}"),
+        _Entry(_SU2_GEN, "laws", "A", "generic {name}: {value}"),
+    )),
+    _Row("sl2r_symmetric", 6, "sl2r symmetric pancake", Geometry.SL2R, (
+        _Entry(_SL2R_SYM, "checks", "B=C locked"),
+        _Entry(_SL2R_SYM, "laws", "B"),
+        _Entry(_SL2R_SYM, "checks", "B coefficient = (24 Ainf)^(1/3)"),
+        _Entry(_SL2R_SYM, "monotone", "4/A+1/B decreasing"),
+        _Entry(_SL2R_SYM, "checks", "d/dt(A^9 B^3) = 24 A^10 (trapezoid)"),
+    )),
+    _Row("sl2r_generic", 7, "sl2r generic blow-up laws", Geometry.SL2R, (
+        _Entry(_SL2R_GEN, "checks", "F1<0 and F2<0 entered and retained"),
+        *_each(_SL2R_GEN, "laws", "C", "A", "B"),
+        _Entry(_SL2R_GEN, "checks", "A/B -> 1"),
+    )),
+    _Row("e2", 8, "e2 cigar laws", Geometry.E2, (
+        _Entry((Geometry.E2, XCF_MINUS, (3.0, 3.0, 1.0), 10.0), "checks", "exactly stationary", "flat: {name}: {value}"),
+        *_each(_E2_GEN, "laws", "A-B", "C"),
+        _Entry(_E2_GEN, "monotone", "(A-B)^2*C increasing"),
+        *_each(_E2_GEN, "checks", "(A-B)^2*C settles over the last decade", "C coefficient = (8 E2/E1) sqrt(6)"),
+    )),
+    _Row("nxcf_volume", 9, "normalized flow preserves volume", None, tuple(
+        _Entry((geom, NXCF, init, 2.0), "conserved", "A*B*C", "{geometry}: drift {value}")
+        for geom, init in _NXCF_SEEDS.items()
+    )),
+    _Row("oracle_equivalence", 10, "product form matches principal-curvature oracle", None, gaps=_oracle_gaps,
+         detail="worst max-entry-relative gap {worst:.3e} ({geometry}) over {oracle_draws} draws per geometry"
+                " (tol {tol:.0e})"),
+    _Row("scaling_law", 11, "velocity field scales inversely with the metric", None, gaps=_scaling_gaps,
+         detail="worst relative gap {worst:.3e} ({geometry}) over {scaling_draws} (metric, scale) pairs per"
+                " geometry and both flow kinds (tol {tol:.0e})"),
+)
 
 
-def criterion_scaling_law(runs: dict) -> CriterionResult:
-    worst, worst_geom = _worst_gap(_scaling_gaps())
-    ok = worst <= _ORACLE_TOL
-    return CriterionResult(
-        11,
-        "velocity field scales inversely with the metric",
-        ok,
-        (f"worst relative gap {worst:.3e} ({worst_geom or 'all zero'}) over "
-         f"{_SCALING_DRAWS} (metric, scale) pairs per geometry and both flow kinds (tol {_ORACLE_TOL:.0e})",),
-    )
+def _criterion(row: _Row):
+    def criterion(runs: dict) -> CriterionResult:
+        return _evaluate(row, runs)
+
+    criterion.__name__ = criterion.__qualname__ = f"criterion_{row.key}"
+    return criterion
 
 
-ALL_CRITERIA = (*_TABLE_CRITERIA, criterion_oracle_equivalence, criterion_scaling_law)
+# Each row's criterion is bound at module level under its __name__
+# (criterion_heisenberg_closed_form, ..., criterion_scaling_law).
+ALL_CRITERIA = tuple(map(_criterion, _TABLE))
+globals().update((fn.__name__, fn) for fn in ALL_CRITERIA)
 
 
 def criteria_for_geometry(geometry: Geometry) -> tuple:
     """Criteria specific to one geometry, plus the cross-geometry ones.
 
     Reads `ALL_CRITERIA` at call time and keeps the criteria whose table row
-    names the geometry or none; criteria 10-11 have no row and cover all.
+    names the geometry or none.
     """
-    rows = (row.geometry for row in _TABLE)
-    return tuple(fn for fn, geom in zip_longest(ALL_CRITERIA, rows) if geom in (geometry, None))
+    return tuple(fn for fn, row in zip(ALL_CRITERIA, _TABLE) if row.geometry in (geometry, None))
 
 
 def run_suite(criteria) -> tuple[list[CriterionResult], dict[str, dict]]:

@@ -374,10 +374,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             doc = {
                 "suite": suite,
                 "passed": all(r.passed for r in results),
-                "criteria": [
-                    {"number": r.number, "name": r.name, "passed": r.passed, "details": list(r.details)}
-                    for r in results
-                ],
+                "criteria": [r.to_dict() for r in results],
                 "reports": reports,
             }
             report_file.write(_json_text(doc) + "\n")
@@ -443,50 +440,25 @@ def _volume_factor(datum: tuple, volume: float) -> float:
 _OWN_FLAG_BRANCHES = {name for axes, name, _ in SYMMETRIC_BRANCHES.values() if axes}  # symmetric: the flag is the name
 
 
-def _scan_reads(geometry: Geometry, branch: str) -> str:
-    """What the flag of a scan row reads: "nothing", the "last" state or the whole "path".
-
-    The one rule for what a row is integrated with (`_scan_point`) and for
-    what its flag reads (`_scan_flag`).  A branch with its own flag and
-    every geometry but Sol and SL(2,R) read nothing; a generic Sol row
-    compares 3C with A at its last state; a generic SL(2,R) row looks for
-    the trapping region along the states of its run.
-    """
-    if branch in _OWN_FLAG_BRANCHES or geometry not in (Geometry.SOL, Geometry.SL2R):
-        return "nothing"
-    return "last" if geometry is Geometry.SOL else "path"
-
-
-def _scan_flag(geometry: Geometry, states: np.ndarray | None, branch: str) -> str:
-    """The flag cell of a canonical datum's run from the states (n, 3) it reads; None where it reads nothing."""
-    reads = _scan_reads(geometry, branch)
-    if reads == "nothing":
-        return branch if branch in _OWN_FLAG_BRANCHES else ""
-    if reads == "last":
-        A, _, C = states[-1]
-        return "3C>A" if 3.0 * C > A else ""
-    _, retained = sl2r_trapping_entry(states)
-    return "entered-region" if retained else "no-region"
-
-
 def _scan_point(payload: tuple) -> list[str]:
     """The SCAN_HEADER cells after `C0` for one grid point.
 
     The point is relabeled to its canonical datum, and then scaled when a
     volume is given, so a point and a reordered twin have the same cells.
-    Every cell but the flag reads only the termination, m0 or the branch,
-    and `_scan_reads` says what the flag reads; no row reads
-    `options.samples`.
+    Every cell but the flag reads only the termination, m0 or the branch.
+    The one branch below says what each row runs and what its flag reads,
+    and no row reads `options.samples`:
 
-    - nothing: the bare stepper (`terminate`), no step table and no dense
-      output;
-    - the last state (generic Sol): `integrate` with two samples, whose last
-      row has the same bits as at any sample count, since the dense output
-      is elementwise;
-    - the path (generic SL(2,R)): the stepper's accepted states
-      (`accepted_states`), whose last row on a run that reached t_max is
-      its dense output there, the same bits as the last row of `integrate`
-      at any sample count.
+    - a branch with its own flag, and every geometry but Sol and SL(2,R):
+      the bare stepper (`terminate`), no step table and no dense output;
+      the flag is the branch's name, or empty;
+    - generic Sol: `integrate` with two samples, whose last row has the
+      same bits as at any sample count, since the dense output is
+      elementwise; the flag compares 3C with A there;
+    - generic SL(2,R): the stepper's accepted states (`accepted_states`),
+      whose last row on a run that reached t_max is its dense output there,
+      the same bits as the last row of `integrate` at any sample count; the
+      flag says whether they enter the trapping region and stay.
     """
     geometry, spec, a, b, c, options, volume = payload
     datum = _canonical(geometry, (a, b, c))
@@ -494,16 +466,18 @@ def _scan_point(payload: tuple) -> list[str]:
     if volume is not None:
         m0 = m0.scaled(_volume_factor(datum, volume))
     branch = classify_branch(geometry, m0)
-    reads = _scan_reads(geometry, branch)
-    if reads == "nothing":
-        states, term = None, terminate(geometry, spec, m0, options)
-    elif reads == "last":
+    if branch in _OWN_FLAG_BRANCHES or geometry not in (Geometry.SOL, Geometry.SL2R):
+        term = terminate(geometry, spec, m0, options)
+        flag = branch if branch in _OWN_FLAG_BRANCHES else ""
+    elif geometry is Geometry.SOL:
         trajectory = integrate(geometry, spec, m0, options._replace(samples=2))
-        states, term = trajectory.states, trajectory.termination
+        term, (A, _, C) = trajectory.termination, trajectory.states[-1]
+        flag = "3C>A" if 3.0 * C > A else ""
     else:
         term, states = accepted_states(geometry, spec, m0, options)
+        flag = "entered-region" if sl2r_trapping_entry(states)[1] else "no-region"
     blowup = "%.17g" % estimate_blowup_time(term) if term.kind is TerminationKind.SINGULAR_TIME else ""
-    return [term.kind.value, "%.17g" % term.t_stop, blowup, branch, _scan_flag(geometry, states, branch)]
+    return [term.kind.value, "%.17g" % term.t_stop, blowup, branch, flag]
 
 
 def _occurrences(geometry: Geometry, datum: tuple, counts: list[Counter]) -> int:

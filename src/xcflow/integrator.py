@@ -267,6 +267,7 @@ _T_RESOLUTION = 1e-13  # an accepted step advancing t by at most this fraction o
 _EPS = 2.0**-52  # float spacing at 1: one ulp of t is at most _EPS * t
 _H_FLOOR = 1e-12  # a retry step in tau below this ends the run
 _SAMPLES_LIMIT = 1_000_000  # rows of a dense output, so that every sample grid fits in memory
+_EVAL_CHUNK = 4096  # rows of a dense output evaluated in one pass, so that a pass's temporaries stay bounded
 _NEWTON_STEPS = 2  # fixed, so a time maps to the same tau in any stack of times
 _VM_FLOOR = np.nextafter(-1.0, 0.0)
 _VANISH_RATIO = 1e-4  # diagnostic classification of the last accepted state
@@ -371,6 +372,18 @@ class _StepTable(Record, eq=False):
 
     def eval(self, t: np.ndarray) -> np.ndarray:
         """Interpolated states (n, 3), in the caller's units, at the scaled times t (n,) in [0, t_end].
+
+        The rows are evaluated `_EVAL_CHUNK` at a time, by `_eval_chunk`: a
+        row depends on its own step alone, so it has the same bits in any
+        chunk, and the memory of a pass does not grow with n.
+        """
+        rows = np.empty((len(t), 3))
+        for i in range(0, len(t), _EVAL_CHUNK):
+            rows[i:i + _EVAL_CHUNK] = self._eval_chunk(t[i:i + _EVAL_CHUNK])
+        return rows
+
+    def _eval_chunk(self, t: np.ndarray) -> np.ndarray:
+        """`eval` of one stack of times, all in one pass.
 
         Within a step, t is t0 + h * (w0 * E(theta) + theta * Pt(theta)) with
         E(theta) = (1 - exp(-a theta))/a: exact where dt/dtau decays or grows

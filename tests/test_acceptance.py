@@ -67,6 +67,17 @@ def test_full_suite_is_green():
     assert all(r.passed for r in results)
 
 
+def test_every_criterion_is_the_criterion_of_one_table_row():
+    # one table holds all eleven criteria, in order, each read by `_evaluate`:
+    # a row prints its report entries or the one detail of its gap function
+    assert [row.number for row in acceptance._TABLE] == list(range(1, 12))
+    assert len(acceptance.ALL_CRITERIA) == len(acceptance._TABLE)
+    for fn, row in zip(acceptance.ALL_CRITERIA, acceptance._TABLE):
+        assert fn.__name__ == f"criterion_{row.key}"
+        assert [cell.cell_contents for cell in fn.__closure__] == [row]
+        assert (row.gaps is None) == bool(row.entries) == (row.detail == ""), row.number
+
+
 # ---------------------------------------------------------------------------
 # Criteria 1-9 pass exactly when every entry they print passes.  Each entry of
 # each report a criterion reads is flipped in turn, in a wrapped `verify`: the

@@ -29,6 +29,7 @@ from xcflow import (
     integrate,
     terminate,
 )
+from xcflow.analytic import sl2r_trapping_entry
 from xcflow.cli import (
     CSV_HEADER,
     EXIT_BUDGET,
@@ -775,6 +776,21 @@ def test_sample_columns_match_row_by_row_evaluation(geometry, init, flow):
 # scan rows read only the states they need
 
 
+_OWN_FLAGS = {"symmetric", "round", "flat"}  # the branches whose scan flag is their own name
+
+
+def _reference_flag(geometry, states, branch):
+    """The flag the README gives a scan row, read from the states of a full-sample run."""
+    if branch in _OWN_FLAGS:
+        return branch
+    if geometry is Geometry.SOL:
+        A, _, C = states[-1]
+        return "3C>A" if 3.0 * C > A else ""
+    if geometry is Geometry.SL2R:
+        return "entered-region" if sl2r_trapping_entry(states)[1] else "no-region"
+    return ""
+
+
 def _scan_cells_at_full_samples(payload):
     """The cells after C0 of one scan row, from the canonical datum integrated at the full sample count."""
     from xcflow import cli
@@ -788,7 +804,7 @@ def _scan_cells_at_full_samples(payload):
     term = traj.termination
     blowup = "%.17g" % term.t_stop if term.kind.value == "singular_time" else ""
     branch = cli.classify_branch(geometry, m0)
-    return [term.kind.value, "%.17g" % term.t_stop, blowup, branch, cli._scan_flag(geometry, traj.states, branch)]
+    return [term.kind.value, "%.17g" % term.t_stop, blowup, branch, _reference_flag(geometry, traj.states, branch)]
 
 
 # every branch of every geometry, with rows that end on t_max, step_underflow and max_steps

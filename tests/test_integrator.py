@@ -378,10 +378,19 @@ _REF_E3[[0, 8, 11]] -= (
 )
 
 
+def _sundman_speed(g, smin):
+    """s = max(|g_A|, |g_B|, |g_C|, smin), by the comparisons of `integrator._velocity`."""
+    s = g[0] if g[0] >= 0.0 else -g[0]
+    for v in g[1:]:
+        a = v if v >= 0.0 else -v
+        s = a if a > s else s
+    return smin if smin > s else s
+
+
 def _reference_step(rhs, y, f, h, t, smin, rtol, atol):
     def rate(z):
         g = np.array(rhs(z)) / z
-        s = max(float(np.max(np.abs(g))), smin)
+        s = _sundman_speed(g, smin)
         return np.append(g / s, 1.0 / s)
 
     K = np.empty((13, 4))
@@ -505,6 +514,40 @@ def test_a_row_has_the_same_bits_whatever_else_is_sampled(sol_generic_run, heise
         for i in np.linspace(0, len(grid) - 1, 9).round().astype(int):
             alone = traj._table._replace().eval(grid[i : i + 1])
             assert alone.tobytes() == traj.states[i : i + 1].tobytes()
+
+
+def _grid(traj, n):
+    """The n-row sample grid of a run, in its step table's scaled times."""
+    term, k = traj.termination, traj._table.k
+    return integrator._sample_times(term.kind, ldexp(term.t_stop, -2 * k), n)
+
+
+@pytest.mark.parametrize("n", [2, 512, 8192, 100_000])
+def test_rows_evaluated_in_chunks_equal_rows_evaluated_in_stacks_of_1000(sol_generic_run, n):
+    # `eval` cuts a grid into chunks of `_EVAL_CHUNK` rows; stacks of 1,000
+    # cut it elsewhere, so every chunk boundary falls inside a stack
+    grid = _grid(sol_generic_run, n)
+    rows = sol_generic_run._table._replace().eval(grid)
+    table = sol_generic_run._table._replace()
+    stacks = np.concatenate([table.eval(grid[i : i + 1000]) for i in range(0, n, 1000)])
+    assert rows.shape == (n, 3) and rows.tobytes() == stacks.tobytes()
+
+
+def test_a_dense_output_peaks_at_a_bounded_memory_per_row(sol_generic_run):
+    # the 24 bytes of each row, and one chunk's temporaries shared by all;
+    # evaluated in one pass, 10^5 rows peaked at about 400 bytes a row
+    import tracemalloc
+
+    n = 100_000
+    grid = _grid(sol_generic_run, n)
+    table = sol_generic_run._table._replace()
+    tracemalloc.start()
+    try:
+        table.eval(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 64
 
 
 @pytest.mark.parametrize("fault", ["overflow", "nan"])
@@ -642,10 +685,7 @@ def _weighted(row, ks, c):
 
 def _stage_velocity(rhs, z, smin):
     g = [v / c for v, c in zip(rhs(z), z)]
-    s = abs(g[0])
-    for v in g[1:]:
-        s = abs(v) if abs(v) > s else s
-    s = smin if smin > s else s
+    s = _sundman_speed(g, smin)
     k = (g[0] / s, g[1] / s, g[2] / s, 1.0 / s)
     return k if all(-inf < v < inf for v in k[:3]) else None
 
